@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use fleet::{run_fleet, DeviceScenario, ExecutorOptions, FleetSimulation, ScenarioMix};
+use fleet::{run_fleet_range, ExecutorOptions, FleetSimulation, ScenarioMix};
 
 const DEVICES: u64 = 16;
 
@@ -30,15 +30,23 @@ fn options() -> ExecutorOptions {
     }
 }
 
-fn run(simulation: &FleetSimulation, scenarios: &[DeviceScenario]) -> Vec<fleet::DeviceReport> {
-    run_fleet(scenarios, simulation.zoo(), simulation.engine(), &options()).unwrap()
+fn run(simulation: &FleetSimulation) -> Vec<fleet::DeviceReport> {
+    run_fleet_range(
+        simulation.generator(),
+        0..DEVICES,
+        simulation.zoo(),
+        simulation.engine(),
+        &options(),
+        None,
+    )
+    .unwrap()
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).expect("profiling succeeds");
-    let scenarios: Vec<_> = simulation.generator().scenarios(DEVICES).collect();
-    let total_windows: u64 = scenarios
-        .iter()
+    let total_windows: u64 = simulation
+        .generator()
+        .scenarios(DEVICES)
         .map(|s| s.window_count().expect("valid scenario") as u64)
         .sum();
 
@@ -47,14 +55,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
     // Telemetry must be invisible in the output: byte-identical reports
     // whether instruments are live, disabled, or global.
-    let baseline = run(&simulation, &scenarios);
+    let baseline = run(&simulation);
     {
         let _scope = telemetry::scoped(&live);
-        assert_eq!(baseline, run(&simulation, &scenarios));
+        assert_eq!(baseline, run(&simulation));
     }
     {
         let _scope = telemetry::scoped(&dead);
-        assert_eq!(baseline, run(&simulation, &scenarios));
+        assert_eq!(baseline, run(&simulation));
     }
 
     let mut group = c.benchmark_group("telemetry_overhead");
@@ -62,14 +70,14 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total_windows));
     group.bench_function("enabled_registry", |b| {
         let _scope = telemetry::scoped(&live);
-        b.iter(|| black_box(run(&simulation, black_box(&scenarios))))
+        b.iter(|| black_box(run(black_box(&simulation))))
     });
     group.bench_function("disabled_registry", |b| {
         let _scope = telemetry::scoped(&dead);
-        b.iter(|| black_box(run(&simulation, black_box(&scenarios))))
+        b.iter(|| black_box(run(black_box(&simulation))))
     });
     group.bench_function("global_registry", |b| {
-        b.iter(|| black_box(run(&simulation, black_box(&scenarios))))
+        b.iter(|| black_box(run(black_box(&simulation))))
     });
     group.finish();
 }

@@ -19,11 +19,10 @@
 use std::process::ExitCode;
 
 use chris_bench::fleet_cli::{self, FleetArgs, StderrProgress};
-use fleet::{FleetSimulation, ShardSpec};
+use fleet::FleetSimulation;
 
 struct Args {
     common: FleetArgs,
-    shards: u32,
     shard_index: u32,
     out: Option<String>,
     progress: bool,
@@ -45,7 +44,6 @@ fn usage() -> String {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         common: FleetArgs::default(),
-        shards: 1,
         shard_index: 0,
         out: None,
         progress: false,
@@ -56,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
             continue;
         }
         match flag.as_str() {
-            "--shards" => args.shards = fleet_cli::parse_value(&flag, &mut it)?,
+            "--shards" => args.common.spec.shards = fleet_cli::parse_value(&flag, &mut it)?,
             "--shard-index" => args.shard_index = fleet_cli::parse_value(&flag, &mut it)?,
             "--out" => args.out = Some(fleet_cli::flag_value(&flag, &mut it)?),
             "--progress" => args.progress = true,
@@ -79,7 +77,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let spec = match ShardSpec::new(args.common.devices, args.shards) {
+    let job = &args.common.spec;
+    let spec = match job.shard_spec() {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("invalid shard specification: {e}");
@@ -93,7 +92,7 @@ fn main() -> ExitCode {
     let telemetry_root = telemetry::Registry::new();
     let _telemetry_scope = telemetry::scoped(&telemetry_root);
 
-    let simulation = match FleetSimulation::new(args.common.seed, args.common.mix) {
+    let simulation = match FleetSimulation::new(job.seed, job.resolved_mix()) {
         Ok(simulation) => simulation,
         Err(e) => {
             eprintln!("profiling the shared configuration table failed: {e}");
@@ -112,7 +111,7 @@ fn main() -> ExitCode {
     let shard = match simulation.run_shard_with_options(
         &spec,
         args.shard_index,
-        &args.common.executor_options(),
+        &job.executor_options(),
         sink.as_ref().map(|s| s as &dyn fleet::ProgressSink),
     ) {
         Ok(shard) => shard,

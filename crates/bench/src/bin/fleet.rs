@@ -79,7 +79,8 @@ fn main() -> ExitCode {
     let _telemetry_scope = telemetry::scoped(&telemetry_root);
 
     let setup_start = Instant::now();
-    let simulation = match FleetSimulation::new(args.common.seed, args.common.mix) {
+    let spec = &args.common.spec;
+    let simulation = match FleetSimulation::new(spec.seed, spec.resolved_mix()) {
         Ok(simulation) => simulation,
         Err(e) => {
             eprintln!("profiling the shared configuration table failed: {e}");
@@ -92,12 +93,10 @@ fn main() -> ExitCode {
     if let Some(warning) = args.common.profile_cache_warning() {
         eprintln!("{warning}");
     }
-    let sink = args
-        .progress
-        .then(|| StderrProgress::new(args.common.devices));
+    let sink = args.progress.then(|| StderrProgress::new(spec.devices));
     let outcome = match simulation.run_with_options(
-        args.common.devices,
-        &args.common.executor_options(),
+        spec.devices,
+        &spec.executor_options(),
         sink.as_ref().map(|s| s as &dyn fleet::ProgressSink),
     ) {
         Ok(outcome) => outcome,
@@ -129,7 +128,7 @@ fn main() -> ExitCode {
     } else {
         println!(
             "CHRIS fleet simulation  (seed {}, mix {}, {} devices)",
-            args.common.seed, args.common.mix_name, args.common.devices
+            spec.seed, spec.mix, spec.devices
         );
         println!("{}", outcome.report);
         if let Some(sketch) = &outcome.sketch {
@@ -142,7 +141,7 @@ fn main() -> ExitCode {
             }
         }
         let windows_per_s = outcome.report.total_windows as f64 / run_time.as_secs_f64();
-        let devices_per_s = args.common.devices as f64 / run_time.as_secs_f64();
+        let devices_per_s = spec.devices as f64 / run_time.as_secs_f64();
         eprintln!(
             "\nprofiling {:.2} s; simulated {} windows in {:.2} s \
              ({windows_per_s:.0} windows/s, {devices_per_s:.0} devices/s)",

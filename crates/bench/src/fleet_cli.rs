@@ -6,35 +6,26 @@
 //! here once ([`parse_common`]): each binary loops over its raw arguments,
 //! first offering every flag to [`parse_common`], then handling its own
 //! extras, which keeps the shard and single-process CLIs from drifting apart
-//! on fleet identity. `fleet-merge` takes no fleet flags (it derives the
-//! fleet from the artifacts' provenance) but shares the per-device rendering
-//! ([`device_line`]) so its `--per-device` output matches `fleet`'s exactly.
+//! on fleet identity. The flags fill in a [`fleetd::JobSpec`], the same type
+//! a `fleetd` job is submitted as, so the CLI and HTTP paths map a fleet onto
+//! executor options through one function ([`fleetd::JobSpec::executor_options`])
+//! and produce the same bytes by construction. `fleet-merge` takes no fleet
+//! flags (it derives the fleet from the artifacts' provenance) but shares the
+//! per-device rendering ([`device_line`]) so its `--per-device` output
+//! matches `fleet`'s exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fleet::{ProgressSink, ReportMode, ScenarioMix};
+use fleetd::JobSpec;
 
-/// The flags shared by every fleet binary, with their defaults.
+/// The flags shared by `fleet` and `fleet-shard`, with their defaults.
 #[derive(Debug, Clone)]
 pub struct FleetArgs {
-    /// Number of simulated devices in the whole fleet.
-    pub devices: u64,
-    /// Worker threads; `0` means one per available core.
-    pub threads: usize,
-    /// Master seed; fixes every device's scenario.
-    pub seed: u64,
-    /// The resolved scenario mix.
-    pub mix: ScenarioMix,
-    /// Preset name of the mix (for display and shard provenance).
-    pub mix_name: String,
-    /// Whether the per-worker profiling-window cache is enabled
-    /// (`--profile-cache`). Purely a performance knob: reports are
-    /// byte-identical with the cache on or off.
-    pub profile_cache: bool,
-    /// Aggregation mode (`--report-mode exact|sketch`): exact per-device
-    /// order statistics (the default) or O(log devices) mergeable quantile
-    /// sketches with a surfaced rank-error bound.
-    pub report_mode: ReportMode,
+    /// The fleet the flags describe. `fleet-shard --shards` sets
+    /// `spec.shards` (default 1); `fleet` runs the fleet as one shard and
+    /// ignores it.
+    pub spec: JobSpec,
     /// Telemetry output selection (`--metrics-out`, `--metrics-json`).
     pub metrics: MetricsArgs,
 }
@@ -42,13 +33,10 @@ pub struct FleetArgs {
 impl Default for FleetArgs {
     fn default() -> Self {
         Self {
-            devices: 1000,
-            threads: 0,
-            seed: 42,
-            mix: ScenarioMix::balanced(),
-            mix_name: "balanced".to_string(),
-            profile_cache: false,
-            report_mode: ReportMode::Exact,
+            spec: JobSpec {
+                shards: 1,
+                ..JobSpec::new(1000)
+            },
             metrics: MetricsArgs::default(),
         }
     }
@@ -138,38 +126,17 @@ pub fn process_snapshot(root: &telemetry::Registry) -> telemetry::MetricsSnapsho
 }
 
 impl FleetArgs {
-    /// The executor options these flags describe: worker threads plus the
-    /// profiling-window cache (at its default capacity) when
-    /// `--profile-cache` was given.
-    pub fn executor_options(&self) -> fleet::ExecutorOptions {
-        // A pool of k distinct synthesis profiles never needs more than k
-        // cache entries; without a pool every key is distinct, so the
-        // default capacity only bounds wasted retention (see
-        // `profile_cache_warning`).
-        let capacity = match self.mix.subject_pool {
-            0 => fleet::DEFAULT_PROFILE_CACHE_CAPACITY,
-            pool => usize::try_from(pool)
-                .unwrap_or(usize::MAX)
-                .min(fleet::DEFAULT_PROFILE_CACHE_CAPACITY),
-        };
-        fleet::ExecutorOptions {
-            threads: self.threads,
-            profile_cache: self.profile_cache.then_some(capacity),
-            report_mode: self.report_mode,
-            ..fleet::ExecutorOptions::default()
-        }
-    }
-
     /// A stderr-worthy warning when `--profile-cache` cannot pay off: on a
     /// mix without a subject pool every device's synthesis inputs are
     /// distinct, so the cache misses on every device and only adds retained
     /// sessions. The output is still byte-identical either way.
     pub fn profile_cache_warning(&self) -> Option<String> {
-        (self.profile_cache && self.mix.subject_pool == 0).then(|| {
+        let spec = &self.spec;
+        (spec.profile_cache && spec.resolved_mix().subject_pool == 0).then(|| {
             format!(
                 "note: --profile-cache with mix `{}` (no subject pool) will never hit; \
                  try --mix cohort or a subject_pool > 0",
-                self.mix_name
+                spec.mix
             )
         })
     }
@@ -405,24 +372,25 @@ pub fn parse_common(
     flag: &str,
     it: &mut dyn Iterator<Item = String>,
 ) -> Result<bool, String> {
+    let spec = &mut args.spec;
     match flag {
-        "--devices" => args.devices = parse_value(flag, it)?,
-        "--threads" => args.threads = parse_value(flag, it)?,
-        "--seed" => args.seed = parse_value(flag, it)?,
+        "--devices" => spec.devices = parse_value(flag, it)?,
+        "--threads" => spec.threads = parse_value(flag, it)?,
+        "--seed" => spec.seed = parse_value(flag, it)?,
         "--mix" => {
             let name = flag_value(flag, it)?;
-            args.mix = ScenarioMix::from_name(&name).ok_or_else(|| {
-                format!(
+            if ScenarioMix::from_name(&name).is_none() {
+                return Err(format!(
                     "unknown mix `{name}`; expected one of {}",
                     ScenarioMix::PRESETS.join(", ")
-                )
-            })?;
-            args.mix_name = name;
+                ));
+            }
+            spec.mix = name;
         }
-        "--profile-cache" => args.profile_cache = true,
+        "--profile-cache" => spec.profile_cache = true,
         "--report-mode" => {
             let name = flag_value(flag, it)?;
-            args.report_mode = ReportMode::from_name(&name).ok_or_else(|| {
+            spec.report_mode = ReportMode::from_name(&name).ok_or_else(|| {
                 format!(
                     "unknown report mode `{name}`; expected one of {}",
                     ReportMode::NAMES.join(", ")
@@ -462,20 +430,43 @@ mod tests {
             "harsh",
         ])
         .unwrap();
-        assert_eq!(args.devices, 64);
-        assert_eq!(args.threads, 4);
-        assert_eq!(args.seed, 7);
-        assert_eq!(args.mix_name, "harsh");
-        assert_eq!(args.mix, ScenarioMix::harsh());
+        assert_eq!(
+            args.spec,
+            JobSpec {
+                devices: 64,
+                threads: 4,
+                seed: 7,
+                mix: "harsh".to_string(),
+                ..FleetArgs::default().spec
+            }
+        );
+        assert_eq!(args.spec.resolved_mix(), ScenarioMix::harsh());
+    }
+
+    #[test]
+    fn defaults_match_the_cli_contract() {
+        let spec = parse_all(&[]).unwrap().spec;
+        assert_eq!(
+            spec,
+            JobSpec {
+                devices: 1000,
+                seed: 42,
+                mix: "balanced".to_string(),
+                threads: 0,
+                shards: 1,
+                report_mode: ReportMode::Exact,
+                profile_cache: false,
+            }
+        );
     }
 
     #[test]
     fn report_mode_flag_is_parsed_and_threaded_through() {
-        let default = parse_all(&[]).unwrap();
+        let default = parse_all(&[]).unwrap().spec;
         assert_eq!(default.report_mode, ReportMode::Exact);
         assert_eq!(default.executor_options().report_mode, ReportMode::Exact);
 
-        let sketch = parse_all(&["--report-mode", "sketch"]).unwrap();
+        let sketch = parse_all(&["--report-mode", "sketch"]).unwrap().spec;
         assert_eq!(sketch.report_mode, ReportMode::Sketch);
         assert_eq!(sketch.executor_options().report_mode, ReportMode::Sketch);
 
@@ -574,25 +565,22 @@ mod tests {
     #[test]
     fn profile_cache_flag_maps_to_executor_options() {
         let off = parse_all(&[]).unwrap();
-        assert!(!off.profile_cache);
-        assert_eq!(off.executor_options().profile_cache, None);
+        assert!(!off.spec.profile_cache);
+        assert_eq!(off.spec.executor_options().profile_cache, None);
+        assert!(off.profile_cache_warning().is_none());
 
         let on = parse_all(&["--profile-cache", "--threads", "2"]).unwrap();
-        assert!(on.profile_cache);
-        let options = on.executor_options();
-        assert_eq!(
-            options.profile_cache,
-            Some(fleet::DEFAULT_PROFILE_CACHE_CAPACITY)
-        );
+        assert!(on.spec.profile_cache);
+        let options = on.spec.executor_options();
+        assert!(options.profile_cache.is_some());
         assert_eq!(options.threads, 2);
         // Distinct-profile mix: the cache cannot hit, so the CLI warns.
         assert!(on.profile_cache_warning().unwrap().contains("never hit"));
-        assert!(parse_all(&[]).unwrap().profile_cache_warning().is_none());
 
         // Pooled mixes bound the capacity by the pool size and warn nothing.
         let cohort = parse_all(&["--profile-cache", "--mix", "cohort"]).unwrap();
         assert_eq!(
-            cohort.executor_options().profile_cache,
+            cohort.spec.executor_options().profile_cache,
             Some(ScenarioMix::cohort().subject_pool as usize)
         );
         assert!(cohort.profile_cache_warning().is_none());

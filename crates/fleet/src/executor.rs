@@ -12,18 +12,15 @@
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
 //! worker, never a materialized `Vec<DeviceScenario>` (asserted by
 //! [`metrics::peak_live_scenarios`] in `tests/scenario_free.rs`). A
-//! billion-device shard therefore costs O(threads) scenario memory. The
-//! slice-based [`run_fleet`] is a thin wrapper over the same core for
-//! callers that already hold scenarios.
+//! billion-device shard therefore costs O(threads) scenario memory.
 //!
 //! The executor is the per-process layer of the scale-out story: both the
-//! single-process path ([`crate::FleetSimulation::run`]) and every
-//! `fleet-shard` worker drive their device range through [`run_fleet_range`],
-//! so a sharded fleet and a single-process fleet execute identical per-device
-//! work — only the partitioning and the final [`crate::merge::merge`]
-//! differ.
+//! single-process path ([`crate::FleetSimulation::run_with_options`]) and
+//! every `fleet-shard` worker drive their device range through
+//! [`run_fleet_range`], so a sharded fleet and a single-process fleet execute
+//! identical per-device work — only the partitioning and the final
+//! [`crate::merge::merge`] differ.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -122,40 +119,6 @@ pub mod metrics {
     }
 }
 
-/// Where a worker gets the scenario of work item `index`: a caller-provided
-/// slice (the legacy eager path) or on-demand derivation from a generator
-/// and a device-id range (the scenario-free path).
-enum ScenarioSupply<'a> {
-    Slice(&'a [DeviceScenario]),
-    Generated {
-        generator: &'a ScenarioGenerator,
-        range: Range<u64>,
-    },
-}
-
-impl ScenarioSupply<'_> {
-    /// Number of work items (devices) supplied. An inverted range is empty
-    /// (Rust `Range` convention), not an underflow.
-    fn len(&self) -> u64 {
-        match self {
-            ScenarioSupply::Slice(scenarios) => scenarios.len() as u64,
-            ScenarioSupply::Generated { range, .. } => range.end.saturating_sub(range.start),
-        }
-    }
-
-    /// The scenario of work item `index` — borrowed from the slice, or
-    /// derived on demand (and owned by the caller, so it is dropped before
-    /// the worker claims its next item).
-    fn scenario(&self, index: u64) -> Cow<'_, DeviceScenario> {
-        match self {
-            ScenarioSupply::Slice(scenarios) => Cow::Borrowed(&scenarios[index as usize]),
-            ScenarioSupply::Generated { generator, range } => {
-                Cow::Owned(generator.scenario(range.start + index))
-            }
-        }
-    }
-}
-
 /// Upper bound on the projected battery life, in hours (≈11 years). Keeps
 /// the distribution finite for pathological near-zero average power.
 pub const BATTERY_LIFE_CAP_HOURS: f64 = 100_000.0;
@@ -164,14 +127,15 @@ pub const BATTERY_LIFE_CAP_HOURS: f64 = 100_000.0;
 /// enabled without an explicit size (the `--profile-cache` CLI flag).
 pub const DEFAULT_PROFILE_CACHE_CAPACITY: usize = 256;
 
+/// Devices claimed per queue pop. Larger chunks amortize contention,
+/// smaller chunks balance better when device workloads differ.
+const CHUNK_SIZE: u64 = 8;
+
 /// Knobs of the parallel executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorOptions {
     /// Worker thread count; `0` means one worker per available core.
     pub threads: usize,
-    /// Devices claimed per queue pop. Larger chunks amortize contention,
-    /// smaller chunks balance better when device workloads differ.
-    pub chunk_size: usize,
     /// Per-worker profiling-window cache: `None` disables memoization
     /// entirely, `Some(capacity)` gives every worker thread its own
     /// lock-free [`WindowCache`] of that capacity (0 = always miss,
@@ -187,17 +151,6 @@ pub struct ExecutorOptions {
     /// bound (O(log devices) memory). The mode is stamped into
     /// [`crate::ShardMeta`], so artifact sets cannot silently mix modes.
     pub report_mode: ReportMode,
-}
-
-impl Default for ExecutorOptions {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            chunk_size: 8,
-            profile_cache: None,
-            report_mode: ReportMode::Exact,
-        }
-    }
 }
 
 impl ExecutorOptions {
@@ -233,22 +186,7 @@ pub fn simulate_device(
     zoo: &ModelZoo,
     engine: &DecisionEngine,
 ) -> Result<DeviceReport, FleetError> {
-    simulate_device_with_progress(scenario, zoo, engine, None)
-}
-
-/// [`simulate_device`] with an optional [`ProgressSink`] observing every
-/// pulled window and the device's completion.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate_device`].
-pub fn simulate_device_with_progress(
-    scenario: &DeviceScenario,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<DeviceReport, FleetError> {
-    simulate_device_inner(scenario, zoo, engine, sink, None)
+    simulate(scenario, zoo, engine, None, None)
 }
 
 /// [`simulate_device`] with a [`WindowCache`]: the device's windows come
@@ -269,7 +207,7 @@ pub fn simulate_device_cached(
     cache: &mut WindowCache,
     sink: Option<&dyn ProgressSink>,
 ) -> Result<DeviceReport, FleetError> {
-    simulate_device_inner(scenario, zoo, engine, sink, Some(cache))
+    simulate(scenario, zoo, engine, sink, Some(cache))
 }
 
 /// Drives one device's runtime over any window source, wrapping it in a
@@ -295,9 +233,9 @@ where
     }
 }
 
-/// The shared device-simulation core behind the public `simulate_device*`
-/// entry points.
-fn simulate_device_inner(
+/// The device-simulation core behind [`simulate_device`],
+/// [`simulate_device_cached`] and the executor's workers.
+fn simulate(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
@@ -358,114 +296,127 @@ fn simulate_device_inner(
     })
 }
 
-/// Runs every scenario and returns the device reports in device order.
-///
-/// Thin wrapper over the scenario-free core: the slice is treated as a
-/// pre-materialized supply, so eager callers (tests, benches) share the
-/// exact worker loop of [`run_fleet_range`].
-///
-/// # Errors
-///
-/// Returns [`FleetError::EmptyFleet`] for an empty scenario list; when
-/// multiple devices fail, the error of the lowest-indexed device is returned
-/// (deterministic for any thread count).
-pub fn run_fleet(
-    scenarios: &[DeviceScenario],
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_fleet_with_progress(scenarios, zoo, engine, options, None)
-}
-
-/// [`run_fleet`] with an optional [`ProgressSink`] receiving window- and
-/// device-level progress from the worker threads while the fleet runs.
-///
-/// Attaching a sink never changes the results: reports stay byte-identical
-/// for any thread count, with or without progress.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fleet`].
-pub fn run_fleet_with_progress(
-    scenarios: &[DeviceScenario],
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_supply(
-        &ScenarioSupply::Slice(scenarios),
-        zoo,
-        engine,
-        options,
-        sink,
-    )
-}
-
-/// Runs the devices of a contiguous id range, deriving each scenario on
-/// demand inside the claiming worker — the scenario-free path.
+/// Runs the devices of a contiguous id range and returns their reports in
+/// device-id order, deriving each scenario on demand inside the claiming
+/// worker — the scenario-free path.
 ///
 /// No `Vec<DeviceScenario>` is ever built: peak *scenario* memory is one
 /// scenario per worker thread regardless of the range size. (The returned
 /// `Vec<DeviceReport>` is still O(range) — partition huge fleets into
-/// shards sized to what one process can report on.) Reports are returned in
-/// device-id order and are byte-identical to running [`run_fleet`] over
-/// `generator.scenarios_in(range).collect::<Vec<_>>()`.
+/// shards sized to what one process can report on.) An optional
+/// [`ProgressSink`] observes windows processed and devices completed while
+/// the range executes, and may cancel the run between devices; attaching one
+/// never changes the results, which are byte-identical for any thread count.
+///
+/// Telemetry flows through three registry layers: each worker records into
+/// its own private [`telemetry::Registry`] (lock-free, no cross-thread
+/// contention), workers fold their snapshot into a shared batch registry at
+/// exit (counter/histogram merging is commutative, so the batch totals are
+/// identical for any thread count or interleaving), and the batch is finally
+/// absorbed into whatever registry was active when the run started. The
+/// merged cache hit/miss totals surface to [`ProgressSink::profile_cache`]
+/// straight from the batch snapshot.
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::EmptyFleet`] for an empty range; otherwise the same
-/// conditions as [`run_fleet`].
+/// Returns [`FleetError::EmptyFleet`] for an empty (or inverted) range and
+/// [`FleetError::Cancelled`] when the sink cancels the run; when multiple
+/// devices fail, the error of the lowest device id is returned
+/// (deterministic for any thread count).
 pub fn run_fleet_range(
     generator: &ScenarioGenerator,
     range: Range<u64>,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
     options: &ExecutorOptions,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    run_fleet_range_with_progress(generator, range, zoo, engine, options, None)
-}
-
-/// [`run_fleet_range`] with an optional [`ProgressSink`] observing windows
-/// processed and devices completed while the range executes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_fleet_range`].
-pub fn run_fleet_range_with_progress(
-    generator: &ScenarioGenerator,
-    range: Range<u64>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
     sink: Option<&dyn ProgressSink>,
 ) -> Result<Vec<DeviceReport>, FleetError> {
-    run_supply(
-        &ScenarioSupply::Generated { generator, range },
+    // An inverted range is empty (Rust `Range` convention), not an underflow.
+    let count = range.end.saturating_sub(range.start);
+    if count == 0 {
+        return Err(FleetError::EmptyFleet);
+    }
+    let devices = Devices {
+        generator,
+        start: range.start,
         zoo,
         engine,
-        options,
         sink,
-    )
+    };
+    let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
+    let outer = telemetry::active();
+    let batch = telemetry::Registry::new();
+    if options.profile_cache.is_some() {
+        // Eager registration: a run whose caches never hit still exposes
+        // zero-valued hit/miss series.
+        cache_event_counter(&batch, "hit");
+        cache_event_counter(&batch, "miss");
+    }
+
+    let reports = if threads == 1 {
+        let _scope = telemetry::scoped(&batch);
+        let mut cache = options.profile_cache.map(WindowCache::new);
+        let reports = (0..count)
+            .map(|index| {
+                if devices.cancel_requested() {
+                    return Err(FleetError::Cancelled);
+                }
+                devices.simulate(index, cache.as_mut())
+            })
+            .collect();
+        if let Some(cache) = &cache {
+            record_cache_events(&batch, cache);
+        }
+        reports
+    } else {
+        run_parallel(&devices, &batch, options.profile_cache, count, threads)
+    };
+
+    if options.profile_cache.is_some() {
+        if let Some(sink) = sink {
+            let snapshot = batch.snapshot();
+            let event = |result| {
+                snapshot
+                    .counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)])
+                    .unwrap_or(0)
+            };
+            sink.profile_cache(event("hit"), event("miss"));
+        }
+    }
+    outer
+        .absorb(&batch.snapshot())
+        .expect("executor series are self-consistent across registries");
+    reports
 }
 
-/// Simulates one work item of a supply, tracking generated-scenario
-/// lifetimes so tests can assert the scenario-free memory bound.
-fn simulate_index(
-    supply: &ScenarioSupply<'_>,
-    index: u64,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
-    cache: Option<&mut WindowCache>,
-) -> Result<DeviceReport, FleetError> {
-    let scenario = supply.scenario(index);
-    let _live = match &scenario {
-        Cow::Owned(_) => Some(metrics::GeneratedScenario::track()),
-        Cow::Borrowed(_) => None,
-    };
-    simulate_device_inner(scenario.as_ref(), zoo, engine, sink, cache)
+/// The read-only state every worker of one [`run_fleet_range`] call shares.
+struct Devices<'a> {
+    generator: &'a ScenarioGenerator,
+    start: u64,
+    zoo: &'a ModelZoo,
+    engine: &'a DecisionEngine,
+    sink: Option<&'a dyn ProgressSink>,
+}
+
+impl Devices<'_> {
+    /// Derives and simulates work item `index` (device `start + index`),
+    /// tracking the generated scenario's lifetime so tests can assert the
+    /// scenario-free memory bound.
+    fn simulate(
+        &self,
+        index: u64,
+        cache: Option<&mut WindowCache>,
+    ) -> Result<DeviceReport, FleetError> {
+        let scenario = self.generator.scenario(self.start + index);
+        let _live = metrics::GeneratedScenario::track();
+        simulate(&scenario, self.zoo, self.engine, self.sink, cache)
+    }
+
+    /// Whether the sink (if any) has asked the run to stop. Polled between
+    /// devices, so cancellation lands on a device boundary.
+    fn cancel_requested(&self) -> bool {
+        self.sink.is_some_and(ProgressSink::should_cancel)
+    }
 }
 
 /// Series name of the profiling-window cache event counter (labelled by
@@ -499,99 +450,16 @@ fn record_cache_events(registry: &telemetry::Registry, cache: &WindowCache) {
     cache_event_counter(registry, "miss").add(cache.misses());
 }
 
-/// The shared executor core: claims work items from an atomic cursor over
-/// the supply, simulates them, and merges the reports in item order.
-///
-/// Telemetry flows through three registry layers: each worker records into
-/// its own private [`telemetry::Registry`] (lock-free, no cross-thread
-/// contention), workers fold their snapshot into a shared batch registry at
-/// exit (counter/histogram merging is commutative, so the batch totals are
-/// identical for any thread count or interleaving), and the batch is finally
-/// absorbed into whatever registry was active when the run started. The
-/// merged cache hit/miss totals surface to [`ProgressSink::profile_cache`]
-/// straight from the batch snapshot.
-fn run_supply(
-    supply: &ScenarioSupply<'_>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    options: &ExecutorOptions,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    let count = supply.len();
-    if count == 0 {
-        return Err(FleetError::EmptyFleet);
-    }
-    let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
-    let chunk = options.chunk_size.max(1) as u64;
-    let outer = telemetry::active();
-    let batch = telemetry::Registry::new();
-    if options.profile_cache.is_some() {
-        // Eager registration: a run whose caches never hit still exposes
-        // zero-valued hit/miss series.
-        cache_event_counter(&batch, "hit");
-        cache_event_counter(&batch, "miss");
-    }
-
-    let reports = if threads == 1 {
-        let _scope = telemetry::scoped(&batch);
-        let mut cache = options.profile_cache.map(WindowCache::new);
-        let reports = (0..count)
-            .map(|index| {
-                if cancel_requested(sink) {
-                    return Err(FleetError::Cancelled);
-                }
-                simulate_index(supply, index, zoo, engine, sink, cache.as_mut())
-            })
-            .collect();
-        if let Some(cache) = &cache {
-            record_cache_events(&batch, cache);
-        }
-        reports
-    } else {
-        run_supply_parallel(
-            supply,
-            zoo,
-            engine,
-            sink,
-            &batch,
-            options.profile_cache,
-            count,
-            threads,
-            chunk,
-        )
-    };
-
-    if options.profile_cache.is_some() {
-        if let Some(sink) = sink {
-            let snapshot = batch.snapshot();
-            let event = |result| {
-                snapshot
-                    .counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)])
-                    .unwrap_or(0)
-            };
-            sink.profile_cache(event("hit"), event("miss"));
-        }
-    }
-    outer
-        .absorb(&batch.snapshot())
-        .expect("executor series are self-consistent across registries");
-    reports
-}
-
-/// The multi-worker arm of [`run_supply`]: scoped threads over an atomic
-/// chunk cursor, one private [`WindowCache`] and [`telemetry::Registry`] per
-/// worker, both folded into the shared `batch` exactly once at worker exit.
-#[allow(clippy::too_many_arguments)]
-fn run_supply_parallel(
-    supply: &ScenarioSupply<'_>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
-    sink: Option<&dyn ProgressSink>,
+/// The multi-worker arm of [`run_fleet_range`]: scoped threads over an
+/// atomic chunk cursor, one private [`WindowCache`] and
+/// [`telemetry::Registry`] per worker, both folded into the shared `batch`
+/// exactly once at worker exit.
+fn run_parallel(
+    devices: &Devices<'_>,
     batch: &telemetry::Registry,
     profile_cache: Option<usize>,
     count: u64,
     threads: usize,
-    chunk: u64,
 ) -> Result<Vec<DeviceReport>, FleetError> {
     let cursor = AtomicU64::new(0);
     let capacity = usize::try_from(count).unwrap_or(usize::MAX);
@@ -610,15 +478,12 @@ fn run_supply_parallel(
                 // Compare-exchange claims instead of `fetch_add`: the cursor
                 // never moves past `count`, so id ranges near `u64::MAX`
                 // cannot overflow it.
-                'claims: while let Some(claimed) = claim_chunk(&cursor, count, chunk) {
+                'claims: while let Some(claimed) = claim_chunk(&cursor, count, CHUNK_SIZE) {
                     for index in claimed {
-                        if cancel_requested(sink) {
+                        if devices.cancel_requested() {
                             break 'claims;
                         }
-                        local.push((
-                            index,
-                            simulate_index(supply, index, zoo, engine, sink, cache.as_mut()),
-                        ));
+                        local.push((index, devices.simulate(index, cache.as_mut())));
                     }
                 }
                 if let Some(cache) = &cache {
@@ -651,12 +516,6 @@ fn run_supply_parallel(
     }
     debug_assert_eq!(merged.len() as u64, count);
     merged.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Whether the sink (if any) has asked the run to stop. Polled between
-/// devices, so cancellation lands on a device boundary.
-fn cancel_requested(sink: Option<&dyn ProgressSink>) -> bool {
-    sink.is_some_and(ProgressSink::should_cancel)
 }
 
 /// Claims the next chunk of work-item indices, or `None` when the supply is
@@ -711,69 +570,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_fleet_is_rejected() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        assert!(matches!(
-            run_fleet(&[], &zoo, &engine, &ExecutorOptions::default()),
-            Err(FleetError::EmptyFleet)
-        ));
-    }
-
-    #[test]
     fn parallel_and_sequential_results_are_identical() {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
-        let scenarios: Vec<_> = ScenarioGenerator::new(9, ScenarioMix::balanced())
-            .scenarios(12)
-            .collect();
-        let sequential = run_fleet(
-            &scenarios,
-            &zoo,
-            &engine,
-            &ExecutorOptions {
-                threads: 1,
-                chunk_size: 8,
-                ..ExecutorOptions::default()
-            },
-        )
-        .unwrap();
-        let parallel = run_fleet(
-            &scenarios,
-            &zoo,
-            &engine,
-            &ExecutorOptions {
-                threads: 4,
-                chunk_size: 2,
-                ..ExecutorOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(sequential.len(), 12);
-        for (i, report) in sequential.iter().enumerate() {
-            assert_eq!(report.device_id, i as u64);
-            assert!(report.windows > 0);
-        }
-    }
-
-    #[test]
-    fn range_execution_matches_slice_execution() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
-        let scenarios: Vec<_> = generator.scenarios_in(3..11).collect();
-        let options = ExecutorOptions {
-            threads: 3,
-            chunk_size: 2,
-            ..ExecutorOptions::default()
+        let run = |threads| {
+            let options = ExecutorOptions {
+                threads,
+                ..ExecutorOptions::default()
+            };
+            run_fleet_range(&generator, 3..15, &zoo, &engine, &options, None).unwrap()
         };
-        let eager = run_fleet(&scenarios, &zoo, &engine, &options).unwrap();
-        let scenario_free = run_fleet_range(&generator, 3..11, &zoo, &engine, &options).unwrap();
-        assert_eq!(eager, scenario_free);
-        assert_eq!(scenario_free.len(), 8);
-        for (offset, report) in scenario_free.iter().enumerate() {
-            assert_eq!(report.device_id, 3 + offset as u64);
+        let sequential = run(1);
+        assert_eq!(sequential, run(4));
+        assert_eq!(sequential.len(), 12);
+        // The executor adds nothing to the per-device simulation: each
+        // report is exactly what `simulate_device` returns for that id.
+        for (offset, report) in sequential.iter().enumerate() {
+            let id = 3 + offset as u64;
+            assert_eq!(report.device_id, id);
+            assert!(report.windows > 0);
+            assert_eq!(
+                *report,
+                simulate_device(&generator.scenario(id), &zoo, &engine).unwrap()
+            );
         }
     }
 
@@ -782,8 +602,9 @@ mod tests {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let options = ExecutorOptions::default();
         assert!(matches!(
-            run_fleet_range(&generator, 5..5, &zoo, &engine, &ExecutorOptions::default()),
+            run_fleet_range(&generator, 5..5, &zoo, &engine, &options, None),
             Err(FleetError::EmptyFleet)
         ));
         // An inverted range is empty by Rust convention — EmptyFleet, not a
@@ -791,13 +612,7 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let inverted = 5..3;
         assert!(matches!(
-            run_fleet_range(
-                &generator,
-                inverted,
-                &zoo,
-                &engine,
-                &ExecutorOptions::default()
-            ),
+            run_fleet_range(&generator, inverted, &zoo, &engine, &options, None),
             Err(FleetError::EmptyFleet)
         ));
     }
@@ -849,28 +664,23 @@ mod tests {
 
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
-        let scenarios: Vec<_> = ScenarioGenerator::new(9, ScenarioMix::balanced())
-            .scenarios(8)
-            .collect();
-        // Both executor arms must honor the hook: with 4 workers over
-        // 2-device chunks, every worker re-polls before its second device,
-        // so at most `threads` devices complete after the request.
+        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let run = |threads, sink: &CancelAfter| {
+            let options = ExecutorOptions {
+                threads,
+                ..ExecutorOptions::default()
+            };
+            run_fleet_range(&generator, 0..8, &zoo, &engine, &options, Some(sink))
+        };
+        // Both executor arms must honor the hook: every worker re-polls
+        // before each device, so at most `threads` devices complete after
+        // the request.
         for threads in [1usize, 4] {
             let sink = CancelAfter {
                 after: 2,
                 completed: AtomicUsize::new(0),
             };
-            let result = run_fleet_with_progress(
-                &scenarios,
-                &zoo,
-                &engine,
-                &ExecutorOptions {
-                    threads,
-                    chunk_size: 2,
-                    ..ExecutorOptions::default()
-                },
-                Some(&sink),
-            );
+            let result = run(threads, &sink);
             assert!(
                 matches!(result, Err(FleetError::Cancelled)),
                 "threads={threads}: expected Cancelled, got {result:?}"
@@ -889,14 +699,7 @@ mod tests {
             after: 0,
             completed: AtomicUsize::new(0),
         };
-        let result = run_fleet_with_progress(
-            &scenarios,
-            &zoo,
-            &engine,
-            &ExecutorOptions::default(),
-            Some(&sink),
-        );
-        assert!(matches!(result, Err(FleetError::Cancelled)));
+        assert!(matches!(run(0, &sink), Err(FleetError::Cancelled)));
         // relaxed: read after the executor returned (workers joined).
         assert_eq!(sink.completed.load(Ordering::Relaxed), 0);
     }
@@ -929,7 +732,8 @@ mod tests {
             !scenarios.is_empty(),
             "harsh mix should produce offline devices"
         );
-        for report in run_fleet(&scenarios, &zoo, &engine, &ExecutorOptions::default()).unwrap() {
+        for scenario in &scenarios {
+            let report = simulate_device(scenario, &zoo, &engine).unwrap();
             assert_eq!(report.offload_fraction, 0.0);
             assert_eq!(report.disconnected_fraction, 1.0);
         }

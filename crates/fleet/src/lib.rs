@@ -55,13 +55,17 @@
 //! ## Example
 //!
 //! ```
-//! use fleet::{FleetSimulation, ScenarioMix};
+//! use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix};
 //!
 //! let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
-//! let outcome = simulation.run(16, 4).unwrap();
+//! let run = |threads| {
+//!     let options = ExecutorOptions { threads, ..Default::default() };
+//!     simulation.run_with_options(16, &options, None).unwrap()
+//! };
+//! let outcome = run(4);
 //! assert_eq!(outcome.report.devices, 16);
 //! // Identical regardless of thread count:
-//! assert_eq!(outcome.report, simulation.run(16, 1).unwrap().report);
+//! assert_eq!(outcome.report, run(1).report);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,8 +83,7 @@ pub mod sync;
 
 pub use error::{FleetError, MergeError};
 pub use executor::{
-    run_fleet, run_fleet_range, run_fleet_range_with_progress, run_fleet_with_progress,
-    simulate_device, simulate_device_cached, simulate_device_with_progress, ExecutorOptions,
+    run_fleet_range, simulate_device, simulate_device_cached, ExecutorOptions,
     DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
 };
 pub use merge::{merge, merge_stream, MergeAccumulator};
@@ -175,8 +178,11 @@ impl FleetSimulation {
         &self.zoo
     }
 
-    /// Simulates `devices` devices on `threads` worker threads (0 = one per
-    /// available core) and aggregates the results.
+    /// Simulates `devices` devices with the given [`ExecutorOptions`] and
+    /// aggregates the results; an optional [`ProgressSink`] observes windows
+    /// processed and devices completed while the fleet executes. The outcome
+    /// is byte-identical for every option combination, with or without a
+    /// sink.
     ///
     /// This *is* the sharded path specialized to one shard: the fleet runs as
     /// a single in-process shard whose [`ShardReport`] is fed through
@@ -187,40 +193,6 @@ impl FleetSimulation {
     ///
     /// Returns [`FleetError`] when the fleet is empty or any device
     /// simulation fails.
-    pub fn run(&self, devices: u64, threads: usize) -> Result<FleetOutcome, FleetError> {
-        self.run_with_progress(devices, threads, None)
-    }
-
-    /// [`FleetSimulation::run`] with an optional [`ProgressSink`] observing
-    /// windows processed and devices completed while the fleet executes.
-    ///
-    /// Progress is purely observational: the returned outcome is
-    /// byte-identical with or without a sink.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run`].
-    pub fn run_with_progress(
-        &self,
-        devices: u64,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<FleetOutcome, FleetError> {
-        let options = ExecutorOptions {
-            threads,
-            ..ExecutorOptions::default()
-        };
-        self.run_with_options(devices, &options, sink)
-    }
-
-    /// [`FleetSimulation::run`] with full [`ExecutorOptions`] — how callers
-    /// enable the per-worker profiling-window cache
-    /// ([`ExecutorOptions::profile_cache`], the CLI's `--profile-cache`
-    /// flag). The outcome is byte-identical for every option combination.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run`].
     pub fn run_with_options(
         &self,
         devices: u64,
@@ -236,7 +208,10 @@ impl FleetSimulation {
     }
 
     /// Simulates one shard of a partitioned fleet and returns its
-    /// serializable [`ShardReport`] artifact.
+    /// serializable [`ShardReport`] artifact; options and sink as in
+    /// [`FleetSimulation::run_with_options`] (the sink is how
+    /// `fleet-shard --progress` surfaces partial progress on very large
+    /// device ranges).
     ///
     /// Any shard can run on any process or host: the scenario of each device
     /// is derived purely from `(master seed, device id)`, and the artifact
@@ -250,44 +225,6 @@ impl FleetSimulation {
     /// Returns [`FleetError::ShardIndexOutOfRange`] when
     /// `index >= spec.shards()`, or the underlying error when a device
     /// simulation fails.
-    pub fn run_shard(
-        &self,
-        spec: &ShardSpec,
-        index: u32,
-        threads: usize,
-    ) -> Result<ShardReport, FleetError> {
-        self.run_shard_with_progress(spec, index, threads, None)
-    }
-
-    /// [`FleetSimulation::run_shard`] with an optional [`ProgressSink`]:
-    /// the shard worker streams every device's windows and reports partial
-    /// progress (windows processed, devices completed) as it goes — what the
-    /// `fleet-shard --progress` CLI surfaces for very large device ranges.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run_shard`].
-    pub fn run_shard_with_progress(
-        &self,
-        spec: &ShardSpec,
-        index: u32,
-        threads: usize,
-        sink: Option<&dyn ProgressSink>,
-    ) -> Result<ShardReport, FleetError> {
-        let options = ExecutorOptions {
-            threads,
-            ..ExecutorOptions::default()
-        };
-        self.run_shard_with_options(spec, index, &options, sink)
-    }
-
-    /// [`FleetSimulation::run_shard`] with full [`ExecutorOptions`] (see
-    /// [`FleetSimulation::run_with_options`]); shard artifacts are
-    /// byte-identical for every option combination.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FleetSimulation::run_shard`].
     pub fn run_shard_with_options(
         &self,
         spec: &ShardSpec,
@@ -315,7 +252,7 @@ impl FleetSimulation {
             Vec::new()
         } else {
             let _scope = telemetry::scoped(&run_registry);
-            run_fleet_range_with_progress(
+            run_fleet_range(
                 &self.generator,
                 range.clone(),
                 &self.zoo,

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fleet::{
-    run_fleet, ExecutorOptions, FleetSimulation, ProgressSink, ScenarioMix,
+    run_fleet_range, DeviceReport, ExecutorOptions, FleetSimulation, ProgressSink, ScenarioMix,
     DEFAULT_PROFILE_CACHE_CAPACITY,
 };
 use proptest::prelude::*;
@@ -16,10 +16,37 @@ const GOLDEN: &str = include_str!("fixtures/fleet-64-balanced-seed42.json");
 fn options(threads: usize, profile_cache: Option<usize>) -> ExecutorOptions {
     ExecutorOptions {
         threads,
-        chunk_size: 2,
         profile_cache,
         ..ExecutorOptions::default()
     }
+}
+
+/// A balanced population drawn from 3 synthesis profiles: devices `i` and
+/// `i + 3` share a cache key, so hits and evictions actually happen.
+fn pooled(master_seed: u64) -> FleetSimulation {
+    let mix = ScenarioMix {
+        subject_pool: 3,
+        ..ScenarioMix::balanced()
+    };
+    FleetSimulation::new(master_seed, mix).unwrap()
+}
+
+/// Runs devices `0..devices` of `simulation` straight through the executor.
+fn run(
+    simulation: &FleetSimulation,
+    devices: u64,
+    options: &ExecutorOptions,
+    sink: Option<&dyn ProgressSink>,
+) -> Vec<DeviceReport> {
+    run_fleet_range(
+        simulation.generator(),
+        0..devices,
+        simulation.zoo(),
+        simulation.engine(),
+        options,
+        sink,
+    )
+    .unwrap()
 }
 
 proptest! {
@@ -56,33 +83,11 @@ proptest! {
 /// as each other and as the uncached run, across thread counts.
 #[test]
 fn eviction_determinism_across_capacities() {
-    let simulation = FleetSimulation::new(11, ScenarioMix::balanced()).unwrap();
-    // Repeated subject profiles make hits and evictions actually happen.
-    let base: Vec<_> = simulation.generator().scenarios(3).collect();
-    let scenarios: Vec<_> = (0..12)
-        .map(|i| {
-            let mut s = base[i % base.len()].clone();
-            s.device_id = i as u64;
-            s
-        })
-        .collect();
-
-    let reference = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, None),
-    )
-    .unwrap();
+    let simulation = pooled(11);
+    let reference = run(&simulation, 12, &options(1, None), None);
     for threads in [1usize, 4] {
         for capacity in [0usize, 1, usize::MAX] {
-            let cached = run_fleet(
-                &scenarios,
-                simulation.zoo(),
-                simulation.engine(),
-                &options(threads, Some(capacity)),
-            )
-            .unwrap();
+            let cached = run(&simulation, 12, &options(threads, Some(capacity)), None);
             assert_eq!(
                 cached, reference,
                 "capacity {capacity} at {threads} threads changed a report"
@@ -119,26 +124,15 @@ impl ProgressSink for CacheStatsSink {
 /// per run through `ProgressSink::profile_cache`.
 #[test]
 fn hit_and_miss_counters_account_for_every_device() {
-    let simulation = FleetSimulation::new(5, ScenarioMix::balanced()).unwrap();
-    let base: Vec<_> = simulation.generator().scenarios(3).collect();
+    let simulation = pooled(5);
     // 3 distinct profiles, 9 devices: 3 misses + 6 hits with room to cache.
-    let scenarios: Vec<_> = (0..9)
-        .map(|i| {
-            let mut s = base[i % base.len()].clone();
-            s.device_id = i as u64;
-            s
-        })
-        .collect();
-
     let sink = CacheStatsSink::default();
-    let outcome = fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
+    let outcome = run(
+        &simulation,
+        9,
         &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
         Some(&sink),
-    )
-    .unwrap();
+    );
     assert_eq!(outcome.len(), 9);
     // relaxed: post-join test assertion.
     assert_eq!(sink.calls.load(Ordering::Relaxed), 1);
@@ -149,14 +143,7 @@ fn hit_and_miss_counters_account_for_every_device() {
 
     // Capacity 0 stores nothing: every device misses.
     let cold = CacheStatsSink::default();
-    fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, Some(0)),
-        Some(&cold),
-    )
-    .unwrap();
+    run(&simulation, 9, &options(1, Some(0)), Some(&cold));
     // relaxed: post-join test assertion.
     assert_eq!(cold.misses.load(Ordering::Relaxed), 9);
     // relaxed: post-join test assertion.
@@ -164,14 +151,7 @@ fn hit_and_miss_counters_account_for_every_device() {
 
     // Cache disabled: the sink is never called.
     let off = CacheStatsSink::default();
-    fleet::run_fleet_with_progress(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(1, None),
-        Some(&off),
-    )
-    .unwrap();
+    run(&simulation, 9, &options(1, None), Some(&off));
     // relaxed: post-join test assertion.
     assert_eq!(off.calls.load(Ordering::Relaxed), 0);
 }

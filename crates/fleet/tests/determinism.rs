@@ -6,7 +6,7 @@
 //!   on fleet size, generation order or the mix of other devices.
 
 use fleet::{
-    run_fleet, ExecutorOptions, FleetReport, FleetSimulation, ScenarioGenerator, ScenarioMix,
+    run_fleet_range, ExecutorOptions, FleetReport, FleetSimulation, ScenarioGenerator, ScenarioMix,
 };
 use proptest::prelude::*;
 
@@ -16,16 +16,21 @@ proptest! {
     #[test]
     fn fleet_reports_are_identical_for_1_2_and_8_threads(master_seed in 0u64..1000) {
         let simulation = FleetSimulation::new(master_seed, ScenarioMix::balanced()).unwrap();
-        let scenarios: Vec<_> = simulation.generator().scenarios(64).collect();
 
         let mut outcomes = Vec::new();
         for threads in [1usize, 2, 8] {
             let options = ExecutorOptions {
                 threads,
-                chunk_size: 4,
                 ..ExecutorOptions::default()
             };
-            let devices = run_fleet(&scenarios, simulation.zoo(), simulation.engine(), &options)
+            let devices = run_fleet_range(
+                simulation.generator(),
+                0..64,
+                simulation.zoo(),
+                simulation.engine(),
+                &options,
+                None,
+            )
             .unwrap();
             let report = FleetReport::from_devices(&devices);
             // Byte-identical serialized output, not merely `==`.

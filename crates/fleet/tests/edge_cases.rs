@@ -2,9 +2,17 @@
 //! device-id boundaries must yield well-formed reports — no panics, no NaNs.
 
 use fleet::{
-    merge, run_fleet, DistributionSummary, ExecutorOptions, FleetReport, FleetSimulation,
-    ScenarioMix, ShardSpec,
+    merge, run_fleet_range, simulate_device, DistributionSummary, ExecutorOptions, FleetReport,
+    FleetSimulation, ScenarioMix, ShardSpec,
 };
+
+/// Executor options with `threads` workers and every other knob at default.
+fn on(threads: usize) -> ExecutorOptions {
+    ExecutorOptions {
+        threads,
+        ..ExecutorOptions::default()
+    }
+}
 
 fn assert_finite(summary: &DistributionSummary, name: &str) {
     for (field, value) in [
@@ -42,7 +50,11 @@ fn empty_shards_produce_well_formed_artifacts_and_merge() {
     // More shards than devices: the last two shards are empty.
     let spec = ShardSpec::new(2, 4).unwrap();
     let shards: Vec<_> = (0..4)
-        .map(|i| simulation.run_shard(&spec, i, 1).unwrap())
+        .map(|i| {
+            simulation
+                .run_shard_with_options(&spec, i, &on(1), None)
+                .unwrap()
+        })
         .collect();
     assert!(shards[2].devices.is_empty());
     assert!(shards[3].devices.is_empty());
@@ -54,7 +66,10 @@ fn empty_shards_produce_well_formed_artifacts_and_merge() {
         assert_eq!(&back, shard);
     }
     let merged = merge(shards).unwrap();
-    assert_eq!(merged, simulation.run(2, 1).unwrap());
+    assert_eq!(
+        merged,
+        simulation.run_with_options(2, &on(1), None).unwrap()
+    );
     assert_well_formed(&merged.report);
 }
 
@@ -62,7 +77,9 @@ fn empty_shards_produce_well_formed_artifacts_and_merge() {
 fn zero_device_fleet_merges_to_an_all_zero_report() {
     let simulation = FleetSimulation::new(7, ScenarioMix::balanced()).unwrap();
     let spec = ShardSpec::single(0);
-    let shard = simulation.run_shard(&spec, 0, 1).unwrap();
+    let shard = simulation
+        .run_shard_with_options(&spec, 0, &on(1), None)
+        .unwrap();
     assert!(shard.devices.is_empty());
     let merged = merge(vec![shard]).unwrap();
     assert_eq!(merged.report, FleetReport::from_devices(&[]));
@@ -70,7 +87,7 @@ fn zero_device_fleet_merges_to_an_all_zero_report() {
     assert_well_formed(&merged.report);
     // The single-process entry point still reports the empty fleet loudly.
     assert!(matches!(
-        simulation.run(0, 1),
+        simulation.run_with_options(0, &on(1), None),
         Err(fleet::FleetError::EmptyFleet)
     ));
 }
@@ -78,7 +95,7 @@ fn zero_device_fleet_merges_to_an_all_zero_report() {
 #[test]
 fn single_device_fleet_is_well_formed() {
     let simulation = FleetSimulation::new(11, ScenarioMix::harsh()).unwrap();
-    let outcome = simulation.run(1, 1).unwrap();
+    let outcome = simulation.run_with_options(1, &on(1), None).unwrap();
     assert_eq!(outcome.report.devices, 1);
     assert_eq!(outcome.devices.len(), 1);
     assert_well_formed(&outcome.report);
@@ -94,17 +111,17 @@ fn single_device_fleet_is_well_formed() {
 fn u64_boundary_device_ids_simulate_cleanly() {
     let simulation = FleetSimulation::new(3, ScenarioMix::balanced()).unwrap();
     let generator = simulation.generator();
-    let scenarios: Vec<_> = [u64::MAX, u64::MAX - 1, 0]
+    let reports: Vec<_> = [u64::MAX, u64::MAX - 1, 0]
         .into_iter()
-        .map(|id| generator.scenario(id))
+        .map(|id| {
+            simulate_device(
+                &generator.scenario(id),
+                simulation.zoo(),
+                simulation.engine(),
+            )
+            .unwrap()
+        })
         .collect();
-    let reports = run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &ExecutorOptions::default(),
-    )
-    .unwrap();
     assert_eq!(reports[0].device_id, u64::MAX);
     assert!(reports.iter().all(|r| r.windows > 0));
     let report = FleetReport::from_devices(&reports);
@@ -113,6 +130,22 @@ fn u64_boundary_device_ids_simulate_cleanly() {
     let json = serde_json::to_string(&reports).unwrap();
     let back: Vec<fleet::DeviceReport> = serde_json::from_str(&json).unwrap();
     assert_eq!(back, reports);
+
+    // The executor at the top of the id space: a multi-worker run over a
+    // range ending at `u64::MAX` derives every id without overflowing and
+    // returns the reports in id order.
+    let top = run_fleet_range(
+        generator,
+        u64::MAX - 3..u64::MAX,
+        simulation.zoo(),
+        simulation.engine(),
+        &on(2),
+        None,
+    )
+    .unwrap();
+    let ids: Vec<_> = top.iter().map(|r| r.device_id).collect();
+    assert_eq!(ids, [u64::MAX - 3, u64::MAX - 2, u64::MAX - 1]);
+    assert_eq!(top[2], reports[1]);
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!
 //! and call the change out in the PR description.
 
-use fleet::{FleetSimulation, ScenarioMix};
+use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix};
 
 const GOLDEN: &str = include_str!("fixtures/fleet-64-balanced-seed42.json");
 
@@ -25,7 +25,9 @@ const REGENERATE: &str = "cargo run --release -p bench --bin fleet -- \
 #[test]
 fn golden_64_device_balanced_report_is_byte_stable() {
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
-    let outcome = simulation.run(64, 0).unwrap();
+    let outcome = simulation
+        .run_with_options(64, &ExecutorOptions::default(), None)
+        .unwrap();
     let json = serde_json::to_string_pretty(&outcome.report).unwrap();
     // The CLI prints the JSON with a trailing newline; mirror it so the
     // fixture can be regenerated by redirecting the CLI's stdout.
@@ -45,9 +47,16 @@ fn streaming_pipeline_reproduces_the_golden_fixture_byte_for_byte() {
     // no population-level number.
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
     let spec = fleet::ShardSpec::new(64, 4).unwrap();
-    let report =
-        fleet::merge_stream((0..4).map(|index| simulation.run_shard(&spec, index, 2).unwrap()))
-            .unwrap();
+    let options = ExecutorOptions {
+        threads: 2,
+        ..ExecutorOptions::default()
+    };
+    let report = fleet::merge_stream((0..4).map(|index| {
+        simulation
+            .run_shard_with_options(&spec, index, &options, None)
+            .unwrap()
+    }))
+    .unwrap();
     let json = serde_json::to_string_pretty(&report).unwrap();
     assert_eq!(
         format!("{json}\n"),

@@ -5,8 +5,8 @@
 //! one at a time.
 
 use fleet::{
-    merge, merge_stream, FleetSimulation, MergeAccumulator, MergeError, ReportMode, ScenarioMix,
-    ShardReport, ShardSpec,
+    merge, merge_stream, ExecutorOptions, FleetSimulation, MergeAccumulator, MergeError,
+    ReportMode, ScenarioMix, ShardReport, ShardSpec,
 };
 
 const DEVICES: u64 = 8;
@@ -16,8 +16,16 @@ const SHARDS: u32 = 4;
 fn artifacts() -> Vec<ShardReport> {
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
     let spec = ShardSpec::new(DEVICES, SHARDS).unwrap();
+    let options = ExecutorOptions {
+        threads: 1,
+        ..ExecutorOptions::default()
+    };
     (0..SHARDS)
-        .map(|index| simulation.run_shard(&spec, index, 1).unwrap())
+        .map(|index| {
+            simulation
+                .run_shard_with_options(&spec, index, &options, None)
+                .unwrap()
+        })
         .collect()
 }
 

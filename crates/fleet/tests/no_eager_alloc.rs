@@ -16,7 +16,11 @@ fn fleet_execution_never_collects_a_window_vector() {
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
 
     let before = metrics::eager_collects();
-    let outcome = simulation.run(8, 2).unwrap();
+    let plain = ExecutorOptions {
+        threads: 2,
+        ..ExecutorOptions::default()
+    };
+    let outcome = simulation.run_with_options(8, &plain, None).unwrap();
     assert_eq!(outcome.report.devices, 8);
     assert!(outcome.report.total_windows > 0);
     assert_eq!(
@@ -29,9 +33,8 @@ fn fleet_execution_never_collects_a_window_vector() {
     // a deliberate, capacity-limited memoization that must not register as
     // an eager-collect regression on the executor path.
     let options = ExecutorOptions {
-        threads: 2,
         profile_cache: Some(4),
-        ..ExecutorOptions::default()
+        ..plain
     };
     let cached = simulation.run_with_options(8, &options, None).unwrap();
     assert_eq!(cached.report, outcome.report);

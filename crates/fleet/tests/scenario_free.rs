@@ -24,18 +24,12 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
     let _guard = GAUGE_LOCK.lock().unwrap();
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
 
-    // Eager baseline for the equivalence half of the assertion.
-    let scenarios: Vec<_> = simulation.generator().scenarios(24).collect();
     let options = ExecutorOptions {
         threads: THREADS,
-        chunk_size: 2,
         ..ExecutorOptions::default()
     };
-    let eager =
-        fleet::run_fleet(&scenarios, simulation.zoo(), simulation.engine(), &options).unwrap();
-    drop(scenarios);
 
-    // The scenario-free path: same reports, O(threads) scenario memory.
+    // The scenario-free path: per-device reports, O(threads) scenario memory.
     metrics::reset_peak();
     assert_eq!(metrics::live_generated_scenarios(), 0);
     let scenario_free = fleet::run_fleet_range(
@@ -44,9 +38,9 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
         simulation.zoo(),
         simulation.engine(),
         &options,
+        None,
     )
     .unwrap();
-    assert_eq!(scenario_free, eager);
     assert_eq!(
         metrics::live_generated_scenarios(),
         0,
@@ -59,15 +53,13 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
          most one generated scenario alive per worker (threads = {THREADS})"
     );
 
-    // The slice path generates nothing at all.
-    metrics::reset_peak();
-    let scenarios: Vec<_> = simulation.generator().scenarios(8).collect();
-    fleet::run_fleet(&scenarios, simulation.zoo(), simulation.engine(), &options).unwrap();
-    assert_eq!(
-        metrics::peak_live_scenarios(),
-        0,
-        "the eager slice path must not register generated scenarios"
-    );
+    // Equivalence half: the same reports as simulating each device alone.
+    for (id, report) in scenario_free.iter().enumerate() {
+        let scenario = simulation.generator().scenario(id as u64);
+        let alone =
+            fleet::simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap();
+        assert_eq!(*report, alone);
+    }
 }
 
 #[test]
@@ -76,21 +68,24 @@ fn sharded_run_uses_the_scenario_free_path() {
     let simulation = FleetSimulation::new(7, ScenarioMix::connected()).unwrap();
     let spec = ShardSpec::new(12, 3).unwrap();
 
-    // `run_shard` is the scenario-free path end to end: its reports match a
-    // slice-driven run over the same range without ever collecting one.
-    let shard = simulation.run_shard(&spec, 1, 2).unwrap();
+    // `run_shard_with_options` is the scenario-free path end to end: its
+    // reports match a per-device run over the same range without ever
+    // collecting one.
+    let options = ExecutorOptions {
+        threads: 2,
+        ..ExecutorOptions::default()
+    };
+    let shard = simulation
+        .run_shard_with_options(&spec, 1, &options, None)
+        .unwrap();
     let range = spec.range(1).unwrap();
-    let scenarios: Vec<_> = simulation.generator().scenarios_in(range.clone()).collect();
-    let eager = fleet::run_fleet(
-        &scenarios,
-        simulation.zoo(),
-        simulation.engine(),
-        &ExecutorOptions {
-            threads: 2,
-            ..ExecutorOptions::default()
-        },
-    )
-    .unwrap();
+    let eager: Vec<_> = simulation
+        .generator()
+        .scenarios_in(range.clone())
+        .map(|scenario| {
+            fleet::simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap()
+        })
+        .collect();
     assert_eq!(shard.devices, eager);
     assert_eq!(shard.meta.start, range.start);
     assert_eq!(shard.meta.end, range.end);

@@ -46,13 +46,16 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let simulation = FleetSimulation::new(master_seed, ScenarioMix::balanced()).unwrap();
-        let single = simulation.run(devices, 1).unwrap();
+        let on = |threads| ExecutorOptions { threads, ..ExecutorOptions::default() };
+        let single = simulation.run_with_options(devices, &on(1), None).unwrap();
 
         let spec = ShardSpec::new(devices, shards).unwrap();
         let mut artifacts = Vec::new();
         let mut seen_ids = BTreeSet::new();
         for index in 0..shards {
-            let shard = simulation.run_shard(&spec, index, threads).unwrap();
+            let shard = simulation
+                .run_shard_with_options(&spec, index, &on(threads), None)
+                .unwrap();
             for device in &shard.devices {
                 // No device id may appear in two shards.
                 prop_assert!(seen_ids.insert(device.device_id));

@@ -6,7 +6,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use chris_core::runtime::{ChrisRuntime, RuntimeOptions};
-use fleet::{simulate_device, FleetSimulation, ProgressSink, ScenarioGenerator, ScenarioMix};
+use fleet::{
+    simulate_device, ExecutorOptions, FleetSimulation, ProgressSink, ScenarioGenerator, ScenarioMix,
+};
 use ppg_data::WindowSource;
 use proptest::prelude::*;
 
@@ -104,10 +106,16 @@ impl ProgressSink for CountingSink {
 #[test]
 fn progress_observation_leaves_report_bytes_unchanged() {
     let simulation = FleetSimulation::new(7, ScenarioMix::balanced()).unwrap();
-    let plain = simulation.run(12, 1).unwrap();
+    let on = |threads| ExecutorOptions {
+        threads,
+        ..ExecutorOptions::default()
+    };
+    let plain = simulation.run_with_options(12, &on(1), None).unwrap();
 
     let sink = CountingSink::default();
-    let observed = simulation.run_with_progress(12, 4, Some(&sink)).unwrap();
+    let observed = simulation
+        .run_with_options(12, &on(4), Some(&sink))
+        .unwrap();
 
     let plain_json = serde_json::to_string_pretty(&plain.report).unwrap();
     let observed_json = serde_json::to_string_pretty(&observed.report).unwrap();

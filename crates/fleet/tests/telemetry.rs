@@ -20,6 +20,14 @@ use fleet::{
 };
 use proptest::prelude::*;
 
+/// Executor options with `threads` workers and every other knob at default.
+fn on(threads: usize) -> ExecutorOptions {
+    ExecutorOptions {
+        threads,
+        ..ExecutorOptions::default()
+    }
+}
+
 /// One shared simulation: profiling the configuration table dominates test
 /// time, and every test wants the same master seed anyway.
 fn simulation() -> &'static FleetSimulation {
@@ -31,8 +39,8 @@ fn simulation() -> &'static FleetSimulation {
 fn shard_telemetry_is_stable_across_thread_counts() {
     let sim = simulation();
     let spec = ShardSpec::single(6);
-    let one = sim.run_shard(&spec, 0, 1).unwrap();
-    let four = sim.run_shard(&spec, 0, 4).unwrap();
+    let one = sim.run_shard_with_options(&spec, 0, &on(1), None).unwrap();
+    let four = sim.run_shard_with_options(&spec, 0, &on(4), None).unwrap();
     assert_eq!(one.devices, four.devices);
     assert_eq!(one.telemetry, four.telemetry);
 
@@ -73,11 +81,14 @@ proptest! {
         threads in 1usize..3,
     ) {
         let sim = simulation();
-        let single = sim.run(devices, 1).unwrap();
+        let single = sim.run_with_options(devices, &on(1), None).unwrap();
 
         let spec = ShardSpec::new(devices, shards).unwrap();
         let artifacts: Vec<_> = (0..shards)
-            .map(|index| sim.run_shard(&spec, index, threads).unwrap())
+            .map(|index| {
+                sim.run_shard_with_options(&spec, index, &on(threads), None)
+                    .unwrap()
+            })
             .collect();
         let merged = merge::merge(artifacts).unwrap();
 

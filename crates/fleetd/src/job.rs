@@ -110,10 +110,14 @@ impl JobSpec {
         ShardSpec::new(self.devices, self.shards)
     }
 
-    /// The executor options of one shard run of this job — the same mapping
-    /// the `fleet` CLI applies, so equal specs produce byte-identical
-    /// reports over HTTP and on the command line.
+    /// The executor options of one shard run of this job. The `fleet` and
+    /// `fleet-shard` CLIs parse their flags into a [`JobSpec`] and call this
+    /// too, so equal specs produce byte-identical reports over HTTP and on
+    /// the command line.
     pub fn executor_options(&self) -> fleet::ExecutorOptions {
+        // A pool of k distinct synthesis profiles never needs more than k
+        // cache entries; without a pool every key is distinct, so the
+        // default capacity only bounds wasted retention.
         let capacity = match self.resolved_mix().subject_pool {
             0 => fleet::DEFAULT_PROFILE_CACHE_CAPACITY,
             pool => usize::try_from(pool)
@@ -124,7 +128,6 @@ impl JobSpec {
             threads: self.threads,
             profile_cache: self.profile_cache.then_some(capacity),
             report_mode: self.report_mode,
-            ..fleet::ExecutorOptions::default()
         }
     }
 
@@ -323,6 +326,15 @@ mod tests {
         assert_eq!(
             parsed.executor_options().profile_cache,
             Some(ScenarioMix::cohort().subject_pool as usize)
+        );
+        // Without a subject pool the cache gets the default capacity.
+        let balanced = JobSpec {
+            mix: "balanced".to_string(),
+            ..parsed
+        };
+        assert_eq!(
+            balanced.executor_options().profile_cache,
+            Some(fleet::DEFAULT_PROFILE_CACHE_CAPACITY)
         );
     }
 

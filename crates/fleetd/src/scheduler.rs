@@ -434,14 +434,15 @@ impl Scheduler {
 
     /// Builds (or reuses) the job's simulation — one profiling run per job,
     /// shared across its shard workers.
-    fn simulation(
-        sim: &OnceLock<Result<FleetSimulation, String>>,
+    fn simulation<'a>(
+        sim: &'a OnceLock<Result<FleetSimulation, String>>,
         spec: &JobSpec,
-    ) -> Result<FleetSimulation, String> {
+    ) -> Result<&'a FleetSimulation, &'a str> {
         sim.get_or_init(|| {
             FleetSimulation::new(spec.seed, spec.resolved_mix()).map_err(|e| e.to_string())
         })
-        .clone()
+        .as_ref()
+        .map_err(String::as_str)
     }
 
     fn run_shard(&self, job: u64, index: u32) {
@@ -455,7 +456,8 @@ impl Scheduler {
             )
         };
         let outcome = (|| -> Result<(), ShardFail> {
-            let sim = Self::simulation(&sim_cell, &spec).map_err(ShardFail::Other)?;
+            let sim =
+                Self::simulation(&sim_cell, &spec).map_err(|e| ShardFail::Other(e.to_string()))?;
             let shard_spec = spec
                 .shard_spec()
                 .map_err(|e| ShardFail::Other(e.to_string()))?;

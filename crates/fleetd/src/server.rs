@@ -35,6 +35,10 @@ use crate::spool::Spool;
 /// stalled peer cannot pin its handler thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// How often the shutting-down accept loop re-polls its listener while the
+/// workers finish.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(1);
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -132,8 +136,10 @@ impl Daemon {
     }
 
     /// Serves connections until a `POST /shutdown` arrives, then drains the
-    /// worker pool and returns. Each connection is handled on its own
-    /// thread; handler panics are confined to that thread.
+    /// worker pool and returns; requests arriving during the drain are still
+    /// answered (submissions with the typed `503`). Each connection is
+    /// handled on its own thread; handler panics are confined to that
+    /// thread.
     ///
     /// # Errors
     ///
@@ -141,26 +147,46 @@ impl Daemon {
     /// answered with typed HTTP errors instead).
     pub fn run(self) -> io::Result<()> {
         let mut handlers = Vec::new();
+        let spawn = |stream: TcpStream| {
+            let scheduler = Arc::clone(&self.scheduler);
+            let stop = Arc::clone(&self.stop);
+            let addr = self.listener.local_addr();
+            std::thread::spawn(move || {
+                handle_connection(stream, &scheduler, &stop, addr);
+            })
+        };
         for stream in self.listener.incoming() {
             // One-way latch; a stale read costs at most one extra served
             // connection, and the poison-pill self-connect in `shutdown`
             // guarantees a fresh accept (and thus a fresh load).
-            if self.stop.is_shutting_down() {
+            let stopping = self.stop.is_shutting_down();
+            if let Ok(stream) = stream {
+                handlers.push(spawn(stream));
+            }
+            if stopping {
                 break;
             }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let scheduler = Arc::clone(&self.scheduler);
-            let stop = Arc::clone(&self.stop);
-            let addr = self.listener.local_addr();
-            handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, &scheduler, &stop, addr);
-            }));
             // Opportunistically reap finished handlers so a long-lived
             // daemon does not accumulate joinable threads.
             handlers.retain(|h| !h.is_finished());
+        }
+        // Keep answering connections while the workers wind down, then once
+        // more for whatever the backlog holds when they are done: a client
+        // racing the shutdown gets the typed drain answer, not a reset from
+        // the closing listener.
+        if self.listener.set_nonblocking(true).is_ok() {
+            loop {
+                let workers_done = self.workers.iter().all(|w| w.is_finished());
+                match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(false).is_ok() {
+                            handlers.push(spawn(stream));
+                        }
+                    }
+                    Err(_) if workers_done => break,
+                    Err(_) => std::thread::sleep(SHUTDOWN_POLL),
+                }
+            }
         }
         for handler in handlers {
             let _ = handler.join();
