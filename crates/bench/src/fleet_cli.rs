@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fleet::{ProgressSink, ReportMode, ScenarioMix};
+use fleet::{ProgressSink, ReportMode};
 use fleetd::JobSpec;
 
 /// The flags shared by `fleet` and `fleet-shard`, with their defaults.
@@ -378,14 +378,8 @@ pub fn parse_common(
         "--threads" => spec.threads = parse_value(flag, it)?,
         "--seed" => spec.seed = parse_value(flag, it)?,
         "--mix" => {
-            let name = flag_value(flag, it)?;
-            if ScenarioMix::from_name(&name).is_none() {
-                return Err(format!(
-                    "unknown mix `{name}`; expected one of {}",
-                    ScenarioMix::PRESETS.join(", ")
-                ));
-            }
-            spec.mix = name;
+            spec.mix = flag_value(flag, it)?;
+            spec.validate_mix()?;
         }
         "--profile-cache" => spec.profile_cache = true,
         "--report-mode" => {
@@ -404,6 +398,8 @@ pub fn parse_common(
 
 #[cfg(test)]
 mod tests {
+    use fleet::ScenarioMix;
+
     use super::*;
 
     fn parse_all(raw: &[&str]) -> Result<FleetArgs, String> {

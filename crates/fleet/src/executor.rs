@@ -574,16 +574,18 @@ mod tests {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        // One chunk per worker, so all 4 workers can claim work.
+        let devices = 4 * CHUNK_SIZE;
         let run = |threads| {
             let options = ExecutorOptions {
                 threads,
                 ..ExecutorOptions::default()
             };
-            run_fleet_range(&generator, 3..15, &zoo, &engine, &options, None).unwrap()
+            run_fleet_range(&generator, 3..3 + devices, &zoo, &engine, &options, None).unwrap()
         };
         let sequential = run(1);
         assert_eq!(sequential, run(4));
-        assert_eq!(sequential.len(), 12);
+        assert_eq!(sequential.len() as u64, devices);
         // The executor adds nothing to the per-device simulation: each
         // report is exactly what `simulate_device` returns for that id.
         for (offset, report) in sequential.iter().enumerate() {
@@ -665,16 +667,19 @@ mod tests {
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        // One chunk per worker, so all 4 workers can be mid-chunk when the
+        // cancellation request lands.
+        let devices = 4 * CHUNK_SIZE;
         let run = |threads, sink: &CancelAfter| {
             let options = ExecutorOptions {
                 threads,
                 ..ExecutorOptions::default()
             };
-            run_fleet_range(&generator, 0..8, &zoo, &engine, &options, Some(sink))
+            run_fleet_range(&generator, 0..devices, &zoo, &engine, &options, Some(sink))
         };
         // Both executor arms must honor the hook: every worker re-polls
-        // before each device, so at most `threads` devices complete after
-        // the request.
+        // before each device of its chunk, so at most `threads` devices
+        // complete after the request.
         for threads in [1usize, 4] {
             let sink = CancelAfter {
                 after: 2,
@@ -688,7 +693,7 @@ mod tests {
             // relaxed: read after the executor returned (workers joined).
             let completed = sink.completed.load(Ordering::Relaxed);
             assert!(
-                (2..8).contains(&completed),
+                (2..devices as usize).contains(&completed),
                 "threads={threads}: cancellation should stop the run partway, \
                  completed={completed}"
             );

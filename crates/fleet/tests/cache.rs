@@ -80,14 +80,16 @@ proptest! {
 
 /// Eviction pressure never leaks into results: capacity 0 (always miss),
 /// capacity 1 (maximal eviction churn) and unbounded produce the same report
-/// as each other and as the uncached run, across thread counts.
+/// as each other and as the uncached run, across thread counts. 32 devices
+/// give each of 4 workers its own 8-device executor chunk, so every worker
+/// runs its own cache.
 #[test]
 fn eviction_determinism_across_capacities() {
     let simulation = pooled(11);
-    let reference = run(&simulation, 12, &options(1, None), None);
+    let reference = run(&simulation, 32, &options(1, None), None);
     for threads in [1usize, 4] {
         for capacity in [0usize, 1, usize::MAX] {
-            let cached = run(&simulation, 12, &options(threads, Some(capacity)), None);
+            let cached = run(&simulation, 32, &options(threads, Some(capacity)), None);
             assert_eq!(
                 cached, reference,
                 "capacity {capacity} at {threads} threads changed a report"

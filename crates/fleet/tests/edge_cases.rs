@@ -133,10 +133,12 @@ fn u64_boundary_device_ids_simulate_cleanly() {
 
     // The executor at the top of the id space: a multi-worker run over a
     // range ending at `u64::MAX` derives every id without overflowing and
-    // returns the reports in id order.
+    // returns the reports in id order. 16 devices are two 8-device chunks,
+    // so both workers claim one.
+    let range = u64::MAX - 16..u64::MAX;
     let top = run_fleet_range(
         generator,
-        u64::MAX - 3..u64::MAX,
+        range.clone(),
         simulation.zoo(),
         simulation.engine(),
         &on(2),
@@ -144,8 +146,8 @@ fn u64_boundary_device_ids_simulate_cleanly() {
     )
     .unwrap();
     let ids: Vec<_> = top.iter().map(|r| r.device_id).collect();
-    assert_eq!(ids, [u64::MAX - 3, u64::MAX - 2, u64::MAX - 1]);
-    assert_eq!(top[2], reports[1]);
+    assert_eq!(ids, range.collect::<Vec<_>>());
+    assert_eq!(top[15], reports[1]);
 }
 
 #[test]

@@ -15,6 +15,10 @@ use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec};
 
 const THREADS: usize = 4;
 
+/// One 8-device executor chunk per worker, so every worker claims work and
+/// the peak can actually reach `THREADS`.
+const DEVICES: u64 = 8 * THREADS as u64;
+
 /// Serializes the tests of this binary: both drive the scenario-free path,
 /// and the gauge they observe is process-global.
 static GAUGE_LOCK: Mutex<()> = Mutex::new(());
@@ -34,7 +38,7 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
     assert_eq!(metrics::live_generated_scenarios(), 0);
     let scenario_free = fleet::run_fleet_range(
         simulation.generator(),
-        0..24,
+        0..DEVICES,
         simulation.zoo(),
         simulation.engine(),
         &options,

@@ -84,6 +84,16 @@ impl JobSpec {
         if self.shards == 0 {
             return Err("shards must be at least 1".to_string());
         }
+        self.validate_mix()
+    }
+
+    /// Checks that the mix names a preset; the `fleet` CLIs call this when
+    /// parsing `--mix`, so both paths reject a bad name with one message.
+    ///
+    /// # Errors
+    ///
+    /// Returns the unknown name and the accepted presets.
+    pub fn validate_mix(&self) -> Result<(), String> {
         if ScenarioMix::from_name(&self.mix).is_none() {
             return Err(format!(
                 "unknown mix `{}`; expected one of {}",

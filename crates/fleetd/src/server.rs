@@ -137,9 +137,10 @@ impl Daemon {
 
     /// Serves connections until a `POST /shutdown` arrives, then drains the
     /// worker pool and returns; requests arriving during the drain are still
-    /// answered (submissions with the typed `503`). Each connection is
-    /// handled on its own thread; handler panics are confined to that
-    /// thread.
+    /// answered (submissions with the typed `503`). A connection made after
+    /// the last accept may still be refused, or reset when the listener
+    /// closes. Each connection is handled on its own thread; handler panics
+    /// are confined to that thread.
     ///
     /// # Errors
     ///
@@ -172,8 +173,8 @@ impl Daemon {
         }
         // Keep answering connections while the workers wind down, then once
         // more for whatever the backlog holds when they are done: a client
-        // racing the shutdown gets the typed drain answer, not a reset from
-        // the closing listener.
+        // connecting during the drain gets the typed drain answer instead
+        // of waiting on a listener nobody accepts from.
         if self.listener.set_nonblocking(true).is_ok() {
             loop {
                 let workers_done = self.workers.iter().all(|w| w.is_finished());
@@ -186,6 +187,7 @@ impl Daemon {
                     Err(_) if workers_done => break,
                     Err(_) => std::thread::sleep(SHUTDOWN_POLL),
                 }
+                handlers.retain(|h| !h.is_finished());
             }
         }
         for handler in handlers {

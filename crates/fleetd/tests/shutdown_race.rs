@@ -14,13 +14,32 @@
 //!   siblings are gone and every checkpointed shard passes the same
 //!   provenance gate recovery itself applies;
 //! * rejected submissions got the typed drain/full answer, not a
-//!   connection drop.
+//!   connection drop — except once the daemon may have exited, where a
+//!   refused or reset connection is the rejection.
 
 mod common;
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use common::TestDaemon;
+
+/// Submits one job spec over a fresh connection and returns the raw
+/// response bytes.
+fn submit(addr: SocketAddr, body: &str) -> std::io::Result<Vec<u8>> {
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: fleetd\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(request.as_bytes())?;
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    Ok(response)
+}
 
 /// Files under `root`, recursively.
 fn walk(root: &Path, out: &mut Vec<std::path::PathBuf>) {
@@ -44,8 +63,10 @@ fn abort_shutdown_racing_admission_leaks_nothing() {
 
     // Four clients submit small jobs as fast as they can while the main
     // thread fires the abort. Submissions land on both sides of the drain.
+    let shutdown_sent = Arc::new(AtomicBool::new(false));
     let submitters: Vec<_> = (0..4)
         .map(|client| {
+            let shutdown_sent = Arc::clone(&shutdown_sent);
             std::thread::spawn(move || {
                 let mut accepted = Vec::new();
                 for round in 0..6 {
@@ -53,16 +74,18 @@ fn abort_shutdown_racing_admission_leaks_nothing() {
                         r#"{{"devices": 2, "seed": {}, "shards": 2}}"#,
                         client * 100 + round
                     );
-                    let request = format!(
-                        "POST /jobs HTTP/1.1\r\nHost: fleetd\r\nContent-Length: {}\r\n\r\n{body}",
-                        body.len()
-                    );
-                    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-                    use std::io::{Read, Write};
-                    stream.write_all(request.as_bytes()).expect("send");
-                    let mut response = Vec::new();
-                    stream.read_to_end(&mut response).expect("read");
-                    let text = String::from_utf8_lossy(&response);
+                    let response = submit(addr, &body);
+                    let text = match response {
+                        Ok(bytes) if !bytes.is_empty() => {
+                            String::from_utf8_lossy(&bytes).into_owned()
+                        }
+                        // Once the shutdown is sent the daemon may exit
+                        // before this connection is accepted: a refused,
+                        // reset or unanswered connection then rejects the
+                        // submission, and every later one.
+                        _ if shutdown_sent.load(Ordering::SeqCst) => break,
+                        other => panic!("submission failed before the shutdown: {other:?}"),
+                    };
                     let status: u16 = text
                         .split_whitespace()
                         .nth(1)
@@ -83,6 +106,7 @@ fn abort_shutdown_racing_admission_leaks_nothing() {
 
     // Let admission get going, then abort mid-stream.
     std::thread::sleep(std::time::Duration::from_millis(15));
+    shutdown_sent.store(true, Ordering::SeqCst);
     let (status, body) = daemon.request("POST", "/shutdown?mode=abort", None);
     assert_eq!(status, 200, "shutdown: {body}");
     assert!(body.contains("aborting"), "abort mode echoed: {body}");
