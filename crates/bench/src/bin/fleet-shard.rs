@@ -120,6 +120,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.progress {
+        // The run's cache totals come from the registry it recorded into.
+        if let Some(line) = fleet_cli::cache_line(&telemetry_root.snapshot()) {
+            eprintln!("{line}");
+        }
+    }
 
     let json = match serde_json::to_string_pretty(&shard) {
         Ok(json) => json,

@@ -106,6 +106,12 @@ fn main() -> ExitCode {
         }
     };
     let run_time = run_start.elapsed();
+    if args.progress {
+        // The run's cache totals come from the registry it recorded into.
+        if let Some(line) = fleet_cli::cache_line(&telemetry_root.snapshot()) {
+            eprintln!("{line}");
+        }
+    }
 
     if args.json {
         // Sketch runs wrap the report in an envelope carrying the accuracy

@@ -196,7 +196,6 @@ pub struct StderrProgress {
     devices_done: AtomicU64,
     windows_done: AtomicU64,
     lines_emitted: AtomicU64,
-    cache: fleet::CachePublication,
     /// Serializes printing; counters are re-read under it so the printed
     /// device counts never go backwards across interleaved workers.
     print_lock: std::sync::Mutex<()>,
@@ -211,7 +210,6 @@ impl StderrProgress {
             devices_done: AtomicU64::new(0),
             windows_done: AtomicU64::new(0),
             lines_emitted: AtomicU64::new(0),
-            cache: fleet::CachePublication::new(),
             print_lock: std::sync::Mutex::new(()),
         }
     }
@@ -222,8 +220,7 @@ impl StderrProgress {
         self.devices_done.load(Ordering::Relaxed)
     }
 
-    /// Device-progress lines printed so far (excluding the one-off
-    /// profile-cache line) — what the throttle cap bounds.
+    /// Device-progress lines printed so far — what the throttle cap bounds.
     pub fn progress_lines(&self) -> u64 {
         // relaxed: single-cell monotone counter read for display.
         self.lines_emitted.load(Ordering::Relaxed)
@@ -234,15 +231,19 @@ impl StderrProgress {
         // relaxed: single-cell monotone counter read for display.
         self.windows_done.load(Ordering::Relaxed)
     }
+}
 
-    /// Profiling-window cache totals of the finished run, when the executor
-    /// reported them (`--profile-cache` runs only): `(hits, misses)`.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        // The acquire/release pairing lives in `fleet::CachePublication`,
-        // where it is exhaustively model-checked
-        // (fleet/tests/interleave_harness.rs).
-        self.cache.stats()
-    }
+/// The `--progress` line of a finished run's profile-cache totals, read from
+/// the snapshot of the registry the run recorded into; `None` when the
+/// snapshot holds no cache series (the cache was off).
+pub fn cache_line(snapshot: &telemetry::MetricsSnapshot) -> Option<String> {
+    let event =
+        |result| snapshot.counter_value(fleet::PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
+    Some(format!(
+        "progress: profile-cache hits {} misses {}",
+        event("hit")?,
+        event("miss")?
+    ))
 }
 
 impl ProgressSink for StderrProgress {
@@ -250,17 +251,6 @@ impl ProgressSink for StderrProgress {
         // relaxed: single-cell monotone counter; printed totals are re-read
         // under `print_lock`, which orders them.
         self.windows_done.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    fn profile_cache(&self, hits: u64, misses: u64) {
-        // Release/Acquire publication delegated to the model-checked pair
-        // (the torn-snapshot class PR 7 fixed in telemetry).
-        self.cache.publish(hits, misses);
-        let _guard = self
-            .print_lock
-            .lock()
-            .expect("progress printing never panics");
-        eprintln!("progress: profile-cache hits {hits} misses {misses}");
     }
 
     fn device_completed(&self, _device_id: u64, _windows: usize) {
@@ -500,33 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_publication_is_acquire_release() {
-        // Regression shape for the torn-snapshot class: the hit/miss cells
-        // are written before the `cache_reported` flag, and `cache_stats`
-        // must never return `Some` with values older than that store. The
-        // release/acquire pairing makes this a guarantee rather than an
-        // accident of x86; this test pins the observable contract across a
-        // real thread boundary.
-        for _ in 0..64 {
-            let sink = std::sync::Arc::new(StderrProgress::new(1));
-            assert_eq!(sink.cache_stats(), None);
-            let writer = {
-                let sink = std::sync::Arc::clone(&sink);
-                std::thread::spawn(move || sink.profile_cache(7, 3))
-            };
-            // Spin until the flag is visible; the values must arrive with it.
-            let stats = loop {
-                if let Some(stats) = sink.cache_stats() {
-                    break stats;
-                }
-                std::hint::spin_loop();
-            };
-            assert_eq!(stats, (7, 3));
-            writer.join().expect("writer thread never panics");
-        }
-    }
-
-    #[test]
     fn stderr_progress_is_throttled_to_a_hard_line_cap() {
         // Small fleets may print every device but never more than total.
         for total in [1u64, 2, 31, 32, 33] {
@@ -583,11 +546,25 @@ mod tests {
     }
 
     #[test]
-    fn stderr_progress_records_cache_stats() {
-        let sink = StderrProgress::new(8);
-        assert_eq!(sink.cache_stats(), None);
-        fleet::ProgressSink::profile_cache(&sink, 5, 3);
-        assert_eq!(sink.cache_stats(), Some((5, 3)));
+    fn cache_line_reports_the_registry_counters() {
+        let registry = telemetry::Registry::new();
+        assert_eq!(cache_line(&registry.snapshot()), None);
+        let event = |result| {
+            registry
+                .counter(
+                    fleet::PROFILE_CACHE_EVENTS_SERIES,
+                    &[("result", result)],
+                    "Cache lookups",
+                    telemetry::Stability::Observational,
+                )
+                .unwrap()
+        };
+        event("hit").add(5);
+        event("miss").add(3);
+        assert_eq!(
+            cache_line(&registry.snapshot()).as_deref(),
+            Some("progress: profile-cache hits 5 misses 3")
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use hw_sim::units::Energy;
-use ppg_data::{DatasetBuilder, IntoWindowSource, LabeledWindow, WindowCache, WindowSource};
+use ppg_data::{IntoWindowSource, LabeledWindow, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
@@ -203,47 +203,6 @@ impl<'a> Profiler<'a> {
         })
     }
 
-    /// Profiles one configuration on a **memoized** profiling stream: the
-    /// windows described by `builder` are synthesized at most once per
-    /// [`WindowCache`] key and replayed from the shared buffer on every
-    /// later call — the CHRIS pattern of re-profiling the same table over
-    /// identical calibration windows stops paying for repeated synthesis.
-    ///
-    /// The resulting profile is identical to
-    /// `self.profile(configuration, builder.window_stream()?, options)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Profiler::profile`], plus [`ChrisError::Data`]
-    /// when the builder parameters are invalid or synthesis fails.
-    pub fn profile_cached(
-        &self,
-        configuration: Configuration,
-        cache: &mut WindowCache,
-        builder: DatasetBuilder,
-        options: ProfilingOptions,
-    ) -> Result<ConfigurationProfile, ChrisError> {
-        let windows = builder.cached_window_stream(cache)?;
-        self.profile(configuration, windows, options)
-    }
-
-    /// Profiles every configuration on a **memoized** profiling stream (see
-    /// [`Profiler::profile_cached`]); the multi-pass table build profiles the
-    /// shared cached buffer in place, with no second materialization.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Profiler::profile_all`].
-    pub fn profile_all_cached(
-        &self,
-        cache: &mut WindowCache,
-        builder: DatasetBuilder,
-        options: ProfilingOptions,
-    ) -> Result<Vec<ConfigurationProfile>, ChrisError> {
-        let windows = builder.cached_window_stream(cache)?;
-        self.profile_all(windows, options)
-    }
-
     /// Profiles every one of the 60 configurations with the oracle classifier,
     /// returning the table sorted by increasing smartwatch energy (the
     /// ordering the paper stores in MCU memory).
@@ -317,7 +276,7 @@ impl<'a> Profiler<'a> {
 mod tests {
     use super::*;
     use crate::config::{DifficultyThreshold, ExecutionTarget};
-    use ppg_data::DatasetBuilder;
+    use ppg_data::{DatasetBuilder, WindowCache};
 
     fn windows() -> Vec<LabeledWindow> {
         DatasetBuilder::new()
@@ -551,16 +510,15 @@ mod tests {
             )
             .unwrap();
         let mut cache = WindowCache::new(4);
+        let mut cached = || builder().cached_window_stream(&mut cache).unwrap();
         let first = profiler
-            .profile_all_cached(&mut cache, builder(), ProfilingOptions::default())
+            .profile_all(cached(), ProfilingOptions::default())
             .unwrap();
         let second = profiler
-            .profile_all_cached(&mut cache, builder(), ProfilingOptions::default())
+            .profile_all(cached(), ProfilingOptions::default())
             .unwrap();
         assert_eq!(first, uncached);
         assert_eq!(second, uncached);
-        // One synthesis, one replay.
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
 
         let c = config(
             ModelKind::AdaptiveThreshold,
@@ -569,13 +527,14 @@ mod tests {
             ExecutionTarget::Hybrid,
         );
         let cached_one = profiler
-            .profile_cached(c, &mut cache, builder(), ProfilingOptions::default())
+            .profile(c, cached(), ProfilingOptions::default())
             .unwrap();
         let eager_one = profiler
             .profile(c, windows(), ProfilingOptions::default())
             .unwrap();
         assert_eq!(cached_one, eager_one);
-        assert_eq!(cache.hits(), 2);
+        // One synthesis, two replays.
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 
     #[test]

@@ -141,8 +141,8 @@ pub struct ExecutorOptions {
     /// lock-free [`WindowCache`] of that capacity (0 = always miss,
     /// `usize::MAX` = unbounded), so devices whose scenarios share a
     /// [`DeviceScenario::window_cache_key`] replay one synthesized stream.
-    /// Reports are byte-identical for every setting; the merged hit/miss
-    /// counters surface through [`ProgressSink::profile_cache`].
+    /// Reports are byte-identical for every setting; the hit/miss counters
+    /// land in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series.
     pub profile_cache: Option<usize>,
     /// How the run's device reports are aggregated:
     /// [`ReportMode::Exact`] keeps every per-device sample (O(devices)
@@ -308,14 +308,13 @@ fn simulate(
 /// the range executes, and may cancel the run between devices; attaching one
 /// never changes the results, which are byte-identical for any thread count.
 ///
-/// Telemetry flows through three registry layers: each worker records into
-/// its own private [`telemetry::Registry`] (lock-free, no cross-thread
-/// contention), workers fold their snapshot into a shared batch registry at
-/// exit (counter/histogram merging is commutative, so the batch totals are
-/// identical for any thread count or interleaving), and the batch is finally
-/// absorbed into whatever registry was active when the run started. The
-/// merged cache hit/miss totals surface to [`ProgressSink::profile_cache`]
-/// straight from the batch snapshot.
+/// Telemetry records into whatever registry was active when the run
+/// started: the one-thread path records into it directly, and each worker of
+/// the parallel path records into its own private [`telemetry::Registry`]
+/// (lock-free, no cross-thread contention) and folds its snapshot into the
+/// active one at exit. Counter/histogram merging is commutative, so the
+/// totals — the [`PROFILE_CACHE_EVENTS_SERIES`] hit/miss counters included —
+/// are identical for any interleaving.
 ///
 /// # Errors
 ///
@@ -344,48 +343,28 @@ pub fn run_fleet_range(
         sink,
     };
     let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
-    let outer = telemetry::active();
-    let batch = telemetry::Registry::new();
+    let active = telemetry::active();
     if options.profile_cache.is_some() {
         // Eager registration: a run whose caches never hit still exposes
         // zero-valued hit/miss series.
-        cache_event_counter(&batch, "hit");
-        cache_event_counter(&batch, "miss");
+        cache_event_counter(&active, "hit");
+        cache_event_counter(&active, "miss");
     }
-
-    let reports = if threads == 1 {
-        let _scope = telemetry::scoped(&batch);
-        let mut cache = options.profile_cache.map(WindowCache::new);
-        let reports = (0..count)
-            .map(|index| {
-                if devices.cancel_requested() {
-                    return Err(FleetError::Cancelled);
-                }
-                devices.simulate(index, cache.as_mut())
-            })
-            .collect();
-        if let Some(cache) = &cache {
-            record_cache_events(&batch, cache);
-        }
-        reports
-    } else {
-        run_parallel(&devices, &batch, options.profile_cache, count, threads)
-    };
-
-    if options.profile_cache.is_some() {
-        if let Some(sink) = sink {
-            let snapshot = batch.snapshot();
-            let event = |result| {
-                snapshot
-                    .counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)])
-                    .unwrap_or(0)
-            };
-            sink.profile_cache(event("hit"), event("miss"));
-        }
+    if threads > 1 {
+        return run_parallel(&devices, &active, options.profile_cache, count, threads);
     }
-    outer
-        .absorb(&batch.snapshot())
-        .expect("executor series are self-consistent across registries");
+    let mut cache = options.profile_cache.map(WindowCache::new);
+    let reports = (0..count)
+        .map(|index| {
+            if devices.cancel_requested() {
+                return Err(FleetError::Cancelled);
+            }
+            devices.simulate(index, cache.as_mut())
+        })
+        .collect();
+    if let Some(cache) = &cache {
+        record_cache_events(&active, cache);
+    }
     reports
 }
 
@@ -452,11 +431,11 @@ fn record_cache_events(registry: &telemetry::Registry, cache: &WindowCache) {
 
 /// The multi-worker arm of [`run_fleet_range`]: scoped threads over an
 /// atomic chunk cursor, one private [`WindowCache`] and
-/// [`telemetry::Registry`] per worker, both folded into the shared `batch`
-/// exactly once at worker exit.
+/// [`telemetry::Registry`] per worker, both folded into `active` exactly
+/// once at worker exit.
 fn run_parallel(
     devices: &Devices<'_>,
-    batch: &telemetry::Registry,
+    active: &telemetry::Registry,
     profile_cache: Option<usize>,
     count: u64,
     threads: usize,
@@ -489,7 +468,7 @@ fn run_parallel(
                 if let Some(cache) = &cache {
                     record_cache_events(&worker, cache);
                 }
-                batch
+                active
                     .absorb(&worker.snapshot())
                     .expect("worker series are self-consistent across registries");
                 collected

@@ -33,8 +33,8 @@
 //!   (`--profile-cache`), each worker additionally memoizes synthesized
 //!   streams in a lock-free per-thread [`ppg_data::WindowCache`], so devices
 //!   sharing a subject/activity profile replay one session instead of
-//!   re-synthesizing it — byte-identical output, merged hit/miss counters
-//!   via [`ProgressSink::profile_cache`],
+//!   re-synthesizing it — byte-identical output, hit/miss counters in the
+//!   [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series,
 //! * [`report`] — the aggregation layer: MAE percentiles (p50/p90/p99,
 //!   exact nearest-rank with integer-math ranks), per-device energy and
 //!   projected battery-life distributions, an offload-fraction histogram and
@@ -87,7 +87,7 @@ pub use executor::{
     DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
 };
 pub use merge::{merge, merge_stream, MergeAccumulator};
-pub use progress::{CachePublication, ProgressSink, ProgressSource};
+pub use progress::{ProgressSink, ProgressSource};
 pub use report::{
     DeviceReport, DistributionSummary, FleetAccumulator, FleetReport, ReportMode, SketchInfo,
     SketchedReport, OFFLOAD_HISTOGRAM_BINS,

@@ -11,113 +11,20 @@
 
 use ppg_data::{DataError, IntoWindowSource, LabeledWindow, WindowSource};
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// One-shot cross-thread publication of the merged profile-cache counters:
-/// a worker writes `(hits, misses)` once, any thread may poll for them.
-///
-/// This is the Release/Acquire pair progress sinks rely on: the two counter
-/// cells are written Relaxed and *published* by the Release store of the
-/// `reported` flag; [`CachePublication::stats`] reads the flag with Acquire,
-/// so a reader that observes `true` is guaranteed to observe the counters —
-/// never a torn `Some((0, 0))`. The pair is exhaustively model-checked in
-/// `fleet/tests/interleave_harness.rs` (`cache_publication_*`), including a
-/// mutation self-test proving the checker rejects a Relaxed downgrade of
-/// the flag store.
-#[derive(Debug, Default)]
-pub struct CachePublication {
-    reported: AtomicBool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// `false` only in the checker's mutation self-test.
-    downgraded: bool,
-}
-
-impl CachePublication {
-    /// Creates an empty, unpublished pair.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            reported: AtomicBool::new(false),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            downgraded: false,
-        }
-    }
-
-    /// Mutation-test twin of [`CachePublication::new`]: publishes the flag
-    /// with a Relaxed store instead of Release. Exists only so the
-    /// interleaving harness can prove the checker catches the downgrade —
-    /// never use it for real publication.
-    #[cfg(feature = "interleave")]
-    #[must_use]
-    pub const fn new_unsound_relaxed() -> Self {
-        Self {
-            reported: AtomicBool::new(false),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            downgraded: true,
-        }
-    }
-
-    /// Publishes the counters. Call at most once; later readers of
-    /// [`CachePublication::stats`] then observe exactly these values.
-    pub fn publish(&self, hits: u64, misses: u64) {
-        // relaxed: published by the release store of the flag below; never
-        // read before the flag is seen (proven in
-        // fleet/tests/interleave_harness.rs::cache_publication_is_sound).
-        self.hits.store(hits, Ordering::Relaxed);
-        // relaxed: published by the release store of the flag below.
-        self.misses.store(misses, Ordering::Relaxed);
-        let order = if self.downgraded {
-            // relaxed: deliberately unsound, reachable only through
-            // `new_unsound_relaxed` — the checker's mutation self-test.
-            Ordering::Relaxed
-        } else {
-            // release: publishes the two counter stores above to the
-            // acquire load in `stats`.
-            Ordering::Release
-        };
-        self.reported.store(true, order);
-    }
-
-    /// The published `(hits, misses)`, or `None` while unpublished.
-    pub fn stats(&self) -> Option<(u64, u64)> {
-        // acquire: pairs with the release store in `publish` — seeing the
-        // flag must also make the counter cells it publishes visible
-        // (proven in fleet/tests/interleave_harness.rs).
-        self.reported.load(Ordering::Acquire).then(|| {
-            (
-                // relaxed: ordered by the acquire load of the flag above.
-                self.hits.load(Ordering::Relaxed),
-                // relaxed: ordered by the acquire load of the flag above.
-                self.misses.load(Ordering::Relaxed),
-            )
-        })
-    }
-}
-
 /// Receiver of live fleet-execution progress.
 ///
 /// Implementations must be [`Sync`]: the executor's worker threads call them
 /// concurrently. Callbacks arrive in completion order, which depends on
-/// scheduling — sinks must not assume device-id order.
+/// scheduling — sinks must not assume device-id order. Run totals such as
+/// the profile-cache hit/miss counts are telemetry series
+/// ([`crate::PROFILE_CACHE_EVENTS_SERIES`]), read from the registry the run
+/// recorded into, not callbacks.
 pub trait ProgressSink: Sync {
     /// One or more windows of `device_id` were pulled through the runtime.
     fn windows_processed(&self, device_id: u64, count: usize);
 
     /// The device finished simulating; `windows` is its total window count.
     fn device_completed(&self, device_id: u64, windows: usize);
-
-    /// Merged profiling-window cache counters of a finished run, summed over
-    /// the executor's per-worker caches. Called once per run, after the last
-    /// device, and only when the cache is enabled
-    /// (`ExecutorOptions::profile_cache`). The split between hits and misses
-    /// can vary with scheduling (each worker owns its cache), but the
-    /// simulation's reports never do. Default: ignored.
-    fn profile_cache(&self, hits: u64, misses: u64) {
-        let _ = (hits, misses);
-    }
 
     /// Cooperative cancellation hook, polled by the executor between devices
     /// (before each device starts, and before a worker claims its next

@@ -14,7 +14,7 @@ use chris_core::decision::UserConstraint;
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::units::Energy;
 use ppg_data::{
-    Activity, DatasetBuilder, LabeledWindow, MaybeCachedWindows, SynthWindows, WindowCache,
+    Activity, CachedWindows, DatasetBuilder, LabeledWindow, SynthWindows, WindowCache,
     WindowCacheKey,
 };
 use rand::rngs::StdRng;
@@ -227,7 +227,7 @@ impl DeviceScenario {
     pub fn cached_window_stream(
         &self,
         cache: &mut WindowCache,
-    ) -> Result<MaybeCachedWindows<SynthWindows>, ppg_data::DataError> {
+    ) -> Result<CachedWindows, ppg_data::DataError> {
         self.dataset_builder().cached_window_stream(cache)
     }
 

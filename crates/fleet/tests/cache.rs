@@ -3,11 +3,9 @@
 //! seeds, mixes, device counts and cache capacities — while the hit/miss
 //! accounting stays exact on a deterministic (single-threaded) executor.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fleet::{
-    run_fleet_range, DeviceReport, ExecutorOptions, FleetSimulation, ProgressSink, ScenarioMix,
-    DEFAULT_PROFILE_CACHE_CAPACITY,
+    run_fleet_range, DeviceReport, ExecutorOptions, FleetSimulation, ScenarioMix,
+    DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
 };
 use proptest::prelude::*;
 
@@ -32,21 +30,24 @@ fn pooled(master_seed: u64) -> FleetSimulation {
 }
 
 /// Runs devices `0..devices` of `simulation` straight through the executor.
-fn run(
-    simulation: &FleetSimulation,
-    devices: u64,
-    options: &ExecutorOptions,
-    sink: Option<&dyn ProgressSink>,
-) -> Vec<DeviceReport> {
+fn run(simulation: &FleetSimulation, devices: u64, options: &ExecutorOptions) -> Vec<DeviceReport> {
     run_fleet_range(
         simulation.generator(),
         0..devices,
         simulation.zoo(),
         simulation.engine(),
         options,
-        sink,
+        None,
     )
     .unwrap()
+}
+
+/// The `(hits, misses)` a run recorded into a private registry, `None` when
+/// it recorded no cache series.
+fn cache_counters(registry: &telemetry::Registry) -> Option<(u64, u64)> {
+    let snapshot = registry.snapshot();
+    let event = |result| snapshot.counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
+    Some((event("hit")?, event("miss")?))
 }
 
 proptest! {
@@ -86,10 +87,10 @@ proptest! {
 #[test]
 fn eviction_determinism_across_capacities() {
     let simulation = pooled(11);
-    let reference = run(&simulation, 32, &options(1, None), None);
+    let reference = run(&simulation, 32, &options(1, None));
     for threads in [1usize, 4] {
         for capacity in [0usize, 1, usize::MAX] {
-            let cached = run(&simulation, 32, &options(threads, Some(capacity)), None);
+            let cached = run(&simulation, 32, &options(threads, Some(capacity)));
             assert_eq!(
                 cached, reference,
                 "capacity {capacity} at {threads} threads changed a report"
@@ -98,64 +99,24 @@ fn eviction_determinism_across_capacities() {
     }
 }
 
-#[derive(Default)]
-struct CacheStatsSink {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    calls: AtomicU64,
-}
-
-impl ProgressSink for CacheStatsSink {
-    fn windows_processed(&self, _device_id: u64, _count: usize) {}
-
-    fn device_completed(&self, _device_id: u64, _windows: usize) {}
-
-    fn profile_cache(&self, hits: u64, misses: u64) {
-        // relaxed: assertions read these after the executor returned, so
-        // the worker join already orders every store.
-        self.hits.store(hits, Ordering::Relaxed);
-        // relaxed: ordered by the worker join, as above.
-        self.misses.store(misses, Ordering::Relaxed);
-        // relaxed: ordered by the worker join, as above.
-        self.calls.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// On one worker thread the accounting is exact: misses equal the distinct
-/// cache keys, hits equal the repeats, and the counters arrive exactly once
-/// per run through `ProgressSink::profile_cache`.
+/// cache keys, hits equal the repeats, and both land in the registry that
+/// was active when the run started.
 #[test]
 fn hit_and_miss_counters_account_for_every_device() {
     let simulation = pooled(5);
+    let counted = |capacity| {
+        let registry = telemetry::Registry::new();
+        let _scope = telemetry::scoped(&registry);
+        assert_eq!(run(&simulation, 9, &options(1, capacity)).len(), 9);
+        cache_counters(&registry)
+    };
     // 3 distinct profiles, 9 devices: 3 misses + 6 hits with room to cache.
-    let sink = CacheStatsSink::default();
-    let outcome = run(
-        &simulation,
-        9,
-        &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
-        Some(&sink),
-    );
-    assert_eq!(outcome.len(), 9);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.calls.load(Ordering::Relaxed), 1);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.misses.load(Ordering::Relaxed), 3);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.hits.load(Ordering::Relaxed), 6);
-
+    assert_eq!(counted(Some(DEFAULT_PROFILE_CACHE_CAPACITY)), Some((6, 3)));
     // Capacity 0 stores nothing: every device misses.
-    let cold = CacheStatsSink::default();
-    run(&simulation, 9, &options(1, Some(0)), Some(&cold));
-    // relaxed: post-join test assertion.
-    assert_eq!(cold.misses.load(Ordering::Relaxed), 9);
-    // relaxed: post-join test assertion.
-    assert_eq!(cold.hits.load(Ordering::Relaxed), 0);
-
-    // Cache disabled: the sink is never called.
-    let off = CacheStatsSink::default();
-    run(&simulation, 9, &options(1, None), Some(&off));
-    // relaxed: post-join test assertion.
-    assert_eq!(off.calls.load(Ordering::Relaxed), 0);
+    assert_eq!(counted(Some(0)), Some((0, 9)));
+    // Cache disabled: no cache series is recorded at all.
+    assert_eq!(counted(None), None);
 }
 
 /// The generator's own cohort mechanism feeds the cache end to end: a
@@ -171,24 +132,24 @@ fn cohort_mix_hits_the_cache_through_the_full_pipeline() {
     let uncached = simulation
         .run_with_options(devices, &options(1, None), None)
         .unwrap();
-    let sink = CacheStatsSink::default();
-    let cached = simulation
-        .run_with_options(
-            devices,
-            &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
-            Some(&sink),
-        )
-        .unwrap();
+    let registry = telemetry::Registry::new();
+    let cached = {
+        let _scope = telemetry::scoped(&registry);
+        simulation
+            .run_with_options(
+                devices,
+                &options(1, Some(DEFAULT_PROFILE_CACHE_CAPACITY)),
+                None,
+            )
+            .unwrap()
+    };
     assert_eq!(
         serde_json::to_string_pretty(&uncached.report).unwrap(),
         serde_json::to_string_pretty(&cached.report).unwrap()
     );
     assert_eq!(uncached.devices, cached.devices);
     // One miss per pool slot, one hit per repeat — exact on one thread.
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.misses.load(Ordering::Relaxed), pool);
-    // relaxed: post-join test assertion.
-    assert_eq!(sink.hits.load(Ordering::Relaxed), devices - pool);
+    assert_eq!(cache_counters(&registry), Some((devices - pool, pool)));
 }
 
 /// The committed 64-device golden fixture is reproduced byte-for-byte with

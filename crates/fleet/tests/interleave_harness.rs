@@ -3,27 +3,21 @@
 //! Runs only with `--features interleave` (see `crates/interleave` and the
 //! sibling harness in `crates/telemetry/tests/interleave_harness.rs`).
 //!
-//! Two subjects:
-//!
-//! * the executor's CAS-claimed device cursor
-//!   ([`fleet::executor::claim_chunk`]) — concurrent workers must tile the
-//!   device range exactly (disjoint, gap-free, in-bounds) in every
-//!   interleaving, even with all-Relaxed orderings and spurious weak-CAS
-//!   failures injected;
-//! * the profile-cache stats publication pair
-//!   ([`fleet::CachePublication`]) — a Release store of the `reported`
-//!   flag paired with an Acquire load must never let a reader observe the
-//!   flag without the counter values published before it. The mutation
-//!   self-test downgrades the Release store to Relaxed and demands the
-//!   checker *find* the torn read — proving these harnesses have teeth.
+//! Subject: the executor's CAS-claimed device cursor
+//! ([`fleet::executor::claim_chunk`]) — concurrent workers must tile the
+//! device range exactly (disjoint, gap-free, in-bounds) in every
+//! interleaving, even with all-Relaxed orderings and spurious weak-CAS
+//! failures injected. The mutation self-test splits the CAS into a load and
+//! a store and demands the checker *find* the double claim — proving the
+//! harness has teeth.
 
 #![cfg(feature = "interleave")]
 
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
 
 use fleet::executor::claim_chunk;
-use fleet::sync::atomic::AtomicU64;
-use fleet::CachePublication;
+use fleet::sync::atomic::{AtomicU64, Ordering};
 
 /// Devices in the simulated fleet; small enough to explore exhaustively,
 /// large enough that two workers interleave mid-range.
@@ -32,41 +26,47 @@ const DEVICES: u64 = 5;
 /// chunk is short.
 const CHUNK: u64 = 2;
 
-/// Two workers race `claim_chunk` over one cursor: their claims must tile
-/// `0..DEVICES` exactly — no overlap, no gap, no out-of-bounds range — in
-/// every interleaving, including those with spurious `compare_exchange_weak`
-/// failures injected by the checker.
+type Claim = fn(&AtomicU64, u64, u64) -> Option<Range<u64>>;
+
+/// Two workers race `claim` over one cursor; their claims must tile
+/// `0..DEVICES` exactly — no overlap, no gap, no out-of-bounds range.
+fn two_workers_tile_the_range(claim: Claim) {
+    let cursor = Arc::new(AtomicU64::new(0));
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let cursor = Arc::clone(&cursor);
+            interleave::thread::spawn(move || {
+                let mut claimed = Vec::new();
+                while let Some(range) = claim(&cursor, DEVICES, CHUNK) {
+                    assert!(range.start < range.end, "empty claim {range:?}");
+                    assert!(range.end <= DEVICES, "out-of-bounds claim {range:?}");
+                    claimed.push(range);
+                }
+                claimed
+            })
+        })
+        .collect();
+    let mut all: Vec<_> = workers
+        .into_iter()
+        .flat_map(|w| w.join().expect("worker must not panic"))
+        .collect();
+    all.sort_by_key(|r| r.start);
+    // Exact tiling: starts at 0, each claim begins where the previous ended,
+    // ends at DEVICES. Any overlap or gap breaks the chain.
+    let mut next = 0;
+    for range in &all {
+        assert_eq!(range.start, next, "gap or overlap at {range:?} in {all:?}");
+        next = range.end;
+    }
+    assert_eq!(next, DEVICES, "devices left unclaimed: {all:?}");
+}
+
+/// Claims tile the range in every interleaving, including those with
+/// spurious `compare_exchange_weak` failures injected by the checker.
 #[test]
 fn executor_cursor_claims_tile_the_device_range_exactly() {
     let stats = interleave::explore(&interleave::Options::default(), || {
-        let cursor = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let cursor = Arc::clone(&cursor);
-                interleave::thread::spawn(move || {
-                    let mut claimed = Vec::new();
-                    while let Some(range) = claim_chunk(&cursor, DEVICES, CHUNK) {
-                        assert!(range.start < range.end, "empty claim {range:?}");
-                        assert!(range.end <= DEVICES, "out-of-bounds claim {range:?}");
-                        claimed.push(range);
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        let mut all: Vec<_> = workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("worker must not panic"))
-            .collect();
-        all.sort_by_key(|r| r.start);
-        // Exact tiling: starts at 0, each claim begins where the previous
-        // ended, ends at DEVICES. Any overlap or gap breaks the chain.
-        let mut next = 0;
-        for range in &all {
-            assert_eq!(range.start, next, "gap or overlap at {range:?} in {all:?}");
-            next = range.end;
-        }
-        assert_eq!(next, DEVICES, "devices left unclaimed: {all:?}");
+        two_workers_tile_the_range(claim_chunk);
     })
     .unwrap_or_else(|failure| panic!("{failure}"));
     assert!(stats.complete, "schedule space not exhausted: {stats:?}");
@@ -76,61 +76,29 @@ fn executor_cursor_claims_tile_the_device_range_exactly() {
     );
 }
 
-/// The Release/Acquire publication pair is sound: whenever `stats()`
-/// returns `Some`, the values are exactly the ones published — never a
-/// torn or stale pair — in every interleaving.
-#[test]
-fn cache_publication_is_sound() {
-    // Proof that the reader genuinely races the writer: some execution
-    // observes `None` (flag not yet visible) and some observes `Some`.
-    let saw = Arc::new(Mutex::new((false, false)));
-    let witness = Arc::clone(&saw);
-
-    let stats = interleave::explore(&interleave::Options::default(), move || {
-        let publication = Arc::new(CachePublication::new());
-        let writer = {
-            let publication = Arc::clone(&publication);
-            interleave::thread::spawn(move || publication.publish(7, 3))
-        };
-        match publication.stats() {
-            // The Acquire load saw the Release store, so the counter
-            // stores published before it are guaranteed visible.
-            Some(pair) => {
-                assert_eq!(pair, (7, 3), "torn publication: {pair:?}");
-                witness.lock().unwrap().1 = true;
-            }
-            None => witness.lock().unwrap().0 = true,
-        }
-        writer.join().expect("writer must not panic");
-        assert_eq!(publication.stats(), Some((7, 3)), "publication lost");
-    })
-    .unwrap_or_else(|failure| panic!("{failure}"));
-    assert!(stats.complete, "schedule space not exhausted: {stats:?}");
-    let (saw_none, saw_some) = *saw.lock().unwrap();
-    assert!(saw_none && saw_some, "reader never raced the writer");
+/// Mutation of `claim_chunk`: the compare-exchange split into a load and a
+/// store, so two workers can read the same start and both claim it.
+fn torn_claim(cursor: &AtomicU64, count: u64, chunk: u64) -> Option<Range<u64>> {
+    // relaxed: deliberately unsound mutation; the checker must catch it.
+    let start = cursor.load(Ordering::Relaxed);
+    if start >= count {
+        return None;
+    }
+    let end = start.saturating_add(chunk).min(count);
+    // relaxed: deliberately unsound mutation, as above.
+    cursor.store(end, Ordering::Relaxed);
+    Some(start..end)
 }
 
-/// Mutation self-test: downgrading the Release store to Relaxed
-/// ([`CachePublication::new_unsound_relaxed`]) must make the checker find
-/// an interleaving where the reader sees the flag without the values —
-/// and the failing schedule must replay to the same assertion.
+/// Mutation self-test: the torn claim must make the checker find a double
+/// claim, and the failing schedule must replay to the same assertion.
 #[test]
-fn relaxed_publication_mutation_is_caught_and_replays() {
-    let body = || {
-        let publication = Arc::new(CachePublication::new_unsound_relaxed());
-        let writer = {
-            let publication = Arc::clone(&publication);
-            interleave::thread::spawn(move || publication.publish(7, 3))
-        };
-        if let Some(pair) = publication.stats() {
-            assert_eq!(pair, (7, 3), "torn publication: {pair:?}");
-        }
-        writer.join().expect("writer must not panic");
-    };
+fn torn_cursor_claim_mutation_is_caught_and_replays() {
+    let body = || two_workers_tile_the_range(torn_claim);
     let failure = interleave::explore(&interleave::Options::default(), body)
-        .expect_err("the checker must catch the Relaxed publication");
+        .expect_err("the checker must catch the torn claim");
     assert!(
-        failure.message.contains("torn publication"),
+        failure.message.contains("gap or overlap"),
         "wrong failure: {failure}"
     );
     // The printed schedule replays deterministically to the same bug.

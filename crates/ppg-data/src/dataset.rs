@@ -14,7 +14,7 @@ use crate::activity::Activity;
 use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
 use crate::ppg_synth::ppg_segment;
-use crate::stream::cache::{MaybeCachedWindows, WindowCache, WindowCacheKey};
+use crate::stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
 use crate::stream::{self, DatasetWindows, RecordingWindows, SynthWindows, WindowSource};
 use crate::subject::{SubjectId, SubjectProfile};
 use crate::window::LabeledWindow;
@@ -350,10 +350,7 @@ impl DatasetBuilder {
     ///
     /// Same parameter validation as [`DatasetBuilder::build`], plus any
     /// synthesis error surfaced while filling the cache.
-    pub fn cached_window_stream(
-        self,
-        cache: &mut WindowCache,
-    ) -> Result<MaybeCachedWindows<SynthWindows>, DataError> {
+    pub fn cached_window_stream(self, cache: &mut WindowCache) -> Result<CachedWindows, DataError> {
         let key = self.window_cache_key()?;
         cache.stream_with(key, move || self.window_stream())
     }

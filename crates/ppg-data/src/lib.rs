@@ -69,7 +69,7 @@ pub use activity::{Activity, DifficultyLevel};
 pub use dataset::{Dataset, DatasetBuilder, SessionRecording};
 pub use error::DataError;
 pub use folds::{CrossValidation, Fold};
-pub use stream::cache::{CachedWindows, MaybeCachedWindows, WindowCache, WindowCacheKey};
+pub use stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
 pub use stream::{
     collect_windows, DatasetWindows, IntoWindowSource, RecordingWindows, SliceSource, SynthWindows,
     VecSource, WindowSource,

@@ -22,10 +22,8 @@
 //!   `Arc<Vec<LabeledWindow>>` buffer yielded one window per pull, with the
 //!   same zero-copy [`try_for_each_window`](WindowSource::try_for_each_window)
 //!   and [`as_slice`](WindowSource::as_slice) fast paths as
-//!   [`SliceSource`](crate::SliceSource),
-//! * [`MaybeCachedWindows`] — what a lookup returns: the replay, or (on a
-//!   capacity-0 miss, where storing is impossible) the un-drained fresh
-//!   stream, preserving the uncached path's O(1)-window memory bound.
+//!   [`SliceSource`](crate::SliceSource). Every lookup returns one, hit or
+//!   miss, at any capacity.
 //!
 //! The cache is deliberately **not** synchronized: fleet executors keep one
 //! cache per worker thread (lock-free by construction) and merge the counters
@@ -57,11 +55,12 @@ pub struct WindowCacheKey {
 ///
 /// `capacity` bounds the number of *entries* (one entry per distinct
 /// [`WindowCacheKey`]; a capacity of `0` disables storage, so every lookup
-/// misses and synthesizes fresh — useful as a control, and the reports it
-/// produces are still identical). Entries are evicted strictly
-/// least-recently-used, where "use" is a [`WindowCache::stream_with`] call;
-/// the eviction order therefore depends only on the access sequence, keeping
-/// cached runs as reproducible as uncached ones.
+/// misses and replays a session it synthesized just for that lookup — useful
+/// as a control, and the reports it produces are still identical). Entries
+/// are evicted strictly least-recently-used, where "use" is a
+/// [`WindowCache::stream_with`] call; the eviction order therefore depends
+/// only on the access sequence, keeping cached runs as reproducible as
+/// uncached ones.
 #[derive(Debug, Clone, Default)]
 pub struct WindowCache {
     capacity: usize,
@@ -110,10 +109,9 @@ impl WindowCache {
     }
 
     /// Streams the windows for `key`: a hit replays the shared buffer, a
-    /// miss materializes the stream once via `synth` and stores it — unless
-    /// the capacity is 0, in which case the fresh stream is handed through
-    /// untouched (no pointless materialization, the O(1)-window bound of the
-    /// uncached path is preserved).
+    /// miss materializes the stream once via `synth` and stores it (unless
+    /// the capacity is 0, which replays the materialized session without
+    /// storing it).
     ///
     /// The returned source yields element-wise exactly what draining
     /// `synth()` would have yielded — consumers cannot observe whether their
@@ -127,7 +125,7 @@ impl WindowCache {
         &mut self,
         key: WindowCacheKey,
         synth: F,
-    ) -> Result<MaybeCachedWindows<S>, DataError>
+    ) -> Result<CachedWindows, DataError>
     where
         S: WindowSource,
         F: FnOnce() -> Result<S, DataError>,
@@ -139,77 +137,22 @@ impl WindowCache {
             let entry = self.entries.remove(index);
             let windows = Arc::clone(&entry.1);
             self.entries.insert(0, entry);
-            return Ok(MaybeCachedWindows::Cached(CachedWindows::new(windows)));
+            return Ok(CachedWindows::new(windows));
         }
         self.misses += 1;
-        if self.capacity == 0 {
-            return Ok(MaybeCachedWindows::Fresh(synth()?));
-        }
         let mut source = synth()?;
         // Manual drain instead of `collect_windows`: a cache fill is bounded
-        // by the cache capacity, not an eager-materialization regression, so
-        // it must not trip `stream::metrics::eager_collects` watchdogs.
+        // by one session, not an eager-materialization regression, so it
+        // must not trip `stream::metrics::eager_collects` watchdogs.
         let mut out = Vec::with_capacity(source.size_hint().0);
         while let Some(item) = source.next_window() {
             out.push(item?);
         }
         let windows = Arc::new(out);
+        // At capacity 0 the truncation drops the new entry again.
         self.entries.insert(0, (key, Arc::clone(&windows)));
         self.entries.truncate(self.capacity);
-        Ok(MaybeCachedWindows::Cached(CachedWindows::new(windows)))
-    }
-}
-
-/// What [`WindowCache::stream_with`] hands back: a memoized replay
-/// ([`CachedWindows`]) or, when storing is impossible (capacity 0), the
-/// fresh synthesis stream itself. Both arms yield identical windows.
-#[derive(Debug, Clone)]
-pub enum MaybeCachedWindows<S> {
-    /// Capacity-0 miss: the un-drained synthesis stream, one window alive at
-    /// a time, exactly like the uncached path.
-    Fresh(S),
-    /// Hit, or a miss that was materialized into the cache.
-    Cached(CachedWindows),
-}
-
-impl<S: WindowSource> WindowSource for MaybeCachedWindows<S> {
-    fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        match self {
-            MaybeCachedWindows::Fresh(source) => source.next_window(),
-            MaybeCachedWindows::Cached(source) => source.next_window(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            MaybeCachedWindows::Fresh(source) => source.size_hint(),
-            MaybeCachedWindows::Cached(source) => source.size_hint(),
-        }
-    }
-
-    fn try_for_each_window<E: From<DataError>>(
-        &mut self,
-        f: impl FnMut(&LabeledWindow) -> Result<(), E>,
-    ) -> Result<usize, E> {
-        match self {
-            MaybeCachedWindows::Fresh(source) => source.try_for_each_window(f),
-            MaybeCachedWindows::Cached(source) => source.try_for_each_window(f),
-        }
-    }
-
-    fn as_slice(&self) -> Option<&[LabeledWindow]> {
-        match self {
-            MaybeCachedWindows::Fresh(source) => source.as_slice(),
-            MaybeCachedWindows::Cached(source) => source.as_slice(),
-        }
-    }
-}
-
-impl<S: WindowSource> IntoWindowSource for MaybeCachedWindows<S> {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
+        Ok(CachedWindows::new(windows))
     }
 }
 
@@ -364,25 +307,23 @@ mod tests {
             .map(Result::unwrap)
             .collect();
         for _ in 0..2 {
-            let stream = builder(9).cached_window_stream(&mut cache).unwrap();
-            // Storage is disabled, so nothing is materialized either: the
-            // miss hands the un-drained synthesis stream straight through.
-            assert!(matches!(stream, MaybeCachedWindows::Fresh(_)));
-            let streamed: Vec<_> = stream.iter().map(Result::unwrap).collect();
+            let streamed: Vec<_> = builder(9)
+                .cached_window_stream(&mut cache)
+                .unwrap()
+                .iter()
+                .map(Result::unwrap)
+                .collect();
             assert_eq!(streamed, eager);
+            // Storage is disabled: the replayed session is never retained.
+            assert!(cache.is_empty());
         }
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(cache.is_empty());
     }
 
     #[test]
     fn cached_windows_supports_slice_and_visitor_fast_paths() {
         let mut cache = WindowCache::new(1);
-        let MaybeCachedWindows::Cached(mut stream) =
-            builder(11).cached_window_stream(&mut cache).unwrap()
-        else {
-            panic!("a positive-capacity miss must materialize into the cache")
-        };
+        let mut stream = builder(11).cached_window_stream(&mut cache).unwrap();
         let total = stream.len();
         assert!(total > 0);
         assert_eq!(stream.size_hint(), (total, Some(total)));
