@@ -20,6 +20,7 @@
 //! fleet-merge --json shard-0.json shard-1.json shard-2.json shard-3.json
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use chris_bench::fleet_cli;
@@ -177,21 +178,12 @@ fn main() -> ExitCode {
     };
 
     if args.json {
-        // Same envelope rule as `fleet --json`: sketch merges carry their
-        // accuracy diagnostics, exact merges keep the bare-report shape.
-        let json = match sketch {
-            Some(sketch) => serde_json::to_string_pretty(&fleet::SketchedReport {
-                sketch,
-                report: report.clone(),
-            }),
-            None => serde_json::to_string_pretty(&report),
-        };
-        match json {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("serializing the report failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        // The exact bytes fleetd serves for the same fleet: sketch runs are
+        // wrapped in the envelope carrying their accuracy diagnostics.
+        let body = fleetd::spool::render_report_body(&report, sketch);
+        if let Err(e) = std::io::stdout().write_all(&body) {
+            eprintln!("writing the report failed: {e}");
+            return ExitCode::FAILURE;
         }
     } else {
         println!(

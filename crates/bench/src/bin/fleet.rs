@@ -12,6 +12,7 @@
 //! cargo run --release -p bench --bin fleet -- --devices 1000 --threads 8 --seed 42
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -114,22 +115,12 @@ fn main() -> ExitCode {
     }
 
     if args.json {
-        // Sketch runs wrap the report in an envelope carrying the accuracy
-        // diagnostics; exact runs keep the bare-report JSON shape (and its
-        // byte-stability against the golden fixture).
-        let json = match outcome.sketch {
-            Some(sketch) => serde_json::to_string_pretty(&fleet::SketchedReport {
-                sketch,
-                report: outcome.report.clone(),
-            }),
-            None => serde_json::to_string_pretty(&outcome.report),
-        };
-        match json {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("serializing the report failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        // The exact bytes fleetd serves for the same fleet: sketch runs are
+        // wrapped in the envelope carrying their accuracy diagnostics.
+        let body = fleetd::spool::render_report_body(&outcome.report, outcome.sketch);
+        if let Err(e) = std::io::stdout().write_all(&body) {
+            eprintln!("writing the report failed: {e}");
+            return ExitCode::FAILURE;
         }
     } else {
         println!(

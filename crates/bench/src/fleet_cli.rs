@@ -188,8 +188,9 @@ where
 /// drowning the terminal, device lines are throttled to one per
 /// `ceil(total/32)` completed devices — a hard cap of 33 lines per run (32
 /// step lines plus the guaranteed final-totals line) no matter how many
-/// devices the fleet has. The final line (`devices total/total`) is always
-/// printed.
+/// devices the fleet has. Windows are counted as each device finishes, so a
+/// live line lags by at most one in-flight device per worker; the final line
+/// (`devices total/total`) is always printed and its window count is exact.
 pub struct StderrProgress {
     total_devices: u64,
     step: u64,
@@ -247,16 +248,16 @@ pub fn cache_line(snapshot: &telemetry::MetricsSnapshot) -> Option<String> {
 }
 
 impl ProgressSink for StderrProgress {
-    fn windows_processed(&self, _device_id: u64, count: usize) {
-        // relaxed: single-cell monotone counter; printed totals are re-read
-        // under `print_lock`, which orders them.
-        self.windows_done.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    fn device_completed(&self, _device_id: u64, _windows: usize) {
-        // relaxed: RMW atomicity alone makes `done` values unique per
-        // worker, which is all the throttle predicate needs.
-        let done = self.devices_done.fetch_add(1, Ordering::Relaxed) + 1;
+    fn device_completed(&self, _device_id: u64, windows: usize) {
+        self.windows_done
+            // relaxed: single-cell monotone counter; the `AcqRel` increment
+            // below publishes it to whichever worker prints.
+            .fetch_add(windows as u64, Ordering::Relaxed);
+        // AcqRel: the release half publishes this worker's window add with
+        // its device; the acquire half makes every earlier device's window
+        // add visible to the worker that reaches `done == total`, so the
+        // final line is exact.
+        let done = self.devices_done.fetch_add(1, Ordering::AcqRel) + 1;
         if done.is_multiple_of(self.step) || done == self.total_devices {
             let _guard = self
                 .print_lock
@@ -270,8 +271,9 @@ impl ProgressSink for StderrProgress {
             eprintln!(
                 "progress: devices {}/{} windows {}",
                 // relaxed: display snapshot under the print lock; the
-                // final-totals line is exact because every worker's adds
-                // happen-before its own `done == total` print.
+                // final-totals line is exact because every device's window
+                // add happens-before the `AcqRel` increment that reached
+                // `done == total`.
                 self.devices_done.load(Ordering::Relaxed),
                 self.total_devices,
                 // relaxed: display snapshot under the print lock, as above.
@@ -482,11 +484,10 @@ mod tests {
     fn stderr_progress_counts_devices_and_windows() {
         let sink = StderrProgress::new(64);
         assert_eq!(sink.devices_done(), 0);
-        sink.windows_processed(3, 10);
-        sink.windows_processed(3, 5);
         sink.device_completed(3, 15);
-        assert_eq!(sink.devices_done(), 1);
-        assert_eq!(sink.windows_done(), 15);
+        sink.device_completed(4, 10);
+        assert_eq!(sink.devices_done(), 2);
+        assert_eq!(sink.windows_done(), 25);
     }
 
     #[test]

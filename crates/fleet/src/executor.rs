@@ -27,14 +27,14 @@ use std::sync::Mutex;
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 use chris_core::runtime::{ChrisRuntime, RuntimeOptions};
-use chris_core::{ChrisError, DecisionEngine, RunReport};
+use chris_core::DecisionEngine;
 use hw_sim::battery::{Battery, HWATCH_BATTERY_VOLTAGE, HWATCH_CONVERTER_EFFICIENCY};
-use ppg_data::{IntoWindowSource, WindowCache, WindowSource};
+use ppg_data::WindowCache;
 use ppg_models::zoo::ModelZoo;
 use telemetry::Stability;
 
 use crate::error::FleetError;
-use crate::progress::{ProgressSink, ProgressSource};
+use crate::progress::ProgressSink;
 use crate::report::{DeviceReport, ReportMode};
 use crate::scenario::{DeviceScenario, ScenarioGenerator};
 
@@ -210,29 +210,6 @@ pub fn simulate_device_cached(
     simulate(scenario, zoo, engine, sink, Some(cache))
 }
 
-/// Drives one device's runtime over any window source, wrapping it in a
-/// [`ProgressSource`] when a sink observes the run. Shared by the fresh
-/// ([`ppg_data::SynthWindows`]) and memoized ([`ppg_data::CachedWindows`])
-/// streaming paths so they cannot drift.
-fn run_windows<S>(
-    runtime: &mut ChrisRuntime,
-    stream: S,
-    scenario: &DeviceScenario,
-    sink: Option<&dyn ProgressSink>,
-) -> Result<RunReport, ChrisError>
-where
-    S: WindowSource + IntoWindowSource,
-{
-    match sink {
-        Some(sink) => runtime.run(
-            ProgressSource::new(stream, sink, scenario.device_id),
-            &scenario.constraint,
-            &scenario.schedule,
-        ),
-        None => runtime.run(stream, &scenario.constraint, &scenario.schedule),
-    }
-}
-
 /// The device-simulation core behind [`simulate_device`],
 /// [`simulate_device_cached`] and the executor's workers.
 fn simulate(
@@ -254,11 +231,11 @@ fn simulate(
             let stream = scenario
                 .cached_window_stream(cache)
                 .map_err(|e| for_device(e.into()))?;
-            run_windows(&mut runtime, stream, scenario, sink)
+            runtime.run(stream, &scenario.constraint, &scenario.schedule)
         }
         None => {
             let stream = scenario.window_stream().map_err(|e| for_device(e.into()))?;
-            run_windows(&mut runtime, stream, scenario, sink)
+            runtime.run(stream, &scenario.constraint, &scenario.schedule)
         }
     }
     .map_err(|e| for_device(e.into()))?;
@@ -304,8 +281,8 @@ fn simulate(
 /// scenario per worker thread regardless of the range size. (The returned
 /// `Vec<DeviceReport>` is still O(range) — partition huge fleets into
 /// shards sized to what one process can report on.) An optional
-/// [`ProgressSink`] observes windows processed and devices completed while
-/// the range executes, and may cancel the run between devices; attaching one
+/// [`ProgressSink`] observes each device, with its window count, as it
+/// completes, and may cancel the run between devices; attaching one
 /// never changes the results, which are byte-identical for any thread count.
 ///
 /// Telemetry records into whatever registry was active when the run
@@ -628,8 +605,6 @@ mod tests {
         }
 
         impl ProgressSink for CancelAfter {
-            fn windows_processed(&self, _device_id: u64, _count: usize) {}
-
             fn device_completed(&self, _device_id: u64, _windows: usize) {
                 // relaxed: cross-thread test counter; the assertion below
                 // reads it after the executor joined its workers.

@@ -27,9 +27,9 @@
 //!   O(devices). Device windows are likewise *streamed*, not materialized:
 //!   the runtime pulls them one at a time from
 //!   [`DeviceScenario::window_stream`], so peak per-device memory is one
-//!   activity segment instead of the whole session, and [`progress`] sinks
-//!   can observe partial progress (`--progress` on the `fleet` /
-//!   `fleet-shard` CLIs). With [`ExecutorOptions::profile_cache`]
+//!   activity segment instead of the whole session. [`progress`] sinks
+//!   observe each device, with its window count, as it completes
+//!   (`--progress` on the `fleet` / `fleet-shard` CLIs). With [`ExecutorOptions::profile_cache`]
 //!   (`--profile-cache`), each worker additionally memoizes synthesized
 //!   streams in a lock-free per-thread [`ppg_data::WindowCache`], so devices
 //!   sharing a subject/activity profile replay one session instead of
@@ -46,9 +46,9 @@
 //!   producing a serializable [`ShardReport`] artifact; [`merge::merge`]
 //!   validates the artifacts and folds them into a [`FleetReport`]
 //!   **byte-identical** to a single-process run, and
-//!   [`merge::MergeAccumulator`] / [`merge::merge_stream`] do the same
-//!   incrementally — one artifact in memory at a time, which is how the
-//!   `fleet-merge` binary scales to arbitrarily many shards. The
+//!   [`merge::MergeAccumulator`] does the same incrementally — one artifact
+//!   in memory at a time, which is how the `fleet-merge` binary scales to
+//!   arbitrarily many shards. The
 //!   single-process path itself is "run one shard, then merge", so the
 //!   paths can never drift.
 //!
@@ -86,8 +86,8 @@ pub use executor::{
     run_fleet_range, simulate_device, simulate_device_cached, ExecutorOptions,
     DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
 };
-pub use merge::{merge, merge_stream, MergeAccumulator};
-pub use progress::{ProgressSink, ProgressSource};
+pub use merge::{merge, MergeAccumulator};
+pub use progress::ProgressSink;
 pub use report::{
     DeviceReport, DistributionSummary, FleetAccumulator, FleetReport, ReportMode, SketchInfo,
     SketchedReport, OFFLOAD_HISTOGRAM_BINS,
@@ -179,8 +179,8 @@ impl FleetSimulation {
     }
 
     /// Simulates `devices` devices with the given [`ExecutorOptions`] and
-    /// aggregates the results; an optional [`ProgressSink`] observes windows
-    /// processed and devices completed while the fleet executes. The outcome
+    /// aggregates the results; an optional [`ProgressSink`] observes each
+    /// device, with its window count, as it completes. The outcome
     /// is byte-identical for every option combination, with or without a
     /// sink.
     ///
@@ -210,7 +210,7 @@ impl FleetSimulation {
     /// Simulates one shard of a partitioned fleet and returns its
     /// serializable [`ShardReport`] artifact; options and sink as in
     /// [`FleetSimulation::run_with_options`] (the sink is how
-    /// `fleet-shard --progress` surfaces partial progress on very large
+    /// `fleet-shard --progress` surfaces per-device progress on very large
     /// device ranges).
     ///
     /// Any shard can run on any process or host: the scenario of each device

@@ -12,9 +12,8 @@
 //!
 //! Merging is *streaming*: [`MergeAccumulator`] consumes one artifact at a
 //! time — validate, fold its devices, drop it — so a consumer reading shard
-//! artifacts off disk ([`merge_stream`], the `fleet-merge` binary) holds one
-//! artifact plus the per-device scalar samples, never the whole artifact
-//! set. [`merge`] is the batch wrapper: it validates every artifact's
+//! artifacts off disk (the `fleet-merge` binary) holds one artifact plus
+//! the per-device scalar samples, never the whole artifact set. [`merge`] is the batch wrapper: it validates every artifact's
 //! provenance up front, sorts by range, and feeds the same accumulator.
 //!
 //! Before any numbers are trusted, the artifact set must prove it is
@@ -119,41 +118,9 @@ impl MergeAccumulator {
     /// leaves the accumulator unchanged.
     pub fn push(&mut self, shard: &ShardReport) -> Result<(), MergeError> {
         let meta = &shard.meta;
-        if meta.engine_version != ENGINE_VERSION {
-            return Err(MergeError::VersionMismatch {
-                expected: ENGINE_VERSION.to_string(),
-                found: meta.engine_version.clone(),
-            });
-        }
-        if let Some(reference) = &self.reference {
-            if meta.master_seed != reference.master_seed {
-                return Err(MergeError::SeedMismatch {
-                    expected: reference.master_seed,
-                    found: meta.master_seed,
-                });
-            }
-            if meta.mix != reference.mix {
-                return Err(MergeError::MixMismatch);
-            }
-            if meta.fleet_devices != reference.fleet_devices {
-                return Err(MergeError::FleetSizeMismatch {
-                    expected: reference.fleet_devices,
-                    found: meta.fleet_devices,
-                });
-            }
-            if meta.shard_count != reference.shard_count {
-                return Err(MergeError::ShardCountMismatch {
-                    expected: reference.shard_count,
-                    found: meta.shard_count,
-                });
-            }
-            if meta.report_mode != reference.report_mode {
-                return Err(MergeError::ReportModeMismatch {
-                    expected: reference.report_mode,
-                    found: meta.report_mode,
-                });
-            }
-        }
+        // The first shard is its own reference: only its engine version can
+        // mismatch.
+        check_provenance(self.reference.as_ref().unwrap_or(meta), meta)?;
         validate_shard_devices(shard)?;
         if meta.start < self.cursor {
             return Err(MergeError::OverlappingShards {
@@ -224,29 +191,6 @@ impl MergeAccumulator {
     }
 }
 
-/// Merges an ordered stream of shard artifacts into the aggregate report,
-/// holding only one artifact at a time.
-///
-/// The streaming counterpart of [`merge`]: artifacts must arrive in
-/// ascending device-range order (sort by [`ShardMeta`] first, as
-/// `fleet-merge` does), and only the aggregate [`FleetReport`] is produced —
-/// per-device reports are folded and dropped, not retained.
-///
-/// # Errors
-///
-/// Same conditions as [`MergeAccumulator::push`] and
-/// [`MergeAccumulator::finalize`].
-pub fn merge_stream<I>(shards: I) -> Result<FleetReport, MergeError>
-where
-    I: IntoIterator<Item = ShardReport>,
-{
-    let mut accumulator = MergeAccumulator::new();
-    for shard in shards {
-        accumulator.push(&shard)?;
-    }
-    accumulator.finalize()
-}
-
 /// Merges shard reports into the exact single-process [`FleetOutcome`].
 ///
 /// Shards may be supplied in any order; they are sorted by range start before
@@ -267,47 +211,14 @@ pub fn merge(mut shards: Vec<ShardReport>) -> Result<FleetOutcome, MergeError> {
     let Some(first) = shards.first() else {
         return Err(MergeError::NoShards);
     };
-    let reference = first.meta.clone();
+    let reference = &first.meta;
 
     // Validate every artifact's provenance before any reordering or folding,
     // so a mismatch anywhere in the set is reported ahead of coverage
     // problems elsewhere (the accumulator re-checks incrementally, but only
     // sees shards up to the first tiling error).
     for shard in &shards {
-        let meta = &shard.meta;
-        if meta.engine_version != ENGINE_VERSION {
-            return Err(MergeError::VersionMismatch {
-                expected: ENGINE_VERSION.to_string(),
-                found: meta.engine_version.clone(),
-            });
-        }
-        if meta.master_seed != reference.master_seed {
-            return Err(MergeError::SeedMismatch {
-                expected: reference.master_seed,
-                found: meta.master_seed,
-            });
-        }
-        if meta.mix != reference.mix {
-            return Err(MergeError::MixMismatch);
-        }
-        if meta.fleet_devices != reference.fleet_devices {
-            return Err(MergeError::FleetSizeMismatch {
-                expected: reference.fleet_devices,
-                found: meta.fleet_devices,
-            });
-        }
-        if meta.shard_count != reference.shard_count {
-            return Err(MergeError::ShardCountMismatch {
-                expected: reference.shard_count,
-                found: meta.shard_count,
-            });
-        }
-        if meta.report_mode != reference.report_mode {
-            return Err(MergeError::ReportModeMismatch {
-                expected: reference.report_mode,
-                found: meta.report_mode,
-            });
-        }
+        check_provenance(reference, &shard.meta)?;
         validate_shard_devices(shard)?;
     }
 
@@ -336,6 +247,46 @@ pub fn merge(mut shards: Vec<ShardReport>) -> Result<FleetOutcome, MergeError> {
         telemetry,
         sketch,
     })
+}
+
+/// Checks that `meta` was produced by this engine and describes the same
+/// fleet as `reference`: master seed, scenario mix, fleet size, shard count
+/// and report mode.
+fn check_provenance(reference: &ShardMeta, meta: &ShardMeta) -> Result<(), MergeError> {
+    if meta.engine_version != ENGINE_VERSION {
+        return Err(MergeError::VersionMismatch {
+            expected: ENGINE_VERSION.to_string(),
+            found: meta.engine_version.clone(),
+        });
+    }
+    if meta.master_seed != reference.master_seed {
+        return Err(MergeError::SeedMismatch {
+            expected: reference.master_seed,
+            found: meta.master_seed,
+        });
+    }
+    if meta.mix != reference.mix {
+        return Err(MergeError::MixMismatch);
+    }
+    if meta.fleet_devices != reference.fleet_devices {
+        return Err(MergeError::FleetSizeMismatch {
+            expected: reference.fleet_devices,
+            found: meta.fleet_devices,
+        });
+    }
+    if meta.shard_count != reference.shard_count {
+        return Err(MergeError::ShardCountMismatch {
+            expected: reference.shard_count,
+            found: meta.shard_count,
+        });
+    }
+    if meta.report_mode != reference.report_mode {
+        return Err(MergeError::ReportModeMismatch {
+            expected: reference.report_mode,
+            found: meta.report_mode,
+        });
+    }
+    Ok(())
 }
 
 /// Checks that a shard's device list is exactly its declared range, in order.
@@ -455,7 +406,10 @@ mod tests {
     #[test]
     fn no_shards_is_rejected() {
         assert_eq!(merge(Vec::new()).unwrap_err(), MergeError::NoShards);
-        assert_eq!(merge_stream(Vec::new()).unwrap_err(), MergeError::NoShards);
+        assert_eq!(
+            MergeAccumulator::new().finalize().unwrap_err(),
+            MergeError::NoShards
+        );
     }
 
     #[test]
@@ -466,7 +420,11 @@ mod tests {
             shard(8, 3, 2, 6, 8),
         ];
         let batch = merge(shards.clone()).unwrap();
-        let streamed = merge_stream(shards).unwrap();
+        let mut accumulator = MergeAccumulator::new();
+        for piece in &shards {
+            accumulator.push(piece).unwrap();
+        }
+        let streamed = accumulator.finalize().unwrap();
         assert_eq!(streamed, batch.report);
         assert_eq!(
             serde_json::to_string(&streamed).unwrap(),
@@ -501,7 +459,7 @@ mod tests {
         );
 
         // Out-of-order (or duplicate) ranges look like overlap against the
-        // cursor; `merge_stream` requires ascending range order.
+        // cursor; pushes must come in ascending range order.
         let mut accumulator = MergeAccumulator::new();
         accumulator.push(&shard(8, 2, 1, 4, 8)).unwrap_err();
         // First-push gap: [4, 8) cannot open the fleet.

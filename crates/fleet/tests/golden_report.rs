@@ -51,12 +51,14 @@ fn streaming_pipeline_reproduces_the_golden_fixture_byte_for_byte() {
         threads: 2,
         ..ExecutorOptions::default()
     };
-    let report = fleet::merge_stream((0..4).map(|index| {
-        simulation
+    let mut accumulator = fleet::MergeAccumulator::new();
+    for index in 0..4 {
+        let shard = simulation
             .run_shard_with_options(&spec, index, &options, None)
-            .unwrap()
-    }))
-    .unwrap();
+            .unwrap();
+        accumulator.push(&shard).unwrap();
+    }
+    let report = accumulator.finalize().unwrap();
     let json = serde_json::to_string_pretty(&report).unwrap();
     assert_eq!(
         format!("{json}\n"),

@@ -1,12 +1,12 @@
-//! Negative-path coverage for `merge` and its streaming counterpart — the
-//! validation layer behind the `fleet-merge` binary. Every bad artifact set
+//! Negative-path coverage for `merge` and the streaming `MergeAccumulator`
+//! — the validation layer behind the `fleet-merge` binary. Every bad artifact set
 //! must be rejected with the specific typed [`MergeError`], never folded
 //! into a corrupted report, whether the artifacts arrive as one batch or
 //! one at a time.
 
 use fleet::{
-    merge, merge_stream, ExecutorOptions, FleetSimulation, MergeAccumulator, MergeError,
-    ReportMode, ScenarioMix, ShardReport, ShardSpec,
+    merge, ExecutorOptions, FleetReport, FleetSimulation, MergeAccumulator, MergeError, ReportMode,
+    ScenarioMix, ShardReport, ShardSpec,
 };
 
 const DEVICES: u64 = 8;
@@ -27,6 +27,16 @@ fn artifacts() -> Vec<ShardReport> {
                 .unwrap()
         })
         .collect()
+}
+
+/// Pushes `shards` into a fresh accumulator one at a time, in the given
+/// order, the way `fleet-merge` streams artifacts off disk.
+fn push_all(shards: &[ShardReport]) -> Result<FleetReport, MergeError> {
+    let mut accumulator = MergeAccumulator::new();
+    for shard in shards {
+        accumulator.push(shard)?;
+    }
+    accumulator.finalize()
 }
 
 #[test]
@@ -194,7 +204,7 @@ fn validation_never_yields_a_partial_report() {
 fn streaming_merge_matches_batch_merge_on_real_artifacts() {
     let shards = artifacts();
     let batch = merge(shards.clone()).unwrap();
-    let streamed = merge_stream(shards).unwrap();
+    let streamed = push_all(&shards).unwrap();
     assert_eq!(streamed, batch.report);
     assert_eq!(
         serde_json::to_string_pretty(&streamed).unwrap(),
@@ -207,7 +217,7 @@ fn streaming_merge_rejects_a_mid_stream_seed_mismatch() {
     let mut shards = artifacts();
     shards[2].meta.master_seed = 43;
     assert_eq!(
-        merge_stream(shards).unwrap_err(),
+        push_all(&shards).unwrap_err(),
         MergeError::SeedMismatch {
             expected: 42,
             found: 43,
@@ -220,7 +230,7 @@ fn streaming_merge_rejects_gaps_where_batch_merge_does() {
     let mut shards = artifacts();
     shards.remove(1); // devices [2, 4) uncovered
     let batch_err = merge(shards.clone()).unwrap_err();
-    let stream_err = merge_stream(shards).unwrap_err();
+    let stream_err = push_all(&shards).unwrap_err();
     assert_eq!(batch_err, MergeError::MissingDevices { start: 2, end: 4 });
     assert_eq!(stream_err, batch_err);
 }

@@ -286,8 +286,9 @@ pub struct JobStatus {
     /// Devices finished, including devices inside shards recovered on
     /// restart.
     pub devices_done: u64,
-    /// Windows processed by this daemon process (live executor progress;
-    /// restart-recovered shards do not re-count their windows).
+    /// Windows of the devices this daemon process finished, counted when
+    /// each device completes (restart-recovered shards do not re-count
+    /// their windows).
     pub windows_done: u64,
     /// Failure description, present iff `state` is `"failed"`.
     pub error: Option<String>,

@@ -74,9 +74,10 @@ pub enum ReportOutcome {
 }
 
 /// Live per-job progress, bumped by [`JobProgress`] sinks from worker
-/// threads. Monotonic over a process lifetime; `devices_done` is primed from
-/// checkpointed shard ranges on resume, `windows_done` only counts windows
-/// processed live (checkpointed artifacts don't retain per-window totals).
+/// threads as each device finishes: a device's windows are counted when it
+/// completes, not while it runs. Monotonic over a process lifetime;
+/// `devices_done` is primed from checkpointed shard ranges on resume,
+/// `windows_done` only counts devices finished live.
 #[derive(Debug, Default)]
 struct JobCounters {
     devices_done: AtomicU64,
@@ -91,21 +92,18 @@ struct JobProgress<'a> {
 }
 
 impl ProgressSink for JobProgress<'_> {
-    fn windows_processed(&self, _device_id: u64, count: usize) {
+    fn device_completed(&self, _device_id: u64, windows: usize) {
         self.counters
             .windows_done
             // relaxed: monotone live-progress counter; status reads are
             // advisory and never gate control flow.
-            .fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    fn device_completed(&self, _device_id: u64, _windows: usize) {
+            .fetch_add(windows as u64, Ordering::Relaxed);
         // relaxed: monotone live-progress counter, as above.
         self.counters.devices_done.fetch_add(1, Ordering::Relaxed);
     }
 
     fn should_cancel(&self) -> bool {
-        // One-way abort latch polled between windows; a stale `false` only
+        // One-way abort latch polled between devices; a stale `false` only
         // delays cancellation by one polling interval (model-checked in
         // fleetd/tests/interleave_harness.rs).
         self.latch.abort_requested()
@@ -644,11 +642,13 @@ mod tests {
         assert_eq!(status.state, "done", "error: {:?}", status.error);
         assert_eq!(status.shards_done, 2);
         assert_eq!(status.devices_done, 3);
-        assert!(status.windows_done > 0);
         let ReportOutcome::Ready(body) = scheduler.report(id) else {
             panic!("report not ready");
         };
         assert!(body.ends_with(b"}\n"));
+        let served: fleet::FleetReport =
+            serde_json::from_str(std::str::from_utf8(&body).unwrap().trim_end()).unwrap();
+        assert_eq!(status.windows_done, served.total_windows as u64);
         scheduler.begin_shutdown(false);
         for handle in workers {
             handle.join().unwrap();
