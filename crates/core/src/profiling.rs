@@ -222,42 +222,27 @@ impl<'a> Profiler<'a> {
         windows: S,
         options: ProfilingOptions,
     ) -> Result<Vec<ConfigurationProfile>, ChrisError> {
-        self.profile_all_with(windows, &OracleActivityClassifier::new(), options)
-    }
-
-    /// Profiles every configuration with an explicit activity classifier.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Profiler::profile_all`].
-    pub fn profile_all_with<S: IntoWindowSource>(
-        &self,
-        windows: S,
-        classifier: &dyn ActivityClassifier,
-        options: ProfilingOptions,
-    ) -> Result<Vec<ConfigurationProfile>, ChrisError> {
         let source = windows.into_window_source();
         // Buffer-backed sources are profiled in place; only genuinely lazy
         // streams are drained into a buffer for the multi-pass table build.
         if let Some(slice) = source.as_slice() {
-            return self.profile_each(slice, classifier, options);
+            return self.profile_each(slice, options);
         }
         let buffered: Vec<LabeledWindow> = source.iter().collect::<Result<_, _>>()?;
-        self.profile_each(&buffered, classifier, options)
+        self.profile_each(&buffered, options)
     }
 
-    /// The multi-pass core of [`Profiler::profile_all_with`]: one
-    /// [`Profiler::profile_with`] pass per configuration over a shared,
-    /// borrowed workload.
+    /// The multi-pass core of [`Profiler::profile_all`]: one
+    /// [`Profiler::profile`] pass per configuration over a shared, borrowed
+    /// workload.
     fn profile_each(
         &self,
         windows: &[LabeledWindow],
-        classifier: &dyn ActivityClassifier,
         options: ProfilingOptions,
     ) -> Result<Vec<ConfigurationProfile>, ChrisError> {
         let mut table: Vec<ConfigurationProfile> = enumerate_configurations()
             .into_iter()
-            .map(|c| self.profile_with(c, windows, classifier, options))
+            .map(|c| self.profile(c, windows, options))
             .collect::<Result<_, _>>()?;
         // Same NaN-safe ordering as `DecisionEngine::new`, which re-sorts the
         // table it is given: keep the two in lockstep so direct consumers of
@@ -530,7 +515,7 @@ mod tests {
             .profile(c, cached(), ProfilingOptions::default())
             .unwrap();
         let eager_one = profiler
-            .profile(c, windows(), ProfilingOptions::default())
+            .profile(c, &windows(), ProfilingOptions::default())
             .unwrap();
         assert_eq!(cached_one, eager_one);
         // One synthesis, two replays.

@@ -232,12 +232,18 @@ impl FleetSimulation {
         options: &ExecutorOptions,
         sink: Option<&dyn ProgressSink>,
     ) -> Result<ShardReport, FleetError> {
-        let range = spec
-            .range(index)
-            .ok_or_else(|| FleetError::ShardIndexOutOfRange {
-                index,
-                shards: spec.shards(),
-            })?;
+        let meta = ShardMeta::new(
+            spec,
+            index,
+            self.generator.master_seed(),
+            *self.generator.mix(),
+            options.report_mode,
+        )
+        .ok_or_else(|| FleetError::ShardIndexOutOfRange {
+            index,
+            shards: spec.shards(),
+        })?;
+        let range = meta.range();
         // The shard's run records into a private registry, so its embedded
         // snapshot covers exactly this run — not whatever else the process
         // did — and concurrent shard runs in one process cannot bleed into
@@ -254,7 +260,7 @@ impl FleetSimulation {
             let _scope = telemetry::scoped(&run_registry);
             run_fleet_range(
                 &self.generator,
-                range.clone(),
+                range,
                 &self.zoo,
                 &self.engine,
                 options,
@@ -265,17 +271,7 @@ impl FleetSimulation {
             .absorb(&run_registry.snapshot())
             .expect("run series are self-consistent across registries");
         Ok(ShardReport {
-            meta: ShardMeta {
-                engine_version: ENGINE_VERSION.to_string(),
-                master_seed: self.generator.master_seed(),
-                mix: *self.generator.mix(),
-                report_mode: options.report_mode,
-                fleet_devices: spec.devices(),
-                shard_count: spec.shards(),
-                shard_index: index,
-                start: range.start,
-                end: range.end,
-            },
+            meta,
             devices,
             telemetry: run_registry.snapshot_stable(),
         })

@@ -125,6 +125,32 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
+    /// The provenance of shard `index` of `spec`, produced by this engine
+    /// from `master_seed` and `mix` under `report_mode`: what
+    /// [`crate::FleetSimulation::run_shard_with_options`] stamps into its
+    /// artifact and what a checkpoint must carry to be trusted. `None` when
+    /// `index` is out of range.
+    pub fn new(
+        spec: &ShardSpec,
+        index: u32,
+        master_seed: u64,
+        mix: ScenarioMix,
+        report_mode: ReportMode,
+    ) -> Option<Self> {
+        let range = spec.range(index)?;
+        Some(Self {
+            engine_version: ENGINE_VERSION.to_string(),
+            master_seed,
+            mix,
+            report_mode,
+            fleet_devices: spec.devices(),
+            shard_count: spec.shards(),
+            shard_index: index,
+            start: range.start,
+            end: range.end,
+        })
+    }
+
     /// The shard's device-id range.
     pub fn range(&self) -> Range<u64> {
         self.start..self.end
@@ -220,6 +246,22 @@ mod tests {
         let json = serde_json::to_string(&spec).unwrap();
         let back: ShardSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
+    }
+
+    #[test]
+    fn meta_new_stamps_the_shard_range_and_rejects_bad_indices() {
+        let spec = ShardSpec::new(10, 4).unwrap();
+        let meta =
+            ShardMeta::new(&spec, 3, 42, ScenarioMix::balanced(), ReportMode::Sketch).unwrap();
+        assert_eq!(meta.range(), spec.range(3).unwrap());
+        assert_eq!(
+            (meta.fleet_devices, meta.shard_count, meta.shard_index),
+            (10, 4, 3)
+        );
+        assert_eq!(meta.engine_version, ENGINE_VERSION);
+        assert!(
+            ShardMeta::new(&spec, 4, 42, ScenarioMix::balanced(), ReportMode::Sketch).is_none()
+        );
     }
 
     #[test]

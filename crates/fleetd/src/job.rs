@@ -21,6 +21,11 @@ use serde::{map_field, Deserialize, Serialize, Value};
 /// jobs with empty shards.
 pub const DEFAULT_SHARDS: u32 = 4;
 
+/// Largest accepted `threads`. A fixed bound rather than the host's core
+/// count, so a spec spooled on one host stays valid when a smaller host
+/// recovers it.
+pub const MAX_THREADS: usize = 1024;
+
 /// One submitted fleet-simulation job, fully resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -30,7 +35,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Scenario-mix preset name (default `"balanced"`).
     pub mix: String,
-    /// Worker threads per shard run; 0 = one per core (default 0).
+    /// Worker threads per shard run; 0 = one per core (default 0, at most
+    /// [`MAX_THREADS`]).
     pub threads: usize,
     /// Number of checkpoint shards the device range is split into
     /// (default [`DEFAULT_SHARDS`], capped by the device count).
@@ -62,7 +68,7 @@ impl JobSpec {
     ///
     /// Returns a request-worthy message naming the offending field for both
     /// syntactic (bad JSON, unknown field, wrong type) and semantic
-    /// (`devices: 0`, unknown mix) failures.
+    /// (`devices: 0`, `threads` above [`MAX_THREADS`], unknown mix) failures.
     pub fn from_json(body: &[u8]) -> Result<Self, String> {
         let text =
             std::str::from_utf8(body).map_err(|_| "job spec is not UTF-8 text".to_string())?;
@@ -83,6 +89,9 @@ impl JobSpec {
         }
         if self.shards == 0 {
             return Err("shards must be at least 1".to_string());
+        }
+        if self.threads > MAX_THREADS {
+            return Err(format!("threads must be at most {MAX_THREADS}"));
         }
         self.validate_mix()
     }
@@ -351,10 +360,11 @@ mod tests {
 
     #[test]
     fn bad_specs_name_the_offending_field() {
-        let cases: [(&[u8], &str); 9] = [
+        let cases: [(&[u8], &str); 10] = [
             (br#"{"seed": 1}"#, "devices"),
             (br#"{"devices": 0}"#, "devices"),
             (br#"{"devices": 8, "shards": 0}"#, "shards"),
+            (br#"{"devices": 8, "threads": 1025}"#, "threads"),
             (br#"{"devices": 8, "mix": "nope"}"#, "nope"),
             (br#"{"devices": 8, "report_mode": "fuzzy"}"#, "fuzzy"),
             (
@@ -376,6 +386,8 @@ mod tests {
         assert!(JobSpec::from_json(&[0xff, 0xfe])
             .unwrap_err()
             .contains("UTF-8"));
+        let at_bound = format!(r#"{{"devices": 8, "threads": {MAX_THREADS}}}"#);
+        assert!(JobSpec::from_json(at_bound.as_bytes()).is_ok());
     }
 
     #[test]

@@ -132,6 +132,22 @@ struct JobRecord {
 }
 
 impl JobRecord {
+    /// A queued job with every shard pending and nothing run yet.
+    fn new(spec: JobSpec) -> Self {
+        Self {
+            pending: (0..spec.shards).collect(),
+            spec,
+            state: JobState::Queued,
+            running: 0,
+            shards_done: 0,
+            finalizing: false,
+            error: None,
+            report: None,
+            counters: Arc::new(JobCounters::default()),
+            sim: Arc::new(OnceLock::new()),
+        }
+    }
+
     fn status(&self, id: u64) -> JobStatus {
         JobStatus {
             id,
@@ -192,39 +208,27 @@ impl Scheduler {
         let mut next_id = 1;
         for (id, spec) in spool.scan()? {
             next_id = next_id.max(id + 1);
-            let total = spec.shards;
-            let counters = Arc::new(JobCounters::default());
-            let mut record = JobRecord {
-                spec,
-                state: JobState::Queued,
-                pending: VecDeque::new(),
-                running: 0,
-                shards_done: 0,
-                finalizing: false,
-                error: None,
-                report: None,
-                counters,
-                sim: Arc::new(OnceLock::new()),
-            };
+            let mut record = JobRecord::new(spec);
             if let Some(body) = spool.read_report(id) {
                 record.state = JobState::Done;
-                record.shards_done = total;
+                record.shards_done = record.spec.shards;
+                record.pending.clear();
                 record.report = Some(Arc::new(body));
             } else {
-                for index in 0..total {
-                    match spool.shard_meta_if_valid(id, &record.spec, index) {
-                        Some(meta) => {
-                            record.shards_done += 1;
-                            record
-                                .counters
-                                .devices_done
-                                // relaxed: single-threaded recovery scan,
-                                // before any worker exists.
-                                .fetch_add(meta.end - meta.start, Ordering::Relaxed);
-                        }
-                        None => record.pending.push_back(index),
-                    }
-                }
+                // Only shards without a valid checkpoint stay pending.
+                record.pending.retain(|&index| {
+                    let Some(meta) = spool.shard_meta_if_valid(id, &record.spec, index) else {
+                        return true;
+                    };
+                    record.shards_done += 1;
+                    record
+                        .counters
+                        .devices_done
+                        // relaxed: single-threaded recovery scan, before
+                        // any worker exists.
+                        .fetch_add(meta.end - meta.start, Ordering::Relaxed);
+                    false
+                });
                 queue.push_back(id);
             }
             jobs.insert(id, record);
@@ -299,18 +303,7 @@ impl Scheduler {
             .persist_spec(id, &spec)
             .map_err(|e| SubmitError::Spool(e.to_string()))?;
         state.next_id += 1;
-        let record = JobRecord {
-            pending: (0..spec.shards).collect(),
-            spec,
-            state: JobState::Queued,
-            running: 0,
-            shards_done: 0,
-            finalizing: false,
-            error: None,
-            report: None,
-            counters: Arc::new(JobCounters::default()),
-            sim: Arc::new(OnceLock::new()),
-        };
+        let record = JobRecord::new(spec);
         let status = record.status(id);
         state.jobs.insert(id, record);
         state.queue.push_back(id);

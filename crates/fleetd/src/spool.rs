@@ -60,19 +60,13 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
 /// provenance gate of checkpoint recovery. `None` when the spec/index
 /// combination is itself invalid (out-of-range index).
 pub fn expected_meta(spec: &JobSpec, index: u32) -> Option<ShardMeta> {
-    let shard_spec = spec.shard_spec().ok()?;
-    let range = shard_spec.range(index)?;
-    Some(ShardMeta {
-        engine_version: ENGINE_VERSION.to_string(),
-        master_seed: spec.seed,
-        mix: spec.resolved_mix(),
-        report_mode: spec.report_mode,
-        fleet_devices: spec.devices,
-        shard_count: spec.shards,
-        shard_index: index,
-        start: range.start,
-        end: range.end,
-    })
+    ShardMeta::new(
+        &spec.shard_spec().ok()?,
+        index,
+        spec.seed,
+        spec.resolved_mix(),
+        spec.report_mode,
+    )
 }
 
 /// Renders the final report body — exactly the bytes `fleet --json` prints

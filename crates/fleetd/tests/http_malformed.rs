@@ -104,6 +104,11 @@ fn malformed_requests_get_typed_errors_and_the_daemon_survives() {
         ),
         ("zero devices", spec_request(r#"{"devices": 0}"#), 400),
         (
+            "unbounded threads",
+            spec_request(r#"{"devices": 1000000, "threads": 1000000}"#),
+            400,
+        ),
+        (
             "unknown spec field",
             spec_request(r#"{"devices": 4, "turbo": true}"#),
             400,

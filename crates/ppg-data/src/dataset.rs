@@ -15,38 +15,10 @@ use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
 use crate::ppg_synth::ppg_segment;
 use crate::stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
-use crate::stream::{self, DatasetWindows, RecordingWindows, SynthWindows, WindowSource};
+use crate::stream::{self, RecordingWindows, SynthWindows, WindowSource};
 use crate::subject::{SubjectId, SubjectProfile};
 use crate::window::LabeledWindow;
 use crate::{FULL_SUBJECT_COUNT, SAMPLE_RATE_HZ, WINDOW_SAMPLES};
-
-/// Synthesizes one subject/activity recording by chaining the HR trajectory,
-/// accelerometer and PPG generators; `last_hr` carries the trajectory across
-/// activities so schedules chain canonically. Shared by the eager
-/// [`DatasetBuilder::build`] and the lazy [`SynthWindows`] stream — the two
-/// paths must stay bit-identical.
-pub(crate) fn synthesize_recording(
-    rng: &mut StdRng,
-    profile: &SubjectProfile,
-    activity: Activity,
-    samples: usize,
-    last_hr: &mut f32,
-) -> SessionRecording {
-    let hr = hr_trajectory(rng, profile, activity, samples, SAMPLE_RATE_HZ, *last_hr);
-    *last_hr = *hr.last().expect("non-empty trajectory");
-    let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
-    let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
-    SessionRecording {
-        subject: profile.id,
-        activity,
-        hr_bpm: hr,
-        ppg,
-        accel_x: accel.x,
-        accel_y: accel.y,
-        accel_z: accel.z,
-        motion_envelope: accel.motion_envelope,
-    }
-}
 
 /// A continuous recording of one subject performing one activity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,7 +79,7 @@ impl SessionRecording {
 
     /// Streams the labeled analysis windows of this recording lazily, one
     /// window materialized per pull.
-    pub fn window_stream(&self) -> RecordingWindows<'_> {
+    pub fn window_stream(&self) -> RecordingWindows<&Self> {
         RecordingWindows::new(self)
     }
 
@@ -172,32 +144,18 @@ impl Dataset {
             .collect())
     }
 
-    /// Streams every labeled window of the dataset lazily, in
-    /// subject/activity order, one window materialized per pull.
-    pub fn window_stream(&self) -> DatasetWindows<'_> {
-        DatasetWindows::new(self)
-    }
-
     /// Extracts every labeled window of the dataset, in subject/activity order.
-    ///
-    /// Eager convenience wrapper over [`Dataset::window_stream`]; prefer the
-    /// stream on memory-sensitive paths.
     pub fn windows(&self) -> Vec<LabeledWindow> {
-        stream::metrics::record_eager_collect();
-        self.window_stream()
-            .iter()
-            .map(|window| window.expect("DatasetWindows skips errors internally"))
-            .collect()
+        extract_windows(self.recordings.iter())
     }
 
     /// Extracts the labeled windows belonging to the given subjects only.
     pub fn windows_for_subjects(&self, subjects: &[SubjectId]) -> Vec<LabeledWindow> {
-        stream::metrics::record_eager_collect();
-        self.recordings
-            .iter()
-            .filter(|r| subjects.contains(&r.subject))
-            .flat_map(|r| r.window_stream().iter().filter_map(Result::ok))
-            .collect()
+        extract_windows(
+            self.recordings
+                .iter()
+                .filter(|r| subjects.contains(&r.subject)),
+        )
     }
 
     /// Seconds of data generated per activity per subject.
@@ -209,6 +167,17 @@ impl Dataset {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+}
+
+/// Eagerly extracts the windows of `recordings`, in order; a recording too
+/// short for one window contributes none.
+fn extract_windows<'a>(
+    recordings: impl Iterator<Item = &'a SessionRecording>,
+) -> Vec<LabeledWindow> {
+    stream::metrics::record_eager_collect();
+    recordings
+        .flat_map(|r| r.window_stream().iter().filter_map(Result::ok))
+        .collect()
 }
 
 /// Builder for [`Dataset`] with the paper's defaults.
@@ -278,9 +247,7 @@ impl DatasetBuilder {
     }
 
     /// Validates the builder parameters, returning the per-activity sample
-    /// count the synthesizers run with. Shared by the eager
-    /// [`DatasetBuilder::build`] and the lazy
-    /// [`DatasetBuilder::window_stream`] so the two cannot drift.
+    /// count the synthesizers run with.
     fn validated_samples_per_activity(&self) -> Result<usize, DataError> {
         if self.subjects == 0 || self.subjects > FULL_SUBJECT_COUNT {
             return Err(DataError::InvalidParameter {
@@ -314,13 +281,7 @@ impl DatasetBuilder {
     ///
     /// Same parameter validation as [`DatasetBuilder::build`].
     pub fn window_stream(self) -> Result<SynthWindows, DataError> {
-        let samples_per_activity = self.validated_samples_per_activity()?;
-        Ok(SynthWindows::new(
-            self.subjects,
-            self.activities,
-            samples_per_activity,
-            self.seed,
-        ))
+        Ok(SynthWindows::new(self.sessions()?))
     }
 
     /// The memoization key of the stream this builder describes: the full
@@ -363,36 +324,107 @@ impl DatasetBuilder {
     /// in `1..=15`, the activity list is empty, or the per-activity duration
     /// is shorter than one analysis window.
     pub fn build(self) -> Result<Dataset, DataError> {
+        let (seconds_per_activity, seed) = (self.seconds_per_activity, self.seed);
+        let mut sessions = self.sessions()?;
+        let recordings = sessions.by_ref().collect();
+        Ok(Dataset {
+            subjects: sessions.profiles,
+            recordings,
+            seconds_per_activity,
+            seed,
+        })
+    }
+
+    /// The lazy session generator of the dataset this builder describes.
+    fn sessions(self) -> Result<Sessions, DataError> {
         let samples_per_activity = self.validated_samples_per_activity()?;
+        Ok(Sessions {
+            master: StdRng::seed_from_u64(self.seed),
+            subjects: self.subjects,
+            next_activity: self.activities.len(),
+            activities: self.activities,
+            samples_per_activity,
+            profiles: Vec::with_capacity(self.subjects),
+            // Replaced by subject 0's stream on the first pull.
+            rng: StdRng::seed_from_u64(self.seed),
+            last_hr: 0.0,
+        })
+    }
+}
 
-        let mut master = StdRng::seed_from_u64(self.seed);
-        let mut subjects = Vec::with_capacity(self.subjects);
-        let mut recordings = Vec::with_capacity(self.subjects * self.activities.len());
+/// The lazy session generator: yields every recording of a dataset in
+/// subject/activity order, synthesizing each on demand by chaining the HR
+/// trajectory, accelerometer and PPG generators.
+///
+/// The one place subject streams are derived and the heart-rate trajectory
+/// is chained across activities: [`DatasetBuilder::build`] collects it and
+/// [`SynthWindows`] pulls from it one recording at a time, so the eager and
+/// lazy paths cannot drift.
+#[derive(Debug, Clone)]
+pub(crate) struct Sessions {
+    master: StdRng,
+    subjects: usize,
+    activities: Vec<Activity>,
+    samples_per_activity: usize,
+    /// Profiles generated so far; the last one is the subject being recorded.
+    profiles: Vec<SubjectProfile>,
+    /// The current subject's stream.
+    rng: StdRng,
+    /// Where the current subject's next HR trajectory starts.
+    last_hr: f32,
+    /// Index into `activities` of the next recording; `activities.len()`
+    /// once the current subject is done.
+    next_activity: usize,
+}
 
-        for idx in 0..self.subjects {
+impl Sessions {
+    /// Number of windows the whole generator yields.
+    pub(crate) fn window_total(&self) -> usize {
+        self.subjects * self.activities.len() * stream::window_count_for(self.samples_per_activity)
+    }
+}
+
+impl Iterator for Sessions {
+    type Item = SessionRecording;
+
+    fn next(&mut self) -> Option<SessionRecording> {
+        if self.next_activity == self.activities.len() {
+            let id = SubjectId(self.profiles.len());
+            if id.0 == self.subjects {
+                return None;
+            }
             // Every subject gets an independent stream so adding subjects does
             // not perturb previously generated ones.
-            let subject_seed: u64 = master.random();
-            let mut rng = StdRng::seed_from_u64(subject_seed);
-            let profile = SubjectProfile::generate(SubjectId(idx), &mut rng);
-            let mut last_hr = profile.resting_hr_bpm;
-            for &activity in &self.activities {
-                recordings.push(synthesize_recording(
-                    &mut rng,
-                    &profile,
-                    activity,
-                    samples_per_activity,
-                    &mut last_hr,
-                ));
-            }
-            subjects.push(profile);
+            self.rng = StdRng::seed_from_u64(self.master.random());
+            let profile = SubjectProfile::generate(id, &mut self.rng);
+            self.last_hr = profile.resting_hr_bpm;
+            self.profiles.push(profile);
+            self.next_activity = 0;
         }
-
-        Ok(Dataset {
-            subjects,
-            recordings,
-            seconds_per_activity: self.seconds_per_activity,
-            seed: self.seed,
+        let profile = self.profiles.last()?;
+        let activity = self.activities[self.next_activity];
+        self.next_activity += 1;
+        let (rng, samples) = (&mut self.rng, self.samples_per_activity);
+        let hr = hr_trajectory(
+            rng,
+            profile,
+            activity,
+            samples,
+            SAMPLE_RATE_HZ,
+            self.last_hr,
+        );
+        self.last_hr = *hr.last().expect("non-empty trajectory");
+        let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
+        let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
+        Some(SessionRecording {
+            subject: profile.id,
+            activity,
+            hr_bpm: hr,
+            ppg,
+            accel_x: accel.x,
+            accel_y: accel.y,
+            accel_z: accel.z,
+            motion_envelope: accel.motion_envelope,
         })
     }
 }

@@ -71,8 +71,8 @@ pub use error::DataError;
 pub use folds::{CrossValidation, Fold};
 pub use stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
 pub use stream::{
-    collect_windows, DatasetWindows, IntoWindowSource, RecordingWindows, SliceSource, SynthWindows,
-    VecSource, WindowSource,
+    collect_windows, BufferWindows, IntoWindowSource, RecordingWindows, SliceSource, SynthWindows,
+    WindowSource,
 };
 pub use subject::{SubjectId, SubjectProfile};
 pub use window::LabeledWindow;

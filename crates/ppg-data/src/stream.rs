@@ -10,41 +10,38 @@
 //!   (`next_window() -> Option<Result<LabeledWindow, DataError>>`) with a
 //!   [`size_hint`](WindowSource::size_hint) contract, implemented by every
 //!   window producer in the workspace,
+//! * [`RecordingWindows`] — the one window cursor over a recording, borrowed
+//!   ([`SessionRecording::window_stream`](crate::SessionRecording::window_stream))
+//!   or owned (inside [`SynthWindows`]),
 //! * [`SynthWindows`] — fully lazy synthesis from
 //!   `(seed, subjects, activity schedule)` via
 //!   [`DatasetBuilder::window_stream`](crate::DatasetBuilder::window_stream):
 //!   at most **one activity segment** of raw signal is alive at a time and
 //!   exactly **one window** is materialized per pull, instead of the whole
 //!   session,
-//! * [`DatasetWindows`] / [`RecordingWindows`] — lazy window extraction from
-//!   already-materialized recordings
-//!   ([`Dataset::window_stream`](crate::Dataset::window_stream) /
-//!   [`SessionRecording::window_stream`](crate::SessionRecording::window_stream)),
-//! * [`SliceSource`] / [`VecSource`] — adapters that keep every existing
-//!   `&[LabeledWindow]` call site compiling: [`IntoWindowSource`] is
-//!   implemented for slices, slice references, arrays and vectors, so
+//! * [`BufferWindows`] — the one cursor over an in-memory window buffer:
+//!   [`SliceSource`] for borrowed slices and [`cache::CachedWindows`] for
+//!   shared cache entries. [`IntoWindowSource`] converts `&[LabeledWindow]`,
+//!   `&Vec<LabeledWindow>` and window arrays into a [`SliceSource`], so
 //!   consumers such as `chris_core::ChrisRuntime::run` accept both eager
 //!   buffers and streams through one generic parameter,
 //! * [`cache`] — memoized synthesis: [`cache::WindowCache`] is a bounded,
 //!   deterministic LRU over materialized streams keyed by the full synthesis
-//!   input, and [`cache::CachedWindows`] replays the shared buffer as a
-//!   stream that is observationally identical to a fresh [`SynthWindows`].
+//!   input, and its replays are observationally identical to a fresh
+//!   [`SynthWindows`].
 //!
 //! The streams are **bit-exact** replays of the eager paths: collecting any
-//! of them yields element-wise the same `LabeledWindow`s the legacy
-//! `Vec`-returning methods produced (locked in by property tests), so reports
+//! of them yields element-wise the same `LabeledWindow`s the
+//! `Vec`-returning methods produce (locked in by property tests), so reports
 //! computed from a stream are byte-identical to reports computed from the
 //! eager vectors.
 
 pub mod cache;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
-use crate::activity::Activity;
-use crate::dataset::{synthesize_recording, Dataset, SessionRecording};
+use crate::dataset::{SessionRecording, Sessions};
 use crate::error::DataError;
-use crate::subject::{SubjectId, SubjectProfile};
 use crate::window::LabeledWindow;
 use crate::{WINDOW_SAMPLES, WINDOW_STRIDE};
 
@@ -90,8 +87,7 @@ pub trait WindowSource {
     ///
     /// The zero-copy consumption path: single-pass consumers
     /// (`chris_core::ChrisRuntime::run`, `chris_core::Profiler`) drive their
-    /// loops through it, so buffer-backed sources like [`SliceSource`]
-    /// override it to iterate without cloning a single window — eager call
+    /// loops through it, so [`BufferWindows`] overrides it to iterate without cloning a single window — eager call
     /// sites keep their pre-streaming cost.
     fn try_for_each_window<E: From<DataError>>(
         &mut self,
@@ -110,8 +106,7 @@ pub trait WindowSource {
     }
 
     /// Borrowed view of the remaining windows when the source is backed by
-    /// an in-memory buffer ([`SliceSource`], [`VecSource`]); `None` for lazy
-    /// sources. Lets inherently multi-pass consumers
+    /// an in-memory buffer ([`BufferWindows`]); `None` for lazy sources. Lets inherently multi-pass consumers
     /// (`chris_core::Profiler::profile_all`) use already-materialized
     /// workloads in place instead of buffering a copy.
     fn as_slice(&self) -> Option<&[LabeledWindow]> {
@@ -132,10 +127,9 @@ pub trait WindowSource {
 ///
 /// The generic bound used by window consumers
 /// (`chris_core::ChrisRuntime::run`, `chris_core::Profiler::profile_all`):
-/// implemented identically (identity) by every source in this module and by
-/// reference-to-buffer types via [`SliceSource`] / [`VecSource`], so call
-/// sites can pass `&windows`, `&[..]`, a `Vec` or any stream without
-/// adapting manually.
+/// every [`WindowSource`] converts into itself and references to window
+/// buffers convert into a [`SliceSource`], so call sites can pass
+/// `&windows`, `&[..]` or any stream without adapting manually.
 pub trait IntoWindowSource {
     /// The concrete source this value converts into.
     type Source: WindowSource;
@@ -226,83 +220,72 @@ pub mod metrics {
     }
 }
 
-/// [`WindowSource`] over a borrowed window buffer; windows are cloned out one
-/// at a time.
+/// [`WindowSource`] cursor over an in-memory window buffer: a borrowed slice
+/// ([`SliceSource`]) or a shared cache entry
+/// ([`CachedWindows`](cache::CachedWindows)).
 ///
-/// The compatibility adapter that keeps `&[LabeledWindow]` call sites working
-/// against stream-consuming APIs.
+/// [`next_window`](WindowSource::next_window) clones one window per pull;
+/// [`try_for_each_window`](WindowSource::try_for_each_window) and
+/// [`as_slice`](WindowSource::as_slice) read the buffer in place, so eager
+/// call sites and cache replays keep their zero-copy cost. Cloning the cursor
+/// restarts the replay from the clone's position without duplicating a shared
+/// buffer.
 #[derive(Debug, Clone)]
-pub struct SliceSource<'a> {
-    remaining: &'a [LabeledWindow],
+pub struct BufferWindows<B> {
+    buffer: B,
+    next: usize,
 }
 
-impl<'a> SliceSource<'a> {
-    /// Wraps a window slice.
-    pub fn new(windows: &'a [LabeledWindow]) -> Self {
-        Self { remaining: windows }
+/// [`WindowSource`] over a borrowed window slice: what `&[LabeledWindow]`,
+/// `&Vec<LabeledWindow>` and window arrays convert into.
+pub type SliceSource<'a> = BufferWindows<&'a [LabeledWindow]>;
+
+impl<B: AsRef<[LabeledWindow]>> BufferWindows<B> {
+    /// Starts a replay at the first window of `buffer`.
+    pub fn new(buffer: B) -> Self {
+        Self { buffer, next: 0 }
     }
 }
 
-impl WindowSource for SliceSource<'_> {
+impl<B: AsRef<[LabeledWindow]>> WindowSource for BufferWindows<B> {
     fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        let (first, rest) = self.remaining.split_first()?;
-        self.remaining = rest;
-        Some(Ok(first.clone()))
+        let window = self.buffer.as_ref().get(self.next)?.clone();
+        self.next += 1;
+        Some(Ok(window))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining.len(), Some(self.remaining.len()))
+        let remaining = self.buffer.as_ref().len() - self.next;
+        (remaining, Some(remaining))
     }
 
-    /// Zero-copy override: visits the buffered windows by reference; the
-    /// per-pull clone of [`SliceSource::next_window`] only happens when a
-    /// consumer genuinely needs owned windows. On a visitor error the
-    /// source is positioned after the failing window, exactly like the
-    /// default implementation.
+    /// Zero-copy override: visits the buffered windows by reference. On a
+    /// visitor error the cursor is positioned after the failing window,
+    /// exactly like the default implementation.
     fn try_for_each_window<E: From<DataError>>(
         &mut self,
         mut f: impl FnMut(&LabeledWindow) -> Result<(), E>,
     ) -> Result<usize, E> {
         let mut visited = 0usize;
-        while let Some((first, rest)) = self.remaining.split_first() {
-            self.remaining = rest;
-            f(first)?;
+        while let Some(window) = self.buffer.as_ref().get(self.next) {
+            self.next += 1;
+            f(window)?;
             visited += 1;
         }
         Ok(visited)
     }
 
     fn as_slice(&self) -> Option<&[LabeledWindow]> {
-        Some(self.remaining)
+        Some(&self.buffer.as_ref()[self.next..])
     }
 }
 
-/// Owning [`WindowSource`] over a window vector.
-#[derive(Debug)]
-pub struct VecSource {
-    windows: std::vec::IntoIter<LabeledWindow>,
-}
+/// Every source converts into itself.
+impl<S: WindowSource> IntoWindowSource for S {
+    type Source = S;
 
-impl VecSource {
-    /// Wraps an owned window vector.
-    pub fn new(windows: Vec<LabeledWindow>) -> Self {
-        Self {
-            windows: windows.into_iter(),
-        }
-    }
-}
-
-impl WindowSource for VecSource {
-    fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        self.windows.next().map(Ok)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.windows.size_hint()
-    }
-
-    fn as_slice(&self) -> Option<&[LabeledWindow]> {
-        Some(self.windows.as_slice())
+    fn into_window_source(self) -> Self::Source {
+        self
     }
 }
 
@@ -330,182 +313,59 @@ impl<'a, const N: usize> IntoWindowSource for &'a [LabeledWindow; N] {
     }
 }
 
-impl IntoWindowSource for Vec<LabeledWindow> {
-    type Source = VecSource;
-
-    fn into_window_source(self) -> Self::Source {
-        VecSource::new(self)
-    }
-}
-
-impl<'a> IntoWindowSource for SliceSource<'a> {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
-
-impl IntoWindowSource for VecSource {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
-
-impl<'a> IntoWindowSource for RecordingWindows<'a> {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
-
-impl<'a> IntoWindowSource for DatasetWindows<'a> {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
-
-impl IntoWindowSource for SynthWindows {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecordingState {
-    /// Length not yet validated.
-    Fresh,
-    /// Validated; yielding windows.
-    Yielding,
-    /// Exhausted or failed.
-    Done,
-}
-
-/// Lazy [`WindowSource`] over one materialized [`SessionRecording`]
-/// (see [`SessionRecording::window_stream`]).
+/// Lazy [`WindowSource`] over one [`SessionRecording`], borrowed (see
+/// [`SessionRecording::window_stream`]) or owned (the segment a
+/// [`SynthWindows`] stream holds alive).
 ///
-/// Mirrors the legacy eager extraction exactly: a recording shorter than one
-/// window yields a single [`DataError::RecordingTooShort`]; otherwise every
-/// stride-aligned window is yielded in order, one allocation per pull.
+/// A recording shorter than one window yields a single
+/// [`DataError::RecordingTooShort`]; otherwise every stride-aligned window is
+/// yielded in order, one allocation per pull.
 #[derive(Debug, Clone)]
-pub struct RecordingWindows<'a> {
-    recording: &'a SessionRecording,
+pub struct RecordingWindows<R> {
+    recording: R,
     next_start: usize,
-    state: RecordingState,
+    done: bool,
 }
 
-impl<'a> RecordingWindows<'a> {
-    pub(crate) fn new(recording: &'a SessionRecording) -> Self {
+impl<R: Borrow<SessionRecording>> RecordingWindows<R> {
+    pub(crate) fn new(recording: R) -> Self {
         Self {
             recording,
             next_start: 0,
-            state: RecordingState::Fresh,
+            done: false,
         }
     }
 }
 
-impl WindowSource for RecordingWindows<'_> {
+impl<R: Borrow<SessionRecording>> WindowSource for RecordingWindows<R> {
     fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        match self.state {
-            RecordingState::Fresh => {
-                if self.recording.len() < WINDOW_SAMPLES {
-                    self.state = RecordingState::Done;
-                    return Some(Err(DataError::RecordingTooShort {
-                        samples: self.recording.len(),
-                        required: WINDOW_SAMPLES,
-                    }));
-                }
-                self.state = RecordingState::Yielding;
-            }
-            RecordingState::Yielding => {}
-            RecordingState::Done => return None,
+        if self.done {
+            return None;
         }
-        if self.next_start + WINDOW_SAMPLES <= self.recording.len() {
-            let window = self.recording.window_at(self.next_start);
-            self.next_start += WINDOW_STRIDE;
-            Some(Ok(window))
-        } else {
-            self.state = RecordingState::Done;
-            None
+        let recording = self.recording.borrow();
+        let start = self.next_start;
+        if start + WINDOW_SAMPLES > recording.len() {
+            self.done = true;
+            // Only a recording too short for its first window fails.
+            return (start == 0).then(|| {
+                Err(DataError::RecordingTooShort {
+                    samples: recording.len(),
+                    required: WINDOW_SAMPLES,
+                })
+            });
         }
+        self.next_start += WINDOW_STRIDE;
+        Some(Ok(recording.window_at(start)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = match self.state {
-            RecordingState::Done => 0,
-            _ => window_count_for(self.recording.len().saturating_sub(self.next_start)),
+        let remaining = if self.done {
+            0
+        } else {
+            window_count_for(self.recording.borrow().len() - self.next_start)
         };
         (remaining, Some(remaining))
     }
-}
-
-/// Lazy [`WindowSource`] over every recording of a materialized [`Dataset`]
-/// (see [`Dataset::window_stream`]), in subject/activity order.
-///
-/// Recordings too short for one window are skipped, matching the legacy
-/// `Dataset::windows()` behaviour (such recordings cannot exist after a
-/// successful build).
-#[derive(Debug, Clone)]
-pub struct DatasetWindows<'a> {
-    recordings: std::slice::Iter<'a, SessionRecording>,
-    current: Option<RecordingWindows<'a>>,
-}
-
-impl<'a> DatasetWindows<'a> {
-    pub(crate) fn new(dataset: &'a Dataset) -> Self {
-        Self {
-            recordings: dataset.recordings().iter(),
-            current: None,
-        }
-    }
-}
-
-impl WindowSource for DatasetWindows<'_> {
-    fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        loop {
-            if let Some(current) = &mut self.current {
-                match current.next_window() {
-                    Some(Ok(window)) => return Some(Ok(window)),
-                    // Parity with the eager path's `unwrap_or_default()`:
-                    // a too-short recording contributes no windows.
-                    Some(Err(_)) | None => self.current = None,
-                }
-            }
-            match self.recordings.next() {
-                Some(recording) => self.current = Some(recording.window_stream()),
-                None => return None,
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let current = self.current.as_ref().map_or(0, |c| c.size_hint().0);
-        let rest: usize = self
-            .recordings
-            .clone()
-            .map(|r| r.window_count())
-            .sum::<usize>();
-        let total = current + rest;
-        (total, Some(total))
-    }
-}
-
-/// Per-subject synthesis cursor of a [`SynthWindows`] stream.
-#[derive(Debug, Clone)]
-struct SubjectCursor {
-    rng: StdRng,
-    profile: SubjectProfile,
-    last_hr: f32,
-    next_activity: usize,
-    /// The one activity segment currently alive, plus the next window start.
-    current: Option<(SessionRecording, usize)>,
 }
 
 /// Fully lazy [`WindowSource`]: synthesizes windows on demand from
@@ -513,38 +373,26 @@ struct SubjectCursor {
 /// dataset, a session, or a window vector.
 ///
 /// Produced by [`DatasetBuilder::window_stream`](crate::DatasetBuilder::window_stream)
-/// (and, one layer up, by `fleet::DeviceScenario::window_stream`). The replay
-/// is bit-exact with the eager `build()?.windows()` path: the same master RNG
-/// draws, the same per-subject streams, the same activity chaining of the
-/// heart-rate trajectory. Peak memory is one activity segment of raw signal
-/// (a few KiB) instead of the whole multi-activity session and its window
-/// vector.
+/// (and, one layer up, by `fleet::DeviceScenario::window_stream`). It pulls
+/// recordings one at a time from the same session generator
+/// [`DatasetBuilder::build`](crate::DatasetBuilder::build) collects, so the
+/// replay is bit-exact with the eager `build()?.windows()` path. Peak memory
+/// is one activity segment of raw signal (a few KiB) instead of the whole
+/// multi-activity session and its window vector.
 #[derive(Debug, Clone)]
 pub struct SynthWindows {
-    activities: Vec<Activity>,
-    samples_per_activity: usize,
-    subject_count: usize,
-    master: StdRng,
-    next_subject: usize,
-    subject: Option<SubjectCursor>,
+    sessions: Sessions,
+    /// The one activity segment currently alive.
+    current: Option<RecordingWindows<SessionRecording>>,
     remaining: usize,
 }
 
 impl SynthWindows {
-    pub(crate) fn new(
-        subject_count: usize,
-        activities: Vec<Activity>,
-        samples_per_activity: usize,
-        seed: u64,
-    ) -> Self {
-        let remaining = subject_count * activities.len() * window_count_for(samples_per_activity);
+    pub(crate) fn new(sessions: Sessions) -> Self {
+        let remaining = sessions.window_total();
         Self {
-            activities,
-            samples_per_activity,
-            subject_count,
-            master: StdRng::seed_from_u64(seed),
-            next_subject: 0,
-            subject: None,
+            sessions,
+            current: None,
             remaining,
         }
     }
@@ -563,48 +411,17 @@ impl SynthWindows {
 impl WindowSource for SynthWindows {
     fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
         loop {
-            if let Some(subject) = &mut self.subject {
-                if let Some((recording, next_start)) = &mut subject.current {
-                    if *next_start + WINDOW_SAMPLES <= recording.len() {
-                        let window = recording.window_at(*next_start);
-                        *next_start += WINDOW_STRIDE;
-                        self.remaining -= 1;
-                        return Some(Ok(window));
-                    }
-                    subject.current = None;
-                }
-                if subject.next_activity < self.activities.len() {
-                    let activity = self.activities[subject.next_activity];
-                    subject.next_activity += 1;
-                    let recording = synthesize_recording(
-                        &mut subject.rng,
-                        &subject.profile,
-                        activity,
-                        self.samples_per_activity,
-                        &mut subject.last_hr,
-                    );
-                    subject.current = Some((recording, 0));
-                    continue;
-                }
-                self.subject = None;
+            if let Some(item) = self
+                .current
+                .as_mut()
+                .and_then(RecordingWindows::next_window)
+            {
+                self.remaining -= 1;
+                return Some(item);
             }
-            if self.next_subject < self.subject_count {
-                // Same derivation as `DatasetBuilder::build`: every subject
-                // gets an independent stream drawn from the master RNG.
-                let subject_seed: u64 = self.master.random();
-                let mut rng = StdRng::seed_from_u64(subject_seed);
-                let profile = SubjectProfile::generate(SubjectId(self.next_subject), &mut rng);
-                self.subject = Some(SubjectCursor {
-                    last_hr: profile.resting_hr_bpm,
-                    rng,
-                    profile,
-                    next_activity: 0,
-                    current: None,
-                });
-                self.next_subject += 1;
-                continue;
-            }
-            return None;
+            // Drop the exhausted segment before synthesizing the next one.
+            self.current = None;
+            self.current = Some(RecordingWindows::new(self.sessions.next()?));
         }
     }
 
@@ -640,15 +457,40 @@ mod tests {
     }
 
     #[test]
-    fn vec_source_owns_its_windows() {
+    fn slice_visitor_stops_after_the_failing_window() {
         let windows = small_builder().build().unwrap().windows();
-        let n = windows.len();
-        let collected: Vec<_> = VecSource::new(windows.clone())
+        let mut source = SliceSource::new(&windows);
+        let mut seen = 0usize;
+        let result = source.try_for_each_window(|_| {
+            seen += 1;
+            if seen == 2 {
+                return Err(DataError::InvalidParameter {
+                    name: "visitor",
+                    requirement: "fails on the second window",
+                });
+            }
+            Ok(())
+        });
+        assert!(result.is_err());
+        assert_eq!(source.size_hint().0, windows.len() - 2);
+        assert_eq!(source.next_window().unwrap().unwrap(), windows[2]);
+    }
+
+    #[test]
+    fn owned_recording_cursor_matches_the_borrowed_one() {
+        let dataset = small_builder().build().unwrap();
+        let recording = &dataset.recordings()[0];
+        let borrowed: Vec<_> = recording
+            .window_stream()
             .iter()
             .map(Result::unwrap)
             .collect();
-        assert_eq!(collected.len(), n);
-        assert_eq!(collected, windows);
+        let owned: Vec<_> = RecordingWindows::new(recording.clone())
+            .iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(borrowed.len(), recording.window_count());
+        assert_eq!(owned, borrowed);
     }
 
     #[test]
@@ -673,15 +515,6 @@ mod tests {
         }
         assert_eq!(seen, total);
         assert!(stream.is_empty());
-    }
-
-    #[test]
-    fn dataset_stream_matches_eager_windows() {
-        let dataset = small_builder().build().unwrap();
-        let eager = dataset.windows();
-        let streamed: Vec<_> = dataset.window_stream().iter().map(Result::unwrap).collect();
-        assert_eq!(streamed, eager);
-        assert_eq!(dataset.window_stream().size_hint().0, eager.len());
     }
 
     #[test]

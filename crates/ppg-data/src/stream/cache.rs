@@ -18,12 +18,12 @@
 //!   (never on hash order or clocks), so a run that uses a cache is exactly
 //!   as reproducible as one that does not. Hit/miss counters let callers
 //!   surface cache effectiveness,
-//! * [`CachedWindows`] — the replay [`WindowSource`]: a shared
-//!   `Arc<Vec<LabeledWindow>>` buffer yielded one window per pull, with the
-//!   same zero-copy [`try_for_each_window`](WindowSource::try_for_each_window)
-//!   and [`as_slice`](WindowSource::as_slice) fast paths as
-//!   [`SliceSource`](crate::SliceSource). Every lookup returns one, hit or
-//!   miss, at any capacity.
+//! * [`CachedWindows`] — the replay [`WindowSource`]: the crate's one buffer
+//!   cursor, [`BufferWindows`], over a shared `Arc<[LabeledWindow]>`, so the
+//!   zero-copy [`try_for_each_window`](WindowSource::try_for_each_window)
+//!   and [`as_slice`](WindowSource::as_slice) fast paths are the ones
+//!   eager slices use. Every lookup returns one, hit or miss, at any
+//!   capacity.
 //!
 //! The cache is deliberately **not** synchronized: fleet executors keep one
 //! cache per worker thread (lock-free by construction) and merge the counters
@@ -35,7 +35,7 @@ use crate::activity::Activity;
 use crate::error::DataError;
 use crate::window::LabeledWindow;
 
-use super::{IntoWindowSource, WindowSource};
+use super::{BufferWindows, WindowSource};
 
 /// The complete input of a synthesized window stream; equal keys imply
 /// bit-identical streams.
@@ -66,7 +66,7 @@ pub struct WindowCache {
     capacity: usize,
     /// Most-recently-used first; linear scan keeps ordering deterministic
     /// and is faster than hashing for the small capacities caches run with.
-    entries: Vec<(WindowCacheKey, Arc<Vec<LabeledWindow>>)>,
+    entries: Vec<(WindowCacheKey, Arc<[LabeledWindow]>)>,
     hits: u64,
     misses: u64,
 }
@@ -137,7 +137,7 @@ impl WindowCache {
             let entry = self.entries.remove(index);
             let windows = Arc::clone(&entry.1);
             self.entries.insert(0, entry);
-            return Ok(CachedWindows::new(windows));
+            return Ok(BufferWindows::new(windows));
         }
         self.misses += 1;
         let mut source = synth()?;
@@ -148,11 +148,11 @@ impl WindowCache {
         while let Some(item) = source.next_window() {
             out.push(item?);
         }
-        let windows = Arc::new(out);
+        let windows: Arc<[LabeledWindow]> = out.into();
         // At capacity 0 the truncation drops the new entry again.
         self.entries.insert(0, (key, Arc::clone(&windows)));
         self.entries.truncate(self.capacity);
-        Ok(CachedWindows::new(windows))
+        Ok(BufferWindows::new(windows))
     }
 }
 
@@ -161,68 +161,7 @@ impl WindowCache {
 ///
 /// Cloning the source restarts the replay from the clone's position without
 /// duplicating the buffer.
-#[derive(Debug, Clone)]
-pub struct CachedWindows {
-    windows: Arc<Vec<LabeledWindow>>,
-    next: usize,
-}
-
-impl CachedWindows {
-    fn new(windows: Arc<Vec<LabeledWindow>>) -> Self {
-        Self { windows, next: 0 }
-    }
-
-    /// Total number of windows in the underlying shared buffer.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether the underlying shared buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-}
-
-impl WindowSource for CachedWindows {
-    fn next_window(&mut self) -> Option<Result<LabeledWindow, DataError>> {
-        let window = self.windows.get(self.next)?;
-        self.next += 1;
-        Some(Ok(window.clone()))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.windows.len() - self.next;
-        (remaining, Some(remaining))
-    }
-
-    /// Zero-copy override mirroring [`SliceSource`](crate::SliceSource): the
-    /// shared buffer is visited by reference, and on a visitor error the
-    /// source is positioned after the failing window.
-    fn try_for_each_window<E: From<DataError>>(
-        &mut self,
-        mut f: impl FnMut(&LabeledWindow) -> Result<(), E>,
-    ) -> Result<usize, E> {
-        let mut visited = 0usize;
-        while let Some(window) = self.windows.get(self.next) {
-            self.next += 1;
-            f(window)?;
-            visited += 1;
-        }
-        Ok(visited)
-    }
-
-    fn as_slice(&self) -> Option<&[LabeledWindow]> {
-        Some(&self.windows[self.next..])
-    }
-}
-
-impl IntoWindowSource for CachedWindows {
-    type Source = Self;
-
-    fn into_window_source(self) -> Self::Source {
-        self
-    }
-}
+pub type CachedWindows = BufferWindows<Arc<[LabeledWindow]>>;
 
 #[cfg(test)]
 mod tests {
@@ -324,7 +263,7 @@ mod tests {
     fn cached_windows_supports_slice_and_visitor_fast_paths() {
         let mut cache = WindowCache::new(1);
         let mut stream = builder(11).cached_window_stream(&mut cache).unwrap();
-        let total = stream.len();
+        let total = stream.size_hint().0;
         assert!(total > 0);
         assert_eq!(stream.size_hint(), (total, Some(total)));
         assert_eq!(stream.as_slice().unwrap().len(), total);

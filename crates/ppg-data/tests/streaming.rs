@@ -46,8 +46,8 @@ proptest! {
         prop_assert_eq!(streamed, eager);
     }
 
-    /// The lazy streams over a *materialized* dataset (dataset- and
-    /// recording-level) also replay the eager vectors exactly.
+    /// The lazy recording streams over a *materialized* dataset also replay
+    /// the eager vectors exactly.
     #[test]
     fn dataset_and_recording_streams_match_their_eager_vectors(
         seed in 0u64..10_000,
@@ -61,9 +61,6 @@ proptest! {
             .unwrap();
 
         let eager = dataset.windows();
-        let streamed: Vec<_> = dataset.window_stream().iter().map(Result::unwrap).collect();
-        prop_assert_eq!(&streamed, &eager);
-
         let mut from_recordings = Vec::new();
         for recording in dataset.recordings() {
             prop_assert_eq!(recording.window_count(), recording.windows().unwrap().len());

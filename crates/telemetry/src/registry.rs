@@ -245,7 +245,7 @@ struct SeriesKey {
     labels: Vec<(String, String)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
@@ -383,31 +383,17 @@ impl Registry {
         stability: Stability,
     ) -> Result<Counter, TelemetryError> {
         let key = validated_key(name, labels)?;
-        let mut store = self
-            .inner
-            .series
-            .write()
-            .expect("telemetry registry poisoned");
-        if let Some(existing) = store.get(&key) {
-            check_meta(existing, "counter", help, stability, &key.name)?;
-            if let Instrument::Counter(c) = &existing.instrument {
-                return Ok(c.clone());
-            }
-            unreachable!("kind checked above");
-        }
-        let counter = Counter {
-            cell: Arc::new(AtomicU64::new(0)),
-            enabled: self.inner.enabled,
+        let enabled = self.inner.enabled;
+        let create = || {
+            Instrument::Counter(Counter {
+                cell: Arc::new(AtomicU64::new(0)),
+                enabled,
+            })
         };
-        store.insert(
-            key,
-            Series {
-                help: help.to_string(),
-                stability,
-                instrument: Instrument::Counter(counter.clone()),
-            },
-        );
-        Ok(counter)
+        match self.resolve(key, "counter", help, stability, create)? {
+            Instrument::Counter(counter) => Ok(counter),
+            _ => unreachable!("kind checked on resolution"),
+        }
     }
 
     /// Registers (or resolves) a gauge series.
@@ -424,31 +410,17 @@ impl Registry {
         stability: Stability,
     ) -> Result<Gauge, TelemetryError> {
         let key = validated_key(name, labels)?;
-        let mut store = self
-            .inner
-            .series
-            .write()
-            .expect("telemetry registry poisoned");
-        if let Some(existing) = store.get(&key) {
-            check_meta(existing, "gauge", help, stability, &key.name)?;
-            if let Instrument::Gauge(g) = &existing.instrument {
-                return Ok(g.clone());
-            }
-            unreachable!("kind checked above");
-        }
-        let gauge = Gauge {
-            cell: Arc::new(AtomicI64::new(0)),
-            enabled: self.inner.enabled,
+        let enabled = self.inner.enabled;
+        let create = || {
+            Instrument::Gauge(Gauge {
+                cell: Arc::new(AtomicI64::new(0)),
+                enabled,
+            })
         };
-        store.insert(
-            key,
-            Series {
-                help: help.to_string(),
-                stability,
-                instrument: Instrument::Gauge(gauge.clone()),
-            },
-        );
-        Ok(gauge)
+        match self.resolve(key, "gauge", help, stability, create)? {
+            Instrument::Gauge(gauge) => Ok(gauge),
+            _ => unreachable!("kind checked on resolution"),
+        }
     }
 
     /// Registers (or resolves) a histogram series with the given bucket
@@ -474,42 +446,61 @@ impl Registry {
                 detail: "histogram bounds must be non-empty and strictly increasing".to_string(),
             });
         }
+        let enabled = self.inner.enabled;
+        let create = || {
+            Instrument::Histogram(Histogram {
+                core: Arc::new(HistogramCore {
+                    bounds: bounds.to_vec(),
+                    buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
+                    sum: AtomicU64::new(0),
+                    count: AtomicU64::new(0),
+                }),
+                enabled,
+            })
+        };
+        let histogram = match self.resolve(key, "histogram", help, stability, create)? {
+            Instrument::Histogram(histogram) => histogram,
+            _ => unreachable!("kind checked on resolution"),
+        };
+        if histogram.core.bounds != bounds {
+            return Err(TelemetryError::KindMismatch {
+                name: name.to_string(),
+                detail: "histogram bucket bounds differ".to_string(),
+            });
+        }
+        Ok(histogram)
+    }
+
+    /// The lookup path every instrument kind shares: under the write lock,
+    /// resolves the series at `key`, whose kind, help and stability must
+    /// match, or registers the instrument `create` builds.
+    fn resolve(
+        &self,
+        key: SeriesKey,
+        kind: &'static str,
+        help: &str,
+        stability: Stability,
+        create: impl FnOnce() -> Instrument,
+    ) -> Result<Instrument, TelemetryError> {
         let mut store = self
             .inner
             .series
             .write()
             .expect("telemetry registry poisoned");
         if let Some(existing) = store.get(&key) {
-            check_meta(existing, "histogram", help, stability, &key.name)?;
-            if let Instrument::Histogram(h) = &existing.instrument {
-                if h.core.bounds != bounds {
-                    return Err(TelemetryError::KindMismatch {
-                        name: key.name,
-                        detail: "histogram bucket bounds differ".to_string(),
-                    });
-                }
-                return Ok(h.clone());
-            }
-            unreachable!("kind checked above");
+            check_meta(existing, kind, help, stability, &key.name)?;
+            return Ok(existing.instrument.clone());
         }
-        let histogram = Histogram {
-            core: Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
-                sum: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-            }),
-            enabled: self.inner.enabled,
-        };
+        let instrument = create();
         store.insert(
             key,
             Series {
                 help: help.to_string(),
                 stability,
-                instrument: Instrument::Histogram(histogram.clone()),
+                instrument: instrument.clone(),
             },
         );
-        Ok(histogram)
+        Ok(instrument)
     }
 
     /// A point-in-time snapshot of every series, sorted by `(name, labels)`.
