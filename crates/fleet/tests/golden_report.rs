@@ -1,15 +1,16 @@
-//! Golden-report snapshot: a committed 64-device `balanced` fleet report is
-//! byte-compared against a fresh run. Any accidental change to scenario
+//! Golden-report snapshots: a committed 64-device fleet report per preset
+//! mix (`balanced`, `harsh`, `connected`, `cohort`) is byte-compared against
+//! a fresh run. Any accidental change to scenario
 //! generation, device simulation, reduction order or JSON serialization
 //! fails this test loudly instead of silently shifting the population-level
 //! numbers every downstream claim rests on.
 //!
 //! If the change is *intentional* (e.g. a deliberate engine change that is
-//! allowed to move the numbers), regenerate the fixture with exactly:
+//! allowed to move the numbers), regenerate each fixture with exactly:
 //!
 //! ```text
-//! cargo run --release -p bench --bin fleet -- --devices 64 --seed 42 --mix balanced --json \
-//!     > crates/fleet/tests/fixtures/fleet-64-balanced-seed42.json
+//! cargo run --release -p bench --bin fleet -- --devices 64 --seed 42 --mix <mix> --json \
+//!     > crates/fleet/tests/fixtures/fleet-64-<mix>-seed42.json
 //! ```
 //!
 //! and call the change out in the PR description.
@@ -37,6 +38,41 @@ fn golden_64_device_balanced_report_is_byte_stable() {
         "the 64-device balanced fleet report drifted from the committed golden \
          fixture; if this change is intentional, regenerate it with:\n  {REGENERATE}"
     );
+}
+
+/// The other preset mixes, each pinned by its own fixture. Every activity
+/// has a nonzero burst probability, so all of them exercise the
+/// accelerometer burst schedule.
+const OTHER_MIXES: [(&str, &str); 3] = [
+    ("harsh", include_str!("fixtures/fleet-64-harsh-seed42.json")),
+    (
+        "connected",
+        include_str!("fixtures/fleet-64-connected-seed42.json"),
+    ),
+    (
+        "cohort",
+        include_str!("fixtures/fleet-64-cohort-seed42.json"),
+    ),
+];
+
+#[test]
+fn golden_64_device_reports_of_the_other_mixes_are_byte_stable() {
+    for (name, golden) in OTHER_MIXES {
+        let mix = ScenarioMix::from_name(name).unwrap();
+        let simulation = FleetSimulation::new(42, mix).unwrap();
+        let outcome = simulation
+            .run_with_options(64, &ExecutorOptions::default(), None)
+            .unwrap();
+        let json = serde_json::to_string_pretty(&outcome.report).unwrap();
+        assert_eq!(
+            format!("{json}\n"),
+            golden,
+            "the 64-device {name} fleet report drifted from its golden fixture; \
+             if this change is intentional, regenerate it with:\n  \
+             cargo run --release -p bench --bin fleet -- --devices 64 --seed 42 \
+             --mix {name} --json > crates/fleet/tests/fixtures/fleet-64-{name}-seed42.json"
+        );
+    }
 }
 
 #[test]
