@@ -19,13 +19,13 @@ use std::collections::BTreeMap;
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::power_state::{PowerState, PowerStateTrace};
 use hw_sim::units::{Energy, TimeSpan};
-use ppg_data::{IntoWindowSource, WindowSource};
+use ppg_data::{Activity, IntoWindowSource, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use serde::{Deserialize, Serialize};
 
-use crate::config::EnergyAccounting;
+use crate::config::{Configuration, EnergyAccounting};
 use crate::decision::{ConnectionStatus, DecisionEngine, UserConstraint};
 use crate::error::ChrisError;
 use crate::profiling::Profiler;
@@ -166,7 +166,13 @@ impl ChrisRuntime {
         let instruments = crate::metrics::RunInstruments::resolve();
 
         let mut errors = ErrorAccumulator::new();
-        let mut per_activity: BTreeMap<String, ErrorAccumulator> = BTreeMap::new();
+        // Per-window bookkeeping without per-window allocation: windows per
+        // configuration, and one error accumulator per activity that folds
+        // its windows in order. The report's label-keyed maps are built once
+        // after the loop.
+        let mut usage: Vec<(Configuration, usize)> = Vec::new();
+        let mut per_activity: [ErrorAccumulator; Activity::COUNT] =
+            std::array::from_fn(|_| ErrorAccumulator::new());
         let mut trace = PowerStateTrace::new();
         let mut phone_energy = Energy::ZERO;
         let mut offloaded = 0usize;
@@ -185,7 +191,10 @@ impl ChrisRuntime {
             let status = ConnectionStatus::from_connected(connected);
             let profile = self.engine.select_or_closest(constraint, status)?;
             let configuration = profile.configuration;
-            report.record_configuration(&configuration, 1);
+            match usage.iter_mut().find(|(c, _)| *c == configuration) {
+                Some((_, count)) => *count += 1,
+                None => usage.push((configuration, 1)),
+            }
 
             let predicted_activity = {
                 let _timer = instruments.time_classify();
@@ -209,10 +218,7 @@ impl ChrisRuntime {
                 estimator.predict(window)?
             };
             errors.record(prediction, window.hr_bpm);
-            per_activity
-                .entry(window.activity.name().to_string())
-                .or_default()
-                .record(prediction, window.hr_bpm);
+            per_activity[window.activity.index()].record(prediction, window.hr_bpm);
 
             // Energy accounting for this window.
             let _energy_timer = instruments.time_energy();
@@ -265,9 +271,14 @@ impl ChrisRuntime {
             .into_iter()
             .map(|(state, energy)| (state.name().to_string(), energy))
             .collect();
-        report.per_activity_mae = per_activity
-            .into_iter()
-            .map(|(activity, acc)| (activity, acc.mae().unwrap_or(0.0)))
+        for (configuration, count) in &usage {
+            report.record_configuration(configuration, *count);
+        }
+        report.per_activity_mae = Activity::ALL
+            .iter()
+            .zip(&per_activity)
+            .filter(|(_, acc)| acc.count() > 0)
+            .map(|(activity, acc)| (activity.name().to_string(), acc.mae().unwrap_or(0.0)))
             .collect();
         Ok(report)
     }

@@ -27,7 +27,10 @@
 //!   O(devices). Device windows are likewise *streamed*, not materialized:
 //!   the runtime pulls them one at a time from
 //!   [`DeviceScenario::window_stream`], so peak per-device memory is one
-//!   activity segment instead of the whole session. [`progress`] sinks
+//!   activity segment instead of the whole session. Fleet windows carry
+//!   labels only ([`ppg_data::Synthesis::LabelsOnly`]): the oracle
+//!   classifier and the calibrated estimators read nothing else, so no
+//!   PPG or accelerometer signal is synthesized. [`progress`] sinks
 //!   observe each device, with its window count, as it completes
 //!   (`--progress` on the `fleet` / `fleet-shard` CLIs). With [`ExecutorOptions::profile_cache`]
 //!   (`--profile-cache`), each worker additionally memoizes synthesized
@@ -97,7 +100,7 @@ pub use shard::{ShardMeta, ShardProvenance, ShardReport, ShardSpec, ENGINE_VERSI
 pub use sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
 
 use chris_core::{DecisionEngine, Profiler, ProfilingOptions};
-use ppg_data::DatasetBuilder;
+use ppg_data::{DatasetBuilder, Synthesis};
 use ppg_models::zoo::ModelZoo;
 use telemetry::MetricsSnapshot;
 
@@ -147,11 +150,15 @@ impl FleetSimulation {
         let zoo = ModelZoo::paper_setup();
         // The profiling dataset is streamed straight into the profiler:
         // windows are buffered once for the multi-pass table build, but the
-        // raw recordings never materialize.
+        // recordings never materialize. The profiler's oracle classifier and
+        // calibrated estimators read labels only, so no signal is
+        // synthesized; the table is identical to one profiled on full
+        // signals.
         let profiling_stream = DatasetBuilder::new()
             .subjects(Self::PROFILING_SUBJECTS)
             .seconds_per_activity(Self::PROFILING_SECONDS_PER_ACTIVITY)
             .seed(master_seed)
+            .synthesis(Synthesis::LabelsOnly)
             .window_stream()?;
         let profiler = Profiler::new(&zoo);
         let table = profiler.profile_all(profiling_stream, ProfilingOptions::default())?;

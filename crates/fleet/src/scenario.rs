@@ -14,7 +14,7 @@ use chris_core::decision::UserConstraint;
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::units::Energy;
 use ppg_data::{
-    Activity, CachedWindows, DatasetBuilder, LabeledWindow, SynthWindows, WindowCache,
+    Activity, CachedWindows, DatasetBuilder, LabeledWindow, SynthWindows, Synthesis, WindowCache,
     WindowCacheKey,
 };
 use rand::rngs::StdRng;
@@ -176,10 +176,13 @@ impl DeviceScenario {
     /// Streams the device's labeled windows lazily, synthesizing them on
     /// demand from `(dataset seed, activity schedule)`.
     ///
-    /// The executor's path: at most one activity segment of raw signal and
-    /// one window are alive per device, instead of the whole session — the
-    /// collected stream is element-wise identical to the legacy eager
-    /// [`DeviceScenario::windows`] vector.
+    /// The executor's path: at most one activity segment of labels and one
+    /// window are alive per device, instead of the whole session — the
+    /// collected stream is element-wise identical to the eager
+    /// [`DeviceScenario::windows`] vector. Fleet windows are labels-only
+    /// ([`Synthesis::LabelsOnly`]): the oracle classifier and the calibrated
+    /// estimators read nothing else, and the labels are bit-identical to
+    /// full synthesis.
     ///
     /// # Errors
     ///
@@ -192,13 +195,15 @@ impl DeviceScenario {
 
     /// The dataset builder describing this device's session — the one place
     /// the scenario's synthesis parameters become builder state, shared by
-    /// the streaming, cached and key-derivation paths.
+    /// the streaming, cached and key-derivation paths. It synthesizes labels
+    /// only.
     fn dataset_builder(&self) -> DatasetBuilder {
         DatasetBuilder::new()
             .subjects(1)
             .seconds_per_activity(self.seconds_per_activity)
             .seed(self.dataset_seed)
             .activities(&self.activities)
+            .synthesis(Synthesis::LabelsOnly)
     }
 
     /// The memoization key of this device's window stream: everything that
@@ -512,7 +517,22 @@ mod tests {
         let scenario = generator.scenario(17);
         let windows = scenario.windows().unwrap();
         assert!(!windows.is_empty());
-        assert!(windows.iter().all(|w| w.ppg.len() == 256));
+        // Fleet windows are labels-only: each one's labels are those of the
+        // session builder's full synthesis.
+        let full = scenario
+            .dataset_builder()
+            .synthesis(Synthesis::Full)
+            .build()
+            .unwrap()
+            .windows();
+        assert_eq!(windows.len(), full.len());
+        for (w, f) in windows.iter().zip(&full) {
+            assert_eq!(f.ppg.len(), 256);
+            assert_eq!(
+                (w.subject, w.activity, w.hr_bpm.to_bits()),
+                (f.subject, f.activity, f.hr_bpm.to_bits())
+            );
+        }
         // Difficulty order is preserved.
         for pair in scenario.activities.windows(2) {
             assert!(pair[0].difficulty() <= pair[1].difficulty());

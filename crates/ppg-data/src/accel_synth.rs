@@ -19,7 +19,7 @@
 use rand::Rng;
 
 use crate::activity::Activity;
-use crate::noise::{ar1_noise, white_noise};
+use crate::noise::{ar1_noise, ar1_noise_words, skip_words, white_noise, white_noise_words};
 use crate::subject::SubjectProfile;
 
 /// A 3-axis accelerometer segment plus the motion envelope used to couple
@@ -61,7 +61,6 @@ pub fn accel_segment<R: Rng + ?Sized>(
     }
     let intensity = activity.motion_intensity_g();
     let cadence = activity.motion_periodicity_hz();
-    let burst_p = activity.burst_probability();
 
     // Slowly drifting gravity orientation (wrist pose changes).
     let pose_x = ar1_noise(rng, n_samples, 0.9995, 0.15);
@@ -84,23 +83,21 @@ pub fn accel_segment<R: Rng + ?Sized>(
         white_noise(rng, n_samples, 0.01),
     ];
 
-    // Burst schedule: each second may start a burst of 0.5..2 s.
     let mut burst_gain = vec![0.0f32; n_samples];
-    let samples_per_second = sample_rate_hz as usize;
-    let mut t = 0usize;
-    while t < n_samples {
-        if rng.random::<f32>() < burst_p {
-            let burst_len = rng.random_range(samples_per_second / 2..samples_per_second * 2);
-            let amp = rng.random_range(1.5f32..4.0);
+    burst_schedule(
+        rng,
+        activity,
+        n_samples,
+        sample_rate_hz,
+        |t, burst_len, amp| {
             let end = (t + burst_len).min(n_samples);
             for (k, gain) in burst_gain[t..end].iter_mut().enumerate() {
                 // Raised-cosine burst shape.
                 let frac = k as f32 / burst_len as f32;
                 *gain = gain.max(amp * (std::f32::consts::PI * frac).sin().powi(2));
             }
-        }
-        t += samples_per_second.max(1);
-    }
+        },
+    );
 
     let mut seg = AccelSegment {
         x: Vec::with_capacity(n_samples),
@@ -145,6 +142,55 @@ pub fn accel_segment<R: Rng + ?Sized>(
             .push(envelope * subject.artifact_susceptibility);
     }
     seg
+}
+
+/// Draws the burst schedule of a segment: each second may start a burst of
+/// 0.5..2 s, and `on_burst(start, length, amplitude)` sees every burst in
+/// order.
+///
+/// The one place the schedule's draws happen, shared by [`accel_segment`]
+/// and [`skip_accel_segment`]: the burst length is rejection-sampled, so its
+/// word count is not fixed and the skip must replay the draws, not count
+/// them.
+fn burst_schedule<R: Rng + ?Sized>(
+    rng: &mut R,
+    activity: Activity,
+    n_samples: usize,
+    sample_rate_hz: f32,
+    mut on_burst: impl FnMut(usize, usize, f32),
+) {
+    let burst_p = activity.burst_probability();
+    let samples_per_second = sample_rate_hz as usize;
+    let mut t = 0usize;
+    while t < n_samples {
+        if rng.random::<f32>() < burst_p {
+            let burst_len = rng.random_range(samples_per_second / 2..samples_per_second * 2);
+            let amp = rng.random_range(1.5f32..4.0);
+            on_burst(t, burst_len, amp);
+        }
+        t += samples_per_second.max(1);
+    }
+}
+
+/// Advances `rng` exactly as far as [`accel_segment`] with the same
+/// arguments would, without synthesizing the segment: the fixed-size noise
+/// draws are skipped word by word and only the burst schedule is replayed.
+pub(crate) fn skip_accel_segment<R: Rng + ?Sized>(
+    rng: &mut R,
+    activity: Activity,
+    n_samples: usize,
+    sample_rate_hz: f32,
+) {
+    if n_samples == 0 {
+        return;
+    }
+    // Pose x/y, cadence jitter and the aperiodic envelope (AR(1) each), the
+    // three phase offsets, then the three sensor-noise axes.
+    skip_words(
+        rng,
+        4 * ar1_noise_words(n_samples) + 3 + 3 * white_noise_words(n_samples),
+    );
+    burst_schedule(rng, activity, n_samples, sample_rate_hz, |_, _, _| {});
 }
 
 #[cfg(test)]
@@ -253,6 +299,19 @@ mod tests {
         let b = accel_segment(&mut rng_b, &robust, Activity::Walking, 32 * 30, 32.0);
         let sum = |v: &[f32]| v.iter().sum::<f32>();
         assert!(sum(&a.motion_envelope) > sum(&b.motion_envelope));
+    }
+
+    #[test]
+    fn skip_leaves_the_stream_where_synthesis_does() {
+        for (i, activity) in Activity::ALL.iter().enumerate() {
+            for n in [0, 1, 31, 32, 33, 32 * 24 + 5] {
+                let mut synthesized = StdRng::seed_from_u64(200 + i as u64);
+                let mut skipped = synthesized.clone();
+                accel_segment(&mut synthesized, &subject(), *activity, n, 32.0);
+                skip_accel_segment(&mut skipped, *activity, n, 32.0);
+                assert_eq!(synthesized, skipped, "{activity} over {n} samples");
+            }
+        }
     }
 
     #[test]

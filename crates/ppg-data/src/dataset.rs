@@ -4,23 +4,44 @@
 //! holds one [`SessionRecording`] per activity, generated by chaining the HR
 //! trajectory, accelerometer and PPG synthesizers. Windows are extracted with
 //! the paper's 256-sample / 64-sample-stride scheme.
+//!
+//! A builder can also synthesize *labels only* ([`Synthesis::LabelsOnly`]):
+//! the heart-rate trajectory runs in full, and the subject's stream is
+//! advanced past the accelerometer and PPG draws without computing them, so
+//! every label is bit-identical to full synthesis at a fraction of the cost.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::accel_synth::accel_segment;
+use crate::accel_synth::{accel_segment, skip_accel_segment};
 use crate::activity::Activity;
 use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
-use crate::ppg_synth::ppg_segment;
+use crate::ppg_synth::{ppg_segment, skip_ppg_segment};
 use crate::stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
 use crate::stream::{self, RecordingWindows, SynthWindows, WindowSource};
 use crate::subject::{SubjectId, SubjectProfile};
 use crate::window::LabeledWindow;
 use crate::{FULL_SUBJECT_COUNT, SAMPLE_RATE_HZ, WINDOW_SAMPLES};
 
+/// What a synthesized session carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Synthesis {
+    /// Labels plus the PPG and accelerometer signals.
+    #[default]
+    Full,
+    /// Labels only: subject, activity and heart rate, with empty signal
+    /// channels. For consumers that read no signal, such as the oracle
+    /// classifier and the calibrated estimators; the labels are
+    /// bit-identical to [`Synthesis::Full`].
+    LabelsOnly,
+}
+
 /// A continuous recording of one subject performing one activity.
+///
+/// A labels-only recording ([`Synthesis::LabelsOnly`]) carries `hr_bpm` and
+/// leaves every signal channel empty.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionRecording {
     /// Subject recorded.
@@ -42,14 +63,33 @@ pub struct SessionRecording {
 }
 
 impl SessionRecording {
-    /// Number of samples in the recording.
+    /// Number of samples in the recording: the PPG length, or the
+    /// heart-rate length of a labels-only recording.
     pub fn len(&self) -> usize {
-        self.ppg.len()
+        if self.is_labels_only() {
+            self.hr_bpm.len()
+        } else {
+            self.ppg.len()
+        }
     }
 
     /// Whether the recording is empty.
     pub fn is_empty(&self) -> bool {
-        self.ppg.is_empty()
+        self.len() == 0
+    }
+
+    /// Whether the recording carries no signal channel at all, as
+    /// [`Synthesis::LabelsOnly`] produces it.
+    pub fn is_labels_only(&self) -> bool {
+        [
+            &self.ppg,
+            &self.accel_x,
+            &self.accel_y,
+            &self.accel_z,
+            &self.motion_envelope,
+        ]
+        .iter()
+        .all(|channel| channel.is_empty())
     }
 
     /// Extracts the labeled window starting at sample `start`; the caller
@@ -57,13 +97,26 @@ impl SessionRecording {
     /// window extraction happens — every eager and streaming path goes
     /// through it.
     pub(crate) fn window_at(&self, start: usize) -> LabeledWindow {
+        let hr_bpm = window_mean_hr(&self.hr_bpm, start, WINDOW_SAMPLES);
+        if self.is_labels_only() {
+            return LabeledWindow {
+                subject: self.subject,
+                activity: self.activity,
+                hr_bpm,
+                ppg: Vec::new(),
+                accel_x: Vec::new(),
+                accel_y: Vec::new(),
+                accel_z: Vec::new(),
+                mean_motion_g: 0.0,
+            };
+        }
         let end = start + WINDOW_SAMPLES;
         let mean_motion =
             self.motion_envelope[start..end].iter().sum::<f32>() / WINDOW_SAMPLES as f32;
         LabeledWindow {
             subject: self.subject,
             activity: self.activity,
-            hr_bpm: window_mean_hr(&self.hr_bpm, start, WINDOW_SAMPLES),
+            hr_bpm,
             ppg: self.ppg[start..end].to_vec(),
             accel_x: self.accel_x[start..end].to_vec(),
             accel_y: self.accel_y[start..end].to_vec(),
@@ -201,6 +254,7 @@ pub struct DatasetBuilder {
     seconds_per_activity: f32,
     seed: u64,
     activities: Vec<Activity>,
+    synthesis: Synthesis,
 }
 
 impl Default for DatasetBuilder {
@@ -211,13 +265,14 @@ impl Default for DatasetBuilder {
 
 impl DatasetBuilder {
     /// Creates a builder with the full-dataset defaults: 15 subjects,
-    /// 150 seconds per activity, seed 0, all nine activities.
+    /// 150 seconds per activity, seed 0, all nine activities, full signals.
     pub fn new() -> Self {
         Self {
             subjects: FULL_SUBJECT_COUNT,
             seconds_per_activity: 150.0,
             seed: 0,
             activities: Activity::ALL.to_vec(),
+            synthesis: Synthesis::Full,
         }
     }
 
@@ -243,6 +298,13 @@ impl DatasetBuilder {
     /// Restricts generation to a subset of activities (defaults to all nine).
     pub fn activities(mut self, activities: &[Activity]) -> Self {
         self.activities = activities.to_vec();
+        self
+    }
+
+    /// What the synthesized recordings and windows carry (defaults to
+    /// [`Synthesis::Full`]). Labels are bit-identical in either mode.
+    pub fn synthesis(mut self, synthesis: Synthesis) -> Self {
+        self.synthesis = synthesis;
         self
     }
 
@@ -274,7 +336,8 @@ impl DatasetBuilder {
     /// Streams the labeled windows of the dataset this builder describes
     /// **without materializing it**: windows are synthesized on demand from
     /// `(seed, subjects, activity schedule)`, holding at most one activity
-    /// segment of raw signal alive. Collecting the stream yields exactly
+    /// segment alive (labels only, or raw signal too, per
+    /// [`DatasetBuilder::synthesis`]). Collecting the stream yields exactly
     /// `self.build()?.windows()`.
     ///
     /// # Errors
@@ -298,6 +361,7 @@ impl DatasetBuilder {
             subjects: self.subjects,
             activities: self.activities.clone(),
             samples_per_activity,
+            synthesis: self.synthesis,
         })
     }
 
@@ -344,6 +408,7 @@ impl DatasetBuilder {
             next_activity: self.activities.len(),
             activities: self.activities,
             samples_per_activity,
+            synthesis: self.synthesis,
             profiles: Vec::with_capacity(self.subjects),
             // Replaced by subject 0's stream on the first pull.
             rng: StdRng::seed_from_u64(self.seed),
@@ -354,7 +419,10 @@ impl DatasetBuilder {
 
 /// The lazy session generator: yields every recording of a dataset in
 /// subject/activity order, synthesizing each on demand by chaining the HR
-/// trajectory, accelerometer and PPG generators.
+/// trajectory, accelerometer and PPG generators. In labels-only mode the
+/// accelerometer and PPG draws are skipped, not computed, so the subject's
+/// stream — and every later label — stays exactly where full synthesis
+/// leaves it.
 ///
 /// The one place subject streams are derived and the heart-rate trajectory
 /// is chained across activities: [`DatasetBuilder::build`] collects it and
@@ -366,6 +434,7 @@ pub(crate) struct Sessions {
     subjects: usize,
     activities: Vec<Activity>,
     samples_per_activity: usize,
+    synthesis: Synthesis,
     /// Profiles generated so far; the last one is the subject being recorded.
     profiles: Vec<SubjectProfile>,
     /// The current subject's stream.
@@ -414,6 +483,20 @@ impl Iterator for Sessions {
             self.last_hr,
         );
         self.last_hr = *hr.last().expect("non-empty trajectory");
+        if self.synthesis == Synthesis::LabelsOnly {
+            skip_accel_segment(rng, activity, samples, SAMPLE_RATE_HZ);
+            skip_ppg_segment(rng, samples);
+            return Some(SessionRecording {
+                subject: profile.id,
+                activity,
+                hr_bpm: hr,
+                ppg: Vec::new(),
+                accel_x: Vec::new(),
+                accel_y: Vec::new(),
+                accel_z: Vec::new(),
+                motion_envelope: Vec::new(),
+            });
+        }
         let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
         let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
         Some(SessionRecording {

@@ -66,7 +66,7 @@ pub mod subject;
 pub mod window;
 
 pub use activity::{Activity, DifficultyLevel};
-pub use dataset::{Dataset, DatasetBuilder, SessionRecording};
+pub use dataset::{Dataset, DatasetBuilder, SessionRecording, Synthesis};
 pub use error::DataError;
 pub use folds::{CrossValidation, Fold};
 pub use stream::cache::{CachedWindows, WindowCache, WindowCacheKey};

@@ -5,7 +5,7 @@
 //! autoregressive (AR(1)) smoother used by the HR-trajectory and
 //! motion-artifact generators.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Draws one sample from a standard normal distribution using the Box–Muller
 /// transform.
@@ -44,6 +44,26 @@ pub fn ar1_noise<R: Rng + ?Sized>(rng: &mut R, n: usize, rho: f32, std_dev: f32)
         out.push(x);
     }
     out
+}
+
+/// Random words [`white_noise`] draws for `n` samples: one Box–Muller pair
+/// per sample.
+pub(crate) const fn white_noise_words(n: usize) -> usize {
+    2 * n
+}
+
+/// Random words [`ar1_noise`] draws for `n` samples: the Box–Muller pair of
+/// the initial state plus one per sample.
+pub(crate) const fn ar1_noise_words(n: usize) -> usize {
+    2 * (n + 1)
+}
+
+/// Advances `rng` by `words` 64-bit draws, discarding them: the cheap way
+/// past draws whose values nobody reads.
+pub(crate) fn skip_words<R: RngCore + ?Sized>(rng: &mut R, words: usize) {
+    for _ in 0..words {
+        rng.next_u64();
+    }
 }
 
 #[cfg(test)]
@@ -109,6 +129,16 @@ mod tests {
         let samples = ar1_noise(&mut rng, 100, 1.0, 1.0);
         assert_eq!(samples.len(), 100);
         assert!(samples.iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn word_counts_match_the_draws() {
+        let mut drawn = StdRng::seed_from_u64(10);
+        let mut skipped = drawn.clone();
+        white_noise(&mut drawn, 37, 1.0);
+        ar1_noise(&mut drawn, 41, 0.9, 1.0);
+        skip_words(&mut skipped, white_noise_words(37) + ar1_noise_words(41));
+        assert_eq!(drawn, skipped);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use crate::noise::{ar1_noise, white_noise};
+use crate::noise::{ar1_noise, ar1_noise_words, skip_words, white_noise, white_noise_words};
 use crate::subject::SubjectProfile;
 
 /// Relative amplitude of the diastolic (dicrotic) bump versus the systolic peak.
@@ -95,6 +95,21 @@ pub fn ppg_segment<R: Rng + ?Sized>(
         out.push(clean[i] + wander + artifact + sensor_noise[i]);
     }
     out
+}
+
+/// Advances `rng` exactly as far as [`ppg_segment`] over `n_samples`
+/// samples would, without synthesizing the segment. Every draw of the PPG
+/// has a fixed word count, so the whole skip is one count.
+pub(crate) fn skip_ppg_segment<R: Rng + ?Sized>(rng: &mut R, n_samples: usize) {
+    if n_samples == 0 {
+        return;
+    }
+    // Cardiac phase, respiratory frequency and phase, artifact frequency and
+    // phase, then the baseline-shift AR(1) and the sensor noise.
+    skip_words(
+        rng,
+        5 + ar1_noise_words(n_samples) + white_noise_words(n_samples),
+    );
 }
 
 /// Normalized single-beat waveform as a function of the cardiac phase in
@@ -203,6 +218,19 @@ mod tests {
             f * 60.0,
             mean_hr
         );
+    }
+
+    #[test]
+    fn skip_leaves_the_stream_where_synthesis_does() {
+        for n in [0, 1, 256, 32 * 24 + 5] {
+            let mut synthesized = StdRng::seed_from_u64(5);
+            let mut skipped = synthesized.clone();
+            let hr = vec![80.0f32; n];
+            let env = vec![0.2f32; n];
+            ppg_segment(&mut synthesized, &subject(), &hr, &env, 32.0);
+            skip_ppg_segment(&mut skipped, n);
+            assert_eq!(synthesized, skipped, "{n} samples");
+        }
     }
 
     #[test]

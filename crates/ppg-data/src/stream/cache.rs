@@ -10,7 +10,7 @@
 //! memoizes that work:
 //!
 //! * [`WindowCacheKey`] — the full synthesis input: seed, subject count,
-//!   activity schedule and per-activity sample count. Two streams with equal
+//!   activity schedule, per-activity sample count and synthesis mode. Two streams with equal
 //!   keys are bit-identical, so sharing the materialized windows is
 //!   observationally invisible,
 //! * [`WindowCache`] — a **bounded, deterministic LRU** from keys to
@@ -32,6 +32,7 @@
 use std::sync::Arc;
 
 use crate::activity::Activity;
+use crate::dataset::Synthesis;
 use crate::error::DataError;
 use crate::window::LabeledWindow;
 
@@ -49,6 +50,9 @@ pub struct WindowCacheKey {
     pub activities: Vec<Activity>,
     /// Samples generated per activity segment.
     pub samples_per_activity: usize,
+    /// Whether the windows carry signals or labels only: the two modes never
+    /// share an entry.
+    pub synthesis: Synthesis,
 }
 
 /// A bounded, deterministic LRU cache of materialized window streams.
@@ -220,6 +224,35 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn full_and_labels_only_lookups_never_alias() {
+        let mut cache = WindowCache::new(4);
+        let full = builder(5);
+        let labels = builder(5).synthesis(Synthesis::LabelsOnly);
+        assert_ne!(
+            full.window_cache_key().unwrap(),
+            labels.window_cache_key().unwrap()
+        );
+        let full: Vec<_> = full
+            .cached_window_stream(&mut cache)
+            .unwrap()
+            .iter()
+            .map(Result::unwrap)
+            .collect();
+        let labels: Vec<_> = labels
+            .cached_window_stream(&mut cache)
+            .unwrap()
+            .iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(full.len(), labels.len());
+        assert!(full.iter().all(|w| w.ppg.len() == crate::WINDOW_SAMPLES));
+        assert!(labels
+            .iter()
+            .all(|w| w.ppg.is_empty() && w.accel_x.is_empty()));
     }
 
     #[test]

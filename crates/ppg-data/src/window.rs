@@ -3,7 +3,9 @@
 //! A [`LabeledWindow`] is the unit every model and the CHRIS runtime operate
 //! on: 8 seconds (256 samples) of PPG plus the three accelerometer axes, the
 //! ground-truth mean heart rate over the window, the activity being performed
-//! and the subject it came from.
+//! and the subject it came from. A *labels-only* window (from
+//! [`Synthesis::LabelsOnly`](crate::Synthesis::LabelsOnly)) carries the labels
+//! and no signal.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +31,8 @@ pub struct LabeledWindow {
     pub accel_z: Vec<f32>,
     /// Mean of the motion envelope over the window (g); a direct measure of
     /// how corrupted the window is. Not available to the models (it is a
-    /// generator-side quantity) but useful for analysis and tests.
+    /// generator-side quantity) but useful for analysis and tests. `0.0` in a
+    /// labels-only window: not synthesized.
     pub mean_motion_g: f32,
 }
 
@@ -42,6 +45,14 @@ impl LabeledWindow {
     /// Whether the window holds no samples.
     pub fn is_empty(&self) -> bool {
         self.ppg.is_empty()
+    }
+
+    /// Whether the PPG and the three accelerometer channels all have the same
+    /// length. Full and labels-only windows both pass; a window that fails
+    /// is malformed, and models reject it.
+    pub fn channels_agree(&self) -> bool {
+        let len = self.ppg.len();
+        self.accel_x.len() == len && self.accel_y.len() == len && self.accel_z.len() == len
     }
 
     /// Difficulty level of the window's activity (1 easiest .. 9 hardest).
@@ -87,6 +98,18 @@ mod tests {
     fn difficulty_tracks_activity() {
         let w = window();
         assert_eq!(w.difficulty(), Activity::Walking.difficulty());
+    }
+
+    #[test]
+    fn channels_agree_unless_one_is_cut() {
+        let mut w = window();
+        assert!(w.channels_agree());
+        w.accel_y.pop();
+        assert!(!w.channels_agree());
+        for channel in [&mut w.ppg, &mut w.accel_x, &mut w.accel_y, &mut w.accel_z] {
+            channel.clear();
+        }
+        assert!(w.channels_agree());
     }
 
     #[test]

@@ -68,11 +68,14 @@ impl HrEstimator for CalibratedEstimator {
         self.kind.name()
     }
 
+    /// Reads only the window's labels, so a labels-only window (no signal)
+    /// is valid input; a malformed window, whose channel lengths disagree,
+    /// is rejected with the rule TimePPG applies.
     fn predict(&mut self, window: &LabeledWindow) -> Result<f32, ModelError> {
-        if window.is_empty() {
+        if !window.channels_agree() {
             return Err(ModelError::InvalidWindow {
                 model: "calibrated-surrogate",
-                reason: "window is empty".to_string(),
+                reason: "ppg and accelerometer channels must have the same length".to_string(),
             });
         }
         let target_mae = self.kind.per_activity_mae_bpm(window.activity);

@@ -179,7 +179,7 @@ pub fn build_network_gap_head(variant: TimePpgVariant) -> Result<Sequential, Mod
 /// Returns [`ModelError::InvalidWindow`] when the channels differ in length.
 pub fn window_to_tensor(window: &LabeledWindow) -> Result<Tensor, ModelError> {
     let len = window.ppg.len();
-    if window.accel_x.len() != len || window.accel_y.len() != len || window.accel_z.len() != len {
+    if !window.channels_agree() {
         return Err(ModelError::InvalidWindow {
             model: "TimePPG",
             reason: "ppg and accelerometer channels must have the same length".to_string(),

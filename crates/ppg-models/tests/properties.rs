@@ -1,10 +1,13 @@
 //! Property-based tests for the HR estimators, the surrogates and the
 //! activity classifier.
 
-use ppg_data::{Activity, DatasetBuilder, LabeledWindow, SubjectId};
+use ppg_data::{Activity, DatasetBuilder, LabeledWindow, SubjectId, Synthesis};
 use ppg_models::adaptive_threshold::AdaptiveThreshold;
+use ppg_models::error::ModelError;
 use ppg_models::random_forest::{RandomForest, RandomForestConfig};
+use ppg_models::spectral::SpectralPeak;
 use ppg_models::surrogate::CalibratedEstimator;
+use ppg_models::timeppg::{TimePpg, TimePpgVariant};
 use ppg_models::traits::{ActivityClassifier, HrEstimator};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use proptest::prelude::*;
@@ -130,4 +133,53 @@ fn classifier_trait_objects_work_for_oracle_and_forest() {
         assert!(Activity::ALL.contains(&activity));
     }
     let _ = SubjectId(0);
+}
+
+/// A labels-only window carries no signal: every model that reads one
+/// returns a typed error instead of a prediction, while the calibrated
+/// surrogate, which reads only labels, still predicts.
+#[test]
+fn signal_models_reject_labels_only_windows() {
+    let labels = DatasetBuilder::new()
+        .subjects(1)
+        .seconds_per_activity(16.0)
+        .seed(3)
+        .synthesis(Synthesis::LabelsOnly)
+        .build()
+        .unwrap()
+        .windows();
+    let window = &labels[0];
+    assert!(window.is_empty());
+
+    let is_typed = |result: Result<f32, ModelError>| {
+        matches!(
+            result,
+            Err(ModelError::InvalidWindow { .. } | ModelError::Dsp(_))
+        )
+    };
+    let mut estimators: Vec<Box<dyn HrEstimator>> = vec![
+        Box::new(TimePpg::new(TimePpgVariant::Small).unwrap()),
+        Box::new(SpectralPeak::new()),
+        Box::new(AdaptiveThreshold::new()),
+    ];
+    for estimator in &mut estimators {
+        let result = estimator.predict(window);
+        assert!(is_typed(result.clone()), "{}: {result:?}", estimator.name());
+    }
+    let forest = RandomForest::train(
+        &tiny_windows(3),
+        RandomForestConfig {
+            n_trees: 2,
+            ..RandomForestConfig::default()
+        },
+    )
+    .unwrap();
+    let classified = forest.classify(window);
+    assert!(
+        matches!(classified, Err(ModelError::Dsp(_))),
+        "random forest: {classified:?}"
+    );
+
+    let mut surrogate = CalibratedEstimator::new(ModelKind::TimePpgBig, 1);
+    assert!(surrogate.predict(window).is_ok());
 }
