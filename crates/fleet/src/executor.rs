@@ -173,9 +173,12 @@ impl ExecutorOptions {
 /// without sharing mutable state. The session is never materialized: the
 /// runtime pulls windows one at a time from
 /// [`DeviceScenario::window_stream`], so peak per-device memory is one
-/// activity segment plus one window instead of the whole session vector
-/// (asserted by the `streaming` integration test via
-/// [`ppg_data::stream::metrics`]).
+/// activity segment of labels plus one window instead of the whole session
+/// vector (asserted by the `streaming` integration test via
+/// [`ppg_data::stream::metrics`]). The windows are labels-only; the report
+/// equals one computed from full-signal windows of the same session,
+/// because the runtime's oracle classifier and calibrated estimators read
+/// only labels.
 ///
 /// # Errors
 ///

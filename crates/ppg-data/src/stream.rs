@@ -16,9 +16,9 @@
 //! * [`SynthWindows`] — fully lazy synthesis from
 //!   `(seed, subjects, activity schedule)` via
 //!   [`DatasetBuilder::window_stream`](crate::DatasetBuilder::window_stream):
-//!   at most **one activity segment** of raw signal is alive at a time and
-//!   exactly **one window** is materialized per pull, instead of the whole
-//!   session,
+//!   at most **one activity segment** (labels, plus raw signal unless the
+//!   builder synthesizes labels only) is alive at a time and exactly **one
+//!   window** is materialized per pull, instead of the whole session,
 //! * [`BufferWindows`] — the one cursor over an in-memory window buffer:
 //!   [`SliceSource`] for borrowed slices and [`cache::CachedWindows`] for
 //!   shared cache entries. [`IntoWindowSource`] converts `&[LabeledWindow]`,
@@ -377,8 +377,9 @@ impl<R: Borrow<SessionRecording>> WindowSource for RecordingWindows<R> {
 /// recordings one at a time from the same session generator
 /// [`DatasetBuilder::build`](crate::DatasetBuilder::build) collects, so the
 /// replay is bit-exact with the eager `build()?.windows()` path. Peak memory
-/// is one activity segment of raw signal (a few KiB) instead of the whole
-/// multi-activity session and its window vector.
+/// is one activity segment (a few KiB of raw signal, or of heart rate alone
+/// in [`Synthesis::LabelsOnly`](crate::Synthesis::LabelsOnly) mode) instead
+/// of the whole multi-activity session and its window vector.
 #[derive(Debug, Clone)]
 pub struct SynthWindows {
     sessions: Sessions,
