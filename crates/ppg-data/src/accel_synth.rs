@@ -83,6 +83,7 @@ pub fn accel_segment<R: Rng + ?Sized>(
         white_noise(rng, n_samples, 0.01),
     ];
 
+    // Burst gain: a raised-cosine envelope per scheduled burst.
     let mut burst_gain = vec![0.0f32; n_samples];
     burst_schedule(
         rng,
@@ -92,7 +93,6 @@ pub fn accel_segment<R: Rng + ?Sized>(
         |t, burst_len, amp| {
             let end = (t + burst_len).min(n_samples);
             for (k, gain) in burst_gain[t..end].iter_mut().enumerate() {
-                // Raised-cosine burst shape.
                 let frac = k as f32 / burst_len as f32;
                 *gain = gain.max(amp * (std::f32::consts::PI * frac).sin().powi(2));
             }
@@ -184,8 +184,8 @@ pub(crate) fn skip_accel_segment<R: Rng + ?Sized>(
     if n_samples == 0 {
         return;
     }
-    // Pose x/y, cadence jitter and the aperiodic envelope (AR(1) each), the
-    // three phase offsets, then the three sensor-noise axes.
+    // Four AR(1) series (pose x/y, cadence jitter, aperiodic envelope), three
+    // phase offsets and three sensor-noise axes, all drawn before the bursts.
     skip_words(
         rng,
         4 * ar1_noise_words(n_samples) + 3 + 3 * white_noise_words(n_samples),

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::accel_synth::{accel_segment, skip_accel_segment};
+use crate::accel_synth::{accel_segment, skip_accel_segment, AccelSegment};
 use crate::activity::Activity;
 use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
@@ -483,22 +483,18 @@ impl Iterator for Sessions {
             self.last_hr,
         );
         self.last_hr = *hr.last().expect("non-empty trajectory");
-        if self.synthesis == Synthesis::LabelsOnly {
-            skip_accel_segment(rng, activity, samples, SAMPLE_RATE_HZ);
-            skip_ppg_segment(rng, samples);
-            return Some(SessionRecording {
-                subject: profile.id,
-                activity,
-                hr_bpm: hr,
-                ppg: Vec::new(),
-                accel_x: Vec::new(),
-                accel_y: Vec::new(),
-                accel_z: Vec::new(),
-                motion_envelope: Vec::new(),
-            });
-        }
-        let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
-        let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
+        let (accel, ppg) = match self.synthesis {
+            Synthesis::Full => {
+                let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
+                let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
+                (accel, ppg)
+            }
+            Synthesis::LabelsOnly => {
+                skip_accel_segment(rng, activity, samples, SAMPLE_RATE_HZ);
+                skip_ppg_segment(rng, samples);
+                (AccelSegment::default(), Vec::new())
+            }
+        };
         Some(SessionRecording {
             subject: profile.id,
             activity,
