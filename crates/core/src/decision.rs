@@ -15,6 +15,8 @@
 //! Because the table is stored sorted by energy, both lookups are a single
 //! linear pass, as the paper points out.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use hw_sim::units::Energy;
@@ -131,9 +133,12 @@ impl std::fmt::Display for UserConstraint {
 
 /// The decision engine: the profiled configuration table plus the selection
 /// logic of the paper's Fig. 2.
+///
+/// The table is shared: cloning an engine (once per simulated device in the
+/// fleet) bumps a reference count instead of copying the profiles.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionEngine {
-    profiles: Vec<ConfigurationProfile>,
+    profiles: Arc<Vec<ConfigurationProfile>>,
 }
 
 impl DecisionEngine {
@@ -150,7 +155,9 @@ impl DecisionEngine {
                 .total_cmp(&b.watch_energy.as_microjoules())
                 .then(a.mae_bpm.total_cmp(&b.mae_bpm))
         });
-        Self { profiles }
+        Self {
+            profiles: Arc::new(profiles),
+        }
     }
 
     /// The stored profiles, sorted by increasing smartwatch energy.

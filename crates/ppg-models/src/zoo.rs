@@ -6,6 +6,8 @@
 //! phone, or of streaming the window over BLE. CHRIS profiles its
 //! configurations from exactly this information.
 
+use std::sync::Arc;
+
 use hw_sim::ble::BleLink;
 use hw_sim::platform::Platform;
 use hw_sim::profile::Workload;
@@ -134,8 +136,17 @@ pub struct ModelCharacterization {
 
 /// The Models Zoo: the platforms, the BLE link, and the characterization of
 /// every available model.
+///
+/// The hardware models are shared: cloning a zoo (once per simulated device
+/// in the fleet) bumps a reference count instead of copying them.
 #[derive(Debug, Clone)]
 pub struct ModelZoo {
+    hardware: Arc<Hardware>,
+}
+
+/// The two platforms and the link between them.
+#[derive(Debug)]
+struct Hardware {
     watch: Platform,
     phone: Platform,
     ble: BleLink,
@@ -151,47 +162,49 @@ impl ModelZoo {
     /// The paper's setup: STM32WB55 smartwatch, Raspberry Pi3 phone proxy,
     /// BLE link calibrated to 0.52 mJ / 10.24 ms per window.
     pub fn paper_setup() -> Self {
-        Self {
-            watch: Platform::stm32wb55(),
-            phone: Platform::raspberry_pi3(),
-            ble: BleLink::paper_calibrated(),
-        }
+        Self::new(
+            Platform::stm32wb55(),
+            Platform::raspberry_pi3(),
+            BleLink::paper_calibrated(),
+        )
     }
 
     /// Creates a zoo with custom platforms and link (for ablations).
     pub fn new(watch: Platform, phone: Platform, ble: BleLink) -> Self {
-        Self { watch, phone, ble }
+        Self {
+            hardware: Arc::new(Hardware { watch, phone, ble }),
+        }
     }
 
     /// The smartwatch platform model.
     pub fn watch(&self) -> &Platform {
-        &self.watch
+        &self.hardware.watch
     }
 
     /// The phone platform model.
     pub fn phone(&self) -> &Platform {
-        &self.phone
+        &self.hardware.phone
     }
 
     /// The BLE link model.
     pub fn ble(&self) -> &BleLink {
-        &self.ble
+        &self.hardware.ble
     }
 
     /// Characterizes one model on this system.
     pub fn characterize(&self, kind: ModelKind) -> ModelCharacterization {
         let wl_watch = kind.workload_watch();
         let wl_phone = kind.workload_phone();
-        let ble_time = self.ble.transfer_time(hw_sim::WINDOW_PAYLOAD_BYTES);
-        let ble_energy = self.ble.transfer_energy(hw_sim::WINDOW_PAYLOAD_BYTES);
+        let ble_time = self.ble().transfer_time(hw_sim::WINDOW_PAYLOAD_BYTES);
+        let ble_energy = self.ble().transfer_energy(hw_sim::WINDOW_PAYLOAD_BYTES);
         ModelCharacterization {
             kind,
             mae_bpm: kind.nominal_mae_bpm(),
-            watch_cycles: self.watch.cycles(&wl_watch).0,
-            watch_time: self.watch.execution_time(&wl_watch),
-            watch_energy: self.watch.energy_per_prediction(&wl_watch),
-            phone_time: self.phone.execution_time(&wl_phone),
-            phone_energy: self.phone.compute_energy(&wl_phone),
+            watch_cycles: self.watch().cycles(&wl_watch).0,
+            watch_time: self.watch().execution_time(&wl_watch),
+            watch_energy: self.watch().energy_per_prediction(&wl_watch),
+            phone_time: self.phone().execution_time(&wl_phone),
+            phone_energy: self.phone().compute_energy(&wl_phone),
             ble_energy,
             ble_time,
         }
