@@ -1,7 +1,8 @@
 //! Overhead of the telemetry registry on the fleet hot path.
 //!
-//! The per-window instrumentation (one counter increment, one offload
-//! counter, three stage timers in the runtime plus three in the DSP layer)
+//! The instrumentation (per window, one counter increment and one offload
+//! counter; per device run, one runtime stage timer; three stage timers in
+//! the DSP layer)
 //! must stay in the noise of the simulation itself — the README documents a
 //! <2% wall-clock target. This bench runs the same fleet under three
 //! registries:

@@ -20,8 +20,8 @@
 //!   configuration selection plus the per-window model choice driven by the
 //!   activity-recognition classifier (Fig. 2),
 //! * [`runtime`] — the window-by-window collaborative-inference simulator,
-//!   which dispatches each window to the smartwatch or the phone, tracks
-//!   energy with `hw-sim` power-state traces and accumulates the error,
+//!   which dispatches each window to the smartwatch or the phone, sums the
+//!   smartwatch energy per `hw-sim` power state and accumulates the error,
 //! * [`report`] — run reports (MAE, energy breakdown, offload statistics).
 //!
 //! ## Example

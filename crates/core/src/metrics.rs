@@ -3,14 +3,15 @@
 //! [`RunInstruments`] bundles every telemetry handle the per-window loop in
 //! [`ChrisRuntime::run`](crate::runtime::ChrisRuntime::run) touches. The
 //! handles are resolved **once per run** from the thread's active registry,
-//! so the per-window cost is a few relaxed atomic operations plus two clock
-//! reads — no registry lookups inside the loop.
+//! so the per-window cost is a few relaxed atomic increments: no registry
+//! lookups and no clock reads inside the loop. The loop as a whole is timed
+//! once per run, into `chris_stage_duration_ns{stage="runtime"}`.
 //!
 //! Counter series (windows, offload decisions by backend) are
 //! [`Stable`](telemetry::Stability::Stable): their values depend only on the
 //! simulated workload and are identical for any thread count or partition,
-//! so the fleet layer embeds them in byte-stable shard artifacts. Stage
-//! duration histograms are
+//! so the fleet layer embeds them in byte-stable shard artifacts. The stage
+//! duration histogram is
 //! [`Observational`](telemetry::Stability::Observational).
 
 use telemetry::{Counter, Histogram, Registry, ScopedTimer, Stability, DURATION_NS_BOUNDS};
@@ -29,9 +30,9 @@ pub const OFFLOAD_DECISIONS_SERIES: &str = "chris_offload_decisions_total";
 pub const OFFLOAD_DECISIONS_HELP: &str =
     "Per-window inference placement decisions, by executing backend";
 
-/// The runtime pipeline stages timed into
+/// The stage label under which a whole run is timed into
 /// [`telemetry::STAGE_DURATION_SERIES`].
-const STAGES: [&str; 3] = ["classify", "predict", "energy"];
+const RUNTIME_STAGE: &str = "runtime";
 
 /// Telemetry handles for one runtime run, resolved once at run start.
 #[derive(Debug)]
@@ -39,9 +40,7 @@ pub(crate) struct RunInstruments {
     windows: Counter,
     offload_phone: Counter,
     offload_wearable: Counter,
-    classify: Histogram,
-    predict: Histogram,
-    energy: Histogram,
+    runtime: Histogram,
 }
 
 impl RunInstruments {
@@ -51,17 +50,6 @@ impl RunInstruments {
     /// every shard reports an identical series set.
     pub(crate) fn resolve() -> Self {
         let registry = telemetry::active();
-        let stage = |name: &str| -> Histogram {
-            registry
-                .histogram(
-                    telemetry::STAGE_DURATION_SERIES,
-                    &[("stage", name)],
-                    telemetry::STAGE_DURATION_HELP,
-                    Stability::Observational,
-                    &DURATION_NS_BOUNDS,
-                )
-                .expect("stage histogram registration cannot fail")
-        };
         let offload = |registry: &Registry, backend: &str| -> Counter {
             registry
                 .counter(
@@ -78,9 +66,15 @@ impl RunInstruments {
                 .expect("window counter registration cannot fail"),
             offload_phone: offload(&registry, "phone"),
             offload_wearable: offload(&registry, "wearable"),
-            classify: stage(STAGES[0]),
-            predict: stage(STAGES[1]),
-            energy: stage(STAGES[2]),
+            runtime: registry
+                .histogram(
+                    telemetry::STAGE_DURATION_SERIES,
+                    &[("stage", RUNTIME_STAGE)],
+                    telemetry::STAGE_DURATION_HELP,
+                    Stability::Observational,
+                    &DURATION_NS_BOUNDS,
+                )
+                .expect("stage histogram registration cannot fail"),
         }
     }
 
@@ -96,15 +90,8 @@ impl RunInstruments {
         }
     }
 
-    pub(crate) fn time_classify(&self) -> ScopedTimer {
-        self.classify.start_timer()
-    }
-
-    pub(crate) fn time_predict(&self) -> ScopedTimer {
-        self.predict.start_timer()
-    }
-
-    pub(crate) fn time_energy(&self) -> ScopedTimer {
-        self.energy.start_timer()
+    /// Times the whole window loop: one observation per run.
+    pub(crate) fn time_run(&self) -> ScopedTimer {
+        self.runtime.start_timer()
     }
 }

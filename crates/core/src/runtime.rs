@@ -3,9 +3,10 @@
 //! The runtime ties everything together. For every incoming window it:
 //!
 //! 1. reads the BLE connection status from the [`ConnectionSchedule`],
-//! 2. asks the [`DecisionEngine`] for the active configuration (re-selection
-//!    is a table lookup, so doing it every window is how CHRIS reacts to
-//!    link drops),
+//! 2. switches to the configuration the [`DecisionEngine`] selects for that
+//!    status, which is how CHRIS reacts to link drops (the constraint is
+//!    fixed for a run, so the table is searched once per status, on the
+//!    first window with that status),
 //! 3. runs the activity classifier (on the IMU's ML core in the real system,
 //!    so at zero MCU energy cost by default) to estimate the window
 //!    difficulty,
@@ -17,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use hw_sim::ble::ConnectionSchedule;
-use hw_sim::power_state::{PowerState, PowerStateTrace};
+use hw_sim::power_state::PowerState;
 use hw_sim::units::{Energy, TimeSpan};
 use ppg_data::{Activity, IntoWindowSource, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
@@ -166,21 +167,23 @@ impl ChrisRuntime {
         let instruments = crate::metrics::RunInstruments::resolve();
 
         let mut errors = ErrorAccumulator::new();
-        // Per-window bookkeeping without per-window allocation: windows per
-        // configuration, and one error accumulator per activity that folds
-        // its windows in order. The report's label-keyed maps are built once
-        // after the loop.
-        let mut usage: Vec<(Configuration, usize)> = Vec::new();
+        // Per-window bookkeeping without per-window allocation. The
+        // configuration selected for each link status (index 0 connected,
+        // 1 disconnected) and the windows it handled, one error accumulator
+        // per activity that folds its windows in order, and the watch energy
+        // per power state. The report's label-keyed maps are built once after
+        // the loop.
+        let mut selections: [Option<(Configuration, usize)>; 2] = [None; 2];
         let mut per_activity: [ErrorAccumulator; Activity::COUNT] =
             std::array::from_fn(|_| ErrorAccumulator::new());
-        let mut trace = PowerStateTrace::new();
+        let mut watch = WatchEnergy::default();
         let mut phone_energy = Energy::ZERO;
         let mut offloaded = 0usize;
         let mut simple = 0usize;
         let mut disconnected = 0usize;
-        let mut report = RunReport::default();
 
         let mut index = 0usize;
+        let timer = instruments.time_run();
         // By-reference internal iteration: buffer-backed sources visit their
         // windows without cloning, lazy sources materialize one at a time.
         let n = source.try_for_each_window(|window| -> Result<(), ChrisError> {
@@ -188,18 +191,18 @@ impl ChrisRuntime {
             if !connected {
                 disconnected += 1;
             }
-            let status = ConnectionStatus::from_connected(connected);
-            let profile = self.engine.select_or_closest(constraint, status)?;
-            let configuration = profile.configuration;
-            match usage.iter_mut().find(|(c, _)| *c == configuration) {
-                Some((_, count)) => *count += 1,
-                None => usage.push((configuration, 1)),
-            }
-
-            let predicted_activity = {
-                let _timer = instruments.time_classify();
-                self.classifier.classify(window)?
+            let (configuration, count) = match &mut selections[usize::from(!connected)] {
+                Some(selection) => selection,
+                slot @ None => {
+                    let status = ConnectionStatus::from_connected(connected);
+                    let profile = self.engine.select_or_closest(constraint, status)?;
+                    slot.insert((profile.configuration, 0))
+                }
             };
+            *count += 1;
+            let configuration = *configuration;
+
+            let predicted_activity = self.classifier.classify(window)?;
             let difficulty = predicted_activity.difficulty();
             let model = configuration.model_for(difficulty);
             let offload = configuration.offloads(difficulty) && connected;
@@ -213,80 +216,95 @@ impl ChrisRuntime {
                 .estimators
                 .get_mut(&model)
                 .expect("every model kind has an estimator");
-            let prediction = {
-                let _timer = instruments.time_predict();
-                estimator.predict(window)?
-            };
+            let prediction = estimator.predict(window)?;
             errors.record(prediction, window.hr_bpm);
             per_activity[window.activity.index()].record(prediction, window.hr_bpm);
 
             // Energy accounting for this window.
-            let _energy_timer = instruments.time_energy();
             if self.options.classifier_energy > Energy::ZERO {
-                trace.push(
-                    PowerState::Acquire,
-                    TimeSpan::ZERO,
-                    self.options.classifier_energy,
-                );
+                watch.charge(PowerState::Acquire, self.options.classifier_energy);
             }
             if offload {
                 offloaded += 1;
-                let (tx_time, _) = self.zoo.ble().offload_window()?;
-                let watch_energy =
-                    profiler.window_watch_energy(model, true, self.options.accounting);
-                trace.push(PowerState::RadioTx, tx_time, watch_energy);
+                // A zoo whose link is down rejects the offload.
+                self.zoo.ble().offload_window()?;
+                watch.charge(
+                    PowerState::RadioTx,
+                    profiler.window_watch_energy(model, true, self.options.accounting),
+                );
                 phone_energy += profiler.window_phone_energy(model);
             } else {
                 let compute_time = self.zoo.watch().execution_time(&model.workload_watch());
                 let compute_energy = self.zoo.watch().compute_energy(&model.workload_watch());
-                trace.push(PowerState::Compute, compute_time, compute_energy);
+                watch.charge(PowerState::Compute, compute_energy);
                 let sleep_time = (period - compute_time).max_zero();
-                trace.push(
-                    PowerState::Sleep,
-                    sleep_time,
-                    self.zoo.watch().sleep_power * sleep_time,
-                );
+                watch.charge(PowerState::Sleep, self.zoo.watch().sleep_power * sleep_time);
             }
             instruments.window_processed();
             index += 1;
             Ok(())
         })?;
+        drop(timer);
 
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
-        let total_watch = trace.total_energy();
-        report.windows = n;
-        report.mae_bpm = errors.mae().unwrap_or(0.0);
-        report.rmse_bpm = errors.rmse().unwrap_or(0.0);
-        report.total_watch_energy = total_watch;
-        report.avg_watch_energy = total_watch / n as f64;
-        report.total_phone_energy = phone_energy;
-        report.avg_phone_energy = phone_energy / n as f64;
-        report.offload_fraction = offloaded as f32 / n as f32;
-        report.simple_fraction = simple as f32 / n as f32;
-        report.disconnected_fraction = disconnected as f32 / n as f32;
-        report.watch_energy_breakdown = trace
-            .breakdown()
-            .into_iter()
-            .map(|(state, energy)| (state.name().to_string(), energy))
-            .collect();
-        for (configuration, count) in &usage {
+        let mut report = RunReport {
+            windows: n,
+            mae_bpm: errors.mae().unwrap_or(0.0),
+            rmse_bpm: errors.rmse().unwrap_or(0.0),
+            total_watch_energy: watch.total,
+            avg_watch_energy: watch.total / n as f64,
+            total_phone_energy: phone_energy,
+            avg_phone_energy: phone_energy / n as f64,
+            offload_fraction: offloaded as f32 / n as f32,
+            simple_fraction: simple as f32 / n as f32,
+            disconnected_fraction: disconnected as f32 / n as f32,
+            watch_energy_breakdown: PowerState::ALL
+                .iter()
+                .zip(watch.by_state)
+                .filter_map(|(state, energy)| Some((state.name().to_string(), energy?)))
+                .collect(),
+            per_activity_mae: Activity::ALL
+                .iter()
+                .zip(&per_activity)
+                .filter(|(_, acc)| acc.count() > 0)
+                .map(|(activity, acc)| (activity.name().to_string(), acc.mae().unwrap_or(0.0)))
+                .collect(),
+            ..RunReport::default()
+        };
+        for (configuration, count) in selections.iter().flatten() {
             report.record_configuration(configuration, *count);
         }
-        report.per_activity_mae = Activity::ALL
-            .iter()
-            .zip(&per_activity)
-            .filter(|(_, acc)| acc.count() > 0)
-            .map(|(activity, acc)| (activity.name().to_string(), acc.mae().unwrap_or(0.0)))
-            .collect();
         Ok(report)
+    }
+}
+
+/// Smartwatch energy of a run, summed per power state and in total.
+///
+/// Both sums fold from zero in charge order, the order a per-phase trace
+/// summed them in, so they are bit-identical to it without storing a phase
+/// per window.
+#[derive(Debug, Default)]
+struct WatchEnergy {
+    /// Energy per state, indexed by [`PowerState::index`]; `None` for a state
+    /// never entered, so a state entered at zero energy still shows up in
+    /// the breakdown.
+    by_state: [Option<Energy>; PowerState::ALL.len()],
+    total: Energy,
+}
+
+impl WatchEnergy {
+    fn charge(&mut self, state: PowerState, energy: Energy) {
+        *self.by_state[state.index()].get_or_insert(Energy::ZERO) += energy;
+        self.total += energy;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecutionTarget;
     use crate::profiling::ProfilingOptions;
     use ppg_data::{DatasetBuilder, LabeledWindow};
     use ppg_models::random_forest::{RandomForest, RandomForestConfig};
@@ -429,6 +447,80 @@ mod tests {
             report.configuration_usage.len() >= 2,
             "link drops should switch configurations"
         );
+    }
+
+    #[test]
+    fn selection_errors_surface_on_the_first_window_of_their_status() {
+        let windows = dataset_windows(1, 43);
+        let hybrid_only = DecisionEngine::new(
+            engine_for(&windows)
+                .profiles()
+                .iter()
+                .filter(|p| p.configuration.target == ExecutionTarget::Hybrid)
+                .cloned()
+                .collect(),
+        );
+        let constraint = UserConstraint::MaxMae(5.6);
+        let run = |schedule: ConnectionSchedule| {
+            ChrisRuntime::new(
+                ModelZoo::paper_setup(),
+                hybrid_only.clone(),
+                RuntimeOptions::default(),
+            )
+            .run(&windows, &constraint, &schedule)
+        };
+        let report = run(ConnectionSchedule::AlwaysConnected).unwrap();
+        assert_eq!(report.windows, windows.len());
+
+        // Per-window selection failed on the first disconnected window with
+        // exactly the engine's error; the memoized selection must too.
+        let expected = hybrid_only
+            .select_or_closest(&constraint, ConnectionStatus::Disconnected)
+            .unwrap_err();
+        assert!(matches!(
+            expected,
+            ChrisError::NoFeasibleConfiguration { .. }
+        ));
+        assert_eq!(
+            run(ConnectionSchedule::DutyCycle { up: 2, down: 1 }).unwrap_err(),
+            expected
+        );
+        assert_eq!(
+            run(ConnectionSchedule::NeverConnected).unwrap_err(),
+            expected
+        );
+    }
+
+    #[test]
+    fn duty_cycled_runs_use_one_selection_per_link_status() {
+        let windows = dataset_windows(2, 44);
+        let engine = engine_for(&windows);
+        let constraint = UserConstraint::MaxMae(5.6);
+        let schedule = ConnectionSchedule::DutyCycle { up: 5, down: 2 };
+        let mut runtime = ChrisRuntime::new(
+            ModelZoo::paper_setup(),
+            engine.clone(),
+            RuntimeOptions::default(),
+        );
+        let report = runtime.run(&windows, &constraint, &schedule).unwrap();
+        let label = |status| {
+            engine
+                .select_or_closest(&constraint, status)
+                .unwrap()
+                .configuration
+                .label()
+        };
+        let connected = label(ConnectionStatus::Connected);
+        let disconnected = label(ConnectionStatus::Disconnected);
+        assert_ne!(connected, disconnected);
+        let down = (0..windows.len())
+            .filter(|&i| !schedule.is_connected(i))
+            .count();
+        let expected: BTreeMap<String, usize> =
+            [(connected, windows.len() - down), (disconnected, down)]
+                .into_iter()
+                .collect();
+        assert_eq!(report.configuration_usage, expected);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   transmission energy, plus a connection-availability schedule used to
 //!   emulate link drops,
 //! * [`battery`] — a simple Li-Ion battery for lifetime projections,
-//! * [`power_state`] — per-window power-state traces (compute / radio / sleep)
-//!   whose totals are what the paper plots in Fig. 3,
+//! * [`power_state`] — the smartwatch power states (acquire / compute /
+//!   radio / sleep) whose energy totals are what the paper plots in Fig. 3,
 //! * [`profile`] — turning a workload (MACs or raw cycles) into cycles, time
 //!   and energy on a given platform.
 //!
@@ -57,7 +57,7 @@ pub mod units;
 pub use ble::{BleLink, ConnectionSchedule};
 pub use error::HwError;
 pub use platform::Platform;
-pub use power_state::{PowerState, PowerStateTrace};
+pub use power_state::PowerState;
 pub use profile::{ExecutionProfile, Workload};
 pub use units::{Cycles, Energy, Power, TimeSpan};
 

@@ -1,17 +1,13 @@
-//! Per-window power-state traces.
+//! Smartwatch power states.
 //!
 //! The paper's Fig. 3 decomposes the smartwatch cost of one prediction into
 //! compute energy (including idle between predictions), phone compute energy
-//! and BLE transmission energy. [`PowerStateTrace`] records that decomposition
-//! explicitly: the CHRIS runtime appends one [`PowerStatePhase`] per activity
-//! of the MCU (sensor acquisition, local compute, radio transmission, sleep)
-//! and the reporting layer aggregates per-state totals.
-
-use std::collections::BTreeMap;
+//! and BLE transmission energy. [`PowerState`] names the states of the MCU
+//! and radio in that decomposition (sensor acquisition, local compute, radio
+//! transmission, sleep); the CHRIS runtime sums the smartwatch energy of a
+//! run per state.
 
 use serde::{Deserialize, Serialize};
-
-use crate::units::{Energy, Power, TimeSpan};
 
 /// The power states the smartwatch MCU/radio can be in during one prediction
 /// period.
@@ -36,6 +32,11 @@ impl PowerState {
         PowerState::Sleep,
     ];
 
+    /// Stable zero-based index, in the order of [`PowerState::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -53,92 +54,6 @@ impl std::fmt::Display for PowerState {
     }
 }
 
-/// One contiguous phase spent in a power state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerStatePhase {
-    /// The state the device was in.
-    pub state: PowerState,
-    /// How long it stayed there.
-    pub duration: TimeSpan,
-    /// Energy consumed during the phase.
-    pub energy: Energy,
-}
-
-/// A sequence of power-state phases plus per-state aggregates.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PowerStateTrace {
-    phases: Vec<PowerStatePhase>,
-}
-
-impl PowerStateTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a phase with an explicit energy.
-    pub fn push(&mut self, state: PowerState, duration: TimeSpan, energy: Energy) {
-        self.phases.push(PowerStatePhase {
-            state,
-            duration,
-            energy,
-        });
-    }
-
-    /// Appends a phase whose energy is `power × duration`.
-    pub fn push_at_power(&mut self, state: PowerState, duration: TimeSpan, power: Power) {
-        self.push(state, duration, power * duration);
-    }
-
-    /// All recorded phases, in insertion order.
-    pub fn phases(&self) -> &[PowerStatePhase] {
-        &self.phases
-    }
-
-    /// Number of phases.
-    pub fn len(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Whether no phase has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
-    /// Total energy across all phases.
-    pub fn total_energy(&self) -> Energy {
-        self.phases.iter().map(|p| p.energy).sum()
-    }
-
-    /// Total duration across all phases.
-    pub fn total_duration(&self) -> TimeSpan {
-        self.phases.iter().map(|p| p.duration).sum()
-    }
-
-    /// Energy spent in one state.
-    pub fn energy_in(&self, state: PowerState) -> Energy {
-        self.phases
-            .iter()
-            .filter(|p| p.state == state)
-            .map(|p| p.energy)
-            .sum()
-    }
-
-    /// Per-state energy breakdown, keyed by state.
-    pub fn breakdown(&self) -> BTreeMap<PowerState, Energy> {
-        let mut map = BTreeMap::new();
-        for p in &self.phases {
-            *map.entry(p.state).or_insert(Energy::ZERO) += p.energy;
-        }
-        map
-    }
-
-    /// Merges another trace into this one (phases are appended).
-    pub fn merge(&mut self, other: &PowerStateTrace) {
-        self.phases.extend_from_slice(&other.phases);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,78 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_accumulates_energy_and_time() {
-        let mut t = PowerStateTrace::new();
-        assert!(t.is_empty());
-        t.push(
-            PowerState::Compute,
-            TimeSpan::from_millis(20.0),
-            Energy::from_millijoules(0.5),
-        );
-        t.push(
-            PowerState::Sleep,
-            TimeSpan::from_millis(1980.0),
-            Energy::from_millijoules(0.19),
-        );
-        assert_eq!(t.len(), 2);
-        assert!((t.total_energy().as_millijoules() - 0.69).abs() < 1e-9);
-        assert!((t.total_duration().as_millis() - 2000.0).abs() < 1e-9);
-        assert!((t.energy_in(PowerState::Compute).as_millijoules() - 0.5).abs() < 1e-9);
-        assert_eq!(t.energy_in(PowerState::RadioTx), Energy::ZERO);
-    }
-
-    #[test]
-    fn push_at_power_computes_energy() {
-        let mut t = PowerStateTrace::new();
-        t.push_at_power(
-            PowerState::RadioTx,
-            TimeSpan::from_millis(10.24),
-            Power::from_milliwatts(50.78),
-        );
-        assert!((t.total_energy().as_millijoules() - 0.52).abs() < 0.01);
-    }
-
-    #[test]
-    fn breakdown_groups_by_state() {
-        let mut t = PowerStateTrace::new();
-        t.push(
-            PowerState::Compute,
-            TimeSpan::from_millis(1.0),
-            Energy::from_microjoules(10.0),
-        );
-        t.push(
-            PowerState::Compute,
-            TimeSpan::from_millis(1.0),
-            Energy::from_microjoules(15.0),
-        );
-        t.push(
-            PowerState::Sleep,
-            TimeSpan::from_millis(1.0),
-            Energy::from_microjoules(1.0),
-        );
-        let b = t.breakdown();
-        assert_eq!(b.len(), 2);
-        assert!((b[&PowerState::Compute].as_microjoules() - 25.0).abs() < 1e-9);
-        assert!((b[&PowerState::Sleep].as_microjoules() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_appends_phases() {
-        let mut a = PowerStateTrace::new();
-        a.push(
-            PowerState::Acquire,
-            TimeSpan::from_millis(1.0),
-            Energy::from_microjoules(5.0),
-        );
-        let mut b = PowerStateTrace::new();
-        b.push(
-            PowerState::Sleep,
-            TimeSpan::from_millis(2.0),
-            Energy::from_microjoules(1.0),
-        );
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.total_energy().as_microjoules() - 6.0).abs() < 1e-9);
-        assert_eq!(a.phases()[1].state, PowerState::Sleep);
+    fn index_follows_the_all_order() {
+        for (index, state) in PowerState::ALL.into_iter().enumerate() {
+            assert_eq!(state.index(), index);
+        }
     }
 }
