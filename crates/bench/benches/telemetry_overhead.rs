@@ -1,15 +1,17 @@
 //! Overhead of the telemetry registry on the fleet hot path.
 //!
-//! The instrumentation (per window, one counter increment and one offload
-//! counter; per device run, one runtime stage timer; three stage timers in
-//! the DSP layer)
-//! must stay in the noise of the simulation itself — the README documents a
-//! <2% wall-clock target. This bench runs the same fleet under three
-//! registries:
+//! The instrumentation (nothing per window; per device run, one registry
+//! resolution, three counter adds and one runtime stage timer; per executor
+//! worker, one snapshot folded into the caller's registry; three stage
+//! timers in the DSP layer) must stay in the noise of the simulation itself
+//! — the README documents a <2% wall-clock target. Executor workers always
+//! record into a private live registry, so the caller's registry below only
+//! decides where those snapshots are folded. This bench runs the same fleet
+//! under three registries:
 //!
 //! * `enabled`   — a live [`telemetry::Registry`], the production path,
 //! * `disabled`  — [`telemetry::Registry::disabled`], whose instruments are
-//!   no-ops (timers skip the clock reads), isolating dispatch cost,
+//!   no-ops, so the worker snapshots fold into nothing,
 //! * `global`    — no explicit scope, so recording lands on the process
 //!   global registry (the default for library users).
 //!
@@ -24,8 +26,8 @@ const DEVICES: u64 = 16;
 
 fn options() -> ExecutorOptions {
     ExecutorOptions {
-        // Single-threaded keeps the comparison about per-window instrument
-        // cost, not scheduling noise.
+        // Single-threaded keeps the comparison about instrument cost, not
+        // scheduling noise.
         threads: 1,
         ..ExecutorOptions::default()
     }

@@ -223,13 +223,10 @@ fn merged_exposition_matches_the_single_process_stable_counters() {
     let single_samples = telemetry::parse_exposition(&single).unwrap();
     assert!(!merged_samples.is_empty());
 
-    // The merged exposition holds only the shards' embedded Stable series.
-    // The runtime-only counters must match the single-process exposition
-    // exactly; the model-invocation counters cannot be compared this way
-    // because the single-process exposition also counts the profiling
-    // phase's predictions (each fleet-shard process re-profiles, and only
-    // its *run* telemetry is embedded in the artifact). Snapshot-level
-    // equality of run telemetry is proptest-locked in fleet's test suite.
+    // The merged exposition holds only the shards' embedded Stable series:
+    // the run telemetry of every device, which must match the single-process
+    // exposition's run counters exactly. Snapshot-level equality of run
+    // telemetry is proptest-locked in fleet's test suite.
     for series in [
         "chris_windows_total",
         "chris_offload_decisions_total{backend=\"phone\"}",
@@ -245,12 +242,28 @@ fn merged_exposition_matches_the_single_process_stable_counters() {
             "series {series} missing from the merged exposition"
         );
     }
-    for model in ["AT", "TimePPG-Small", "TimePPG-Big"] {
-        let series = format!("chris_model_invocations_total{{model=\"{model}\"}}");
-        assert!(
-            telemetry::sample_value(&merged_samples, &series).is_some(),
-            "series {series} missing from the merged exposition"
-        );
-    }
+    // In the merged exposition every window runs exactly one model, so the
+    // model invocations sum to the windows. The single-process exposition
+    // adds the profiling share: the fleet profiles each of the 60
+    // configurations once over the same profiling windows, one prediction
+    // per window, before any device runs (each fleet-shard process profiles
+    // too, but only its run telemetry is embedded in the artifact).
+    let invocations = |samples: &[telemetry::Sample]| -> f64 {
+        ["AT", "TimePPG-Small", "TimePPG-Big"]
+            .into_iter()
+            .map(|model| {
+                let series = format!("chris_model_invocations_total{{model=\"{model}\"}}");
+                telemetry::sample_value(samples, &series)
+                    .unwrap_or_else(|| panic!("series {series} missing from the exposition"))
+            })
+            .sum()
+    };
+    let windows = telemetry::sample_value(&merged_samples, "chris_windows_total").unwrap();
+    assert_eq!(invocations(&merged_samples), windows);
+    let profiling = invocations(&single_samples) - windows;
+    assert!(
+        profiling > 0.0 && profiling % 60.0 == 0.0,
+        "profiling share {profiling} is not one prediction per window per configuration"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

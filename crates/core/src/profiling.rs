@@ -16,6 +16,7 @@ use ppg_models::zoo::{ModelKind, ModelZoo};
 
 use crate::config::{enumerate_configurations, Configuration, EnergyAccounting};
 use crate::error::ChrisError;
+use crate::metrics::invocation_counter;
 
 /// Options controlling a profiling pass.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -138,7 +139,10 @@ impl<'a> Profiler<'a> {
     /// paper's evaluation).
     ///
     /// A single pass: windows are pulled from the source one at a time, so a
-    /// lazy stream is profiled in O(1 window) memory.
+    /// lazy stream is profiled in O(1 window) memory. The predictions of each
+    /// model of the pair are added to its `chris_model_invocations_total`
+    /// counter on the thread's active telemetry registry once, after the
+    /// pass; a failed pass publishes nothing.
     ///
     /// # Errors
     ///
@@ -192,6 +196,9 @@ impl<'a> Profiler<'a> {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
+        let registry = telemetry::active();
+        invocation_counter(&registry, configuration.simple).add(simple_count as u64);
+        invocation_counter(&registry, configuration.complex).add((n - simple_count) as u64);
         Ok(ConfigurationProfile {
             configuration,
             mae_bpm: errors.mae().unwrap_or(0.0),
@@ -302,6 +309,40 @@ mod tests {
             profiler.profile(c, &[], ProfilingOptions::default()),
             Err(ChrisError::EmptyWorkload)
         ));
+    }
+
+    #[test]
+    fn a_profile_publishes_each_models_predictions_once() {
+        let zoo = ModelZoo::paper_setup();
+        let ws = windows();
+        let c = config(
+            ModelKind::AdaptiveThreshold,
+            ModelKind::TimePpgSmall,
+            4,
+            ExecutionTarget::Hybrid,
+        );
+        let registry = telemetry::Registry::new();
+        let p = {
+            let _scope = telemetry::scoped(&registry);
+            Profiler::new(&zoo)
+                .profile(c, &ws, ProfilingOptions::default())
+                .unwrap()
+        };
+        let snap = registry.snapshot();
+        let invocations = |model: ModelKind| {
+            snap.counter_value(
+                crate::metrics::MODEL_INVOCATIONS_SERIES,
+                &[("model", model.name())],
+            )
+        };
+        let simple = (p.simple_fraction * ws.len() as f32).round() as u64;
+        assert!(simple > 0 && simple < ws.len() as u64);
+        assert_eq!(invocations(ModelKind::AdaptiveThreshold), Some(simple));
+        assert_eq!(
+            invocations(ModelKind::TimePpgSmall),
+            Some(ws.len() as u64 - simple)
+        );
+        assert_eq!(invocations(ModelKind::TimePpgBig), None);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!    executes it locally or offloads it over BLE,
 //! 5. charges the smartwatch (and, for offloaded windows, the phone) with the
 //!    corresponding energy and records the error.
-
-use std::collections::BTreeMap;
+//!
+//! The loop keeps every tally in locals — windows, offloads, predictions per
+//! model — and touches no telemetry handle; the run's counters are published
+//! once, after the last window (see [`crate::metrics`]).
 
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::power_state::PowerState;
@@ -63,7 +65,8 @@ pub struct ChrisRuntime {
     zoo: ModelZoo,
     engine: DecisionEngine,
     classifier: Box<dyn ActivityClassifier>,
-    estimators: BTreeMap<ModelKind, Box<dyn HrEstimator>>,
+    /// Indexed by [`ModelKind::index`].
+    estimators: [Box<dyn HrEstimator>; ModelKind::ALL.len()],
     options: RuntimeOptions,
 }
 
@@ -105,15 +108,8 @@ impl ChrisRuntime {
         classifier: Box<dyn ActivityClassifier>,
         options: RuntimeOptions,
     ) -> Self {
-        let estimators: BTreeMap<ModelKind, Box<dyn HrEstimator>> = ModelKind::ALL
-            .iter()
-            .map(|&kind| {
-                (
-                    kind,
-                    zoo.calibrated_estimator(kind, options.seed ^ kind as u64),
-                )
-            })
-            .collect();
+        let estimators =
+            ModelKind::ALL.map(|kind| zoo.calibrated_estimator(kind, options.seed ^ kind as u64));
         Self {
             zoo,
             engine,
@@ -144,6 +140,12 @@ impl ChrisRuntime {
     /// stream, peak memory is O(1 window) instead of O(session) — and the
     /// report is byte-identical either way.
     ///
+    /// The run's Stable counters — windows, offload decisions by backend and
+    /// predictions by model — are registered on the thread's active
+    /// telemetry registry at run start and published once, after the last
+    /// window. A run that returns an error publishes zeros, even if some of
+    /// its windows were processed.
+    ///
     /// # Errors
     ///
     /// Returns [`ChrisError::InvalidConstraint`] for a NaN or negative
@@ -162,8 +164,8 @@ impl ChrisRuntime {
         let mut source = windows.into_window_source();
         let profiler = Profiler::new(&self.zoo);
         let period = TimeSpan::from_seconds(hw_sim::PREDICTION_PERIOD_S);
-        // One registry resolution per run; the loop below only touches
-        // pre-resolved lock-free handles.
+        // One registry resolution per run; the loop below counts into locals
+        // and publishes nothing until it has finished.
         let instruments = crate::metrics::RunInstruments::resolve();
 
         let mut errors = ErrorAccumulator::new();
@@ -180,6 +182,7 @@ impl ChrisRuntime {
         let mut phone_energy = Energy::ZERO;
         let mut offloaded = 0usize;
         let mut simple = 0usize;
+        let mut invocations = [0u64; ModelKind::ALL.len()];
         let mut disconnected = 0usize;
 
         let mut index = 0usize;
@@ -206,17 +209,13 @@ impl ChrisRuntime {
             let difficulty = predicted_activity.difficulty();
             let model = configuration.model_for(difficulty);
             let offload = configuration.offloads(difficulty) && connected;
-            instruments.offload_decision(offload);
 
             if model == configuration.simple {
                 simple += 1;
             }
 
-            let estimator = self
-                .estimators
-                .get_mut(&model)
-                .expect("every model kind has an estimator");
-            let prediction = estimator.predict(window)?;
+            invocations[model.index()] += 1;
+            let prediction = self.estimators[model.index()].predict(window)?;
             errors.record(prediction, window.hr_bpm);
             per_activity[window.activity.index()].record(prediction, window.hr_bpm);
 
@@ -240,7 +239,6 @@ impl ChrisRuntime {
                 let sleep_time = (period - compute_time).max_zero();
                 watch.charge(PowerState::Sleep, self.zoo.watch().sleep_power * sleep_time);
             }
-            instruments.window_processed();
             index += 1;
             Ok(())
         })?;
@@ -249,6 +247,7 @@ impl ChrisRuntime {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
+        instruments.record(n, offloaded, invocations);
         let mut report = RunReport {
             windows: n,
             mae_bpm: errors.mae().unwrap_or(0.0),
@@ -308,6 +307,7 @@ mod tests {
     use crate::profiling::ProfilingOptions;
     use ppg_data::{DatasetBuilder, LabeledWindow};
     use ppg_models::random_forest::{RandomForest, RandomForestConfig};
+    use std::collections::BTreeMap;
 
     fn dataset_windows(subjects: usize, seed: u64) -> Vec<LabeledWindow> {
         DatasetBuilder::new()
@@ -488,6 +488,86 @@ mod tests {
         assert_eq!(
             run(ConnectionSchedule::NeverConnected).unwrap_err(),
             expected
+        );
+    }
+
+    #[test]
+    fn a_failed_run_leaves_its_series_registered_at_zero() {
+        let windows = dataset_windows(1, 46);
+        let hybrid_only = DecisionEngine::new(
+            engine_for(&windows)
+                .profiles()
+                .iter()
+                .filter(|p| p.configuration.target == ExecutionTarget::Hybrid)
+                .cloned()
+                .collect(),
+        );
+        // Never connected fails on the first window; the duty cycle fails on
+        // the third, after two windows were processed — and still publishes
+        // zeros.
+        for schedule in [
+            ConnectionSchedule::NeverConnected,
+            ConnectionSchedule::DutyCycle { up: 2, down: 1 },
+        ] {
+            let registry = telemetry::Registry::new();
+            let result = {
+                let _scope = telemetry::scoped(&registry);
+                ChrisRuntime::new(
+                    ModelZoo::paper_setup(),
+                    hybrid_only.clone(),
+                    RuntimeOptions::default(),
+                )
+                .run(&windows, &UserConstraint::MaxMae(5.6), &schedule)
+            };
+            assert!(matches!(
+                result,
+                Err(ChrisError::NoFeasibleConfiguration { .. })
+            ));
+            let snap = registry.snapshot();
+            // Windows, two backends and three models, all at zero. The
+            // observational stage timer still times the failed run.
+            assert_eq!(snap.counters.len(), 6, "{schedule:?}");
+            for counter in &snap.counters {
+                assert_eq!(counter.value, 0, "{schedule:?}: {counter:?}");
+            }
+            assert_eq!(snap.histograms.len(), 1, "{schedule:?}");
+            assert_eq!(snap.histograms[0].count, 1, "{schedule:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_publishes_counts_matching_its_report() {
+        use crate::metrics::{MODEL_INVOCATIONS_SERIES, OFFLOAD_DECISIONS_SERIES, WINDOWS_SERIES};
+        let windows = dataset_windows(2, 45);
+        let engine = engine_for(&windows);
+        let registry = telemetry::Registry::new();
+        let report = {
+            let _scope = telemetry::scoped(&registry);
+            ChrisRuntime::new(ModelZoo::paper_setup(), engine, RuntimeOptions::default())
+                .run(
+                    &windows,
+                    &UserConstraint::MaxMae(5.6),
+                    &ConnectionSchedule::DutyCycle { up: 3, down: 1 },
+                )
+                .unwrap()
+        };
+        let snap = registry.snapshot();
+        let counter = |name: &str, labels: &[(&str, &str)]| {
+            snap.counter_value(name, labels)
+                .unwrap_or_else(|| panic!("{name} {labels:?} is registered"))
+        };
+        let total = counter(WINDOWS_SERIES, &[]);
+        assert_eq!(total, report.windows as u64);
+        let phone = counter(OFFLOAD_DECISIONS_SERIES, &[("backend", "phone")]);
+        let wearable = counter(OFFLOAD_DECISIONS_SERIES, &[("backend", "wearable")]);
+        assert_eq!(phone + wearable, total);
+        assert_eq!(phone as f32 / total as f32, report.offload_fraction);
+        let per_model = ModelKind::ALL
+            .map(|model| counter(MODEL_INVOCATIONS_SERIES, &[("model", model.name())]));
+        assert_eq!(per_model.iter().sum::<u64>(), total);
+        assert!(
+            per_model.iter().filter(|&&count| count > 0).count() >= 2,
+            "a duty-cycled 5.6 BPM run uses more than one model: {per_model:?}"
         );
     }
 

@@ -63,6 +63,18 @@ fn shard_telemetry_is_stable_across_thread_counts() {
         .expect("eagerly registered");
     assert_eq!(phone + wearable, windows);
 
+    // Model invocations partition them too: every window runs exactly one
+    // model. Profiling predictions are not part of a shard's run telemetry.
+    let invocations: u64 = ["AT", "TimePPG-Small", "TimePPG-Big"]
+        .into_iter()
+        .map(|model| {
+            one.telemetry
+                .counter_value("chris_model_invocations_total", &[("model", model)])
+                .expect("eagerly registered")
+        })
+        .sum();
+    assert_eq!(invocations, windows);
+
     // Only workload-deterministic series are embedded — durations and cache
     // counters vary run to run and must stay out of byte-stable artifacts.
     assert!(one.telemetry.histograms.is_empty());

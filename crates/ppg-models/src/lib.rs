@@ -40,7 +40,6 @@
 
 pub mod adaptive_threshold;
 pub mod error;
-pub mod metrics;
 pub mod random_forest;
 pub mod spectral;
 pub mod surrogate;

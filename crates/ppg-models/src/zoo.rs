@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 use ppg_data::Activity;
 
 use crate::adaptive_threshold::{AdaptiveThreshold, AT_CYCLES_PI3, AT_CYCLES_STM32};
-use crate::metrics::InstrumentedEstimator;
 use crate::surrogate::CalibratedEstimator;
 use crate::timeppg::TimePpgVariant;
 use crate::traits::HrEstimator;
@@ -40,6 +39,11 @@ impl ModelKind {
         ModelKind::TimePpgSmall,
         ModelKind::TimePpgBig,
     ];
+
+    /// Stable zero-based index, in the order of [`ModelKind::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Human-readable name as used in the paper.
     pub fn name(self) -> &'static str {
@@ -222,9 +226,7 @@ impl ModelZoo {
     /// [`crate::surrogate`]). The `seed` controls the reproducible error
     /// sequence.
     pub fn calibrated_estimator(&self, kind: ModelKind, seed: u64) -> Box<dyn HrEstimator> {
-        Box::new(InstrumentedEstimator::new(Box::new(
-            CalibratedEstimator::new(kind, seed),
-        )))
+        Box::new(CalibratedEstimator::new(kind, seed))
     }
 
     /// Builds the *real* algorithmic estimator where one exists (AT); falls
@@ -232,9 +234,7 @@ impl ModelZoo {
     /// weights are not available (see `DESIGN.md` §4).
     pub fn reference_estimator(&self, kind: ModelKind, seed: u64) -> Box<dyn HrEstimator> {
         match kind {
-            ModelKind::AdaptiveThreshold => Box::new(InstrumentedEstimator::new(Box::new(
-                AdaptiveThreshold::new(),
-            ))),
+            ModelKind::AdaptiveThreshold => Box::new(AdaptiveThreshold::new()),
             _ => self.calibrated_estimator(kind, seed),
         }
     }
@@ -336,6 +336,13 @@ mod tests {
         assert_eq!(ModelKind::TimePpgBig.parameter_count(), 232_600);
         assert_eq!(ModelKind::AdaptiveThreshold.parameter_count(), 0);
         assert_eq!(ModelKind::ALL.len(), 3);
+    }
+
+    #[test]
+    fn index_follows_the_all_order() {
+        for (index, kind) in ModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), index);
+        }
     }
 
     #[test]
