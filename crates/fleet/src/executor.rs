@@ -2,7 +2,8 @@
 //!
 //! Devices are distributed through a shared atomic cursor over fixed-size
 //! chunks — a minimal work-stealing queue: fast workers simply claim more
-//! chunks. Every device simulation is a pure function of its scenario and
+//! chunks. One thread runs the same worker body, inline on the calling
+//! thread, so there is a single executor path. Every device simulation is a pure function of its scenario and
 //! the shared (read-only) zoo + decision engine, and results are merged in
 //! device order afterwards, so the output is byte-identical for any thread
 //! count and any scheduling interleaving.
@@ -22,7 +23,6 @@
 //! [`crate::merge::merge`] differ.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -281,27 +281,33 @@ fn simulate(
 /// worker — the scenario-free path.
 ///
 /// No `Vec<DeviceScenario>` is ever built: peak *scenario* memory is one
-/// scenario per worker thread regardless of the range size. (The returned
-/// `Vec<DeviceReport>` is still O(range) — partition huge fleets into
-/// shards sized to what one process can report on.) An optional
-/// [`ProgressSink`] observes each device, with its window count, as it
-/// completes, and may cancel the run between devices; attaching one
-/// never changes the results, which are byte-identical for any thread count.
+/// scenario per worker thread regardless of the range size. Nothing is
+/// allocated up front in proportion to the range either: result vectors
+/// grow as devices finish, so a huge range that is cancelled early costs
+/// only what it ran. (The returned `Vec<DeviceReport>` is still O(range) —
+/// partition huge fleets into shards sized to what one process can report
+/// on.) An optional [`ProgressSink`] observes each device, with its window
+/// count, as it completes, and may cancel the run between devices;
+/// attaching one never changes the results, which are byte-identical for
+/// any thread count.
 ///
-/// Telemetry records into whatever registry was active when the run
-/// started: the one-thread path records into it directly, and each worker of
-/// the parallel path records into its own private [`telemetry::Registry`]
-/// (lock-free, no cross-thread contention) and folds its snapshot into the
-/// active one at exit. Counter/histogram merging is commutative, so the
-/// totals — the [`PROFILE_CACHE_EVENTS_SERIES`] hit/miss counters included —
-/// are identical for any interleaving.
+/// Every thread count runs the same worker body — at one thread inline on
+/// the calling thread, otherwise on scoped threads over a shared chunk
+/// cursor. Each worker records telemetry into its own private
+/// [`telemetry::Registry`] (lock-free, no cross-thread contention) and folds
+/// its snapshot into the registry that was active when the run started, at
+/// exit. Counter/histogram merging is commutative, so the totals — the
+/// [`PROFILE_CACHE_EVENTS_SERIES`] hit/miss counters included — are
+/// identical for any interleaving.
 ///
 /// # Errors
 ///
 /// Returns [`FleetError::EmptyFleet`] for an empty (or inverted) range and
 /// [`FleetError::Cancelled`] when the sink cancels the run; when multiple
 /// devices fail, the error of the lowest device id is returned
-/// (deterministic for any thread count).
+/// (deterministic for any thread count: a worker stops claiming after its
+/// own first failure, and chunks are claimed in increasing id order, so
+/// every lower id has been claimed by a worker that runs it).
 pub fn run_fleet_range(
     generator: &ScenarioGenerator,
     range: Range<u64>,
@@ -330,22 +336,71 @@ pub fn run_fleet_range(
         cache_event_counter(&active, "hit");
         cache_event_counter(&active, "miss");
     }
-    if threads > 1 {
-        return run_parallel(&devices, &active, options.profile_cache, count, threads);
-    }
-    let mut cache = options.profile_cache.map(WindowCache::new);
-    let reports = (0..count)
-        .map(|index| {
-            if devices.cancel_requested() {
-                return Err(FleetError::Cancelled);
+    let cursor = AtomicU64::new(0);
+    let worker = || {
+        // One cache and one registry per worker: no synchronization on the
+        // hot path, and counters merge once at worker exit.
+        let registry = telemetry::Registry::new();
+        let _scope = telemetry::scoped(&registry);
+        let mut cache = options.profile_cache.map(WindowCache::new);
+        let mut local = Vec::new();
+        // Compare-exchange claims instead of `fetch_add`: the cursor never
+        // moves past `count`, so id ranges near `u64::MAX` cannot overflow
+        // it.
+        'claims: while let Some(claimed) = claim_chunk(&cursor, count, CHUNK_SIZE) {
+            for index in claimed {
+                if devices.cancel_requested() {
+                    break 'claims;
+                }
+                let result = devices.simulate(index, cache.as_mut());
+                let failed = result.is_err();
+                local.push((index, result));
+                if failed {
+                    break 'claims;
+                }
             }
-            devices.simulate(index, cache.as_mut())
+        }
+        if let Some(cache) = &cache {
+            record_cache_events(&registry, cache);
+        }
+        active
+            .absorb(&registry.snapshot())
+            .expect("worker series are self-consistent across registries");
+        local
+    };
+    let locals: Vec<Vec<(u64, Result<DeviceReport, FleetError>)>> = if threads == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         })
-        .collect();
-    if let Some(cache) = &cache {
-        record_cache_events(&active, cache);
+    };
+
+    let mut merged = Vec::with_capacity(locals.iter().map(Vec::len).sum());
+    for local in locals {
+        merged.extend(local);
     }
-    reports
+    merged.sort_by_key(|&(index, _)| index);
+    let reports = merged
+        .into_iter()
+        .map(|(_, result)| result)
+        .collect::<Result<Vec<_>, _>>()?;
+    // Workers stopped claiming before the cursor was exhausted without any
+    // device failing — the sink requested cancellation. A failure observed
+    // before the cancellation point wins above, so a real error is never
+    // masked as a mere cancellation.
+    if (reports.len() as u64) < count {
+        return Err(FleetError::Cancelled);
+    }
+    Ok(reports)
 }
 
 /// The read-only state every worker of one [`run_fleet_range`] call shares.
@@ -407,74 +462,6 @@ fn cache_event_counter(registry: &telemetry::Registry, result: &str) -> telemetr
 fn record_cache_events(registry: &telemetry::Registry, cache: &WindowCache) {
     cache_event_counter(registry, "hit").add(cache.hits());
     cache_event_counter(registry, "miss").add(cache.misses());
-}
-
-/// The multi-worker arm of [`run_fleet_range`]: scoped threads over an
-/// atomic chunk cursor, one private [`WindowCache`] and
-/// [`telemetry::Registry`] per worker, both folded into `active` exactly
-/// once at worker exit.
-fn run_parallel(
-    devices: &Devices<'_>,
-    active: &telemetry::Registry,
-    profile_cache: Option<usize>,
-    count: u64,
-    threads: usize,
-) -> Result<Vec<DeviceReport>, FleetError> {
-    let cursor = AtomicU64::new(0);
-    let capacity = usize::try_from(count).unwrap_or(usize::MAX);
-    let collected: Mutex<Vec<(u64, Result<DeviceReport, FleetError>)>> =
-        Mutex::new(Vec::with_capacity(capacity));
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // One cache and one registry per worker: no synchronization
-                // on the hot path, and counters merge once at worker exit.
-                let worker = telemetry::Registry::new();
-                let _scope = telemetry::scoped(&worker);
-                let mut cache = profile_cache.map(WindowCache::new);
-                let mut local = Vec::new();
-                // Compare-exchange claims instead of `fetch_add`: the cursor
-                // never moves past `count`, so id ranges near `u64::MAX`
-                // cannot overflow it.
-                'claims: while let Some(claimed) = claim_chunk(&cursor, count, CHUNK_SIZE) {
-                    for index in claimed {
-                        if devices.cancel_requested() {
-                            break 'claims;
-                        }
-                        local.push((index, devices.simulate(index, cache.as_mut())));
-                    }
-                }
-                if let Some(cache) = &cache {
-                    record_cache_events(&worker, cache);
-                }
-                active
-                    .absorb(&worker.snapshot())
-                    .expect("worker series are self-consistent across registries");
-                collected
-                    .lock()
-                    .expect("no worker panics while holding the results lock")
-                    .extend(local);
-            });
-        }
-    });
-
-    let mut merged = collected
-        .into_inner()
-        .expect("all workers joined before the lock is consumed");
-    merged.sort_by_key(|&(index, _)| index);
-    if (merged.len() as u64) < count {
-        // Workers stopped claiming before the cursor was exhausted — the
-        // sink requested cancellation. A device failure observed before the
-        // cancellation point still wins (lowest index, deterministic), so a
-        // real error is never masked as a mere cancellation.
-        for (_, result) in merged {
-            result?;
-        }
-        return Err(FleetError::Cancelled);
-    }
-    debug_assert_eq!(merged.len() as u64, count);
-    merged.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Claims the next chunk of work-item indices, or `None` when the supply is
@@ -597,30 +584,42 @@ mod tests {
         assert!(claim_chunk(&cursor, u64::MAX, 8).is_none());
     }
 
+    /// Sink that requests cancellation once `after` devices completed.
+    struct CancelAfter {
+        after: usize,
+        completed: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CancelAfter {
+        fn new(after: usize) -> Self {
+            Self {
+                after,
+                completed: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+
+        fn completed(&self) -> usize {
+            // relaxed: read after the executor returned (workers joined).
+            self.completed.load(Ordering::Relaxed)
+        }
+    }
+
+    impl ProgressSink for CancelAfter {
+        fn device_completed(&self, _device_id: u64, _windows: usize) {
+            // relaxed: cross-thread test counter; the assertions read it
+            // after the executor joined its workers.
+            self.completed.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn should_cancel(&self) -> bool {
+            // relaxed: a stale count only delays cancellation by one poll —
+            // exactly what the tests' tolerance ranges allow.
+            self.completed.load(Ordering::Relaxed) >= self.after
+        }
+    }
+
     #[test]
     fn cancellation_aborts_at_a_device_boundary() {
-        use std::sync::atomic::AtomicUsize;
-
-        /// Sink that requests cancellation once `after` devices completed.
-        struct CancelAfter {
-            after: usize,
-            completed: AtomicUsize,
-        }
-
-        impl ProgressSink for CancelAfter {
-            fn device_completed(&self, _device_id: u64, _windows: usize) {
-                // relaxed: cross-thread test counter; the assertion below
-                // reads it after the executor joined its workers.
-                self.completed.fetch_add(1, Ordering::Relaxed);
-            }
-
-            fn should_cancel(&self) -> bool {
-                // relaxed: a stale count only delays cancellation by one
-                // poll — exactly what the test's tolerance range allows.
-                self.completed.load(Ordering::Relaxed) >= self.after
-            }
-        }
-
         let zoo = ModelZoo::paper_setup();
         let engine = shared_engine(&zoo);
         let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
@@ -634,21 +633,17 @@ mod tests {
             };
             run_fleet_range(&generator, 0..devices, &zoo, &engine, &options, Some(sink))
         };
-        // Both executor arms must honor the hook: every worker re-polls
-        // before each device of its chunk, so at most `threads` devices
-        // complete after the request.
+        // Inline (one thread) and on scoped threads, the worker body honors
+        // the hook: every worker re-polls before each device of its chunk,
+        // so at most `threads` devices complete after the request.
         for threads in [1usize, 4] {
-            let sink = CancelAfter {
-                after: 2,
-                completed: AtomicUsize::new(0),
-            };
+            let sink = CancelAfter::new(2);
             let result = run(threads, &sink);
             assert!(
                 matches!(result, Err(FleetError::Cancelled)),
                 "threads={threads}: expected Cancelled, got {result:?}"
             );
-            // relaxed: read after the executor returned (workers joined).
-            let completed = sink.completed.load(Ordering::Relaxed);
+            let completed = sink.completed();
             assert!(
                 (2..devices as usize).contains(&completed),
                 "threads={threads}: cancellation should stop the run partway, \
@@ -657,13 +652,29 @@ mod tests {
         }
 
         // A sink that cancels immediately aborts before any device runs.
-        let sink = CancelAfter {
-            after: 0,
-            completed: AtomicUsize::new(0),
-        };
+        let sink = CancelAfter::new(0);
         assert!(matches!(run(0, &sink), Err(FleetError::Cancelled)));
-        // relaxed: read after the executor returned (workers joined).
-        assert_eq!(sink.completed.load(Ordering::Relaxed), 0);
+        assert_eq!(sink.completed(), 0);
+    }
+
+    #[test]
+    fn huge_ranges_allocate_nothing_up_front() {
+        // A slot per device of `1 << 62` would overflow `Vec` capacity; a
+        // cancelled run must cost only the devices it ran.
+        let zoo = ModelZoo::paper_setup();
+        let engine = shared_engine(&zoo);
+        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let options = ExecutorOptions {
+            threads: 2,
+            ..ExecutorOptions::default()
+        };
+        let sink = CancelAfter::new(1);
+        let result = run_fleet_range(&generator, 0..1 << 62, &zoo, &engine, &options, Some(&sink));
+        assert!(
+            matches!(result, Err(FleetError::Cancelled)),
+            "expected Cancelled, got {result:?}"
+        );
+        assert!((1..=2).contains(&sink.completed()));
     }
 
     #[test]
