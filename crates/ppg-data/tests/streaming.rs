@@ -114,7 +114,7 @@ proptest! {
     fn labels_only_stream_matches_full_synthesis_labels(
         seed in 0u64..1_000_000,
         subjects in 1usize..=3,
-        samples in 256usize..1_200,
+        samples in 256usize..4_000,
         activity_mask in 1usize..512,
     ) {
         let activities = activities_from_mask(activity_mask);
