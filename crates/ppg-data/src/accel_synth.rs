@@ -15,11 +15,17 @@
 //! noise. The per-sample *motion envelope* (non-gravity magnitude, smoothed)
 //! is returned alongside the axes so the PPG synthesizer can couple artifacts
 //! to it.
+//!
+//! Labels-only synthesis reads none of this, so [`AccelSkip`] moves the
+//! stream past a segment's draws instead: one precomputed jump over the
+//! fixed-size noise, then a replay of the burst schedule, whose word count
+//! is not fixed.
 
+use rand::rngs::{Jump, StdRng};
 use rand::Rng;
 
 use crate::activity::Activity;
-use crate::noise::{ar1_noise, ar1_noise_words, skip_words, white_noise, white_noise_words};
+use crate::noise::{ar1_noise, ar1_noise_words, white_noise, white_noise_words};
 use crate::subject::SubjectProfile;
 
 /// A 3-axis accelerometer segment plus the motion envelope used to couple
@@ -149,9 +155,8 @@ pub fn accel_segment<R: Rng + ?Sized>(
 /// order.
 ///
 /// The one place the schedule's draws happen, shared by [`accel_segment`]
-/// and [`skip_accel_segment`]: the burst length is rejection-sampled, so its
-/// word count is not fixed and the skip must replay the draws, not count
-/// them.
+/// and [`AccelSkip`]: the burst length is rejection-sampled, so its word
+/// count is not fixed and the skip must replay the draws, not count them.
 fn burst_schedule<R: Rng + ?Sized>(
     rng: &mut R,
     activity: Activity,
@@ -172,33 +177,53 @@ fn burst_schedule<R: Rng + ?Sized>(
     }
 }
 
-/// Advances `rng` exactly as far as [`accel_segment`] with the same
-/// arguments would, without synthesizing the segment: the fixed-size noise
-/// draws are skipped word by word and only the burst schedule is replayed.
-pub(crate) fn skip_accel_segment<R: Rng + ?Sized>(
-    rng: &mut R,
-    activity: Activity,
-    n_samples: usize,
-    sample_rate_hz: f32,
-) {
+/// Random words [`accel_segment`] draws over `n_samples` samples before its
+/// burst schedule: four AR(1) series (pose x/y, cadence jitter, aperiodic
+/// envelope), three phase offsets and three sensor-noise axes, or nothing
+/// for an empty segment. `None` if the count overflows `u64`.
+fn accel_fixed_words(n_samples: usize) -> Option<u64> {
     if n_samples == 0 {
-        return;
+        return Some(0);
     }
-    // Four AR(1) series (pose x/y, cadence jitter, aperiodic envelope), three
-    // phase offsets and three sensor-noise axes, all drawn before the bursts.
-    skip_words(
-        rng,
-        4 * ar1_noise_words(n_samples) + 3 + 3 * white_noise_words(n_samples),
-    );
-    burst_schedule(rng, activity, n_samples, sample_rate_hz, |_, _, _| {});
+    ar1_noise_words(n_samples)?
+        .checked_mul(4)?
+        .checked_add(3)?
+        .checked_add(white_noise_words(n_samples)?.checked_mul(3)?)
+}
+
+/// Advances a stream exactly as far as [`accel_segment`] over a fixed
+/// number of samples would, without synthesizing the segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct AccelSkip {
+    n_samples: usize,
+    /// The jump over the fixed-size draws that precede the burst schedule.
+    fixed: Jump,
+}
+
+impl AccelSkip {
+    /// The skip over `n_samples`-sample segments, or `None` if their word
+    /// count overflows `u64`.
+    pub(crate) fn new(n_samples: usize) -> Option<Self> {
+        Some(Self {
+            n_samples,
+            fixed: Jump::new(accel_fixed_words(n_samples)?),
+        })
+    }
+
+    /// Advances `rng` past one segment of `activity`: the fixed draws are
+    /// jumped over and the burst schedule is replayed.
+    pub(crate) fn skip(&self, rng: &mut StdRng, activity: Activity, sample_rate_hz: f32) {
+        rng.jump(&self.fixed);
+        burst_schedule(rng, activity, self.n_samples, sample_rate_hz, |_, _, _| {});
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::skip_words;
     use crate::subject::SubjectId;
     use ppg_dsp::features::AccelFeatures;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn subject() -> SubjectProfile {
@@ -308,10 +333,26 @@ mod tests {
                 let mut synthesized = StdRng::seed_from_u64(200 + i as u64);
                 let mut skipped = synthesized.clone();
                 accel_segment(&mut synthesized, &subject(), *activity, n, 32.0);
-                skip_accel_segment(&mut skipped, *activity, n, 32.0);
+                AccelSkip::new(n)
+                    .unwrap()
+                    .skip(&mut skipped, *activity, 32.0);
                 assert_eq!(synthesized, skipped, "{activity} over {n} samples");
             }
         }
+    }
+
+    #[test]
+    fn fixed_jump_matches_stepping_word_by_word() {
+        // Up to half an hour of samples: the jump's high bits are exercised.
+        for n in [1, 256, 32 * 60, 32 * 1_800] {
+            let mut stepped = StdRng::seed_from_u64(n as u64);
+            let mut jumped = stepped.clone();
+            skip_words(&mut stepped, accel_fixed_words(n).unwrap());
+            jumped.jump(&AccelSkip::new(n).unwrap().fixed);
+            assert_eq!(stepped, jumped, "{n} samples");
+        }
+        assert_eq!(accel_fixed_words(768), Some(14 * 768 + 11));
+        assert_eq!(accel_fixed_words(usize::MAX), None);
     }
 
     #[test]

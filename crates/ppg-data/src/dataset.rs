@@ -9,21 +9,35 @@
 //! the heart-rate trajectory runs in full, and the subject's stream is
 //! advanced past the accelerometer and PPG draws without computing them, so
 //! every label is bit-identical to full synthesis at a fraction of the cost.
+//! The fixed-size draws are jumped over with two xoshiro256++ jump
+//! polynomials built once per builder (their word counts depend only on the
+//! segment length); only the accelerometer's burst schedule is replayed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::accel_synth::{accel_segment, skip_accel_segment, AccelSegment};
+use crate::accel_synth::{accel_segment, AccelSegment, AccelSkip};
 use crate::activity::Activity;
 use crate::error::DataError;
 use crate::hr_profile::{hr_trajectory, window_mean_hr};
-use crate::ppg_synth::{ppg_segment, skip_ppg_segment};
+use crate::ppg_synth::{ppg_segment, PpgSkip};
 use crate::stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
 use crate::stream::{self, RecordingWindows, SynthWindows, WindowSource};
 use crate::subject::{SubjectId, SubjectProfile};
 use crate::window::LabeledWindow;
 use crate::{FULL_SUBJECT_COUNT, SAMPLE_RATE_HZ, WINDOW_SAMPLES};
+
+/// The longest recording per activity a builder accepts: one day, in
+/// seconds.
+pub const MAX_SECONDS_PER_ACTIVITY: f32 = 86_400.0;
+
+/// The error for a per-activity duration that is not a number of seconds
+/// within [`MAX_SECONDS_PER_ACTIVITY`].
+const SECONDS_OUT_OF_RANGE: DataError = DataError::InvalidParameter {
+    name: "seconds_per_activity",
+    requirement: "must be finite and at most 86400 s",
+};
 
 /// What a synthesized session carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -283,7 +297,7 @@ impl DatasetBuilder {
     }
 
     /// Seconds of recording per activity per subject (must allow at least one
-    /// 8-second window).
+    /// 8-second window and be at most [`MAX_SECONDS_PER_ACTIVITY`]).
     pub fn seconds_per_activity(mut self, seconds: f32) -> Self {
         self.seconds_per_activity = seconds;
         self
@@ -323,7 +337,11 @@ impl DatasetBuilder {
                 requirement: "must contain at least one activity",
             });
         }
-        let samples_per_activity = (self.seconds_per_activity * SAMPLE_RATE_HZ) as usize;
+        let seconds = self.seconds_per_activity;
+        if !seconds.is_finite() || seconds > MAX_SECONDS_PER_ACTIVITY {
+            return Err(SECONDS_OUT_OF_RANGE);
+        }
+        let samples_per_activity = (seconds * SAMPLE_RATE_HZ) as usize;
         if samples_per_activity < WINDOW_SAMPLES {
             return Err(DataError::InvalidParameter {
                 name: "seconds_per_activity",
@@ -386,7 +404,8 @@ impl DatasetBuilder {
     ///
     /// Returns [`DataError::InvalidParameter`] when the subject count is not
     /// in `1..=15`, the activity list is empty, or the per-activity duration
-    /// is shorter than one analysis window.
+    /// is not a number, is shorter than one analysis window or is longer
+    /// than [`MAX_SECONDS_PER_ACTIVITY`].
     pub fn build(self) -> Result<Dataset, DataError> {
         let (seconds_per_activity, seed) = (self.seconds_per_activity, self.seed);
         let mut sessions = self.sessions()?;
@@ -402,13 +421,22 @@ impl DatasetBuilder {
     /// The lazy session generator of the dataset this builder describes.
     fn sessions(self) -> Result<Sessions, DataError> {
         let samples_per_activity = self.validated_samples_per_activity()?;
+        let signals = match self.synthesis {
+            Synthesis::Full => Signals::Synthesize,
+            Synthesis::LabelsOnly => {
+                let accel = AccelSkip::new(samples_per_activity);
+                let ppg = PpgSkip::new(samples_per_activity);
+                let (accel, ppg) = accel.zip(ppg).ok_or(SECONDS_OUT_OF_RANGE)?;
+                Signals::Skip { accel, ppg }
+            }
+        };
         Ok(Sessions {
             master: StdRng::seed_from_u64(self.seed),
             subjects: self.subjects,
             next_activity: self.activities.len(),
             activities: self.activities,
             samples_per_activity,
-            synthesis: self.synthesis,
+            signals,
             profiles: Vec::with_capacity(self.subjects),
             // Replaced by subject 0's stream on the first pull.
             rng: StdRng::seed_from_u64(self.seed),
@@ -420,9 +448,9 @@ impl DatasetBuilder {
 /// The lazy session generator: yields every recording of a dataset in
 /// subject/activity order, synthesizing each on demand by chaining the HR
 /// trajectory, accelerometer and PPG generators. In labels-only mode the
-/// accelerometer and PPG draws are skipped, not computed, so the subject's
-/// stream — and every later label — stays exactly where full synthesis
-/// leaves it.
+/// accelerometer and PPG draws are jumped over, not computed, so the
+/// subject's stream — and every later label — stays exactly where full
+/// synthesis leaves it.
 ///
 /// The one place subject streams are derived and the heart-rate trajectory
 /// is chained across activities: [`DatasetBuilder::build`] collects it and
@@ -434,7 +462,7 @@ pub(crate) struct Sessions {
     subjects: usize,
     activities: Vec<Activity>,
     samples_per_activity: usize,
-    synthesis: Synthesis,
+    signals: Signals,
     /// Profiles generated so far; the last one is the subject being recorded.
     profiles: Vec<SubjectProfile>,
     /// The current subject's stream.
@@ -444,6 +472,16 @@ pub(crate) struct Sessions {
     /// Index into `activities` of the next recording; `activities.len()`
     /// once the current subject is done.
     next_activity: usize,
+}
+
+/// How [`Sessions`] treats the signal draws of each segment.
+#[derive(Debug, Clone)]
+enum Signals {
+    /// Synthesize the accelerometer and PPG ([`Synthesis::Full`]).
+    Synthesize,
+    /// Jump the stream past them ([`Synthesis::LabelsOnly`]), with skips
+    /// built once for the segment length.
+    Skip { accel: AccelSkip, ppg: PpgSkip },
 }
 
 impl Sessions {
@@ -483,15 +521,15 @@ impl Iterator for Sessions {
             self.last_hr,
         );
         self.last_hr = *hr.last().expect("non-empty trajectory");
-        let (accel, ppg) = match self.synthesis {
-            Synthesis::Full => {
+        let (accel, ppg) = match &self.signals {
+            Signals::Synthesize => {
                 let accel = accel_segment(rng, profile, activity, samples, SAMPLE_RATE_HZ);
                 let ppg = ppg_segment(rng, profile, &hr, &accel.motion_envelope, SAMPLE_RATE_HZ);
                 (accel, ppg)
             }
-            Synthesis::LabelsOnly => {
-                skip_accel_segment(rng, activity, samples, SAMPLE_RATE_HZ);
-                skip_ppg_segment(rng, samples);
+            Signals::Skip { accel, ppg } => {
+                accel.skip(rng, activity, SAMPLE_RATE_HZ);
+                ppg.skip(rng);
                 (AccelSegment::default(), Vec::new())
             }
         };

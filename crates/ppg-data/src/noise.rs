@@ -4,8 +4,12 @@
 //! this module provides a small Box–Muller sampler plus a first-order
 //! autoregressive (AR(1)) smoother used by the HR-trajectory and
 //! motion-artifact generators.
+//!
+//! Each generator also states how many random words it draws, so
+//! labels-only synthesis can jump the stream past draws nobody reads
+//! instead of making them.
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Draws one sample from a standard normal distribution using the Box–Muller
 /// transform.
@@ -47,20 +51,22 @@ pub fn ar1_noise<R: Rng + ?Sized>(rng: &mut R, n: usize, rho: f32, std_dev: f32)
 }
 
 /// Random words [`white_noise`] draws for `n` samples: one Box–Muller pair
-/// per sample.
-pub(crate) const fn white_noise_words(n: usize) -> usize {
-    2 * n
+/// per sample. `None` if the count overflows `u64`.
+pub(crate) fn white_noise_words(n: usize) -> Option<u64> {
+    u64::try_from(n).ok()?.checked_mul(2)
 }
 
 /// Random words [`ar1_noise`] draws for `n` samples: the Box–Muller pair of
-/// the initial state plus one per sample.
-pub(crate) const fn ar1_noise_words(n: usize) -> usize {
-    2 * (n + 1)
+/// the initial state plus one per sample. `None` if the count overflows
+/// `u64`.
+pub(crate) fn ar1_noise_words(n: usize) -> Option<u64> {
+    u64::try_from(n).ok()?.checked_add(1)?.checked_mul(2)
 }
 
-/// Advances `rng` by `words` 64-bit draws, discarding them: the cheap way
-/// past draws whose values nobody reads.
-pub(crate) fn skip_words<R: RngCore + ?Sized>(rng: &mut R, words: usize) {
+/// Advances `rng` by `words` 64-bit draws, one at a time: the reference the
+/// jump-based skips are tested against.
+#[cfg(test)]
+pub(crate) fn skip_words<R: rand::RngCore + ?Sized>(rng: &mut R, words: u64) {
     for _ in 0..words {
         rng.next_u64();
     }
@@ -137,8 +143,19 @@ mod tests {
         let mut skipped = drawn.clone();
         white_noise(&mut drawn, 37, 1.0);
         ar1_noise(&mut drawn, 41, 0.9, 1.0);
-        skip_words(&mut skipped, white_noise_words(37) + ar1_noise_words(41));
+        skip_words(
+            &mut skipped,
+            white_noise_words(37).unwrap() + ar1_noise_words(41).unwrap(),
+        );
         assert_eq!(drawn, skipped);
+    }
+
+    #[test]
+    fn word_counts_that_overflow_are_none() {
+        assert_eq!(white_noise_words(usize::MAX), None);
+        assert_eq!(ar1_noise_words(usize::MAX), None);
+        assert_eq!(ar1_noise_words(usize::MAX / 2), None);
+        assert_eq!(white_noise_words(1 << 62), Some(1 << 63));
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //! The relative amplitude of artifacts versus the clean pulse is what makes an
 //! activity "difficult": at rest the artifact term is negligible; during table
 //! soccer it dominates the pulse by several times, as in the real dataset.
+//!
+//! Every PPG draw has a fixed word count, so labels-only synthesis moves the
+//! stream past a segment with one precomputed jump ([`PpgSkip`]).
 
+use rand::rngs::{Jump, StdRng};
 use rand::Rng;
 
-use crate::noise::{ar1_noise, ar1_noise_words, skip_words, white_noise, white_noise_words};
+use crate::noise::{ar1_noise, ar1_noise_words, white_noise, white_noise_words};
 use crate::subject::SubjectProfile;
 
 /// Relative amplitude of the diastolic (dicrotic) bump versus the systolic peak.
@@ -97,19 +101,35 @@ pub fn ppg_segment<R: Rng + ?Sized>(
     out
 }
 
-/// Advances `rng` exactly as far as [`ppg_segment`] over `n_samples`
-/// samples would, without synthesizing the segment. Every draw of the PPG
-/// has a fixed word count, so the whole skip is one count.
-pub(crate) fn skip_ppg_segment<R: Rng + ?Sized>(rng: &mut R, n_samples: usize) {
+/// Random words [`ppg_segment`] draws over `n_samples` samples: cardiac
+/// phase, respiratory frequency and phase, artifact frequency and phase,
+/// then the baseline-shift AR(1) and the sensor noise, or nothing for an
+/// empty segment. `None` if the count overflows `u64`.
+fn ppg_words(n_samples: usize) -> Option<u64> {
     if n_samples == 0 {
-        return;
+        return Some(0);
     }
-    // Cardiac phase, respiratory frequency and phase, artifact frequency and
-    // phase, then the baseline-shift AR(1) and the sensor noise.
-    skip_words(
-        rng,
-        5 + ar1_noise_words(n_samples) + white_noise_words(n_samples),
-    );
+    ar1_noise_words(n_samples)?
+        .checked_add(5)?
+        .checked_add(white_noise_words(n_samples)?)
+}
+
+/// Advances a stream exactly as far as [`ppg_segment`] over a fixed number
+/// of samples would, without synthesizing the segment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PpgSkip(Jump);
+
+impl PpgSkip {
+    /// The skip over `n_samples`-sample segments, or `None` if their word
+    /// count overflows `u64`.
+    pub(crate) fn new(n_samples: usize) -> Option<Self> {
+        Some(Self(Jump::new(ppg_words(n_samples)?)))
+    }
+
+    /// Advances `rng` past one segment.
+    pub(crate) fn skip(&self, rng: &mut StdRng) {
+        rng.jump(&self.0);
+    }
 }
 
 /// Normalized single-beat waveform as a function of the cardiac phase in
@@ -137,8 +157,8 @@ mod tests {
     use super::*;
     use crate::activity::Activity;
     use crate::hr_profile::hr_trajectory;
+    use crate::noise::skip_words;
     use crate::subject::{SubjectId, SubjectProfile};
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn subject() -> SubjectProfile {
@@ -228,9 +248,22 @@ mod tests {
             let hr = vec![80.0f32; n];
             let env = vec![0.2f32; n];
             ppg_segment(&mut synthesized, &subject(), &hr, &env, 32.0);
-            skip_ppg_segment(&mut skipped, n);
+            PpgSkip::new(n).unwrap().skip(&mut skipped);
             assert_eq!(synthesized, skipped, "{n} samples");
         }
+    }
+
+    #[test]
+    fn jump_matches_stepping_word_by_word() {
+        for n in [1, 256, 32 * 60, 32 * 1_800] {
+            let mut stepped = StdRng::seed_from_u64(n as u64);
+            let mut jumped = stepped.clone();
+            skip_words(&mut stepped, ppg_words(n).unwrap());
+            PpgSkip::new(n).unwrap().skip(&mut jumped);
+            assert_eq!(stepped, jumped, "{n} samples");
+        }
+        assert_eq!(ppg_words(768), Some(4 * 768 + 7));
+        assert_eq!(ppg_words(usize::MAX), None);
     }
 
     #[test]

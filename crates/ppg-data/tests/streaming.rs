@@ -171,4 +171,40 @@ fn builder_stream_validates_parameters_like_build() {
         .activities(&[])
         .window_stream()
         .is_err());
+    // Durations whose sample count would saturate `usize` are typed errors
+    // in either mode, never an allocation failure or a wrapped size hint.
+    for seconds in [f32::INFINITY, 1e12, f32::MAX, f32::NAN] {
+        for synthesis in [Synthesis::Full, Synthesis::LabelsOnly] {
+            let builder = || {
+                DatasetBuilder::new()
+                    .seconds_per_activity(seconds)
+                    .synthesis(synthesis)
+            };
+            for error in [
+                builder().window_stream().err(),
+                builder().build().err(),
+                builder().window_cache_key().err(),
+            ] {
+                assert!(
+                    matches!(
+                        error,
+                        Some(ppg_data::DataError::InvalidParameter {
+                            name: "seconds_per_activity",
+                            ..
+                        })
+                    ),
+                    "{seconds} s ({synthesis:?}): {error:?}"
+                );
+            }
+        }
+    }
+    // The bound itself is accepted.
+    let day = DatasetBuilder::new()
+        .subjects(1)
+        .activities(&[Activity::Resting])
+        .seconds_per_activity(ppg_data::dataset::MAX_SECONDS_PER_ACTIVITY)
+        .synthesis(Synthesis::LabelsOnly)
+        .window_stream()
+        .unwrap();
+    assert_eq!(day.len(), (86_400 * 32 - 256) / 64 + 1);
 }
