@@ -16,7 +16,7 @@
 //! is returned alongside the axes so the PPG synthesizer can couple artifacts
 //! to it.
 //!
-//! Labels-only synthesis reads none of this, so [`AccelSkip`] moves the
+//! Labels-only synthesis reads none of this, so `AccelSkip` moves the
 //! stream past a segment's draws instead: one precomputed jump over the
 //! fixed-size noise, then a replay of the burst schedule, whose word count
 //! is not fixed.
@@ -193,7 +193,7 @@ fn accel_fixed_words(n_samples: usize) -> Option<u64> {
 
 /// Advances a stream exactly as far as [`accel_segment`] over a fixed
 /// number of samples would, without synthesizing the segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct AccelSkip {
     n_samples: usize,
     /// The jump over the fixed-size draws that precede the burst schedule.

@@ -5,9 +5,11 @@
 //! autoregressive (AR(1)) smoother used by the HR-trajectory and
 //! motion-artifact generators.
 //!
-//! Each generator also states how many random words it draws, so
-//! labels-only synthesis can jump the stream past draws nobody reads
-//! instead of making them.
+//! The white-noise and AR(1) generators also state how many random words
+//! they draw, so labels-only synthesis can jump the stream past draws nobody
+//! reads instead of making them (`rand::rngs::Jump`). Stepping the words one
+//! by one (`skip_words`, test builds only) is the reference the jumps are
+//! tested against.
 
 use rand::Rng;
 

@@ -19,7 +19,7 @@
 //! soccer it dominates the pulse by several times, as in the real dataset.
 //!
 //! Every PPG draw has a fixed word count, so labels-only synthesis moves the
-//! stream past a segment with one precomputed jump ([`PpgSkip`]).
+//! stream past a segment with one precomputed jump (`PpgSkip`).
 
 use rand::rngs::{Jump, StdRng};
 use rand::Rng;
@@ -116,7 +116,7 @@ fn ppg_words(n_samples: usize) -> Option<u64> {
 
 /// Advances a stream exactly as far as [`ppg_segment`] over a fixed number
 /// of samples would, without synthesizing the segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub(crate) struct PpgSkip(Jump);
 
 impl PpgSkip {
