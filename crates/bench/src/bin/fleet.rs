@@ -61,6 +61,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
     }
+    args.common.spec.validate()?;
     Ok(args)
 }
 

@@ -176,3 +176,29 @@ fn merge_rejects_mismatched_seeds_with_a_typed_error() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fleet_and_shard_clis_reject_an_invalid_job_spec_before_running() {
+    let cases = [
+        ("--threads", "1025", "threads must be at most 1024"),
+        ("--devices", "0", "devices must be at least 1"),
+    ];
+    for binary in [
+        env!("CARGO_BIN_EXE_fleet"),
+        env!("CARGO_BIN_EXE_fleet-shard"),
+    ] {
+        for (flag, value, message) in cases {
+            let output = run(binary, &[flag, value]);
+            assert!(
+                !output.status.success(),
+                "{binary} {flag} {value} succeeded"
+            );
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(stderr.contains(message), "unexpected stderr: {stderr}");
+            assert!(
+                output.stdout.is_empty(),
+                "no report may be emitted on error"
+            );
+        }
+    }
+}
