@@ -127,7 +127,9 @@ struct JobRecord {
     counters: Arc<JobCounters>,
     /// The job's simulation, built once (profiling is the expensive step)
     /// and shared by every worker running its shards. Holds the build error
-    /// so concurrent claimants see one consistent outcome.
+    /// so concurrent claimants see one consistent outcome. Replaced by an
+    /// empty cell once the job is done or failed, so a long-running daemon
+    /// does not keep one simulation per finished job.
     sim: Arc<OnceLock<Result<FleetSimulation, String>>>,
 }
 
@@ -502,6 +504,7 @@ impl Scheduler {
                 record.state = JobState::Failed;
                 record.error = Some(error);
                 record.pending.clear();
+                record.sim = Arc::default();
                 counter("chris_fleetd_jobs_total", "failed");
             }
         }
@@ -518,6 +521,7 @@ impl Scheduler {
         let outcome = self.merge_job(job, &spec);
         let mut state = self.state.lock().expect("scheduler lock");
         let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
+        record.sim = Arc::default();
         match outcome {
             Ok(body) => {
                 record.state = JobState::Done;
@@ -658,6 +662,26 @@ mod tests {
         };
         assert_eq!(recovered_body, body);
         assert_eq!(recovered.submit(JobSpec::new(1)).unwrap().id, id + 1);
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn a_finished_job_releases_its_simulation() {
+        let spool = temp_spool("release");
+        let root = spool.root().to_path_buf();
+        let scheduler = Arc::new(Scheduler::new(spool, 4).unwrap());
+        let workers = scheduler.spawn_workers(2);
+        let mut spec = JobSpec::new(3);
+        spec.shards = 2;
+        let id = scheduler.submit(spec).unwrap().id;
+        assert_eq!(wait_done(&scheduler, id).state, "done");
+        let state = scheduler.state.lock().unwrap();
+        assert!(state.jobs[&id].sim.get().is_none());
+        drop(state);
+        scheduler.begin_shutdown(false);
+        for handle in workers {
+            handle.join().unwrap();
+        }
         std::fs::remove_dir_all(root).unwrap();
     }
 
