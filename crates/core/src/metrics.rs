@@ -1,6 +1,6 @@
 //! Runtime and profiling telemetry, published once per run.
 //!
-//! [`RunInstruments`] bundles every telemetry handle
+//! `RunInstruments` bundles every telemetry handle
 //! [`ChrisRuntime::run`](crate::runtime::ChrisRuntime::run) publishes to.
 //! The handles are resolved **once per run** from the thread's active
 //! registry. The window loop counts into locals and touches no handle: the
@@ -8,7 +8,7 @@
 //! once, into `chris_stage_duration_ns{stage="runtime"}`.
 //! [`Profiler::profile_with`](crate::profiling::Profiler::profile_with)
 //! likewise adds its per-model prediction counts once per profile, through
-//! [`invocation_counter`].
+//! `invocation_counter`.
 //!
 //! Counter series (windows, offload decisions by backend, model invocations)
 //! are [`Stable`](telemetry::Stability::Stable): their values depend only on

@@ -133,7 +133,7 @@ impl ChrisRuntime {
     /// BLE connection schedule, returning the aggregated report.
     ///
     /// `windows` is anything convertible into a
-    /// [`WindowSource`](ppg_data::WindowSource): an eager buffer
+    /// [`WindowSource`]: an eager buffer
     /// (`&[LabeledWindow]`, `&Vec<LabeledWindow>`) or a lazy stream such as
     /// [`ppg_data::DatasetBuilder::window_stream`]. The runtime pulls one
     /// window at a time and never buffers the workload — with a synthesis

@@ -21,7 +21,7 @@
 //!   `b % 2^(ℓ+1) == 0`) always combine into one level-`ℓ+1` node: the two
 //!   sorted buffers are merged and every other element kept, starting at an
 //!   offset derived from a **fixed seed** and the node's absolute position
-//!   ([`splitmix64`]) — never from arrival order or a random source,
+//!   (a SplitMix64 hash) — never from arrival order or a random source,
 //! * values whose ids do not yet fill an aligned block are held raw (weight
 //!   1, zero error) in partial-block runs.
 //!

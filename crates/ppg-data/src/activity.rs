@@ -1,7 +1,7 @@
 //! The nine PPGDalia activities and their difficulty ordering.
 //!
 //! The paper orders the activities by the average accelerometer signal energy
-//! they induce (its ref. [19]) and assigns a *difficulty level* from 1 (least
+//! they induce (its ref. \[19\]) and assigns a *difficulty level* from 1 (least
 //! motion artifacts) to 9 (most). The CHRIS decision engine compares the
 //! predicted activity's difficulty against a per-configuration threshold to
 //! pick the simple or the complex HR model.

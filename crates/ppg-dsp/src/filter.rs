@@ -1,7 +1,7 @@
 //! Smoothing and band-selection filters for raw PPG and accelerometer data.
 //!
 //! The Adaptive-Threshold HR estimator of the paper (Shin et al., its ref.
-//! [20]) computes a rolling mean over a 24-sample window; the deep models and
+//! \[20\]) computes a rolling mean over a 24-sample window; the deep models and
 //! the spectral baseline first band-pass the PPG to the plausible cardiac band
 //! (0.5–4 Hz ≈ 30–240 BPM). Both primitives live here.
 

@@ -1,6 +1,6 @@
 //! The Adaptive-Threshold (AT) heart-rate estimator.
 //!
-//! This is the paper's cheapest model (its ref. [20], Shin et al.): compute
+//! This is the paper's cheapest model (its ref. \[20\], Shin et al.): compute
 //! the rolling mean of the PPG over a 24-sample window, find the *regions of
 //! interest* where the raw signal exceeds that rolling mean, take the largest
 //! sample of each region as a beat, and convert the mean peak-to-peak distance

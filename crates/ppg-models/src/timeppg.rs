@@ -1,6 +1,6 @@
 //! The TimePPG temporal convolutional networks.
 //!
-//! TimePPG-Small and TimePPG-Big (the paper's refs. [1], [19]) are 1-D
+//! TimePPG-Small and TimePPG-Big (the paper's refs. \[1\], \[19\]) are 1-D
 //! dilated convolutional networks with a modular structure of 3 blocks, each
 //! made of three convolutional layers: two with dilation larger than one and
 //! one with stride 2. The two variants differ only in the number of filters
