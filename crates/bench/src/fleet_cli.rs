@@ -222,7 +222,8 @@ impl StderrProgress {
     }
 
     /// Device-progress lines printed so far — what the throttle cap bounds.
-    pub fn progress_lines(&self) -> u64 {
+    #[cfg(test)]
+    fn progress_lines(&self) -> u64 {
         // relaxed: single-cell monotone counter read for display.
         self.lines_emitted.load(Ordering::Relaxed)
     }

@@ -86,11 +86,6 @@ impl EnergyAccounting {
 pub struct DifficultyThreshold(u8);
 
 impl DifficultyThreshold {
-    /// Always use the complex model.
-    pub const ALWAYS_COMPLEX: DifficultyThreshold = DifficultyThreshold(0);
-    /// Always use the simple model.
-    pub const ALWAYS_SIMPLE: DifficultyThreshold = DifficultyThreshold(9);
-
     /// Creates a threshold, returning an error outside `0..=9`.
     ///
     /// # Errors
@@ -119,11 +114,6 @@ impl DifficultyThreshold {
     /// Whether a window of the given difficulty goes to the simple model.
     pub fn routes_to_simple(self, difficulty: DifficultyLevel) -> bool {
         difficulty.value() <= self.0
-    }
-
-    /// Number of activities (out of 9) treated as "easy" by this threshold.
-    pub fn easy_activity_count(self) -> usize {
-        self.0 as usize
     }
 }
 
@@ -237,20 +227,8 @@ mod tests {
     #[test]
     fn threshold_validation() {
         assert!(DifficultyThreshold::new(10).is_err());
-        assert_eq!(
-            DifficultyThreshold::new(0).unwrap(),
-            DifficultyThreshold::ALWAYS_COMPLEX
-        );
-        assert_eq!(
-            DifficultyThreshold::new(9).unwrap(),
-            DifficultyThreshold::ALWAYS_SIMPLE
-        );
         assert_eq!(DifficultyThreshold::all().count(), 10);
         assert_eq!(DifficultyThreshold::new(4).unwrap().value(), 4);
-        assert_eq!(
-            DifficultyThreshold::new(4).unwrap().easy_activity_count(),
-            4
-        );
     }
 
     #[test]
@@ -260,12 +238,11 @@ mod tests {
         assert!(thr.routes_to_simple(Activity::Lunch.difficulty())); // difficulty 4
         assert!(!thr.routes_to_simple(Activity::Driving.difficulty())); // difficulty 5
         assert!(!thr.routes_to_simple(Activity::TableSoccer.difficulty()));
-        assert!(
-            DifficultyThreshold::ALWAYS_SIMPLE.routes_to_simple(Activity::TableSoccer.difficulty())
-        );
-        assert!(
-            !DifficultyThreshold::ALWAYS_COMPLEX.routes_to_simple(Activity::Resting.difficulty())
-        );
+        // 9 always picks the simple model, 0 always the complex one.
+        let always_simple = DifficultyThreshold::new(9).unwrap();
+        assert!(always_simple.routes_to_simple(Activity::TableSoccer.difficulty()));
+        let always_complex = DifficultyThreshold::new(0).unwrap();
+        assert!(!always_complex.routes_to_simple(Activity::Resting.difficulty()));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use hw_sim::units::Energy;
-use ppg_data::Activity;
 
 use crate::config::Configuration;
 
@@ -49,19 +48,6 @@ impl RunReport {
         hw_sim::units::Power::from_milliwatts(
             self.avg_watch_energy.as_millijoules() / hw_sim::PREDICTION_PERIOD_S,
         )
-    }
-
-    /// MAE of the activity with the given label, if present.
-    pub fn activity_mae(&self, activity: Activity) -> Option<f32> {
-        self.per_activity_mae.get(activity.name()).copied()
-    }
-
-    /// The configuration label that handled the most windows.
-    pub fn dominant_configuration(&self) -> Option<(&str, usize)> {
-        self.configuration_usage
-            .iter()
-            .max_by_key(|&(_, &count)| count)
-            .map(|(label, &count)| (label.as_str(), count))
     }
 
     /// Records usage of a configuration for `count` windows.
@@ -153,14 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn activity_mae_lookup() {
-        let r = report();
-        assert_eq!(r.activity_mae(Activity::Resting), Some(3.0));
-        assert_eq!(r.activity_mae(Activity::TableSoccer), Some(8.0));
-        assert_eq!(r.activity_mae(Activity::Cycling), None);
-    }
-
-    #[test]
     fn configuration_usage_tracking() {
         let mut r = report();
         let config = Configuration::new(
@@ -173,8 +151,8 @@ mod tests {
         r.record_configuration(&config, 30);
         r.record_configuration(&config, 20);
         assert_eq!(
-            r.dominant_configuration(),
-            Some((config.label().as_str(), 50))
+            r.configuration_usage,
+            BTreeMap::from([(config.label(), 50)])
         );
     }
 
@@ -192,7 +170,7 @@ mod tests {
     fn default_report_is_empty() {
         let r = RunReport::default();
         assert_eq!(r.windows, 0);
-        assert!(r.dominant_configuration().is_none());
+        assert!(r.configuration_usage.is_empty());
     }
 
     #[test]

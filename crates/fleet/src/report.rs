@@ -183,15 +183,6 @@ impl DistributionSummary {
             .min(n.saturating_sub(1))
     }
 
-    /// Nearest-rank `p`th percentile of a sample **sorted** with
-    /// [`f64::total_cmp`]; `None` for an empty sample.
-    pub fn percentile_sorted(sorted: &[f64], p: u32) -> Option<f64> {
-        if sorted.is_empty() {
-            return None;
-        }
-        Some(sorted[Self::nearest_rank_index(p, sorted.len())])
-    }
-
     /// Summarizes a non-empty sample; `None` for an empty one.
     pub fn from_values(values: &[f64]) -> Option<Self> {
         if values.is_empty() {
@@ -721,25 +712,6 @@ mod tests {
         assert_eq!(DistributionSummary::nearest_rank_index(99, 10), 9);
         assert_eq!(DistributionSummary::nearest_rank_index(100, 10), 9);
         assert_eq!(DistributionSummary::nearest_rank_index(1, 1), 0);
-    }
-
-    #[test]
-    fn percentile_sorted_matches_from_values() {
-        let values: Vec<f64> = (1..=64).map(f64::from).collect();
-        let d = DistributionSummary::from_values(&values).unwrap();
-        assert_eq!(
-            DistributionSummary::percentile_sorted(&values, 50),
-            Some(d.p50)
-        );
-        assert_eq!(
-            DistributionSummary::percentile_sorted(&values, 90),
-            Some(d.p90)
-        );
-        assert_eq!(
-            DistributionSummary::percentile_sorted(&values, 99),
-            Some(d.p99)
-        );
-        assert_eq!(DistributionSummary::percentile_sorted(&[], 50), None);
     }
 
     #[test]

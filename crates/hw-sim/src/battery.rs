@@ -104,11 +104,6 @@ impl Battery {
         Ok(())
     }
 
-    /// Recharges the battery to full.
-    pub fn recharge(&mut self) {
-        self.remaining = self.capacity;
-    }
-
     /// Battery lifetime under a constant average load-side power draw.
     pub fn lifetime(&self, average_load_power: Power) -> TimeSpan {
         let battery_power = average_load_power.as_milliwatts() / self.converter_efficiency;
@@ -116,39 +111,6 @@ impl Battery {
             return TimeSpan::from_seconds(f64::INFINITY);
         }
         TimeSpan::from_seconds(self.remaining.as_millijoules() / battery_power)
-    }
-
-    /// Number of predictions the remaining charge can sustain given the
-    /// load-side energy cost of one prediction.
-    ///
-    /// A budget larger than `u64::MAX` predictions (a vanishingly small but
-    /// positive per-prediction energy) saturates to `u64::MAX` — an explicit
-    /// choice, not a cast artifact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HwError::InvalidParameter`] for a zero, negative, NaN or
-    /// infinite per-prediction energy. The previous bare `as u64` conversion
-    /// silently turned a NaN energy into `0` remaining predictions and let
-    /// non-positive energies claim an infinite budget.
-    pub fn predictions_remaining(&self, energy_per_prediction: Energy) -> Result<u64, HwError> {
-        let per_prediction = energy_per_prediction.as_microjoules();
-        if !per_prediction.is_finite() || per_prediction <= 0.0 {
-            return Err(HwError::InvalidParameter {
-                name: "energy_per_prediction",
-                requirement: "must be positive and finite",
-            });
-        }
-        // Both operands are positive and finite here, so the ratio is a
-        // non-negative non-NaN float; only the >= 2^64 overflow case needs
-        // handling before the float->int conversion.
-        let predictions =
-            self.remaining.as_microjoules() * self.converter_efficiency / per_prediction;
-        debug_assert!(!predictions.is_nan());
-        if predictions >= u64::MAX as f64 {
-            return Ok(u64::MAX);
-        }
-        Ok(predictions as u64)
     }
 }
 
@@ -194,8 +156,6 @@ mod tests {
         assert!(b.drain(Energy::from_joules(10.0)).is_err());
         assert_eq!(b.remaining(), before);
         b.drain(Energy::from_joules(3.0)).unwrap();
-        b.recharge();
-        assert_eq!(b.remaining(), b.capacity());
     }
 
     #[test]
@@ -218,50 +178,5 @@ mod tests {
             days > 100.0,
             "expected >100 days of HR tracking alone, got {days:.1}"
         );
-    }
-
-    #[test]
-    fn predictions_remaining() {
-        let b = Battery::hwatch();
-        let n = b
-            .predictions_remaining(Energy::from_millijoules(0.735))
-            .unwrap();
-        // ~4900 J * 0.9 / 0.735 mJ ≈ 6.0 M predictions.
-        assert!(n > 5_000_000 && n < 7_000_000, "got {n}");
-    }
-
-    #[test]
-    fn predictions_remaining_rejects_degenerate_energies() {
-        // Regression for the bare `as u64` conversion: NaN energy used to
-        // cast to 0 predictions, and zero/negative energy claimed an
-        // infinite budget — both silently.
-        let b = Battery::hwatch();
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(
-                matches!(
-                    b.predictions_remaining(Energy::from_millijoules(bad)),
-                    Err(HwError::InvalidParameter {
-                        name: "energy_per_prediction",
-                        ..
-                    })
-                ),
-                "energy {bad} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn predictions_remaining_saturates_instead_of_overflowing() {
-        // A positive but vanishingly small per-prediction energy overflows
-        // u64; the conversion saturates explicitly rather than relying on
-        // cast-defined behavior.
-        let b = Battery::hwatch();
-        let n = b
-            .predictions_remaining(Energy::from_microjoules(f64::MIN_POSITIVE))
-            .unwrap();
-        assert_eq!(n, u64::MAX);
-        // Just under the saturation threshold stays exact.
-        let tiny = Energy::from_microjoules(b.remaining().as_microjoules());
-        assert!(b.predictions_remaining(tiny).unwrap() <= 1);
     }
 }

@@ -75,11 +75,6 @@ impl BleLink {
         })
     }
 
-    /// Marks the link as connected or disconnected.
-    pub fn set_connected(&mut self, connected: bool) {
-        self.connected = connected;
-    }
-
     /// Time to transfer `bytes` of payload.
     pub fn transfer_time(&self, bytes: usize) -> TimeSpan {
         self.overhead + TimeSpan::from_seconds(bytes as f64 / self.throughput_bytes_per_s)
@@ -186,9 +181,9 @@ mod tests {
     #[test]
     fn disconnected_link_refuses_offload() {
         let mut link = BleLink::paper_calibrated();
-        link.set_connected(false);
+        link.connected = false;
         assert!(matches!(link.offload_window(), Err(HwError::LinkDown)));
-        link.set_connected(true);
+        link.connected = true;
         assert!(link.offload_window().is_ok());
     }
 

@@ -134,21 +134,9 @@ impl Power {
         Self { milliwatts: mw }
     }
 
-    /// Creates a power from watts.
-    pub fn from_watts(w: f64) -> Self {
-        Self {
-            milliwatts: w * 1e3,
-        }
-    }
-
     /// Value in milliwatts.
     pub fn as_milliwatts(self) -> f64 {
         self.milliwatts
-    }
-
-    /// Value in watts.
-    pub fn as_watts(self) -> f64 {
-        self.milliwatts / 1e3
     }
 
     /// Energy spent at this power level for the given duration.
@@ -181,11 +169,6 @@ impl TimeSpan {
     /// Zero duration.
     pub const ZERO: TimeSpan = TimeSpan { microseconds: 0.0 };
 
-    /// Creates a duration from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self { microseconds: us }
-    }
-
     /// Creates a duration from milliseconds.
     pub fn from_millis(ms: f64) -> Self {
         Self {
@@ -198,11 +181,6 @@ impl TimeSpan {
         Self {
             microseconds: s * 1e6,
         }
-    }
-
-    /// Value in microseconds.
-    pub fn as_micros(self) -> f64 {
-        self.microseconds
     }
 
     /// Value in milliseconds.
@@ -334,14 +312,11 @@ mod tests {
         let e = p * t;
         assert!((e.as_millijoules() - 0.5).abs() < 1e-9);
         assert_eq!(p.for_duration(t), e);
-        assert!((Power::from_watts(1.6).as_milliwatts() - 1600.0).abs() < 1e-9);
-        assert!((Power::from_milliwatts(500.0).as_watts() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn timespan_conversions_and_arithmetic() {
         let t = TimeSpan::from_millis(2.5);
-        assert!((t.as_micros() - 2500.0).abs() < 1e-9);
         assert!((t.as_seconds() - 0.0025).abs() < 1e-12);
         let sum = t + TimeSpan::from_millis(1.5);
         assert!((sum.as_millis() - 4.0).abs() < 1e-9);

@@ -91,11 +91,6 @@ impl Activity {
         DifficultyLevel::new(idx as u8 + 1).expect("index within 1..=9")
     }
 
-    /// Activity with the given difficulty level.
-    pub fn from_difficulty(level: DifficultyLevel) -> Self {
-        Self::ALL[(level.value() - 1) as usize]
-    }
-
     /// Stable zero-based index (same order as [`Activity::ALL`]); useful as a
     /// class label for the activity-recognition classifier.
     pub fn index(self) -> usize {
@@ -215,7 +210,6 @@ mod tests {
     #[test]
     fn difficulty_round_trip() {
         for a in Activity::ALL {
-            assert_eq!(Activity::from_difficulty(a.difficulty()), a);
             assert_eq!(Activity::from_index(a.index()), Some(a));
         }
         assert_eq!(Activity::from_index(9), None);

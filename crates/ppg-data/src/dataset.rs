@@ -189,40 +189,9 @@ impl Dataset {
         &self.recordings
     }
 
-    /// Recordings of one subject.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::UnknownSubject`] for an out-of-range index.
-    pub fn subject_recordings(
-        &self,
-        subject: SubjectId,
-    ) -> Result<Vec<&SessionRecording>, DataError> {
-        if subject.0 >= self.subject_count() {
-            return Err(DataError::UnknownSubject {
-                index: subject.0,
-                available: self.subject_count(),
-            });
-        }
-        Ok(self
-            .recordings
-            .iter()
-            .filter(|r| r.subject == subject)
-            .collect())
-    }
-
     /// Extracts every labeled window of the dataset, in subject/activity order.
     pub fn windows(&self) -> Vec<LabeledWindow> {
         extract_windows(self.recordings.iter())
-    }
-
-    /// Extracts the labeled windows belonging to the given subjects only.
-    pub fn windows_for_subjects(&self, subjects: &[SubjectId]) -> Vec<LabeledWindow> {
-        extract_windows(
-            self.recordings
-                .iter()
-                .filter(|r| subjects.contains(&r.subject)),
-        )
     }
 
     /// Seconds of data generated per activity per subject.
@@ -666,28 +635,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(one.recordings()[0], two.recordings()[0]);
-    }
-
-    #[test]
-    fn subject_recordings_filters_by_subject() {
-        let d = small_dataset();
-        let r = d.subject_recordings(SubjectId(1)).unwrap();
-        assert_eq!(r.len(), 9);
-        assert!(r.iter().all(|rec| rec.subject == SubjectId(1)));
-        assert!(d.subject_recordings(SubjectId(5)).is_err());
-    }
-
-    #[test]
-    fn windows_for_subjects_filters() {
-        let d = small_dataset();
-        let w = d.windows_for_subjects(&[SubjectId(0)]);
-        assert!(!w.is_empty());
-        assert!(w.iter().all(|win| win.subject == SubjectId(0)));
-        let all = d.windows();
-        assert_eq!(
-            all.len(),
-            d.windows_for_subjects(&[SubjectId(0), SubjectId(1)]).len()
-        );
     }
 
     #[test]

@@ -140,27 +140,6 @@ impl CrossValidation {
     }
 }
 
-/// Simple split: the last `holdout` subjects are the test set, the rest train.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidParameter`] if `holdout` is zero or not smaller
-/// than `subject_count`.
-pub fn holdout_split(subject_count: usize, holdout: usize) -> Result<Fold, DataError> {
-    if holdout == 0 || holdout >= subject_count {
-        return Err(DataError::InvalidParameter {
-            name: "holdout",
-            requirement: "must be non-zero and smaller than the subject count",
-        });
-    }
-    let split = subject_count - holdout;
-    Ok(Fold {
-        train: (0..split).map(SubjectId).collect(),
-        validation: Vec::new(),
-        test: (split..subject_count).map(SubjectId).collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,16 +195,6 @@ mod tests {
         let cv = CrossValidation::new(6, 3).unwrap();
         assert!(cv.fold(6).is_err());
         assert!(cv.fold(0).is_ok());
-    }
-
-    #[test]
-    fn holdout_split_partitions_subjects() {
-        let f = holdout_split(5, 2).unwrap();
-        assert_eq!(f.train.len(), 3);
-        assert_eq!(f.test.len(), 2);
-        assert!(f.is_disjoint());
-        assert!(holdout_split(5, 0).is_err());
-        assert!(holdout_split(5, 5).is_err());
     }
 
     #[test]

@@ -142,16 +142,6 @@ pub fn beat_waveform(phase: f32) -> f32 {
     gaussian(0.20, 0.07) + DIASTOLIC_RATIO * gaussian(0.45, 0.10)
 }
 
-/// Signal-to-artifact ratio of a window: ratio of clean-pulse amplitude to the
-/// artifact amplitude implied by the mean motion envelope. Used in tests and
-/// analysis to verify the difficulty ordering.
-pub fn signal_to_artifact_ratio(subject: &SubjectProfile, mean_envelope_g: f32) -> f32 {
-    if mean_envelope_g <= 0.0 {
-        return f32::INFINITY;
-    }
-    subject.ppg_amplitude / (ARTIFACT_COUPLING * mean_envelope_g * subject.ppg_amplitude)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +254,5 @@ mod tests {
         }
         assert_eq!(ppg_words(768), Some(4 * 768 + 7));
         assert_eq!(ppg_words(usize::MAX), None);
-    }
-
-    #[test]
-    fn signal_to_artifact_ratio_decreases_with_motion() {
-        let s = subject();
-        let high = signal_to_artifact_ratio(&s, 0.01);
-        let low = signal_to_artifact_ratio(&s, 0.8);
-        assert!(high > low);
-        assert!(signal_to_artifact_ratio(&s, 0.0).is_infinite());
     }
 }

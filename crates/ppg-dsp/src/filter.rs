@@ -233,11 +233,6 @@ impl Biquad {
         y
     }
 
-    /// Filters a whole slice, returning a new vector.
-    pub fn process_slice(&mut self, signal: &[f32]) -> Vec<f32> {
-        signal.iter().map(|&x| self.process(x)).collect()
-    }
-
     /// Resets the filter state (delays) to zero without touching coefficients.
     pub fn reset(&mut self) {
         self.x1 = 0.0;
@@ -361,7 +356,7 @@ mod tests {
             })
             .collect();
         let mut lp = Biquad::low_pass(2.0, fs, 0.707).unwrap();
-        let out = lp.process_slice(&signal);
+        let out: Vec<f32> = signal.iter().map(|&x| lp.process(x)).collect();
         // Compare energy in the second half (after transient).
         let e_in: f32 = signal[n / 2..].iter().map(|x| x * x).sum();
         let e_out: f32 = out[n / 2..].iter().map(|x| x * x).sum();

@@ -93,22 +93,6 @@ pub fn region_maxima(signal: &[f32], regions: &[Region], min_len: usize) -> Vec<
         .collect()
 }
 
-/// Simple local-maximum peak detector: an index `i` is a peak when
-/// `signal[i]` is strictly greater than both neighbours and at least
-/// `min_height`.
-pub fn find_peaks(signal: &[f32], min_height: f32) -> Vec<usize> {
-    if signal.len() < 3 {
-        return Vec::new();
-    }
-    let mut peaks = Vec::new();
-    for i in 1..signal.len() - 1 {
-        if signal[i] > signal[i - 1] && signal[i] > signal[i + 1] && signal[i] >= min_height {
-            peaks.push(i);
-        }
-    }
-    peaks
-}
-
 /// Counts the sign changes of the discrete derivative of `signal`.
 ///
 /// This is the "number of peaks" feature used by the paper's
@@ -196,18 +180,6 @@ mod tests {
         let regions = vec![Region { start: 1, end: 2 }, Region { start: 3, end: 6 }];
         let maxima = region_maxima(&signal, &regions, 2);
         assert_eq!(maxima, vec![4]);
-    }
-
-    #[test]
-    fn find_peaks_detects_local_maxima() {
-        let signal = [0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0];
-        assert_eq!(find_peaks(&signal, 0.5), vec![1, 3, 5]);
-        assert_eq!(find_peaks(&signal, 1.5), vec![3, 5]);
-    }
-
-    #[test]
-    fn find_peaks_short_signal_is_empty() {
-        assert!(find_peaks(&[1.0, 2.0], 0.0).is_empty());
     }
 
     #[test]

@@ -191,7 +191,6 @@ pub struct ErrorAccumulator {
     abs_sum: f64,
     sq_sum: f64,
     signed_sum: f64,
-    max_abs: f32,
 }
 
 impl ErrorAccumulator {
@@ -207,7 +206,6 @@ impl ErrorAccumulator {
         self.abs_sum += d.abs();
         self.sq_sum += d * d;
         self.signed_sum += d;
-        self.max_abs = self.max_abs.max(d.abs() as f32);
     }
 
     /// Number of recorded pairs.
@@ -230,18 +228,12 @@ impl ErrorAccumulator {
         (self.count > 0).then(|| (self.signed_sum / self.count as f64) as f32)
     }
 
-    /// Largest absolute error seen so far.
-    pub fn max_abs_error(&self) -> f32 {
-        self.max_abs
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &Self) {
         self.count += other.count;
         self.abs_sum += other.abs_sum;
         self.sq_sum += other.sq_sum;
         self.signed_sum += other.signed_sum;
-        self.max_abs = self.max_abs.max(other.max_abs);
     }
 }
 
@@ -388,7 +380,6 @@ mod tests {
         assert!((acc.mae().unwrap() - mae(&p, &t).unwrap()).abs() < 1e-6);
         assert!((acc.rmse().unwrap() - rmse(&p, &t).unwrap()).abs() < 1e-6);
         assert!((acc.bias().unwrap() - bias(&p, &t).unwrap()).abs() < 1e-6);
-        assert!((acc.max_abs_error() - 5.0).abs() < 1e-6);
     }
 
     #[test]

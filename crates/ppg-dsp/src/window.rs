@@ -109,11 +109,6 @@ pub fn window_count(len: usize, size: usize, stride: usize) -> usize {
     count_windows_from(len, size, stride, 0)
 }
 
-/// Start index (in samples) of the `idx`-th window.
-pub fn window_start(idx: usize, stride: usize) -> usize {
-    idx * stride
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,12 +172,6 @@ mod tests {
         assert_eq!(w[0], &[0, 1, 2, 3, 4, 5]);
         assert_eq!(w[1], &[3, 4, 5, 6, 7, 8]);
         assert_eq!(w[2], &[6, 7, 8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn window_start_is_stride_multiple() {
-        assert_eq!(window_start(0, 64), 0);
-        assert_eq!(window_start(5, 64), 320);
     }
 
     #[test]

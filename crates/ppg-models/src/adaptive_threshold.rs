@@ -55,25 +55,6 @@ impl AdaptiveThreshold {
         }
     }
 
-    /// Creates the estimator with a custom rolling-mean length (used by the
-    /// parameter-sensitivity ablation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidTrainingData`] when `rolling_len` is zero.
-    pub fn with_rolling_len(rolling_len: usize) -> Result<Self, ModelError> {
-        if rolling_len == 0 {
-            return Err(ModelError::InvalidTrainingData {
-                reason: "rolling mean length must be non-zero".to_string(),
-            });
-        }
-        Ok(Self {
-            rolling_len,
-            min_region_len: AT_MIN_REGION_LEN,
-            last_bpm: None,
-        })
-    }
-
     /// The estimate the model falls back to when no peaks are found.
     fn fallback(&self) -> f32 {
         self.last_bpm.unwrap_or(75.0)
@@ -230,12 +211,6 @@ mod tests {
         let at = AdaptiveThreshold::new();
         assert_eq!(at.workload(), Workload::Cycles(100_000));
         assert_eq!(at.name(), "AT");
-    }
-
-    #[test]
-    fn with_rolling_len_validates() {
-        assert!(AdaptiveThreshold::with_rolling_len(0).is_err());
-        assert!(AdaptiveThreshold::with_rolling_len(12).is_ok());
     }
 
     #[test]

@@ -18,10 +18,6 @@ use ppg_data::{Activity, DifficultyLevel, LabeledWindow};
 use crate::error::ModelError;
 use crate::traits::ActivityClassifier;
 
-/// Number of features extracted per window (see
-/// [`ppg_dsp::AccelFeatures::LEN`]).
-pub const FEATURE_COUNT: usize = ppg_dsp::AccelFeatures::LEN;
-
 /// Hyper-parameters of the forest (paper defaults: 8 trees, depth 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RandomForestConfig {
@@ -82,6 +78,7 @@ impl TreeNode {
         }
     }
 
+    #[cfg(test)]
     fn depth(&self) -> usize {
         match self {
             TreeNode::Leaf { .. } => 0,
@@ -295,7 +292,8 @@ impl RandomForest {
     }
 
     /// Maximum depth actually reached by any tree.
-    pub fn max_tree_depth(&self) -> usize {
+    #[cfg(test)]
+    fn max_tree_depth(&self) -> usize {
         self.trees.iter().map(TreeNode::depth).max().unwrap_or(0)
     }
 

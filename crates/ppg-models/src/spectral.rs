@@ -47,15 +47,6 @@ impl SpectralPeak {
             last_bpm: None,
         }
     }
-
-    /// Creates the estimator with a custom tracking limit; `f32::INFINITY`
-    /// disables tracking entirely.
-    pub fn with_tracking_limit(max_step_bpm: f32) -> Self {
-        Self {
-            max_step_bpm,
-            last_bpm: None,
-        }
-    }
 }
 
 impl HrEstimator for SpectralPeak {
@@ -131,10 +122,10 @@ mod tests {
 
     #[test]
     fn tracks_clean_signal() {
-        let mut sp = SpectralPeak::with_tracking_limit(f32::INFINITY);
         for (i, &hr) in [65.0f32, 85.0, 120.0].iter().enumerate() {
             let w = synthetic_window(hr, 0.0, 20 + i as u64);
-            let est = sp.predict(&w).unwrap();
+            // A fresh estimator has no previous estimate to track from.
+            let est = SpectralPeak::new().predict(&w).unwrap();
             // Spectral resolution of an 8 s window is 7.5 BPM per bin.
             assert!((est - hr).abs() < 9.0, "clean {hr} BPM estimated as {est}");
         }

@@ -23,13 +23,12 @@
 
 use hw_sim::profile::Workload;
 use ppg_data::LabeledWindow;
-use tinydl::layers::{Conv1d, Dense, Flatten, GlobalAvgPool, Relu};
+use tinydl::layers::{Conv1d, Dense, Flatten, Relu};
 use tinydl::network::Sequential;
 use tinydl::tensor::Tensor;
 
 use crate::error::ModelError;
 use crate::traits::{clamp_bpm, HrEstimator};
-use crate::zoo::ModelKind;
 
 /// Number of input channels: PPG plus the three accelerometer axes.
 pub const INPUT_CHANNELS: usize = 4;
@@ -84,14 +83,6 @@ impl TimePpgVariant {
         }
     }
 
-    /// The corresponding zoo entry.
-    pub fn model_kind(self) -> ModelKind {
-        match self {
-            TimePpgVariant::Small => ModelKind::TimePpgSmall,
-            TimePpgVariant::Big => ModelKind::TimePpgBig,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -143,31 +134,6 @@ pub fn build_network(variant: TimePpgVariant) -> Result<Sequential, ModelError> 
             net.push(Dense::new(variant.head_hidden(), 1)?);
         }
     }
-    Ok(net)
-}
-
-/// Builds a variant of the network with a global-average-pooling head instead
-/// of the flattened dense head; used by the architecture-ablation bench.
-///
-/// # Errors
-///
-/// Propagates [`tinydl::TinyDlError`] construction errors.
-pub fn build_network_gap_head(variant: TimePpgVariant) -> Result<Sequential, ModelError> {
-    let [c1, c2, c3] = variant.block_channels();
-    let mut net = Sequential::new();
-    let mut in_ch = INPUT_CHANNELS;
-    for (block, &out_ch) in [c1, c2, c3].iter().enumerate() {
-        let dilation = 1 << (block + 1);
-        net.push(Conv1d::new(in_ch, out_ch, 3, 1, dilation, true)?);
-        net.push(Relu::new());
-        net.push(Conv1d::new(out_ch, out_ch, 3, 1, dilation, true)?);
-        net.push(Relu::new());
-        net.push(Conv1d::new(out_ch, out_ch, 3, 2, 1, true)?);
-        net.push(Relu::new());
-        in_ch = out_ch;
-    }
-    net.push(GlobalAvgPool::new());
-    net.push(Dense::new(c3, 1)?);
     Ok(net)
 }
 
@@ -403,26 +369,6 @@ mod tests {
         }
         // Decoding clamps to the physiological range.
         assert_eq!(TimePpg::decode_output(100.0), 190.0);
-    }
-
-    #[test]
-    fn gap_head_variant_builds_and_runs() {
-        let mut net = build_network_gap_head(TimePpgVariant::Small).unwrap();
-        let d = DatasetBuilder::new()
-            .subjects(1)
-            .seconds_per_activity(16.0)
-            .seed(5)
-            .build()
-            .unwrap();
-        let input = window_to_tensor(&d.windows()[0]).unwrap();
-        let out = net.forward(&input).unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(
-            net.parameter_count()
-                < build_network(TimePpgVariant::Small)
-                    .unwrap()
-                    .parameter_count()
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use ppg_data::Activity;
 
-use crate::adaptive_threshold::{AdaptiveThreshold, AT_CYCLES_PI3, AT_CYCLES_STM32};
+use crate::adaptive_threshold::{AT_CYCLES_PI3, AT_CYCLES_STM32};
 use crate::surrogate::CalibratedEstimator;
 use crate::timeppg::TimePpgVariant;
 use crate::traits::HrEstimator;
@@ -228,16 +228,6 @@ impl ModelZoo {
     pub fn calibrated_estimator(&self, kind: ModelKind, seed: u64) -> Box<dyn HrEstimator> {
         Box::new(CalibratedEstimator::new(kind, seed))
     }
-
-    /// Builds the *real* algorithmic estimator where one exists (AT); falls
-    /// back to the calibrated surrogate for the deep models, whose trained
-    /// weights are not available (see `DESIGN.md` §4).
-    pub fn reference_estimator(&self, kind: ModelKind, seed: u64) -> Box<dyn HrEstimator> {
-        match kind {
-            ModelKind::AdaptiveThreshold => Box::new(AdaptiveThreshold::new()),
-            _ => self.calibrated_estimator(kind, seed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,10 +340,6 @@ mod tests {
         let zoo = ModelZoo::paper_setup();
         let cal = zoo.calibrated_estimator(ModelKind::TimePpgBig, 1);
         assert_eq!(cal.name(), "TimePPG-Big");
-        let at = zoo.reference_estimator(ModelKind::AdaptiveThreshold, 1);
-        assert_eq!(at.name(), "AT");
-        let small = zoo.reference_estimator(ModelKind::TimePpgSmall, 1);
-        assert_eq!(small.name(), "TimePPG-Small");
     }
 
     #[test]

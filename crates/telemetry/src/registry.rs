@@ -358,11 +358,6 @@ impl Registry {
         }
     }
 
-    /// Whether instruments on this registry record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     /// An identity token for handle caching: stable for the registry's
     /// lifetime, distinct between live registries.
     pub fn id(&self) -> usize {

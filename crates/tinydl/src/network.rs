@@ -57,11 +57,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layers (used by the quantizer).
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Runs a forward pass through every layer.
     ///
     /// # Errors
@@ -326,7 +321,6 @@ mod tests {
         let mut net = toy_tcn();
         net.zero_gradients();
         assert_eq!(net.layers().len(), 6);
-        assert_eq!(net.layers_mut().len(), 6);
     }
 
     #[test]
