@@ -44,10 +44,11 @@
 //!   constraint-violation counts, all serializable via serde. Aggregation is
 //!   incremental — [`FleetAccumulator`] folds device reports one at a time,
 //!   and [`FleetReport::from_devices`] is that fold over a slice,
-//! * [`shard`] / [`merge`](mod@merge) — scale-out: a [`ShardSpec`] cuts the device-id
-//!   range into contiguous shards that can run on any process or host, each
-//!   producing a serializable [`ShardReport`] artifact; [`merge::merge`]
-//!   validates the artifacts and folds them into a [`FleetReport`]
+//! * [`shard`] / [`merge`](mod@merge) — scale-out: a [`ShardSpec`] cuts the
+//!   device-id range into contiguous shards that can run on any process or
+//!   host, each producing a serializable [`ShardReport`] artifact;
+//!   [`merge::merge`] validates the artifacts and folds them into a
+//!   [`FleetReport`]
 //!   **byte-identical** to a single-process run, and
 //!   [`merge::MergeAccumulator`] does the same incrementally — one artifact
 //!   in memory at a time, which is how the `fleet-merge` binary scales to

@@ -9,9 +9,9 @@
 //! fixed-order floating-point reductions) and
 //! [`FleetReport::from_devices`] is just that fold over a slice — so a
 //! fleet's report is byte-identical no matter how many threads produced the
-//! device reports, and, because [`crate::merge`](mod@crate::merge) feeds id-ordered shard
-//! artifacts through the same accumulator, no matter how many *processes or
-//! hosts* produced them either.
+//! device reports, and, because [`crate::merge`](mod@crate::merge) feeds
+//! id-ordered shard artifacts through the same accumulator, no matter how
+//! many *processes or hosts* produced them either.
 //!
 //! Aggregation runs in one of two [`ReportMode`]s:
 //!
@@ -246,10 +246,10 @@ fn offload_bin(fraction: f32) -> usize {
 /// [`ReportMode::Exact`] three `f64` order-statistic samples per device
 /// (MAE, watch energy, battery life), in [`ReportMode::Sketch`] three
 /// O(log devices) [`QuantileSketch`]es — plus fixed-size running reductions,
-/// never the `DeviceReport`s themselves. That is what lets [`crate::merge`](mod@crate::merge)
-/// consume shard artifacts incrementally: each artifact is folded and
-/// dropped, and peak memory is one artifact plus the retained samples
-/// instead of every artifact at once.
+/// never the `DeviceReport`s themselves. That is what lets
+/// [`crate::merge`](mod@crate::merge) consume shard artifacts incrementally:
+/// each artifact is folded and dropped, and peak memory is one artifact plus
+/// the retained samples instead of every artifact at once.
 ///
 /// All floating-point reductions happen in push order, so feeding devices in
 /// id order reproduces the fixed reduction order the byte-identity guarantee
