@@ -34,15 +34,7 @@ fn options() -> ExecutorOptions {
 }
 
 fn run(simulation: &FleetSimulation) -> Vec<fleet::DeviceReport> {
-    run_fleet_range(
-        simulation.generator(),
-        0..DEVICES,
-        simulation.zoo(),
-        simulation.engine(),
-        &options(),
-        None,
-    )
-    .unwrap()
+    run_fleet_range(simulation, 0..DEVICES, &options(), None).unwrap()
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

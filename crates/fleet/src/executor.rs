@@ -9,7 +9,7 @@
 //! count and any scheduling interleaving.
 //!
 //! Workers are *scenario-free*: [`run_fleet_range`] hands each worker only a
-//! [`ScenarioGenerator`] and a device-id range, and the worker derives each
+//! [`FleetSimulation`] and a device-id range, and the worker derives each
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
 //! worker, never a materialized `Vec<DeviceScenario>` (asserted by
 //! [`metrics::peak_live_scenarios`] in `tests/scenario_free.rs`). A
@@ -23,20 +23,22 @@
 //! [`crate::merge::merge`] differ.
 
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
 use chris_core::runtime::{ChrisRuntime, RuntimeOptions};
 use chris_core::DecisionEngine;
 use hw_sim::battery::{Battery, HWATCH_BATTERY_VOLTAGE, HWATCH_CONVERTER_EFFICIENCY};
-use ppg_data::WindowCache;
+use ppg_data::{drain_shared, BufferWindows, DataError, LabeledWindow, WindowCache, WindowSource};
 use ppg_models::zoo::ModelZoo;
 use telemetry::Stability;
 
 use crate::error::FleetError;
 use crate::progress::ProgressSink;
 use crate::report::{DeviceReport, ReportMode};
-use crate::scenario::{DeviceScenario, ScenarioGenerator};
+use crate::scenario::{DeviceScenario, ScenarioMix};
+use crate::FleetSimulation;
 
 /// Instrumentation gauges for scenario materialization.
 ///
@@ -123,9 +125,9 @@ pub mod metrics {
 /// the distribution finite for pathological near-zero average power.
 pub const BATTERY_LIFE_CAP_HOURS: f64 = 100_000.0;
 
-/// Default per-worker capacity of the profiling-window cache when it is
-/// enabled without an explicit size (the `--profile-cache` CLI flag).
-pub const DEFAULT_PROFILE_CACHE_CAPACITY: usize = 256;
+/// Most pool slots a simulation holds sessions for; devices of higher slots
+/// stream directly, so a custom pool cannot pin unbounded memory.
+const MAX_POOL_SLOTS: u64 = 256;
 
 /// Devices claimed per queue pop. Larger chunks amortize contention,
 /// smaller chunks balance better when device workloads differ.
@@ -136,12 +138,10 @@ const CHUNK_SIZE: u64 = 8;
 pub struct ExecutorOptions {
     /// Worker thread count; `0` means one worker per available core.
     pub threads: usize,
-    /// Per-worker profiling-window cache: `None` disables memoization
-    /// entirely, `Some(capacity)` gives every worker thread its own
-    /// lock-free [`WindowCache`] of that capacity (0 = always miss,
-    /// `usize::MAX` = unbounded), so devices whose scenarios share a
-    /// [`DeviceScenario::window_cache_key`] replay one synthesized stream.
-    /// Reports are byte-identical for every setting; the hit/miss counters
+    /// Profiling-window cache, one per simulation: `Some(_)` shares one
+    /// session per pool slot ([`ScenarioMix::subject_pool`]) across every
+    /// worker and shard run of a [`FleetSimulation`]; the value inside is
+    /// not read. Reports are byte-identical either way; hit/miss counters
     /// land in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series.
     pub profile_cache: Option<usize>,
     /// How the run's device reports are aggregated:
@@ -189,16 +189,13 @@ pub fn simulate_device(
     zoo: &ModelZoo,
     engine: &DecisionEngine,
 ) -> Result<DeviceReport, FleetError> {
-    simulate(scenario, zoo, engine, None, None)
+    simulate(scenario, zoo, engine, None, scenario.window_stream())
 }
 
 /// [`simulate_device`] with a [`WindowCache`]: the device's windows come
 /// through [`DeviceScenario::cached_window_stream`], so a cache hit replays
 /// an earlier device's synthesized session instead of re-running the
 /// synthesizers. The report is byte-identical to the uncached path.
-///
-/// The cache is `&mut` by design — the executor keeps one per worker thread
-/// (lock-free) and merges the counters afterwards.
 ///
 /// # Errors
 ///
@@ -210,38 +207,31 @@ pub fn simulate_device_cached(
     cache: &mut WindowCache,
     sink: Option<&dyn ProgressSink>,
 ) -> Result<DeviceReport, FleetError> {
-    simulate(scenario, zoo, engine, sink, Some(cache))
+    let stream = scenario.cached_window_stream(cache);
+    simulate(scenario, zoo, engine, sink, stream)
 }
 
 /// The device-simulation core behind [`simulate_device`],
-/// [`simulate_device_cached`] and the executor's workers.
-fn simulate(
+/// [`simulate_device_cached`] and the executor's workers, on the device's
+/// opened session `stream`.
+fn simulate<S: WindowSource>(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
     sink: Option<&dyn ProgressSink>,
-    cache: Option<&mut WindowCache>,
+    stream: Result<S, DataError>,
 ) -> Result<DeviceReport, FleetError> {
     let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
+    let stream = stream.map_err(|e| for_device(e.into()))?;
     let options = RuntimeOptions {
         accounting: scenario.accounting,
         seed: scenario.dataset_seed,
         ..RuntimeOptions::default()
     };
     let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
-    let run = match cache {
-        Some(cache) => {
-            let stream = scenario
-                .cached_window_stream(cache)
-                .map_err(|e| for_device(e.into()))?;
-            runtime.run(stream, &scenario.constraint, &scenario.schedule)
-        }
-        None => {
-            let stream = scenario.window_stream().map_err(|e| for_device(e.into()))?;
-            runtime.run(stream, &scenario.constraint, &scenario.schedule)
-        }
-    }
-    .map_err(|e| for_device(e.into()))?;
+    let run = runtime
+        .run(stream, &scenario.constraint, &scenario.schedule)
+        .map_err(|e| for_device(e.into()))?;
     if let Some(sink) = sink {
         sink.device_completed(scenario.device_id, run.windows);
     }
@@ -296,9 +286,10 @@ fn simulate(
 /// cursor. Each worker records telemetry into its own private
 /// [`telemetry::Registry`] (lock-free, no cross-thread contention) and folds
 /// its snapshot into the registry that was active when the run started, at
-/// exit. Counter/histogram merging is commutative, so the totals — the
-/// [`PROFILE_CACHE_EVENTS_SERIES`] hit/miss counters included — are
-/// identical for any interleaving.
+/// exit. Counter/histogram merging is commutative, so the totals are
+/// identical for any interleaving. With [`ExecutorOptions::profile_cache`]
+/// on, each pool slot of `simulation` is synthesized once over all its
+/// runs, so [`PROFILE_CACHE_EVENTS_SERIES`] misses count the slots filled.
 ///
 /// # Errors
 ///
@@ -309,10 +300,8 @@ fn simulate(
 /// own first failure, and chunks are claimed in increasing id order, so
 /// every lower id has been claimed by a worker that runs it).
 pub fn run_fleet_range(
-    generator: &ScenarioGenerator,
+    simulation: &FleetSimulation,
     range: Range<u64>,
-    zoo: &ModelZoo,
-    engine: &DecisionEngine,
     options: &ExecutorOptions,
     sink: Option<&dyn ProgressSink>,
 ) -> Result<Vec<DeviceReport>, FleetError> {
@@ -321,13 +310,6 @@ pub fn run_fleet_range(
     if count == 0 {
         return Err(FleetError::EmptyFleet);
     }
-    let devices = Devices {
-        generator,
-        start: range.start,
-        zoo,
-        engine,
-        sink,
-    };
     let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
     let active = telemetry::active();
     if options.profile_cache.is_some() {
@@ -338,21 +320,23 @@ pub fn run_fleet_range(
     }
     let cursor = AtomicU64::new(0);
     let worker = || {
-        // One cache and one registry per worker: no synchronization on the
-        // hot path, and counters merge once at worker exit.
+        // One registry and one set of cache counts per worker: counters
+        // merge once at worker exit.
         let registry = telemetry::Registry::new();
         let _scope = telemetry::scoped(&registry);
-        let mut cache = options.profile_cache.map(WindowCache::new);
+        let mut events = options.profile_cache.map(|_| CacheEvents::default());
         let mut local = Vec::new();
         // Compare-exchange claims instead of `fetch_add`: the cursor never
         // moves past `count`, so id ranges near `u64::MAX` cannot overflow
         // it.
         'claims: while let Some(claimed) = claim_chunk(&cursor, count, CHUNK_SIZE) {
             for index in claimed {
-                if devices.cancel_requested() {
+                // Polled between devices, so cancellation lands on a device
+                // boundary.
+                if sink.is_some_and(ProgressSink::should_cancel) {
                     break 'claims;
                 }
-                let result = devices.simulate(index, cache.as_mut());
+                let result = simulate_in(simulation, range.start + index, sink, events.as_mut());
                 let failed = result.is_err();
                 local.push((index, result));
                 if failed {
@@ -360,8 +344,9 @@ pub fn run_fleet_range(
                 }
             }
         }
-        if let Some(cache) = &cache {
-            record_cache_events(&registry, cache);
+        if let Some(events) = events {
+            cache_event_counter(&registry, "hit").add(events.hits);
+            cache_event_counter(&registry, "miss").add(events.misses);
         }
         active
             .absorb(&registry.snapshot())
@@ -403,33 +388,23 @@ pub fn run_fleet_range(
     Ok(reports)
 }
 
-/// The read-only state every worker of one [`run_fleet_range`] call shares.
-struct Devices<'a> {
-    generator: &'a ScenarioGenerator,
-    start: u64,
-    zoo: &'a ModelZoo,
-    engine: &'a DecisionEngine,
-    sink: Option<&'a dyn ProgressSink>,
-}
-
-impl Devices<'_> {
-    /// Derives and simulates work item `index` (device `start + index`),
-    /// tracking the generated scenario's lifetime so tests can assert the
-    /// scenario-free memory bound.
-    fn simulate(
-        &self,
-        index: u64,
-        cache: Option<&mut WindowCache>,
-    ) -> Result<DeviceReport, FleetError> {
-        let scenario = self.generator.scenario(self.start + index);
-        let _live = metrics::GeneratedScenario::track();
-        simulate(&scenario, self.zoo, self.engine, self.sink, cache)
-    }
-
-    /// Whether the sink (if any) has asked the run to stop. Polled between
-    /// devices, so cancellation lands on a device boundary.
-    fn cancel_requested(&self) -> bool {
-        self.sink.is_some_and(ProgressSink::should_cancel)
+/// Derives and simulates device `device_id` of `simulation` for the
+/// executor, tracking the generated scenario's lifetime so tests can assert
+/// the scenario-free memory bound. With cache `events`, the device replays
+/// its pool slot's session when it has one.
+fn simulate_in(
+    simulation: &FleetSimulation,
+    device_id: u64,
+    sink: Option<&dyn ProgressSink>,
+    events: Option<&mut CacheEvents>,
+) -> Result<DeviceReport, FleetError> {
+    let scenario = simulation.generator().scenario(device_id);
+    let _live = metrics::GeneratedScenario::track();
+    let pooled = events.and_then(|events| simulation.sessions.session(&scenario, events));
+    let (zoo, engine) = (simulation.zoo(), simulation.engine());
+    match pooled {
+        Some(s) => simulate(&scenario, zoo, engine, sink, Ok(BufferWindows::new(s))),
+        None => simulate(&scenario, zoo, engine, sink, scenario.window_stream()),
     }
 }
 
@@ -437,31 +412,80 @@ impl Devices<'_> {
 /// `result`: `"hit"` or `"miss"`).
 pub const PROFILE_CACHE_EVENTS_SERIES: &str = "chris_profile_cache_events_total";
 
-/// Help text of [`PROFILE_CACHE_EVENTS_SERIES`].
-pub const PROFILE_CACHE_EVENTS_HELP: &str =
-    "Profiling-window cache lookups, by result (hit replays a memoized stream)";
-
 /// Resolves (registering if needed) one cache-event counter on `registry`.
 ///
-/// Cache hit/miss splits depend on work-stealing interleaving, so the series
-/// is [`Observational`](Stability::Observational): visible in exposition,
+/// Which shard run fills a pool slot depends on scheduling, so the series is
+/// [`Observational`](Stability::Observational): visible in exposition,
 /// never embedded in byte-stable shard artifacts.
 fn cache_event_counter(registry: &telemetry::Registry, result: &str) -> telemetry::Counter {
     registry
         .counter(
             PROFILE_CACHE_EVENTS_SERIES,
             &[("result", result)],
-            PROFILE_CACHE_EVENTS_HELP,
+            "Profiling-window cache lookups, by result (hit replays a memoized stream)",
             Stability::Observational,
         )
         .expect("cache counter registration cannot fail")
 }
 
-/// Folds one worker's [`WindowCache`] totals into `registry` — called exactly
-/// once per cache, when its owning worker finishes.
-fn record_cache_events(registry: &telemetry::Registry, cache: &WindowCache) {
-    cache_event_counter(registry, "hit").add(cache.hits());
-    cache_event_counter(registry, "miss").add(cache.misses());
+/// One worker's profile-cache lookups, published once when it exits.
+#[derive(Default)]
+struct CacheEvents {
+    hits: u64,
+    misses: u64,
+}
+
+/// One simulation's labels-only pool sessions: device `id` of a pooled mix
+/// has the [`DeviceScenario::window_cache_key`] of slot `id % subject_pool`,
+/// so the first worker to reach a slot fills it, and every other device of
+/// the slot, in any worker and shard run, replays it. Pool-less mixes get none.
+#[derive(Debug, Clone)]
+pub(crate) struct PoolSessions {
+    pool: u64,
+    slots: Box<[PoolSlot]>,
+}
+
+/// One pool slot: its session once filled, `None` if the fill failed.
+type PoolSlot = OnceLock<Option<Arc<[LabeledWindow]>>>;
+
+impl PoolSessions {
+    pub(crate) fn new(mix: &ScenarioMix) -> Self {
+        Self {
+            pool: mix.subject_pool,
+            slots: (0..mix.subject_pool.min(MAX_POOL_SLOTS))
+                .map(|_| OnceLock::new())
+                .collect(),
+        }
+    }
+
+    /// The session of `scenario`'s slot, filled on first use, with the
+    /// lookup counted in `events`. `None` (a miss) when the device has no
+    /// slot or the fill failed: the device then streams directly, which
+    /// reports any synthesis error exactly as the uncached path does.
+    fn session(
+        &self,
+        scenario: &DeviceScenario,
+        events: &mut CacheEvents,
+    ) -> Option<Arc<[LabeledWindow]>> {
+        let slot = scenario
+            .device_id
+            .checked_rem(self.pool)
+            .and_then(|slot| self.slots.get(usize::try_from(slot).ok()?));
+        let mut filled = false;
+        let session = slot.and_then(|slot| {
+            slot.get_or_init(|| {
+                filled = true;
+                scenario.window_stream().and_then(drain_shared).ok()
+            })
+            .clone()
+        });
+        if session.is_some() && !filled {
+            events.hits += 1;
+        } else {
+            events.misses += 1;
+        }
+        session
+    }
 }
 
 /// Claims the next chunk of work-item indices, or `None` when the supply is
@@ -495,31 +519,20 @@ pub fn claim_chunk(cursor: &AtomicU64, count: u64, chunk: u64) -> Option<Range<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ScenarioGenerator, ScenarioMix};
-    use chris_core::{Profiler, ProfilingOptions};
-    use ppg_data::DatasetBuilder;
+    use crate::scenario::ScenarioMix;
 
-    fn shared_engine(zoo: &ModelZoo) -> DecisionEngine {
-        let windows = DatasetBuilder::new()
-            .subjects(1)
-            .seconds_per_activity(16.0)
-            .seed(1)
-            .build()
-            .unwrap()
-            .windows();
-        let profiler = Profiler::new(zoo);
-        DecisionEngine::new(
-            profiler
-                .profile_all(&windows, ProfilingOptions::default())
-                .unwrap(),
-        )
+    fn simulation(seed: u64, mix: ScenarioMix) -> FleetSimulation {
+        FleetSimulation::new(seed, mix).unwrap()
     }
 
     #[test]
     fn parallel_and_sequential_results_are_identical() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let simulation = simulation(9, ScenarioMix::balanced());
+        let (generator, zoo, engine) = (
+            simulation.generator(),
+            simulation.zoo(),
+            simulation.engine(),
+        );
         // One chunk per worker, so all 4 workers can claim work.
         let devices = 4 * CHUNK_SIZE;
         let run = |threads| {
@@ -527,7 +540,7 @@ mod tests {
                 threads,
                 ..ExecutorOptions::default()
             };
-            run_fleet_range(&generator, 3..3 + devices, &zoo, &engine, &options, None).unwrap()
+            run_fleet_range(&simulation, 3..3 + devices, &options, None).unwrap()
         };
         let sequential = run(1);
         assert_eq!(sequential, run(4));
@@ -540,19 +553,17 @@ mod tests {
             assert!(report.windows > 0);
             assert_eq!(
                 *report,
-                simulate_device(&generator.scenario(id), &zoo, &engine).unwrap()
+                simulate_device(&generator.scenario(id), zoo, engine).unwrap()
             );
         }
     }
 
     #[test]
     fn empty_range_is_rejected() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let simulation = simulation(9, ScenarioMix::balanced());
         let options = ExecutorOptions::default();
         assert!(matches!(
-            run_fleet_range(&generator, 5..5, &zoo, &engine, &options, None),
+            run_fleet_range(&simulation, 5..5, &options, None),
             Err(FleetError::EmptyFleet)
         ));
         // An inverted range is empty by Rust convention — EmptyFleet, not a
@@ -560,7 +571,7 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let inverted = 5..3;
         assert!(matches!(
-            run_fleet_range(&generator, inverted, &zoo, &engine, &options, None),
+            run_fleet_range(&simulation, inverted, &options, None),
             Err(FleetError::EmptyFleet)
         ));
     }
@@ -620,9 +631,7 @@ mod tests {
 
     #[test]
     fn cancellation_aborts_at_a_device_boundary() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let simulation = simulation(9, ScenarioMix::balanced());
         // One chunk per worker, so all 4 workers can be mid-chunk when the
         // cancellation request lands.
         let devices = 4 * CHUNK_SIZE;
@@ -631,7 +640,7 @@ mod tests {
                 threads,
                 ..ExecutorOptions::default()
             };
-            run_fleet_range(&generator, 0..devices, &zoo, &engine, &options, Some(sink))
+            run_fleet_range(&simulation, 0..devices, &options, Some(sink))
         };
         // Inline (one thread) and on scoped threads, the worker body honors
         // the hook: every worker re-polls before each device of its chunk,
@@ -661,15 +670,13 @@ mod tests {
     fn huge_ranges_allocate_nothing_up_front() {
         // A slot per device of `1 << 62` would overflow `Vec` capacity; a
         // cancelled run must cost only the devices it ran.
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let generator = ScenarioGenerator::new(9, ScenarioMix::balanced());
+        let simulation = simulation(9, ScenarioMix::balanced());
         let options = ExecutorOptions {
             threads: 2,
             ..ExecutorOptions::default()
         };
         let sink = CancelAfter::new(1);
-        let result = run_fleet_range(&generator, 0..1 << 62, &zoo, &engine, &options, Some(&sink));
+        let result = run_fleet_range(&simulation, 0..1 << 62, &options, Some(&sink));
         assert!(
             matches!(result, Err(FleetError::Cancelled)),
             "expected Cancelled, got {result:?}"
@@ -679,11 +686,10 @@ mod tests {
 
     #[test]
     fn battery_failure_reports_the_device_id() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let mut scenario = ScenarioGenerator::new(2, ScenarioMix::balanced()).scenario(41);
+        let simulation = simulation(2, ScenarioMix::balanced());
+        let mut scenario = simulation.generator().scenario(41);
         scenario.battery_capacity_mah = 0.0;
-        let err = simulate_device(&scenario, &zoo, &engine).unwrap_err();
+        let err = simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap_err();
         assert!(
             matches!(err, FleetError::Device { device_id: 41, .. }),
             "expected a device-tagged error, got {err:?}"
@@ -693,11 +699,9 @@ mod tests {
 
     #[test]
     fn offline_devices_never_offload() {
-        let zoo = ModelZoo::paper_setup();
-        let engine = shared_engine(&zoo);
-        let generator = ScenarioGenerator::new(21, ScenarioMix::harsh());
+        let simulation = simulation(21, ScenarioMix::harsh());
         let scenarios: Vec<_> = (0..200)
-            .map(|id| generator.scenario(id))
+            .map(|id| simulation.generator().scenario(id))
             .filter(|s| s.schedule == hw_sim::ble::ConnectionSchedule::NeverConnected)
             .take(3)
             .collect();
@@ -706,7 +710,7 @@ mod tests {
             "harsh mix should produce offline devices"
         );
         for scenario in &scenarios {
-            let report = simulate_device(scenario, &zoo, &engine).unwrap();
+            let report = simulate_device(scenario, simulation.zoo(), simulation.engine()).unwrap();
             assert_eq!(report.offload_fraction, 0.0);
             assert_eq!(report.disconnected_fraction, 1.0);
         }

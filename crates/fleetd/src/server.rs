@@ -11,7 +11,7 @@
 //! | `POST /jobs` | submit a job spec; `202` with the initial status |
 //! | `GET /jobs` | statuses of all known jobs |
 //! | `GET /jobs/{id}` | live status: queued → running → done/failed |
-//! | `GET /jobs/{id}/report` | final body, byte-identical to `fleet --json` |
+//! | `GET /jobs/{id}/report` | final body from the spool, byte-identical to `fleet --json` |
 //! | `GET /metrics` | live Prometheus exposition of the process registry |
 //! | `POST /shutdown` | graceful drain (`?mode=abort` cancels in-flight) |
 
@@ -308,7 +308,7 @@ fn job_route(path: &str, scheduler: &Arc<Scheduler>) -> Response {
         ReportOutcome::Ready(body) => Response {
             status: 200,
             content_type: "application/json",
-            body: body.to_vec(),
+            body,
         },
         ReportOutcome::NotFinished(state) => Response::error(
             409,
@@ -317,6 +317,10 @@ fn job_route(path: &str, scheduler: &Arc<Scheduler>) -> Response {
         ReportOutcome::Failed(message) => {
             Response::error(500, format!("job {id} failed: {message}"))
         }
+        ReportOutcome::Unreadable(message) => Response::error(
+            500,
+            format!("job {id} is done but its report is unreadable: {message}"),
+        ),
         ReportOutcome::NoSuchJob => Response::error(404, format!("no job with id {id}")),
     }
 }

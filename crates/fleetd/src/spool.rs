@@ -162,9 +162,20 @@ impl Spool {
         write_atomic(&path, body).map_err(|e| format!("writing {} failed: {e}", path.display()))
     }
 
-    /// The final report body of job `id`, if it was ever persisted.
-    pub fn read_report(&self, id: u64) -> Option<Vec<u8>> {
-        std::fs::read(self.report_path(id)).ok()
+    /// Whether job `id`'s final report body was persisted.
+    pub fn has_report(&self, id: u64) -> bool {
+        self.report_path(id).is_file()
+    }
+
+    /// The final report body of job `id`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the path when the body is missing or
+    /// unreadable.
+    pub fn read_report(&self, id: u64) -> Result<Vec<u8>, String> {
+        let path = self.report_path(id);
+        std::fs::read(&path).map_err(|e| format!("reading {} failed: {e}", path.display()))
     }
 
     /// The provenance of shard `index` of job `id`, iff an artifact exists
@@ -332,9 +343,11 @@ mod tests {
         let spool = Spool::new(&root).unwrap();
         let spec = JobSpec::new(4);
         spool.persist_spec(2, &spec).unwrap();
-        assert_eq!(spool.read_report(2), None);
+        assert!(!spool.has_report(2));
+        assert!(spool.read_report(2).unwrap_err().contains("report.json"));
         spool.write_report(2, b"{}\n").unwrap();
-        assert_eq!(spool.read_report(2), Some(b"{}\n".to_vec()));
+        assert!(spool.has_report(2));
+        assert_eq!(spool.read_report(2).unwrap(), b"{}\n".to_vec());
 
         let report = FleetReport::from_devices(&[]);
         let body = render_report_body(&report, None);

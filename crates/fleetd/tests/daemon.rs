@@ -121,6 +121,25 @@ fn restart_over_the_same_spool_recovers_finished_jobs() {
 }
 
 #[test]
+fn a_deleted_report_file_gives_a_typed_error() {
+    let daemon = TestDaemon::start("deleted", 1, 4);
+    let (status, body) = daemon.request("POST", "/jobs", Some(r#"{"devices": 2, "seed": 6}"#));
+    assert_eq!(status, 202, "submit: {body}");
+    let id = common::job_id(&body);
+    daemon.wait_done(id);
+    // The daemon serves the body from the spool, not from memory.
+    std::fs::remove_file(daemon.spool.join(format!("job-{id}/report.json"))).unwrap();
+    let (status, body) = daemon.request("GET", &format!("/jobs/{id}/report"), None);
+    assert_eq!(status, 500);
+    let error: fleetd::http::ErrorBody = serde_json::from_str(&body).expect("typed error body");
+    assert!(error.error.contains("unreadable"), "error: {}", error.error);
+    // The daemon keeps serving.
+    let (status, _) = daemon.request("GET", &format!("/jobs/{id}"), None);
+    assert_eq!(status, 200);
+    daemon.cleanup();
+}
+
+#[test]
 fn shutdown_drains_and_the_accept_loop_returns() {
     let mut daemon = TestDaemon::start("drain", 1, 4);
     let (status, text) = daemon.request("POST", "/shutdown", None);

@@ -19,13 +19,6 @@ pub enum DataError {
         /// Number of samples required for one window.
         required: usize,
     },
-    /// A subject index was out of range.
-    UnknownSubject {
-        /// The requested subject index.
-        index: usize,
-        /// Number of subjects in the dataset.
-        available: usize,
-    },
     /// A cross-validation fold index was out of range.
     UnknownFold {
         /// The requested fold index.
@@ -48,9 +41,6 @@ impl fmt::Display for DataError {
                     f,
                     "recording too short: {samples} samples, {required} required"
                 )
-            }
-            DataError::UnknownSubject { index, available } => {
-                write!(f, "unknown subject {index}, dataset has {available}")
             }
             DataError::UnknownFold { index, available } => {
                 write!(f, "unknown fold {index}, cross-validation has {available}")
@@ -91,11 +81,6 @@ mod tests {
             required: 256,
         };
         assert!(e.to_string().contains("256"));
-        let e = DataError::UnknownSubject {
-            index: 20,
-            available: 15,
-        };
-        assert!(e.to_string().contains("20"));
         let e = DataError::UnknownFold {
             index: 9,
             available: 5,

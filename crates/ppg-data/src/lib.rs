@@ -69,7 +69,7 @@ pub use activity::{Activity, DifficultyLevel};
 pub use dataset::{Dataset, DatasetBuilder, SessionRecording, Synthesis};
 pub use error::DataError;
 pub use folds::{CrossValidation, Fold};
-pub use stream::cache::{CachedWindows, WindowCache, WindowCacheKey};
+pub use stream::cache::{drain_shared, CachedWindows, WindowCache, WindowCacheKey};
 pub use stream::{
     collect_windows, BufferWindows, IntoWindowSource, RecordingWindows, SliceSource, SynthWindows,
     WindowSource,

@@ -25,9 +25,9 @@
 //!   eager slices use. Every lookup returns one, hit or miss, at any
 //!   capacity.
 //!
-//! The cache is deliberately **not** synchronized: fleet executors keep one
-//! cache per worker thread (lock-free by construction) and merge the counters
-//! afterwards, which is both faster and deterministic per worker.
+//! The cache is deliberately **not** synchronized. The fleet executor
+//! instead fills one session per pool slot per simulation via
+//! [`drain_shared`], and its workers share them.
 
 use std::sync::Arc;
 
@@ -87,21 +87,6 @@ impl WindowCache {
         }
     }
 
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of materialized streams currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lookups that found a cached stream.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -144,20 +129,27 @@ impl WindowCache {
             return Ok(BufferWindows::new(windows));
         }
         self.misses += 1;
-        let mut source = synth()?;
-        // Manual drain instead of `collect_windows`: a cache fill is bounded
-        // by one session, not an eager-materialization regression, so it
-        // must not trip `stream::metrics::eager_collects` watchdogs.
-        let mut out = Vec::with_capacity(source.size_hint().0);
-        while let Some(item) = source.next_window() {
-            out.push(item?);
-        }
-        let windows: Arc<[LabeledWindow]> = out.into();
+        let windows = drain_shared(synth()?)?;
         // At capacity 0 the truncation drops the new entry again.
         self.entries.insert(0, (key, Arc::clone(&windows)));
         self.entries.truncate(self.capacity);
         Ok(BufferWindows::new(windows))
     }
+}
+
+/// Drains `source` into a shared buffer, the fill of a memoized session. Not
+/// [`collect_windows`](crate::collect_windows): a fill is bounded by one
+/// session, so it must not trip the eager-collect watchdog.
+///
+/// # Errors
+///
+/// Propagates the first [`DataError`] the stream yields.
+pub fn drain_shared<S: WindowSource>(mut source: S) -> Result<Arc<[LabeledWindow]>, DataError> {
+    let mut out = Vec::with_capacity(source.size_hint().0);
+    while let Some(item) = source.next_window() {
+        out.push(item?);
+    }
+    Ok(out.into())
 }
 
 /// [`WindowSource`] replaying a shared, memoized window buffer (see
@@ -203,7 +195,7 @@ mod tests {
         assert_eq!(miss, eager);
         assert_eq!(hit, eager);
         assert_eq!((cache.hits(), cache.misses()), (1, 2 - 1));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.entries.len(), 1);
     }
 
     #[test]
@@ -223,7 +215,7 @@ mod tests {
             .collect();
         assert_ne!(a, b);
         assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -266,7 +258,7 @@ mod tests {
         builder(2).cached_window_stream(&mut cache).unwrap(); // miss again
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
     }
 
     #[test]
@@ -287,7 +279,7 @@ mod tests {
                 .collect();
             assert_eq!(streamed, eager);
             // Storage is disabled: the replayed session is never retained.
-            assert!(cache.is_empty());
+            assert!(cache.entries.is_empty());
         }
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
@@ -324,7 +316,7 @@ mod tests {
             })
         });
         assert!(result.is_err());
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
         assert_eq!(cache.misses(), 1);
     }
 }

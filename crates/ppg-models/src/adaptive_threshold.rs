@@ -33,8 +33,6 @@ pub const AT_MIN_REGION_LEN: usize = 3;
 /// the very first window).
 #[derive(Debug, Clone)]
 pub struct AdaptiveThreshold {
-    rolling_len: usize,
-    min_region_len: usize,
     last_bpm: Option<f32>,
 }
 
@@ -48,11 +46,7 @@ impl AdaptiveThreshold {
     /// Creates the estimator with the reference parameters (24-sample rolling
     /// mean, 3-sample minimum region length).
     pub fn new() -> Self {
-        Self {
-            rolling_len: AT_ROLLING_MEAN_LEN,
-            min_region_len: AT_MIN_REGION_LEN,
-            last_bpm: None,
-        }
+        Self { last_bpm: None }
     }
 
     /// The estimate the model falls back to when no peaks are found.
@@ -67,19 +61,18 @@ impl HrEstimator for AdaptiveThreshold {
     }
 
     fn predict(&mut self, window: &LabeledWindow) -> Result<f32, ModelError> {
-        if window.ppg.len() < self.rolling_len {
+        if window.ppg.len() < AT_ROLLING_MEAN_LEN {
             return Err(ModelError::InvalidWindow {
                 model: "AT",
                 reason: format!(
-                    "window has {} samples, rolling mean needs {}",
-                    window.ppg.len(),
-                    self.rolling_len
+                    "window has {} samples, rolling mean needs {AT_ROLLING_MEAN_LEN}",
+                    window.ppg.len()
                 ),
             });
         }
-        let threshold = rolling_mean(&window.ppg, self.rolling_len)?;
+        let threshold = rolling_mean(&window.ppg, AT_ROLLING_MEAN_LEN)?;
         let regions = regions_above(&window.ppg, &threshold)?;
-        let peaks = region_maxima(&window.ppg, &regions, self.min_region_len);
+        let peaks = region_maxima(&window.ppg, &regions, AT_MIN_REGION_LEN);
         let bpm = match peaks_to_bpm(&peaks, ppg_data::SAMPLE_RATE_HZ) {
             Some(raw) => clamp_bpm(raw),
             None => self.fallback(),

@@ -24,12 +24,12 @@ pub const SPECTRAL_CYCLES_STM32: u64 = 350_000;
 pub const BAND_LOW_HZ: f32 = 0.7;
 /// Upper edge of the cardiac band, in Hz (210 BPM).
 pub const BAND_HIGH_HZ: f32 = 3.5;
+/// Maximum BPM change the tracker allows between consecutive windows.
+pub const MAX_STEP_BPM: f32 = 10.0;
 
 /// FFT-based dominant-frequency HR estimator with inter-window tracking.
 #[derive(Debug, Clone)]
 pub struct SpectralPeak {
-    /// Maximum BPM change allowed between consecutive windows.
-    max_step_bpm: f32,
     last_bpm: Option<f32>,
 }
 
@@ -40,12 +40,9 @@ impl Default for SpectralPeak {
 }
 
 impl SpectralPeak {
-    /// Creates the estimator with a 10 BPM per-window tracking limit.
+    /// Creates the estimator with a [`MAX_STEP_BPM`] tracking limit.
     pub fn new() -> Self {
-        Self {
-            max_step_bpm: 10.0,
-            last_bpm: None,
-        }
+        Self { last_bpm: None }
     }
 }
 
@@ -78,7 +75,7 @@ impl HrEstimator for SpectralPeak {
         )?;
         let mut bpm = clamp_bpm(freq_hz * 60.0);
         if let Some(last) = self.last_bpm {
-            bpm = bpm.clamp(last - self.max_step_bpm, last + self.max_step_bpm);
+            bpm = bpm.clamp(last - MAX_STEP_BPM, last + MAX_STEP_BPM);
         }
         self.last_bpm = Some(bpm);
         Ok(bpm)
@@ -140,7 +137,7 @@ mod tests {
         let w2 = synthetic_window(170.0, 0.0, 31);
         let second = sp.predict(&w2).unwrap();
         assert!(
-            second <= first + 10.0 + 1e-3,
+            second <= first + MAX_STEP_BPM + 1e-3,
             "tracking should limit the step"
         );
     }
