@@ -289,7 +289,8 @@ fn simulate<S: WindowSource>(
 /// exit. Counter/histogram merging is commutative, so the totals are
 /// identical for any interleaving. With [`ExecutorOptions::profile_cache`]
 /// on, each pool slot of `simulation` is synthesized once over all its
-/// runs, so [`PROFILE_CACHE_EVENTS_SERIES`] misses count the slots filled.
+/// runs, so [`PROFILE_CACHE_EVENTS_SERIES`] misses count the slots filled
+/// plus one per device without a slot.
 ///
 /// # Errors
 ///
@@ -400,7 +401,8 @@ fn simulate_in(
 ) -> Result<DeviceReport, FleetError> {
     let scenario = simulation.generator().scenario(device_id);
     let _live = metrics::GeneratedScenario::track();
-    let pooled = events.and_then(|events| simulation.sessions.session(&scenario, events));
+    let pool = simulation.generator().mix().subject_pool;
+    let pooled = events.and_then(|events| simulation.sessions.session(pool, &scenario, events));
     let (zoo, engine) = (simulation.zoo(), simulation.engine());
     match pooled {
         Some(s) => simulate(&scenario, zoo, engine, sink, Ok(BufferWindows::new(s))),
@@ -441,7 +443,6 @@ struct CacheEvents {
 /// the slot, in any worker and shard run, replays it. Pool-less mixes get none.
 #[derive(Debug, Clone)]
 pub(crate) struct PoolSessions {
-    pool: u64,
     slots: Box<[PoolSlot]>,
 }
 
@@ -450,26 +451,24 @@ type PoolSlot = OnceLock<Option<Arc<[LabeledWindow]>>>;
 
 impl PoolSessions {
     pub(crate) fn new(mix: &ScenarioMix) -> Self {
-        Self {
-            pool: mix.subject_pool,
-            slots: (0..mix.subject_pool.min(MAX_POOL_SLOTS))
-                .map(|_| OnceLock::new())
-                .collect(),
-        }
+        let count = mix.subject_pool.min(MAX_POOL_SLOTS);
+        let slots = (0..count).map(|_| OnceLock::new()).collect();
+        Self { slots }
     }
 
-    /// The session of `scenario`'s slot, filled on first use, with the
-    /// lookup counted in `events`. `None` (a miss) when the device has no
-    /// slot or the fill failed: the device then streams directly, which
-    /// reports any synthesis error exactly as the uncached path does.
+    /// The session of `scenario`'s slot in a `pool`-slot mix, filled on
+    /// first use, lookup counted in `events`. `None` (a miss) when the
+    /// device has no slot or the fill failed: it then streams directly,
+    /// reporting any synthesis error exactly as the uncached path does.
     fn session(
         &self,
+        pool: u64,
         scenario: &DeviceScenario,
         events: &mut CacheEvents,
     ) -> Option<Arc<[LabeledWindow]>> {
         let slot = scenario
             .device_id
-            .checked_rem(self.pool)
+            .checked_rem(pool)
             .and_then(|slot| self.slots.get(usize::try_from(slot).ok()?));
         let mut filled = false;
         let session = slot.and_then(|slot| {

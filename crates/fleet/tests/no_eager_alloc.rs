@@ -14,6 +14,7 @@ fn fleet_execution_never_collects_a_window_vector() {
     // Setup (profiling) is allowed to buffer its windows once; measure only
     // the execution phase.
     let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
+    let cohort = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
 
     let before = metrics::eager_collects();
     let plain = ExecutorOptions {
@@ -39,8 +40,6 @@ fn fleet_execution_never_collects_a_window_vector() {
     };
     let cached = simulation.run_with_options(8, &options, None).unwrap();
     assert_eq!(cached.report, outcome.report);
-    let cohort = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
-    let before = metrics::eager_collects();
     let pooled = cohort.run_with_options(40, &options, None).unwrap();
     assert_eq!(pooled.report.devices, 40);
     assert_eq!(
