@@ -67,13 +67,7 @@ fn parse_args() -> Result<Args, String> {
             "--json" => args.json = true,
             "--per-device" => args.per_device = true,
             "--report-mode" => {
-                let name = fleet_cli::flag_value("--report-mode", &mut it)?;
-                args.report_mode = Some(ReportMode::from_name(&name).ok_or_else(|| {
-                    format!(
-                        "unknown report mode `{name}`; expected one of {}",
-                        ReportMode::NAMES.join(", ")
-                    )
-                })?);
+                args.report_mode = Some(fleet_cli::flag_value("--report-mode", &mut it)?.parse()?);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -98,9 +92,10 @@ struct ScannedShard {
     end: u64,
 }
 
-/// Reads each artifact's provenance — the device payload is never
-/// deserialized on this pass (`fleet::ShardProvenance`) — and returns the
-/// paths sorted into device-id order, the order `MergeAccumulator` consumes.
+/// Reads each artifact's provenance — the file is parsed as JSON, but its
+/// device payload is never converted into `DeviceReport`s on this pass
+/// (`fleet::ShardProvenance`) — and returns the paths sorted into device-id
+/// order, the order `MergeAccumulator` consumes.
 fn scan_and_sort(paths: &[String]) -> Result<(Vec<ScannedShard>, u64, u64), String> {
     let mut scanned = Vec::with_capacity(paths.len());
     let mut seed = 0;

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fleet::{ProgressSink, ReportMode};
+use fleet::ProgressSink;
 use fleetd::JobSpec;
 
 /// The flags shared by `fleet` and `fleet-shard`, with their defaults.
@@ -301,10 +301,10 @@ pub fn read_shard_report(path: &str) -> Result<fleet::ShardReport, String> {
 
 /// Reads only the provenance ([`fleet::ShardMeta`]) of one shard artifact.
 ///
-/// The ordering scan of the streaming `fleet-merge` pipeline: deserializing
-/// into [`fleet::ShardProvenance`] skips materializing the artifact's device
-/// payload, so scanning N artifacts costs N metadata reads, not N full
-/// device-report parses.
+/// The ordering scan of the streaming `fleet-merge` pipeline: the whole
+/// file is still parsed as JSON, but deserializing into
+/// [`fleet::ShardProvenance`] skips converting the device payload into
+/// `DeviceReport`s, so the scan builds none of them.
 ///
 /// # Errors
 ///
@@ -376,13 +376,7 @@ pub fn parse_common(
         }
         "--profile-cache" => spec.profile_cache = true,
         "--report-mode" => {
-            let name = flag_value(flag, it)?;
-            spec.report_mode = ReportMode::from_name(&name).ok_or_else(|| {
-                format!(
-                    "unknown report mode `{name}`; expected one of {}",
-                    ReportMode::NAMES.join(", ")
-                )
-            })?;
+            spec.report_mode = flag_value(flag, it)?.parse()?;
         }
         _ => return parse_metrics(&mut args.metrics, flag, it),
     }
@@ -391,7 +385,7 @@ pub fn parse_common(
 
 #[cfg(test)]
 mod tests {
-    use fleet::ScenarioMix;
+    use fleet::{ReportMode, ScenarioMix};
 
     use super::*;
 

@@ -56,16 +56,24 @@ pub enum ReportMode {
     Sketch,
 }
 
-impl ReportMode {
-    /// Looks a mode up by CLI name (`exact`, `sketch`).
-    pub fn from_name(name: &str) -> Option<Self> {
+impl std::str::FromStr for ReportMode {
+    type Err = String;
+
+    /// Looks a mode up by CLI name (`exact`, `sketch`); the error names the
+    /// accepted ones, as every CLI and the daemon's job spec print it.
+    fn from_str(name: &str) -> Result<Self, String> {
         match name {
-            "exact" => Some(Self::Exact),
-            "sketch" => Some(Self::Sketch),
-            _ => None,
+            "exact" => Ok(Self::Exact),
+            "sketch" => Ok(Self::Sketch),
+            _ => Err(format!(
+                "unknown report mode `{name}`; expected one of {}",
+                Self::NAMES.join(", ")
+            )),
         }
     }
+}
 
+impl ReportMode {
     /// The CLI name of the mode.
     pub fn name(&self) -> &'static str {
         match self {
@@ -74,7 +82,7 @@ impl ReportMode {
         }
     }
 
-    /// The names accepted by [`ReportMode::from_name`].
+    /// The names [`ReportMode`]'s `FromStr` accepts.
     pub const NAMES: [&'static str; 2] = ["exact", "sketch"];
 }
 
@@ -747,9 +755,12 @@ mod tests {
     #[test]
     fn report_mode_names_round_trip() {
         for name in ReportMode::NAMES {
-            assert_eq!(ReportMode::from_name(name).unwrap().name(), name);
+            assert_eq!(name.parse::<ReportMode>().unwrap().name(), name);
         }
-        assert_eq!(ReportMode::from_name("nope"), None);
+        assert_eq!(
+            "nope".parse::<ReportMode>(),
+            Err("unknown report mode `nope`; expected one of exact, sketch".to_string())
+        );
         assert_eq!(ReportMode::default(), ReportMode::Exact);
         // The CLI-facing serde form is the plain variant name.
         let json = serde_json::to_string(&ReportMode::Sketch).unwrap();

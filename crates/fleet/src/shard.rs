@@ -177,10 +177,12 @@ pub struct ShardReport {
 
 /// Meta-only view of a serialized shard artifact.
 ///
-/// Deserializing a [`ShardReport`]'s JSON into this type reads just the
-/// provenance and skips materializing the device payload — what the
-/// streaming `fleet-merge` pipeline's first pass uses to order and size an
-/// artifact set without paying for its device reports twice.
+/// Deserializing a [`ShardReport`]'s JSON into this type keeps just the
+/// provenance. The JSON parser still reads the whole document, device
+/// payload included; what is skipped is converting that payload into
+/// [`DeviceReport`]s. The streaming `fleet-merge` pipeline's first pass
+/// uses it to order and size an artifact set without building its device
+/// reports twice.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct ShardProvenance {
     /// The artifact's provenance.

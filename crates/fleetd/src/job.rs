@@ -223,12 +223,7 @@ impl Deserialize for JobSpec {
             let name = mode
                 .as_str()
                 .ok_or_else(|| serde::Error::custom("`report_mode` must be a string"))?;
-            spec.report_mode = ReportMode::from_name(name).ok_or_else(|| {
-                serde::Error::custom(format!(
-                    "unknown report mode `{name}`; expected one of {}",
-                    ReportMode::NAMES.join(", ")
-                ))
-            })?;
+            spec.report_mode = name.parse().map_err(serde::Error::custom)?;
         }
         if let Some(flag) = field("profile_cache") {
             spec.profile_cache = flag
@@ -242,7 +237,8 @@ impl Deserialize for JobSpec {
 /// The job state machine: `queued → running → done | failed`.
 ///
 /// A resumed job re-enters as `queued` (its spooled shards counted as
-/// already done); `done` and `failed` are terminal.
+/// already done), or straight as `done` / `failed` once every shard is
+/// spooled and recovery has merged it; `done` and `failed` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted, persisted to the spool, waiting for a worker.

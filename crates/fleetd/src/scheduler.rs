@@ -13,7 +13,11 @@
 //!
 //! Because every unit of progress is an ordinary spool artifact, recovery is
 //! just a rescan: a restarted scheduler re-admits checkpointed shards through
-//! the provenance gate and re-runs only the missing ranges.
+//! the provenance gate and re-runs only the missing ranges. A job whose every
+//! shard was checkpointed is merged during the rescan itself, so workers only
+//! ever claim shards. Job ids are never reused: the next id is one past every
+//! `job-<id>` directory in the spool, including ones whose spec no longer
+//! parses.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -118,12 +122,9 @@ struct JobRecord {
     state: JobState,
     /// Shard indices not yet claimed by a worker.
     pending: VecDeque<u32>,
-    /// Shards currently executing on workers.
-    running: u32,
-    /// Shards checkpointed into the spool (live or recovered).
+    /// Shards checkpointed into the spool (live or recovered). Each index
+    /// counts once, so exactly one worker sees this reach `spec.shards`.
     shards_done: u32,
-    /// A worker has claimed the merge-and-persist step.
-    finalizing: bool,
     error: Option<String>,
     counters: Arc<JobCounters>,
     /// The job's simulation, built once (profiling is the expensive step)
@@ -141,9 +142,7 @@ impl JobRecord {
             pending: (0..spec.shards).collect(),
             spec,
             state: JobState::Queued,
-            running: 0,
             shards_done: 0,
-            finalizing: false,
             error: None,
             counters: Arc::new(JobCounters::default()),
             sim: Arc::new(OnceLock::new()),
@@ -165,6 +164,26 @@ impl JobRecord {
             error: self.error.clone(),
         }
     }
+
+    /// Ends the job — the one place a terminal state is set: records the
+    /// outcome, counts it on `chris_fleetd_jobs_total` and releases the
+    /// simulation, so a long-running daemon keeps none per finished job.
+    fn finish(&mut self, outcome: Result<(), String>) {
+        self.pending.clear();
+        self.sim = Arc::default();
+        let event = match outcome {
+            Ok(()) => {
+                self.state = JobState::Done;
+                "completed"
+            }
+            Err(error) => {
+                self.state = JobState::Failed;
+                self.error = Some(error);
+                "failed"
+            }
+        };
+        counter("chris_fleetd_jobs_total", event);
+    }
 }
 
 struct SchedState {
@@ -174,19 +193,13 @@ struct SchedState {
     next_id: u64,
 }
 
-/// A unit of work claimed by a worker.
-enum Task {
-    RunShard { job: u64, index: u32 },
-    Finalize { job: u64 },
-}
-
 /// The job scheduler: bounded queue, worker pool, spool-backed checkpoints.
 pub struct Scheduler {
     state: Mutex<SchedState>,
     work_ready: Condvar,
     spool: Spool,
     queue_depth: usize,
-    /// Drain/abort latch: on shutdown, workers stop claiming new tasks and
+    /// Drain/abort latch: on shutdown, workers stop claiming new shards and
     /// in-flight shards finish and checkpoint; in abort mode they are
     /// additionally cancelled at the next device boundary via
     /// [`ProgressSink::should_cancel`], and their ranges re-run after
@@ -199,7 +212,10 @@ impl Scheduler {
     /// Creates a scheduler over `spool`, recovering every job already
     /// persisted there: jobs with a `report.json` come back as done (the body
     /// stays on disk), others re-admit their provenance-valid shard artifacts
-    /// and re-queue only the missing ranges.
+    /// and re-queue only the missing ranges. A job with every shard
+    /// checkpointed is merged here and comes back done (or failed). Each job
+    /// recovered as done or failed counts once on `chris_fleetd_jobs_total`.
+    /// New ids start past every `job-<id>` directory, parseable or not.
     ///
     /// # Errors
     ///
@@ -209,12 +225,12 @@ impl Scheduler {
         let mut queue = VecDeque::new();
         let mut next_id = 1;
         for (id, spec) in spool.scan()? {
-            next_id = next_id.max(id + 1);
+            next_id = next_id.max(id.saturating_add(1));
+            let Some(spec) = spec else { continue };
             let mut record = JobRecord::new(spec);
             if spool.has_report(id) {
-                record.state = JobState::Done;
                 record.shards_done = record.spec.shards;
-                record.pending.clear();
+                record.finish(Ok(()));
             } else {
                 // Only shards without a valid checkpoint stay pending.
                 record.pending.retain(|&index| {
@@ -230,7 +246,11 @@ impl Scheduler {
                         .fetch_add(meta.end - meta.start, Ordering::Relaxed);
                     false
                 });
-                queue.push_back(id);
+                if record.pending.is_empty() {
+                    record.finish(merge_job(&spool, id, &record.spec));
+                } else {
+                    queue.push_back(id);
+                }
             }
             jobs.insert(id, record);
         }
@@ -371,16 +391,13 @@ impl Scheduler {
     }
 
     fn worker_loop(&self) {
-        while let Some(task) = self.next_task() {
-            match task {
-                Task::RunShard { job, index } => self.run_shard(job, index),
-                Task::Finalize { job } => self.finalize(job),
-            }
+        while let Some((job, index)) = self.next_shard() {
+            self.run_shard(job, index);
         }
     }
 
-    /// Blocks for the next claimable task; `None` means shutdown.
-    fn next_task(&self) -> Option<Task> {
+    /// Blocks for the next claimable `(job, shard)`; `None` means shutdown.
+    fn next_shard(&self) -> Option<(u64, u32)> {
         let mut state = self.state.lock().expect("scheduler lock");
         loop {
             // Checked under the scheduler mutex, which (with the lock taken
@@ -389,42 +406,30 @@ impl Scheduler {
             if self.latch.is_shutting_down() {
                 return None;
             }
-            if let Some(task) = Self::claim(&mut state) {
-                return Some(task);
+            if let Some(claim) = Self::claim(&mut state) {
+                return Some(claim);
             }
             state = self.work_ready.wait(state).expect("scheduler lock");
         }
     }
 
-    /// Claims the front-most unit of work, maintaining the invariant that a
-    /// job id sits in the queue iff it may still have claimable work.
-    fn claim(state: &mut SchedState) -> Option<Task> {
+    /// Claims the front-most pending shard, maintaining the invariant that a
+    /// job id sits in the queue iff it has pending shards.
+    fn claim(state: &mut SchedState) -> Option<(u64, u32)> {
         while let Some(&job) = state.queue.front() {
             let Some(record) = state.jobs.get_mut(&job) else {
                 state.queue.pop_front();
                 continue;
             };
-            if let Some(index) = record.pending.pop_front() {
-                record.running += 1;
-                record.state = JobState::Running;
-                if record.pending.is_empty() {
-                    state.queue.pop_front();
-                }
-                return Some(Task::RunShard { job, index });
+            let Some(index) = record.pending.pop_front() else {
+                state.queue.pop_front();
+                continue;
+            };
+            record.state = JobState::Running;
+            if record.pending.is_empty() {
+                state.queue.pop_front();
             }
-            state.queue.pop_front();
-            // A recovered job can arrive with every shard already
-            // checkpointed but no report — the merge is the remaining work.
-            if record.running == 0
-                && record.shards_done == record.spec.shards
-                && !record.finalizing
-                && record.state != JobState::Done
-                && record.error.is_none()
-            {
-                record.finalizing = true;
-                record.state = JobState::Running;
-                return Some(Task::Finalize { job });
-            }
+            return Some((job, index));
         }
         None
     }
@@ -479,20 +484,20 @@ impl Scheduler {
         })();
         let mut state = self.state.lock().expect("scheduler lock");
         let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
-        record.running -= 1;
         match outcome {
             Ok(()) => {
                 record.shards_done += 1;
                 counter("chris_fleetd_shards_total", "completed");
-                let complete = record.pending.is_empty()
-                    && record.running == 0
-                    && record.shards_done == record.spec.shards
-                    && record.error.is_none()
-                    && !record.finalizing;
-                if complete {
-                    record.finalizing = true;
+                // Each shard index counts once and a failed shard never
+                // counts, so exactly one worker gets here with the job whole.
+                if record.shards_done == record.spec.shards && record.error.is_none() {
+                    let spec = record.spec.clone();
                     drop(state);
-                    self.finalize(job);
+                    // The merge reads the spool and runs outside the lock.
+                    let merged = merge_job(&self.spool, job, &spec);
+                    let mut state = self.state.lock().expect("scheduler lock");
+                    let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
+                    record.finish(merged);
                 }
             }
             Err(ShardFail::Cancelled) => {
@@ -504,56 +509,29 @@ impl Scheduler {
                     state.queue.push_back(job);
                 }
             }
-            Err(ShardFail::Other(error)) => {
-                record.state = JobState::Failed;
-                record.error = Some(error);
-                record.pending.clear();
-                record.sim = Arc::default();
-                counter("chris_fleetd_jobs_total", "failed");
-            }
+            // The first failure ends the job; later ones find it ended.
+            Err(ShardFail::Other(error)) if record.error.is_none() => record.finish(Err(error)),
+            Err(ShardFail::Other(_)) => {}
         }
     }
+}
 
-    /// Merges the job's checkpointed shard artifacts — in index order,
-    /// through the provenance gate — renders the CLI-identical report body
-    /// and persists it. Runs outside the scheduler lock.
-    fn finalize(&self, job: u64) {
-        let spec = {
-            let state = self.state.lock().expect("scheduler lock");
-            state.jobs[&job].spec.clone()
-        };
-        let outcome = self.merge_job(job, &spec);
-        let mut state = self.state.lock().expect("scheduler lock");
-        let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
-        record.sim = Arc::default();
-        match outcome {
-            Ok(()) => {
-                record.state = JobState::Done;
-                counter("chris_fleetd_jobs_total", "completed");
-            }
-            Err(error) => {
-                record.state = JobState::Failed;
-                record.error = Some(error);
-                counter("chris_fleetd_jobs_total", "failed");
-            }
-        }
+/// Merges job `job`'s checkpointed shard artifacts — in index order,
+/// through the provenance gate — renders the CLI-identical report body and
+/// persists it.
+fn merge_job(spool: &Spool, job: u64, spec: &JobSpec) -> Result<(), String> {
+    let mut accumulator = MergeAccumulator::new();
+    for index in 0..spec.shards {
+        let shard = spool.read_shard(job, spec, index)?;
+        accumulator
+            .push(&shard)
+            .map_err(|e| format!("merging shard {index}: {e}"))?;
     }
-
-    fn merge_job(&self, job: u64, spec: &JobSpec) -> Result<(), String> {
-        let mut accumulator = MergeAccumulator::new();
-        for index in 0..spec.shards {
-            let shard = self.spool.read_shard(job, spec, index)?;
-            accumulator
-                .push(&shard)
-                .map_err(|e| format!("merging shard {index}: {e}"))?;
-        }
-        let sketch = accumulator.sketch_info();
-        let report = accumulator
-            .finalize()
-            .map_err(|e| format!("finalizing the merge: {e}"))?;
-        self.spool
-            .write_report(job, &render_report_body(&report, sketch))
-    }
+    let sketch = accumulator.sketch_info();
+    let report = accumulator
+        .finalize()
+        .map_err(|e| format!("finalizing the merge: {e}"))?;
+    spool.write_report(job, &render_report_body(&report, sketch))
 }
 
 /// Bumps an observational daemon counter on the process-global registry —
@@ -738,6 +716,81 @@ mod tests {
             panic!("report not ready");
         };
         assert_eq!(body, expected);
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn recovery_merges_a_fully_checkpointed_job_without_rerunning_it() {
+        let spool = temp_spool("merge");
+        let root = spool.root().to_path_buf();
+        let mut spec = JobSpec::new(6);
+        spec.seed = 3;
+        spec.shards = 3;
+        // A daemon killed between the last checkpoint and the merge: every
+        // shard is spooled, the report is not.
+        let sim = FleetSimulation::new(spec.seed, spec.resolved_mix()).unwrap();
+        let shard_spec = spec.shard_spec().unwrap();
+        spool.persist_spec(4, &spec).unwrap();
+        let mut shard_bytes = Vec::new();
+        for index in 0..spec.shards {
+            let shard = sim
+                .run_shard_with_options(&shard_spec, index, &spec.executor_options(), None)
+                .unwrap();
+            spool.write_shard(4, &shard).unwrap();
+            let path = spool.job_dir(4).join(format!("shard-{index:05}.json"));
+            shard_bytes.push((path.clone(), std::fs::read(path).unwrap()));
+        }
+        assert!(!spool.has_report(4));
+
+        let scheduler = Arc::new(Scheduler::new(spool, 4).unwrap());
+        let workers = scheduler.spawn_workers(1);
+        let status = wait_done(&scheduler, 4);
+        assert_eq!(status.state, "done", "error: {:?}", status.error);
+        assert_eq!(status.shards_done, 3);
+        assert_eq!(status.devices_done, 6);
+        scheduler.begin_shutdown(false);
+        for handle in workers {
+            handle.join().unwrap();
+        }
+        // Nothing was re-run: every checkpoint is byte-unchanged.
+        for (path, bytes) in shard_bytes {
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{}", path.display());
+        }
+        let outcome = sim
+            .run_with_options(6, &spec.executor_options(), None)
+            .unwrap();
+        let ReportOutcome::Ready(body) = scheduler.report(4) else {
+            panic!("report not ready");
+        };
+        assert_eq!(body, render_report_body(&outcome.report, outcome.sketch));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn job_ids_are_never_reused_even_for_unparseable_jobs() {
+        let spool = temp_spool("ids");
+        let root = spool.root().to_path_buf();
+        spool.persist_spec(1, &JobSpec::new(2)).unwrap();
+        // A job directory whose spec no longer validates, left with a
+        // stale report body.
+        std::fs::create_dir_all(spool.job_dir(5)).unwrap();
+        std::fs::write(spool.job_dir(5).join("spec.json"), r#"{"devices": 0}"#).unwrap();
+        spool.write_report(5, b"stale\n").unwrap();
+
+        // No workers run, so every job stays queued.
+        let scheduler = Scheduler::new(spool, 8).unwrap();
+        assert!(scheduler.status(5).is_none());
+        let ids: Vec<u64> = (0..4)
+            .map(|_| scheduler.submit(JobSpec::new(2)).unwrap().id)
+            .collect();
+        assert_eq!(ids, vec![6, 7, 8, 9]);
+
+        // A restart neither revives job 5 from the stale report nor hands
+        // its id out.
+        let restarted = Scheduler::new(Spool::new(&root).unwrap(), 8).unwrap();
+        assert!(restarted.status(5).is_none());
+        assert!(matches!(restarted.report(5), ReportOutcome::NoSuchJob));
+        assert_eq!(restarted.submit(JobSpec::new(2)).unwrap().id, 10);
         std::fs::remove_dir_all(root).unwrap();
     }
 }

@@ -26,7 +26,6 @@ use telemetry::Stability;
 
 use crate::http::{read_request, Request, Response};
 use crate::job::JobSpec;
-use crate::latch::ShutdownLatch;
 use crate::scheduler::{ReportOutcome, Scheduler, SubmitError};
 use crate::spool::Spool;
 
@@ -96,7 +95,6 @@ pub struct Daemon {
     listener: TcpListener,
     scheduler: Arc<Scheduler>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    stop: Arc<ShutdownLatch>,
 }
 
 impl Daemon {
@@ -117,7 +115,6 @@ impl Daemon {
             listener,
             scheduler,
             workers,
-            stop: Arc::new(ShutdownLatch::new()),
         })
     }
 
@@ -150,17 +147,16 @@ impl Daemon {
         let mut handlers = Vec::new();
         let spawn = |stream: TcpStream| {
             let scheduler = Arc::clone(&self.scheduler);
-            let stop = Arc::clone(&self.stop);
             let addr = self.listener.local_addr();
             std::thread::spawn(move || {
-                handle_connection(stream, &scheduler, &stop, addr);
+                handle_connection(stream, &scheduler, addr);
             })
         };
         for stream in self.listener.incoming() {
-            // One-way latch; a stale read costs at most one extra served
-            // connection, and the poison-pill self-connect in `shutdown`
-            // guarantees a fresh accept (and thus a fresh load).
-            let stopping = self.stop.is_shutting_down();
+            // The scheduler's one-way latch; a stale read costs at most one
+            // extra served connection, and the poison-pill self-connect in
+            // `shutdown` guarantees a fresh accept (and thus a fresh load).
+            let stopping = self.scheduler.is_shutting_down();
             if let Ok(stream) = stream {
                 handlers.push(spawn(stream));
             }
@@ -204,7 +200,6 @@ impl Daemon {
 fn handle_connection(
     stream: TcpStream,
     scheduler: &Arc<Scheduler>,
-    stop: &ShutdownLatch,
     local_addr: io::Result<std::net::SocketAddr>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
@@ -217,7 +212,7 @@ fn handle_connection(
         Ok(None) => return,
         Ok(Some(request)) => {
             count_request(&request);
-            route(&request, scheduler, stop, local_addr)
+            route(&request, scheduler, local_addr)
         }
         Err(error) => Response::from_http_error(&error),
     };
@@ -242,7 +237,6 @@ fn count_request(request: &Request) {
 fn route(
     request: &Request,
     scheduler: &Arc<Scheduler>,
-    stop: &ShutdownLatch,
     local_addr: io::Result<std::net::SocketAddr>,
 ) -> Response {
     let path = request.path.as_str();
@@ -254,7 +248,7 @@ fn route(
             "text/plain; version=0.0.4",
             telemetry::global().exposition(),
         ),
-        ("POST", "/shutdown") => shutdown(request, scheduler, stop, local_addr),
+        ("POST", "/shutdown") => shutdown(request, scheduler, local_addr),
         ("GET", _) if path.starts_with("/jobs/") => job_route(path, scheduler),
         // Known paths with the wrong method are 405, unknown paths 404.
         (_, "/jobs" | "/metrics" | "/shutdown") => {
@@ -330,7 +324,6 @@ fn job_route(path: &str, scheduler: &Arc<Scheduler>) -> Response {
 fn shutdown(
     request: &Request,
     scheduler: &Arc<Scheduler>,
-    stop: &ShutdownLatch,
     local_addr: io::Result<std::net::SocketAddr>,
 ) -> Response {
     let mode = request.query.as_deref().unwrap_or("");
@@ -342,10 +335,6 @@ fn shutdown(
         }
     };
     scheduler.begin_shutdown(abort);
-    // One-way latch (see the matching check in `Daemon::run`); no data is
-    // published under this flag — drain state lives in the scheduler's
-    // mutex.
-    stop.begin(abort);
     if let Ok(addr) = local_addr {
         // Poison pill: unblock the accept loop. The accepted connection
         // sends nothing and is answered with nothing.

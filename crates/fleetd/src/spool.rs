@@ -216,16 +216,16 @@ impl Spool {
         Ok(shard)
     }
 
-    /// Enumerates every job recoverable from the spool: directories named
-    /// `job-<id>` whose `spec.json` parses and validates, sorted by id.
-    /// Anything else under the root (temp siblings, foreign files) is
-    /// ignored.
+    /// Enumerates every `job-<id>` entry in the spool, sorted by id,
+    /// with its spec when `spec.json` parses and validates (`None` marks a
+    /// job that cannot be recovered but whose id stays taken). Anything
+    /// else under the root (temp siblings, foreign files) is ignored.
     ///
     /// # Errors
     ///
     /// Propagates the root directory-listing error only; unreadable
-    /// individual jobs are skipped.
-    pub fn scan(&self) -> io::Result<Vec<(u64, JobSpec)>> {
+    /// individual jobs come back as `None`.
+    pub fn scan(&self) -> io::Result<Vec<(u64, Option<JobSpec>)>> {
         let mut jobs = Vec::new();
         for entry in std::fs::read_dir(&self.root)? {
             let Ok(entry) = entry else { continue };
@@ -237,12 +237,9 @@ impl Spool {
             else {
                 continue;
             };
-            let Ok(text) = std::fs::read_to_string(self.spec_path(id)) else {
-                continue;
-            };
-            let Ok(spec) = JobSpec::from_json(text.as_bytes()) else {
-                continue;
-            };
+            let spec = std::fs::read_to_string(self.spec_path(id))
+                .ok()
+                .and_then(|text| JobSpec::from_json(text.as_bytes()).ok());
             jobs.push((id, spec));
         }
         jobs.sort_by_key(|&(id, _)| id);
@@ -333,7 +330,10 @@ mod tests {
         std::fs::write(root.join("job-5/spec.json"), r#"{"devices": 0}"#).unwrap();
 
         let jobs = spool.scan().unwrap();
-        assert_eq!(jobs, vec![(1, small), (3, big)]);
+        assert_eq!(
+            jobs,
+            vec![(1, Some(small)), (3, Some(big)), (5, None), (9, None)]
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -94,30 +94,6 @@ impl MetricsSnapshot {
             .map(|c| c.value)
     }
 
-    /// The subset of [`Stability::Stable`] series, preserving order.
-    pub fn stable_only(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|c| c.stability == Stability::Stable)
-                .cloned()
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|g| g.stability == Stability::Stable)
-                .cloned()
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|h| h.stability == Stability::Stable)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Merges two snapshots into a new one: counters add (saturating),
     /// gauges take the maximum, histograms add bucket-wise. Series present
     /// in only one side pass through. The merge is commutative and
