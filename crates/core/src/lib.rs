@@ -22,7 +22,8 @@
 //! * [`runtime`] — the window-by-window collaborative-inference simulator,
 //!   which dispatches each window to the smartwatch or the phone, sums the
 //!   smartwatch energy per `hw-sim` power state and accumulates the error,
-//! * [`report`] — run reports (MAE, energy breakdown, offload statistics).
+//! * [`report`] — run totals and reports (MAE, energy breakdown, offload
+//!   statistics).
 //!
 //! ## Example
 //!
@@ -64,7 +65,7 @@ pub use config::{Configuration, DifficultyThreshold, EnergyAccounting, Execution
 pub use decision::{ConnectionStatus, DecisionEngine, UserConstraint};
 pub use error::ChrisError;
 pub use profiling::{ConfigurationProfile, Profiler, ProfilingOptions};
-pub use report::RunReport;
+pub use report::{RunReport, RunTotals};
 pub use runtime::{ChrisRuntime, RuntimeOptions};
 
 /// Convenient re-exports for downstream binaries and examples.
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use crate::error::ChrisError;
     pub use crate::pareto::pareto_front;
     pub use crate::profiling::{ConfigurationProfile, Profiler, ProfilingOptions};
-    pub use crate::report::RunReport;
+    pub use crate::report::{RunReport, RunTotals};
     pub use crate::runtime::{ChrisRuntime, RuntimeOptions};
     pub use ppg_data::{IntoWindowSource, SliceSource, WindowSource};
     pub use ppg_models::zoo::{ModelKind, ModelZoo};

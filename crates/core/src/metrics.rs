@@ -1,14 +1,19 @@
 //! Runtime and profiling telemetry, published once per run.
 //!
 //! `RunInstruments` bundles every telemetry handle
-//! [`ChrisRuntime::run`](crate::runtime::ChrisRuntime::run) publishes to.
-//! The handles are resolved **once per run** from the thread's active
-//! registry. The window loop counts into locals and touches no handle: the
-//! counts are added once after the loop, and the loop as a whole is timed
-//! once, into `chris_stage_duration_ns{stage="runtime"}`.
+//! [`ChrisRuntime::run_totals`](crate::runtime::ChrisRuntime::run_totals)
+//! publishes to. The handles are resolved **once per registry per thread**:
+//! a thread-local [`telemetry::HandleCache`] keeps the set resolved from the
+//! thread's active registry and resolves again only when a different
+//! registry becomes active, so a run pays no registry lock and builds no
+//! series key. The counts are still published **once per run**, into the
+//! registry active when the run ends: the window loop counts into locals
+//! and touches no handle, the counts are added once after the loop, and the
+//! loop as a whole is timed once, into
+//! `chris_stage_duration_ns{stage="runtime"}`.
 //! [`Profiler::profile_with`](crate::profiling::Profiler::profile_with)
 //! likewise adds its per-model prediction counts once per profile, through
-//! `invocation_counter`.
+//! a cache of its own holding only the invocation counters.
 //!
 //! Counter series (windows, offload decisions by backend, model invocations)
 //! are [`Stable`](telemetry::Stability::Stable): their values depend only on
@@ -17,8 +22,12 @@
 //! The stage duration histogram is
 //! [`Observational`](telemetry::Stability::Observational).
 
+use std::cell::OnceCell;
+
 use ppg_models::zoo::ModelKind;
-use telemetry::{Counter, Histogram, Registry, ScopedTimer, Stability, DURATION_NS_BOUNDS};
+use telemetry::{
+    Counter, HandleCache, Histogram, Registry, ScopedTimer, Stability, DURATION_NS_BOUNDS,
+};
 
 /// Series name of the processed-window counter.
 pub const WINDOWS_SERIES: &str = "chris_windows_total";
@@ -44,9 +53,17 @@ pub const MODEL_INVOCATIONS_HELP: &str = "HR predictions executed, by model";
 /// [`telemetry::STAGE_DURATION_SERIES`].
 const RUNTIME_STAGE: &str = "runtime";
 
+thread_local! {
+    static RUN_HANDLES: HandleCache<RunInstruments> = const { HandleCache::new() };
+    /// Filled per model on first use, so profiling registers the series of
+    /// the models it profiled and no others.
+    static INVOCATION_HANDLES: HandleCache<[OnceCell<Counter>; ModelKind::ALL.len()]> =
+        const { HandleCache::new() };
+}
+
 /// Resolves (registering if needed) the invocation counter of `model` on
 /// `registry`.
-pub(crate) fn invocation_counter(registry: &Registry, model: ModelKind) -> Counter {
+fn invocation_counter(registry: &Registry, model: ModelKind) -> Counter {
     registry
         .counter(
             MODEL_INVOCATIONS_SERIES,
@@ -57,7 +74,30 @@ pub(crate) fn invocation_counter(registry: &Registry, model: ModelKind) -> Count
         .expect("model invocation counter registration cannot fail")
 }
 
-/// Telemetry handles for one runtime run, resolved once at run start.
+/// Adds `count` predictions of `model` to the active registry's invocation
+/// counter, through the thread's cached handles.
+pub(crate) fn add_invocations(model: ModelKind, count: u64) {
+    INVOCATION_HANDLES.with(|cache| {
+        cache.with(
+            |_| Default::default(),
+            |counters| {
+                counters[model.index()]
+                    // The cache is keyed on the active registry, so this is
+                    // the registry the cell belongs to.
+                    .get_or_init(|| invocation_counter(&telemetry::active(), model))
+                    .add(count);
+            },
+        );
+    });
+}
+
+/// Telemetry handles for the runtime, resolved once per registry per thread.
+///
+/// All seven series are registered eagerly, when a thread's first run under
+/// a registry resolves them — a run that never offloads still exposes a
+/// zero-valued `backend="phone"` counter, so every shard reports an
+/// identical series set. Counts are published once per run, by
+/// [`RunInstruments::record`].
 #[derive(Debug)]
 pub(crate) struct RunInstruments {
     windows: Counter,
@@ -69,12 +109,15 @@ pub(crate) struct RunInstruments {
 }
 
 impl RunInstruments {
-    /// Resolves (registering if needed) every series on the thread's active
-    /// registry. All seven series are registered eagerly — a run that never
-    /// offloads still exposes a zero-valued `backend="phone"` counter, so
-    /// every shard reports an identical series set.
-    pub(crate) fn resolve() -> Self {
-        let registry = telemetry::active();
+    /// Calls `f` with the handles of the thread's active registry, resolving
+    /// (and registering) them first if this thread has not yet done so for
+    /// that registry.
+    pub(crate) fn with_active<R>(f: impl FnOnce(&Self) -> R) -> R {
+        RUN_HANDLES.with(|cache| cache.with(Self::resolve, f))
+    }
+
+    /// Resolves (registering if needed) every series on `registry`.
+    fn resolve(registry: &Registry) -> Self {
         let offload = |backend: &str| -> Counter {
             registry
                 .counter(
@@ -91,7 +134,7 @@ impl RunInstruments {
                 .expect("window counter registration cannot fail"),
             offload_phone: offload("phone"),
             offload_wearable: offload("wearable"),
-            invocations: ModelKind::ALL.map(|model| invocation_counter(&registry, model)),
+            invocations: ModelKind::ALL.map(|model| invocation_counter(registry, model)),
             runtime: registry
                 .histogram(
                     telemetry::STAGE_DURATION_SERIES,

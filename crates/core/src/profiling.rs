@@ -16,7 +16,7 @@ use ppg_models::zoo::{ModelKind, ModelZoo};
 
 use crate::config::{enumerate_configurations, Configuration, EnergyAccounting};
 use crate::error::ChrisError;
-use crate::metrics::invocation_counter;
+use crate::metrics::add_invocations;
 
 /// Options controlling a profiling pass.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -196,9 +196,8 @@ impl<'a> Profiler<'a> {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
-        let registry = telemetry::active();
-        invocation_counter(&registry, configuration.simple).add(simple_count as u64);
-        invocation_counter(&registry, configuration.complex).add((n - simple_count) as u64);
+        add_invocations(configuration.simple, simple_count as u64);
+        add_invocations(configuration.complex, (n - simple_count) as u64);
         Ok(ConfigurationProfile {
             configuration,
             mae_bpm: errors.mae().unwrap_or(0.0),

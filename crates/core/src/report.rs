@@ -4,9 +4,65 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use hw_sim::units::Energy;
+use hw_sim::power_state::PowerState;
+use hw_sim::units::{Energy, Power};
+use ppg_data::Activity;
+use ppg_dsp::stats::ErrorAccumulator;
 
 use crate::config::Configuration;
+
+/// The totals of one run, as
+/// [`ChrisRuntime::run_totals`](crate::runtime::ChrisRuntime::run_totals)
+/// returns them: the scalars of a [`RunReport`] plus what its label-keyed
+/// maps are built from, in fixed-size arrays, so the value holds nothing on
+/// the heap. [`RunReport::from`] builds the report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunTotals {
+    /// Number of windows processed.
+    pub windows: usize,
+    /// Mean absolute error over all windows, in BPM.
+    pub mae_bpm: f32,
+    /// Root-mean-square error over all windows, in BPM.
+    pub rmse_bpm: f32,
+    /// Total smartwatch energy over the run.
+    pub total_watch_energy: Energy,
+    /// Average smartwatch energy per prediction.
+    pub avg_watch_energy: Energy,
+    /// Total phone energy over the run.
+    pub total_phone_energy: Energy,
+    /// Average phone energy per prediction.
+    pub avg_phone_energy: Energy,
+    /// Fraction of windows offloaded to the phone.
+    pub offload_fraction: f32,
+    /// Fraction of windows handled by the simple model of the active pair.
+    pub simple_fraction: f32,
+    /// Fraction of windows processed while the BLE link was down.
+    pub disconnected_fraction: f32,
+    /// Smartwatch energy per power state, indexed by [`PowerState::index`];
+    /// `None` for a state never entered, so a state entered at zero energy
+    /// still shows up in the report's breakdown.
+    pub watch_energy_by_state: [Option<Energy>; PowerState::ALL.len()],
+    /// The errors of each activity's windows, indexed by
+    /// [`Activity::index`].
+    pub per_activity: [ErrorAccumulator; Activity::COUNT],
+    /// The configuration selected for each link status (index 0 connected,
+    /// 1 disconnected) and the windows it handled; `None` for a status no
+    /// window had.
+    pub selections: [Option<(Configuration, usize)>; 2],
+}
+
+impl RunTotals {
+    /// Average smartwatch power over the run, as
+    /// [`RunReport::avg_watch_power`] computes it.
+    pub fn avg_watch_power(&self) -> Power {
+        watch_power(self.avg_watch_energy)
+    }
+}
+
+/// Average power of `avg_energy` spent every 2-second prediction period.
+fn watch_power(avg_energy: Energy) -> Power {
+    Power::from_milliwatts(avg_energy.as_millijoules() / hw_sim::PREDICTION_PERIOD_S)
+}
 
 /// Aggregated result of running CHRIS over a sequence of windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -44,10 +100,8 @@ pub struct RunReport {
 impl RunReport {
     /// Average smartwatch power over the run (energy per prediction divided by
     /// the 2-second prediction period).
-    pub fn avg_watch_power(&self) -> hw_sim::units::Power {
-        hw_sim::units::Power::from_milliwatts(
-            self.avg_watch_energy.as_millijoules() / hw_sim::PREDICTION_PERIOD_S,
-        )
+    pub fn avg_watch_power(&self) -> Power {
+        watch_power(self.avg_watch_energy)
     }
 
     /// Records usage of a configuration for `count` windows.
@@ -56,6 +110,43 @@ impl RunReport {
             .configuration_usage
             .entry(configuration.label())
             .or_insert(0) += count;
+    }
+}
+
+impl From<RunTotals> for RunReport {
+    /// Builds the report's label-keyed maps: power states and activities
+    /// in their declaration order, entered states and activities with at
+    /// least one window only, and one usage entry per selected
+    /// configuration.
+    fn from(totals: RunTotals) -> Self {
+        let mut report = RunReport {
+            windows: totals.windows,
+            mae_bpm: totals.mae_bpm,
+            rmse_bpm: totals.rmse_bpm,
+            total_watch_energy: totals.total_watch_energy,
+            avg_watch_energy: totals.avg_watch_energy,
+            total_phone_energy: totals.total_phone_energy,
+            avg_phone_energy: totals.avg_phone_energy,
+            offload_fraction: totals.offload_fraction,
+            simple_fraction: totals.simple_fraction,
+            disconnected_fraction: totals.disconnected_fraction,
+            watch_energy_breakdown: PowerState::ALL
+                .iter()
+                .zip(totals.watch_energy_by_state)
+                .filter_map(|(state, energy)| Some((state.name().to_string(), energy?)))
+                .collect(),
+            per_activity_mae: Activity::ALL
+                .iter()
+                .zip(&totals.per_activity)
+                .filter(|(_, acc)| acc.count() > 0)
+                .map(|(activity, acc)| (activity.name().to_string(), acc.mae().unwrap_or(0.0)))
+                .collect(),
+            configuration_usage: BTreeMap::new(),
+        };
+        for (configuration, count) in totals.selections.iter().flatten() {
+            report.record_configuration(configuration, *count);
+        }
+        report
     }
 }
 

@@ -31,8 +31,9 @@ use serde::{Deserialize, Serialize};
 use crate::config::{Configuration, EnergyAccounting};
 use crate::decision::{ConnectionStatus, DecisionEngine, UserConstraint};
 use crate::error::ChrisError;
+use crate::metrics::RunInstruments;
 use crate::profiling::Profiler;
-use crate::report::RunReport;
+use crate::report::{RunReport, RunTotals};
 
 /// Options controlling a runtime simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -132,19 +133,44 @@ impl ChrisRuntime {
     /// Runs CHRIS over a sequence of windows under a user constraint and a
     /// BLE connection schedule, returning the aggregated report.
     ///
+    /// The report is [`RunReport::from`] the run's [`RunTotals`]: see
+    /// [`ChrisRuntime::run_totals`] for the sources accepted, the telemetry
+    /// published and the errors. Callers that read only the scalars can call
+    /// `run_totals` directly and skip building the report's label-keyed
+    /// maps.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ChrisRuntime::run_totals`].
+    pub fn run<S: IntoWindowSource>(
+        &mut self,
+        windows: S,
+        constraint: &UserConstraint,
+        schedule: &ConnectionSchedule,
+    ) -> Result<RunReport, ChrisError> {
+        self.run_totals(windows, constraint, schedule)
+            .map(RunReport::from)
+    }
+
+    /// Runs CHRIS over a sequence of windows under a user constraint and a
+    /// BLE connection schedule, returning the run's totals: a fixed-size
+    /// value that, once the thread's telemetry handles are cached, the run
+    /// builds without touching the heap.
+    ///
     /// `windows` is anything convertible into a
     /// [`WindowSource`]: an eager buffer
     /// (`&[LabeledWindow]`, `&Vec<LabeledWindow>`) or a lazy stream such as
     /// [`ppg_data::DatasetBuilder::window_stream`]. The runtime pulls one
     /// window at a time and never buffers the workload — with a synthesis
     /// stream, peak memory is O(1 window) instead of O(session) — and the
-    /// report is byte-identical either way.
+    /// totals are identical either way.
     ///
     /// The run's Stable counters — windows, offload decisions by backend and
     /// predictions by model — are registered on the thread's active
-    /// telemetry registry at run start and published once, after the last
-    /// window. A run that returns an error publishes zeros, even if some of
-    /// its windows were processed.
+    /// telemetry registry at run start (the handles are cached once per
+    /// registry per thread, see [`crate::metrics`]) and published once,
+    /// after the last window. A run that returns an error publishes zeros,
+    /// even if some of its windows were processed.
     ///
     /// # Errors
     ///
@@ -154,27 +180,23 @@ impl ChrisRuntime {
     /// [`ChrisError::EmptyProfileTable`] when the decision engine has no
     /// configurations, [`ChrisError::Data`] when a streaming source fails
     /// mid-synthesis, and propagates model errors.
-    pub fn run<S: IntoWindowSource>(
+    pub fn run_totals<S: IntoWindowSource>(
         &mut self,
         windows: S,
         constraint: &UserConstraint,
         schedule: &ConnectionSchedule,
-    ) -> Result<RunReport, ChrisError> {
+    ) -> Result<RunTotals, ChrisError> {
         constraint.validate()?;
         let mut source = windows.into_window_source();
         let profiler = Profiler::new(&self.zoo);
         let period = TimeSpan::from_seconds(hw_sim::PREDICTION_PERIOD_S);
-        // One registry resolution per run; the loop below counts into locals
-        // and publishes nothing until it has finished.
-        let instruments = crate::metrics::RunInstruments::resolve();
 
         let mut errors = ErrorAccumulator::new();
         // Per-window bookkeeping without per-window allocation. The
         // configuration selected for each link status (index 0 connected,
         // 1 disconnected) and the windows it handled, one error accumulator
         // per activity that folds its windows in order, and the watch energy
-        // per power state. The report's label-keyed maps are built once after
-        // the loop.
+        // per power state.
         let mut selections: [Option<(Configuration, usize)>; 2] = [None; 2];
         let mut per_activity: [ErrorAccumulator; Activity::COUNT] =
             std::array::from_fn(|_| ErrorAccumulator::new());
@@ -186,7 +208,10 @@ impl ChrisRuntime {
         let mut disconnected = 0usize;
 
         let mut index = 0usize;
-        let timer = instruments.time_run();
+        // Resolves the series, registering them, on this thread's first run
+        // under the active registry; the loop below counts into locals and
+        // publishes nothing until it has finished.
+        let timer = RunInstruments::with_active(RunInstruments::time_run);
         // By-reference internal iteration: buffer-backed sources visit their
         // windows without cloning, lazy sources materialize one at a time.
         let n = source.try_for_each_window(|window| -> Result<(), ChrisError> {
@@ -247,8 +272,8 @@ impl ChrisRuntime {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
-        instruments.record(n, offloaded, invocations);
-        let mut report = RunReport {
+        RunInstruments::with_active(|instruments| instruments.record(n, offloaded, invocations));
+        Ok(RunTotals {
             windows: n,
             mae_bpm: errors.mae().unwrap_or(0.0),
             rmse_bpm: errors.rmse().unwrap_or(0.0),
@@ -259,23 +284,10 @@ impl ChrisRuntime {
             offload_fraction: offloaded as f32 / n as f32,
             simple_fraction: simple as f32 / n as f32,
             disconnected_fraction: disconnected as f32 / n as f32,
-            watch_energy_breakdown: PowerState::ALL
-                .iter()
-                .zip(watch.by_state)
-                .filter_map(|(state, energy)| Some((state.name().to_string(), energy?)))
-                .collect(),
-            per_activity_mae: Activity::ALL
-                .iter()
-                .zip(&per_activity)
-                .filter(|(_, acc)| acc.count() > 0)
-                .map(|(activity, acc)| (activity.name().to_string(), acc.mae().unwrap_or(0.0)))
-                .collect(),
-            ..RunReport::default()
-        };
-        for (configuration, count) in selections.iter().flatten() {
-            report.record_configuration(configuration, *count);
-        }
-        Ok(report)
+            watch_energy_by_state: watch.by_state,
+            per_activity,
+            selections,
+        })
     }
 }
 
@@ -569,6 +581,51 @@ mod tests {
             per_model.iter().filter(|&&count| count > 0).count() >= 2,
             "a duty-cycled 5.6 BPM run uses more than one model: {per_model:?}"
         );
+    }
+
+    #[test]
+    fn cached_handles_follow_the_active_registry_across_scopes() {
+        use crate::metrics::WINDOWS_SERIES;
+        let first = dataset_windows(1, 47);
+        let second = dataset_windows(2, 48);
+        let engine = engine_for(&first);
+        let run = |windows: &[LabeledWindow]| {
+            ChrisRuntime::new(
+                ModelZoo::paper_setup(),
+                engine.clone(),
+                RuntimeOptions::default(),
+            )
+            .run(
+                windows,
+                &UserConstraint::MaxMae(5.6),
+                &ConnectionSchedule::AlwaysConnected,
+            )
+            .unwrap()
+        };
+        // Registry A caches this thread's handles, then is dropped; B may
+        // reuse its allocation but must get handles of its own.
+        let a = telemetry::Registry::new();
+        {
+            let _scope = telemetry::scoped(&a);
+            run(&first);
+        }
+        drop(a);
+        let b = telemetry::Registry::new();
+        let report = {
+            let _scope = telemetry::scoped(&b);
+            run(&second)
+        };
+        let snap = b.snapshot();
+        assert_eq!(
+            snap.counter_value(WINDOWS_SERIES, &[]),
+            Some(report.windows as u64)
+        );
+        let runtime = snap
+            .histograms
+            .iter()
+            .find(|h| h.labels == [("stage".to_string(), "runtime".to_string())])
+            .expect("the runtime stage is registered");
+        assert_eq!(runtime.count, 1);
     }
 
     #[test]

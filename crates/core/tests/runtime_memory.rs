@@ -4,7 +4,9 @@
 //! footprint must be O(1 window). This binary installs a counting global
 //! allocator and checks that `ChrisRuntime::run` makes exactly the same
 //! allocations, and reaches exactly the same peak of live bytes, over N
-//! windows as over the same windows cycled to 8N.
+//! windows as over the same windows cycled to 8N. On a warm thread (its
+//! telemetry handles cached), `ChrisRuntime::run_totals`, the fleet's path,
+//! allocates nothing at all, and `run` allocates only its report's maps.
 //!
 //! It is its own test binary with a single test, so no other test thread
 //! allocates while a run is measured.
@@ -73,27 +75,23 @@ struct Footprint {
     peak_bytes: usize,
 }
 
-fn measure(
-    runtime: &mut ChrisRuntime,
-    windows: &[LabeledWindow],
-    constraint: &UserConstraint,
-    schedule: &ConnectionSchedule,
-) -> Footprint {
+/// The footprint of `call`, which returns the number of windows it ran;
+/// asserts that it ran all of `windows`.
+fn measure(windows: &[LabeledWindow], call: impl FnOnce(&[LabeledWindow]) -> usize) -> Footprint {
     // relaxed: this thread is the only one allocating during the test.
     let base = LIVE.load(Ordering::Relaxed);
     // relaxed: as above.
     PEAK.store(base, Ordering::Relaxed);
     // relaxed: as above.
     ALLOCATIONS.store(0, Ordering::Relaxed);
-    let report = runtime.run(windows, constraint, schedule).unwrap();
+    let ran = call(windows);
     let footprint = Footprint {
         // relaxed: as above.
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
         // relaxed: as above.
         peak_bytes: PEAK.load(Ordering::Relaxed) - base,
     };
-    assert_eq!(report.windows, windows.len());
-    drop(report);
+    assert_eq!(ran, windows.len());
     footprint
 }
 
@@ -122,14 +120,16 @@ fn run_memory_does_not_grow_with_the_window_count() {
     // Both link states, so both selections and every power state are hit.
     let constraint = UserConstraint::MaxMae(5.6);
     let schedule = ConnectionSchedule::DutyCycle { up: 5, down: 2 };
-    let fresh = || ChrisRuntime::new(zoo.clone(), engine.clone(), RuntimeOptions::default());
+    let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), RuntimeOptions::default());
+    // Both measured calls drop their result inside the measured window, so
+    // every byte they allocate is freed again before the next one.
+    let mut run = |ws: &[LabeledWindow]| runtime.run(ws, &constraint, &schedule).unwrap().windows;
+    // Warm-up: the first run registers the telemetry series and caches the
+    // thread's handles, which allocates once per registry and thread.
+    measure(&windows, &mut run);
 
-    // Warm-up: the first run registers the telemetry series, which
-    // allocates once per process.
-    measure(&mut fresh(), &windows, &constraint, &schedule);
-
-    let short = measure(&mut fresh(), &windows, &constraint, &schedule);
-    let long = measure(&mut fresh(), &cycled, &constraint, &schedule);
+    let short = measure(&windows, &mut run);
+    let long = measure(&cycled, &mut run);
     assert_eq!(
         short,
         long,
@@ -137,4 +137,24 @@ fn run_memory_does_not_grow_with_the_window_count() {
         windows.len(),
         cycled.len()
     );
+    // Only the report's three label-keyed maps and their keys allocate; a
+    // warm thread resolves no telemetry series.
+    assert!(
+        short.allocations <= 24,
+        "a warm run made {} allocations",
+        short.allocations
+    );
+
+    let mut totals = |ws: &[LabeledWindow]| {
+        runtime
+            .run_totals(ws, &constraint, &schedule)
+            .unwrap()
+            .windows
+    };
+    let none = Footprint {
+        allocations: 0,
+        peak_bytes: 0,
+    };
+    assert_eq!(measure(&windows, &mut totals), none);
+    assert_eq!(measure(&cycled, &mut totals), none);
 }

@@ -229,8 +229,10 @@ fn simulate<S: WindowSource>(
         ..RuntimeOptions::default()
     };
     let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
+    // The device report reads only scalars: the totals skip the run
+    // report's label-keyed maps.
     let run = runtime
-        .run(stream, &scenario.constraint, &scenario.schedule)
+        .run_totals(stream, &scenario.constraint, &scenario.schedule)
         .map_err(|e| for_device(e.into()))?;
     if let Some(sink) = sink {
         sink.device_completed(scenario.device_id, run.windows);

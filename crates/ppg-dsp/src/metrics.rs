@@ -5,17 +5,15 @@
 //! extraction) time themselves into the shared
 //! [`telemetry::STAGE_DURATION_SERIES`] histogram family of the thread's
 //! active registry. Handle resolution goes through the registry's internal
-//! lock, so each thread memoizes its handles and re-resolves only when the
-//! active registry changes (executor workers install one registry for their
-//! whole lifetime, so in steady state a timer start is a TLS read plus an
-//! `Instant::now`). All stage series are
+//! lock, so each thread memoizes its handles in a [`telemetry::HandleCache`]
+//! and re-resolves only when the active registry changes (executor workers
+//! install one registry for their whole lifetime, so in steady state a timer
+//! start is a TLS read plus an `Instant::now`). All stage series are
 //! [`Observational`](telemetry::Stability::Observational): wall-clock
 //! durations are scheduling-dependent and never embedded in byte-stable
 //! artifacts.
 
-use std::cell::RefCell;
-
-use telemetry::{Histogram, ScopedTimer, Stability, DURATION_NS_BOUNDS};
+use telemetry::{HandleCache, Histogram, ScopedTimer, Stability, DURATION_NS_BOUNDS};
 
 /// The DSP pipeline stages instrumented by this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,41 +47,31 @@ impl Stage {
 }
 
 thread_local! {
-    /// `(registry id, per-stage histogram handles)` for the registry the
-    /// handles were resolved from.
-    static HANDLES: RefCell<Option<(usize, [Histogram; 3])>> = const { RefCell::new(None) };
+    /// Per-stage histogram handles of the registry they were resolved from,
+    /// indexed by [`Stage::index`].
+    static HANDLES: HandleCache<[Histogram; 3]> = const { HandleCache::new() };
 }
 
 /// Starts a timer observing into the active registry's histogram for
 /// `stage`; the elapsed nanoseconds are recorded when the guard drops.
 pub fn stage_timer(stage: Stage) -> ScopedTimer {
-    HANDLES.with(|cell| {
-        let mut cached = cell.borrow_mut();
-        let registry = telemetry::active();
-        let stale = cached.as_ref().is_none_or(|(id, _)| *id != registry.id());
-        if stale {
-            let resolve = |s: Stage| {
-                registry
-                    .histogram(
-                        telemetry::STAGE_DURATION_SERIES,
-                        &[("stage", s.label())],
-                        telemetry::STAGE_DURATION_HELP,
-                        Stability::Observational,
-                        &DURATION_NS_BOUNDS,
-                    )
-                    .expect("stage histogram registration cannot fail")
-            };
-            *cached = Some((
-                registry.id(),
-                [
-                    resolve(Stage::ALL[0]),
-                    resolve(Stage::ALL[1]),
-                    resolve(Stage::ALL[2]),
-                ],
-            ));
-        }
-        let (_, handles) = cached.as_ref().expect("populated above");
-        handles[stage.index()].start_timer()
+    HANDLES.with(|cache| {
+        cache.with(
+            |registry| {
+                Stage::ALL.map(|s| {
+                    registry
+                        .histogram(
+                            telemetry::STAGE_DURATION_SERIES,
+                            &[("stage", s.label())],
+                            telemetry::STAGE_DURATION_HELP,
+                            Stability::Observational,
+                            &DURATION_NS_BOUNDS,
+                        )
+                        .expect("stage histogram registration cannot fail")
+                })
+            },
+            |handles| handles[stage.index()].start_timer(),
+        )
     })
 }
 
@@ -133,5 +121,28 @@ mod tests {
                 .expect("features series registered");
             assert_eq!(features.count, 1);
         }
+    }
+
+    #[test]
+    fn a_new_registry_is_never_served_a_dropped_ones_handles() {
+        // A registry dropped and replaced on the same thread: the new one
+        // often reuses the old one's allocation, so an address-keyed cache
+        // would keep timing into the dead registry.
+        let a = telemetry::Registry::new();
+        {
+            let _scope = telemetry::scoped(&a);
+            drop(stage_timer(Stage::Fft));
+        }
+        drop(a);
+        let b = telemetry::Registry::new();
+        {
+            let _scope = telemetry::scoped(&b);
+            drop(stage_timer(Stage::Fft));
+        }
+        let exposition = b.exposition();
+        assert!(
+            exposition.contains("chris_stage_duration_ns_count{stage=\"fft\"} 1"),
+            "{exposition}"
+        );
     }
 }

@@ -34,6 +34,8 @@
 //! guard; with no scope installed, [`active`] falls back to the process
 //! [`global`] registry. Worker threads do not inherit scopes — executors
 //! install a per-worker registry explicitly and merge snapshots at exit.
+//! Hot paths that record into the active registry resolve their handles
+//! through a thread-local [`HandleCache`], once per thread per registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +49,7 @@ mod text;
 
 pub use error::TelemetryError;
 pub use registry::{Counter, Gauge, Histogram, Registry, ScopedTimer, Stability};
-pub use scope::{active, global, scoped, RegistryScope};
+pub use scope::{active, global, scoped, HandleCache, RegistryScope};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 pub use text::{parse_exposition, render_text, sample_value, Sample};
 

@@ -269,10 +269,28 @@ struct Series {
     instrument: Instrument,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RegistryInner {
+    /// Process-unique, never reused: see [`Registry::id`].
+    id: u64,
     enabled: bool,
     series: RwLock<BTreeMap<SeriesKey, Series>>,
+}
+
+/// The id the next registry created in this process gets.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+impl RegistryInner {
+    fn new(enabled: bool) -> Self {
+        Self {
+            // relaxed: ids only need to be distinct, which the RMW's
+            // atomicity guarantees; no other memory is published under the
+            // counter.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            enabled,
+            series: RwLock::new(BTreeMap::new()),
+        }
+    }
 }
 
 /// A collection of named instruments. Cloning shares the underlying store;
@@ -281,9 +299,16 @@ struct RegistryInner {
 /// Registration (the `counter`/`gauge`/`histogram` methods) takes a write
 /// lock; the returned handles are lock-free. Callers on hot paths resolve
 /// handles once and reuse them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Registry {
     inner: Arc<RegistryInner>,
+}
+
+impl Default for Registry {
+    /// Same as [`Registry::new`].
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -338,10 +363,7 @@ impl Registry {
     /// Creates an empty, enabled registry.
     pub fn new() -> Self {
         Self {
-            inner: Arc::new(RegistryInner {
-                enabled: true,
-                series: RwLock::new(BTreeMap::new()),
-            }),
+            inner: Arc::new(RegistryInner::new(true)),
         }
     }
 
@@ -351,17 +373,17 @@ impl Registry {
     /// overhead against a true baseline.
     pub fn disabled() -> Self {
         Self {
-            inner: Arc::new(RegistryInner {
-                enabled: false,
-                series: RwLock::new(BTreeMap::new()),
-            }),
+            inner: Arc::new(RegistryInner::new(false)),
         }
     }
 
-    /// An identity token for handle caching: stable for the registry's
-    /// lifetime, distinct between live registries.
-    pub fn id(&self) -> usize {
-        Arc::as_ptr(&self.inner) as usize
+    /// An identity token for handle caching: assigned from a process-wide
+    /// counter when the registry is created, shared by its clones, and never
+    /// given to another registry — not even after this one is dropped, so a
+    /// cache keyed on it can never mistake a new registry for a dead one
+    /// (see [`HandleCache`](crate::HandleCache)).
+    pub fn id(&self) -> u64 {
+        self.inner.id
     }
 
     /// Registers (or resolves) a counter series.

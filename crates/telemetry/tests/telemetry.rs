@@ -386,3 +386,24 @@ fn disabled_registry_records_nothing() {
     drop(h.start_timer());
     assert_eq!(h.count(), 0);
 }
+
+#[test]
+fn registry_ids_are_shared_by_clones_and_never_reused() {
+    let registry = Registry::new();
+    assert_eq!(registry.clone().id(), registry.id());
+    // Dropped registries free their allocation for the next one; their ids
+    // must stay retired all the same.
+    let mut ids: Vec<u64> = (0..64)
+        .map(|i| {
+            if i % 2 == 0 {
+                Registry::new().id()
+            } else {
+                Registry::disabled().id()
+            }
+        })
+        .collect();
+    ids.push(registry.id());
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), 65);
+}
