@@ -29,8 +29,8 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fleet-shard --shards K --shard-index I [--devices N] [--threads N] \
-     [--seed N] [--mix NAME] [--profile-cache] [--report-mode NAME] [--metrics-out PATH] \
-     [--metrics-json] [--out PATH] [--progress]\n\
+     [--seed N] [--mix NAME] [--report-mode NAME] [--metrics-out PATH] [--metrics-json] \
+     [--out PATH] [--progress]\n\
      {COMMON}\n\
        --shards K      number of contiguous shards the fleet is split into (default 1)\n\
        --shard-index I which shard to simulate, 0-based (default 0)\n\
@@ -105,9 +105,6 @@ fn main() -> ExitCode {
     let shard_devices = spec
         .range(args.shard_index)
         .map_or(0, |range| range.end - range.start);
-    if let Some(warning) = args.common.profile_cache_warning() {
-        eprintln!("{warning}");
-    }
     let sink = args.progress.then(|| StderrProgress::new(shard_devices));
     let shard = match simulation.run_shard_with_options(
         &spec,

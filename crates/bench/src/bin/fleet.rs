@@ -27,8 +27,8 @@ struct Args {
 }
 
 const USAGE: &str = "usage: fleet [--devices N] [--threads N] [--seed N] [--mix NAME] \
-     [--profile-cache] [--report-mode NAME] [--metrics-out PATH] [--metrics-json] [--json] \
-     [--per-device] [--progress]\n\
+     [--report-mode NAME] [--metrics-out PATH] [--metrics-json] [--json] [--per-device] \
+     [--progress]\n\
      {COMMON}\n\
        --json          print the aggregate report as JSON instead of text\n\
        --per-device    also print one line per device\n\
@@ -92,9 +92,6 @@ fn main() -> ExitCode {
     let setup_time = setup_start.elapsed();
 
     let run_start = Instant::now();
-    if let Some(warning) = args.common.profile_cache_warning() {
-        eprintln!("{warning}");
-    }
     let sink = args.progress.then(|| StderrProgress::new(spec.devices));
     let outcome = match simulation.run_with_options(
         spec.devices,

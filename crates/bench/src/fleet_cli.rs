@@ -125,31 +125,12 @@ pub fn process_snapshot(root: &telemetry::Registry) -> telemetry::MetricsSnapsho
     root.snapshot()
 }
 
-impl FleetArgs {
-    /// A stderr-worthy warning when `--profile-cache` cannot pay off: on a
-    /// mix without a subject pool every device's synthesis inputs are
-    /// distinct, so every device streams its own session and counts a miss.
-    /// The output is still byte-identical either way.
-    pub fn profile_cache_warning(&self) -> Option<String> {
-        let spec = &self.spec;
-        (spec.profile_cache && spec.resolved_mix().subject_pool == 0).then(|| {
-            format!(
-                "note: --profile-cache with mix `{}` (no subject pool) will never hit; \
-                 try --mix cohort or a subject_pool > 0",
-                spec.mix
-            )
-        })
-    }
-}
-
 /// Usage lines of the flags [`parse_common`] understands, for embedding in
 /// each binary's `--help` text.
 pub const COMMON_USAGE: &str = "--devices N     number of simulated devices (default 1000)\n\
        --threads N     worker threads, 0 = one per core (default 0)\n\
        --seed N        master seed; fixes every device's scenario (default 42)\n\
        --mix NAME      scenario mix: balanced | harsh | connected | cohort (default balanced)\n\
-       --profile-cache memoize synthesized window streams per simulation (identical output,\n\
-                       faster on fleets with repeated subject/activity profiles, e.g. --mix cohort)\n\
        --report-mode NAME  aggregation mode: exact | sketch (default exact; sketch folds\n\
                        percentiles through O(log devices) mergeable quantile sketches)\n\
        --metrics-out PATH  write run telemetry as Prometheus text exposition to PATH\n\
@@ -236,8 +217,8 @@ impl StderrProgress {
 }
 
 /// The `--progress` line of a finished run's profile-cache totals, read from
-/// the snapshot of the registry the run recorded into; `None` when the
-/// snapshot holds no cache series (the cache was off).
+/// the snapshot of the registry the run recorded into; `None` when the mix
+/// has no pool (the run recorded no cache series).
 pub fn cache_line(snapshot: &telemetry::MetricsSnapshot) -> Option<String> {
     let event =
         |result| snapshot.counter_value(fleet::PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
@@ -374,7 +355,6 @@ pub fn parse_common(
             spec.mix = flag_value(flag, it)?;
             spec.validate_mix()?;
         }
-        "--profile-cache" => spec.profile_cache = true,
         "--report-mode" => {
             spec.report_mode = flag_value(flag, it)?.parse()?;
         }
@@ -515,27 +495,6 @@ mod tests {
             );
             assert_eq!(sink.devices_done(), total, "final totals are complete");
         }
-    }
-
-    #[test]
-    fn profile_cache_flag_maps_to_executor_options() {
-        let off = parse_all(&[]).unwrap();
-        assert!(!off.spec.profile_cache);
-        assert_eq!(off.spec.executor_options().profile_cache, None);
-        assert!(off.profile_cache_warning().is_none());
-
-        let on = parse_all(&["--profile-cache", "--threads", "2"]).unwrap();
-        assert!(on.spec.profile_cache);
-        let options = on.spec.executor_options();
-        assert!(options.profile_cache.is_some());
-        assert_eq!(options.threads, 2);
-        // Distinct-profile mix: the cache cannot hit, so the CLI warns.
-        assert!(on.profile_cache_warning().unwrap().contains("never hit"));
-
-        // Pooled mixes can hit, so the CLI warns nothing.
-        let cohort = parse_all(&["--profile-cache", "--mix", "cohort"]).unwrap();
-        assert!(cohort.spec.executor_options().profile_cache.is_some());
-        assert!(cohort.profile_cache_warning().is_none());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! subprocesses:
 //!
 //! * stdout artifacts are **byte-identical** with and without the
-//!   observability flags (`--progress --profile-cache --metrics-out`) and
-//!   across thread counts — telemetry is strictly a sidecar,
+//!   observability flags (`--progress --metrics-out`) and across thread
+//!   counts — telemetry is strictly a sidecar,
+//! * a pooled `fleet --progress` run reports its pool-slot replays on
+//!   stderr while stdout stays the committed golden report,
 //! * `--metrics-out` writes exposition that parses and carries the
 //!   workload-deterministic counters,
 //! * `fleet-merge --metrics-out` over shard artifacts emits the same stable
@@ -47,8 +49,7 @@ fn shard_stdout(threads: &str, observability: Option<&Path>) -> Vec<u8> {
     ];
     let metrics_path = observability.map(|dir| dir.join(format!("shard-t{threads}.prom")));
     if let Some(path) = &metrics_path {
-        args.extend(["--progress", "--profile-cache"]);
-        args.extend(["--metrics-out", path.to_str().unwrap()]);
+        args.extend(["--progress", "--metrics-out", path.to_str().unwrap()]);
     }
     let output = run_ok(env!("CARGO_BIN_EXE_fleet-shard"), &args);
     if let Some(path) = &metrics_path {
@@ -73,10 +74,42 @@ fn observability_flags_never_change_the_stdout_artifact() {
         assert_eq!(
             baseline,
             shard_stdout(threads, Some(&dir)),
-            "--progress --profile-cache --metrics-out changed stdout at {threads} threads"
+            "--progress --metrics-out changed stdout at {threads} threads"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pooled_fleet_progress_reports_slot_replays_without_a_flag() {
+    let output = run_ok(
+        env!("CARGO_BIN_EXE_fleet"),
+        &[
+            "--devices",
+            "64",
+            "--seed",
+            SEED,
+            "--mix",
+            "cohort",
+            "--json",
+            "--progress",
+            "--threads",
+            "4",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    // 16 pool slots, each synthesized once and replayed by 3 more devices.
+    assert!(
+        stderr
+            .lines()
+            .any(|line| line == "progress: profile-cache hits 48 misses 16"),
+        "cache line missing:\n{stderr}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        include_str!("../../fleet/tests/fixtures/fleet-64-cohort-seed42.json"),
+        "slot replay moved the cohort report"
+    );
 }
 
 #[test]

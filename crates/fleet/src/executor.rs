@@ -138,11 +138,10 @@ const CHUNK_SIZE: u64 = 8;
 pub struct ExecutorOptions {
     /// Worker thread count; `0` means one worker per available core.
     pub threads: usize,
-    /// Profiling-window cache, one per simulation: `Some(_)` shares one
-    /// session per pool slot ([`ScenarioMix::subject_pool`]) across every
-    /// worker and shard run of a [`FleetSimulation`]; the value inside is
-    /// not read. Reports are byte-identical either way; hit/miss counters
-    /// land in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series.
+    /// No effect on the run: a pooled mix always replays its pool slots
+    /// (see [`run_fleet_range`]). Kept only because the frozen benchmark
+    /// harness reads it as a [`WindowCache`] capacity; delete with the next
+    /// change allowed to touch the benchmark.
     pub profile_cache: Option<usize>,
     /// How the run's device reports are aggregated:
     /// [`ReportMode::Exact`] keeps every per-device sample (O(devices)
@@ -289,10 +288,14 @@ fn simulate<S: WindowSource>(
 /// [`telemetry::Registry`] (lock-free, no cross-thread contention) and folds
 /// its snapshot into the registry that was active when the run started, at
 /// exit. Counter/histogram merging is commutative, so the totals are
-/// identical for any interleaving. With [`ExecutorOptions::profile_cache`]
-/// on, each pool slot of `simulation` is synthesized once over all its
-/// runs, so [`PROFILE_CACHE_EVENTS_SERIES`] misses count the slots filled
-/// plus one per device without a slot.
+/// identical for any interleaving.
+///
+/// A pooled mix ([`ScenarioMix::subject_pool`] > 0) always replays: each of
+/// the first 256 pool slots of `simulation` is synthesized once over all its
+/// runs and replayed by the slot's other devices, byte-identical to
+/// streaming. Such a run publishes [`PROFILE_CACHE_EVENTS_SERIES`], whose
+/// misses count the slots filled plus the devices of higher slots (they
+/// stream directly); a pool-less mix streams and records no cache series.
 ///
 /// # Errors
 ///
@@ -315,8 +318,9 @@ pub fn run_fleet_range(
     }
     let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
     let active = telemetry::active();
-    if options.profile_cache.is_some() {
-        // Eager registration: a run whose caches never hit still exposes
+    let pooled = simulation.generator().mix().subject_pool > 0;
+    if pooled {
+        // Eager registration: a run whose slots never hit still exposes
         // zero-valued hit/miss series.
         cache_event_counter(&active, "hit");
         cache_event_counter(&active, "miss");
@@ -327,7 +331,7 @@ pub fn run_fleet_range(
         // merge once at worker exit.
         let registry = telemetry::Registry::new();
         let _scope = telemetry::scoped(&registry);
-        let mut events = options.profile_cache.map(|_| CacheEvents::default());
+        let mut events = CacheEvents::default();
         let mut local = Vec::new();
         // Compare-exchange claims instead of `fetch_add`: the cursor never
         // moves past `count`, so id ranges near `u64::MAX` cannot overflow
@@ -339,7 +343,7 @@ pub fn run_fleet_range(
                 if sink.is_some_and(ProgressSink::should_cancel) {
                     break 'claims;
                 }
-                let result = simulate_in(simulation, range.start + index, sink, events.as_mut());
+                let result = simulate_in(simulation, range.start + index, sink, &mut events);
                 let failed = result.is_err();
                 local.push((index, result));
                 if failed {
@@ -347,7 +351,7 @@ pub fn run_fleet_range(
                 }
             }
         }
-        if let Some(events) = events {
+        if pooled {
             cache_event_counter(&registry, "hit").add(events.hits);
             cache_event_counter(&registry, "miss").add(events.misses);
         }
@@ -393,20 +397,20 @@ pub fn run_fleet_range(
 
 /// Derives and simulates device `device_id` of `simulation` for the
 /// executor, tracking the generated scenario's lifetime so tests can assert
-/// the scenario-free memory bound. With cache `events`, the device replays
-/// its pool slot's session when it has one.
+/// the scenario-free memory bound. The device replays its pool slot's
+/// session when it has one, counting the lookup in `events`.
 fn simulate_in(
     simulation: &FleetSimulation,
     device_id: u64,
     sink: Option<&dyn ProgressSink>,
-    events: Option<&mut CacheEvents>,
+    events: &mut CacheEvents,
 ) -> Result<DeviceReport, FleetError> {
     let scenario = simulation.generator().scenario(device_id);
     let _live = metrics::GeneratedScenario::track();
     let pool = simulation.generator().mix().subject_pool;
-    let pooled = events.and_then(|events| simulation.sessions.session(pool, &scenario, events));
+    let session = simulation.sessions.session(pool, &scenario, events);
     let (zoo, engine) = (simulation.zoo(), simulation.engine());
-    match pooled {
+    match session {
         Some(s) => simulate(&scenario, zoo, engine, sink, Ok(BufferWindows::new(s))),
         None => simulate(&scenario, zoo, engine, sink, scenario.window_stream()),
     }
@@ -461,7 +465,7 @@ impl PoolSessions {
     /// The session of `scenario`'s slot in a `pool`-slot mix, filled on
     /// first use, lookup counted in `events`. `None` (a miss) when the
     /// device has no slot or the fill failed: it then streams directly,
-    /// reporting any synthesis error exactly as the uncached path does.
+    /// reporting any synthesis error exactly as [`simulate_device`] does.
     fn session(
         &self,
         pool: u64,

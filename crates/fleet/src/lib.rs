@@ -32,12 +32,11 @@
 //!   classifier and the calibrated estimators read nothing else, so no
 //!   PPG or accelerometer signal is synthesized. [`progress`] sinks
 //!   observe each device, with its window count, as it completes
-//!   (`--progress` on the `fleet` / `fleet-shard` CLIs). With
-//!   [`ExecutorOptions::profile_cache`] (`--profile-cache`), each pool slot
-//!   of a pooled mix is synthesized once per [`FleetSimulation`] and
-//!   replayed by the slot's other devices in every worker and shard run —
-//!   byte-identical output, hit/miss counters in the
-//!   [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series,
+//!   (`--progress` on the `fleet` / `fleet-shard` CLIs). A pooled mix
+//!   ([`ScenarioMix::subject_pool`] > 0) always synthesizes each pool slot
+//!   once per [`FleetSimulation`]; the slot's other devices replay it in
+//!   every worker and shard run — byte-identical output, hit/miss counters
+//!   in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series,
 //! * [`report`] — the aggregation layer: MAE percentiles (p50/p90/p99,
 //!   exact nearest-rank with integer-math ranks), per-device energy and
 //!   projected battery-life distributions, an offload-fraction histogram and

@@ -54,11 +54,11 @@ pub struct ScenarioMix {
     /// schedule, recording length) in the population, `0` for "every device
     /// distinct". When positive, device `id` draws its synthesis profile
     /// from pool slot `id % subject_pool` — the cohort shape real fleets
-    /// have (many devices per calibration profile), and the one that lets
-    /// the profiling-window cache ([`crate::ExecutorOptions::profile_cache`])
-    /// actually hit: devices in one slot share a
-    /// [`DeviceScenario::window_cache_key`]. Constraints, links, batteries
-    /// and accounting stay per-device in either case.
+    /// have (many devices per calibration profile). Devices in one slot
+    /// share a [`DeviceScenario::window_cache_key`], so the executor
+    /// synthesizes each slot once per simulation and the slot's other
+    /// devices replay it ([`crate::run_fleet_range`]). Constraints, links,
+    /// batteries and accounting stay per-device in either case.
     pub subject_pool: u64,
 }
 
@@ -119,8 +119,9 @@ impl ScenarioMix {
 
     /// The [`ScenarioMix::balanced`] population with a 16-profile
     /// [`subject_pool`](ScenarioMix::subject_pool): devices cluster into
-    /// cohorts sharing calibration data and activity schedules, the shape
-    /// that makes the `--profile-cache` memoization pay off.
+    /// cohorts sharing calibration data and activity schedules, so the
+    /// executor replays each of the 16 slot sessions instead of
+    /// re-synthesizing it per device.
     pub fn cohort() -> Self {
         Self {
             subject_pool: 16,

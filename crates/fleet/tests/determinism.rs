@@ -1,7 +1,7 @@
 //! Property tests for the fleet engine's determinism guarantees:
 //!
 //! * a fleet run produces *byte-identical* aggregate reports for any worker
-//!   thread count, with and without the profile cache's pool slots,
+//!   thread count, with and without pool-slot replay,
 //! * a device's scenario depends only on `(master seed, device id)` — never
 //!   on fleet size, generation order or the mix of other devices,
 //! * every device of a pool slot has the slot's window-cache key, which is
@@ -17,20 +17,15 @@ proptest! {
 
     #[test]
     fn fleet_reports_are_identical_for_1_2_and_8_threads(master_seed in 0u64..1000) {
-        // The cohort mix with the cache on runs the pool-slot path; a fresh
-        // simulation per run makes the workers of every thread count race
-        // to fill the slots.
-        let cases = [
-            (ScenarioMix::balanced(), None),
-            (ScenarioMix::cohort(), Some(usize::MAX)),
-        ];
-        for (mix, profile_cache) in cases {
+        // The cohort mix runs the pool-slot path; a fresh simulation per
+        // run makes the workers of every thread count race to fill the
+        // slots.
+        for mix in [ScenarioMix::balanced(), ScenarioMix::cohort()] {
             let mut outcomes = Vec::new();
             for threads in [1usize, 2, 8] {
                 let simulation = FleetSimulation::new(master_seed, mix).unwrap();
                 let options = ExecutorOptions {
                     threads,
-                    profile_cache,
                     ..ExecutorOptions::default()
                 };
                 let devices = run_fleet_range(&simulation, 0..64, &options, None).unwrap();

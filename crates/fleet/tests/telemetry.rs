@@ -8,8 +8,8 @@
 //! * merging shard artifacts folds their telemetry into exactly the snapshot
 //!   a single-process run over the same fleet produces (proptest-locked
 //!   across fleet sizes and shard counts),
-//! * the profile cache's `chris_profile_cache_events_total` series reaches
-//!   the caller's active registry from every worker, and stays out of the
+//! * a pooled run's `chris_profile_cache_events_total` series reaches the
+//!   caller's active registry from every worker, and stays out of the
 //!   byte-stable shard artifact.
 
 use std::sync::OnceLock;
@@ -108,30 +108,25 @@ proptest! {
     }
 }
 
-/// The cache counters of a multi-worker run are folded into the caller's
-/// active registry: every device's lookup is counted exactly once, whichever
-/// worker made it, while the artifact embeds none of them.
+/// The cache counters of a multi-worker pooled run are folded into the
+/// caller's active registry: every device's lookup is counted exactly once,
+/// whichever worker made it, while the artifact embeds none of them.
 #[test]
 fn cache_counters_reach_the_active_registry_from_every_worker() {
-    let sim = simulation();
+    let sim = FleetSimulation::new(42, ScenarioMix::cohort()).expect("profiling works");
     let registry = telemetry::Registry::new();
-    let options = ExecutorOptions {
-        threads: 2,
-        profile_cache: Some(usize::MAX),
-        ..ExecutorOptions::default()
-    };
     let shard = {
         let _scope = telemetry::scoped(&registry);
-        sim.run_shard_with_options(&ShardSpec::single(20), 0, &options, None)
+        sim.run_shard_with_options(&ShardSpec::single(20), 0, &on(2), None)
             .unwrap()
     };
 
     let snapshot = registry.snapshot();
     let event = |result| snapshot.counter_value(PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
-    // The balanced mix gives every device its own synthesis profile, so every
-    // lookup misses — on any worker, in any interleaving.
-    assert_eq!(event("hit"), Some(0));
-    assert_eq!(event("miss"), Some(20));
+    // The cohort mix's 16 slots are each filled once and replayed by the
+    // other 4 devices — on any worker, in any interleaving.
+    assert_eq!(event("hit"), Some(4));
+    assert_eq!(event("miss"), Some(16));
     assert_eq!(
         shard
             .telemetry

@@ -72,7 +72,8 @@ pub enum HttpError {
     },
     /// A header line had no `:` separator or an empty name.
     MalformedHeader(String),
-    /// The `Content-Length` value was not a base-10 integer.
+    /// A `Content-Length` value was not all ASCII digits, or repeated
+    /// `Content-Length` headers disagree (RFC 9112 §6.3: invalid framing).
     BadContentLength(String),
     /// The declared body length exceeds [`MAX_BODY`].
     BodyTooLarge {
@@ -212,15 +213,21 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
+    let bad = |value: &str| HttpError::BadContentLength(truncate_for_display(value));
+    let mut content_length: Option<usize> = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        // `usize::from_str` would also accept a leading `+`.
+        if !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad(value));
+        }
+        let declared = value.parse().map_err(|_| bad(value))?;
+        if let Some(first) = content_length.filter(|&first| first != declared) {
+            return Err(bad(&format!("{first}, {value}")));
+        }
+        content_length = Some(declared);
+    }
     let mut body = Vec::new();
-    let content_length = headers
-        .iter()
-        .find(|(name, _)| name == "content-length")
-        .map(|(_, value)| value.clone());
-    if let Some(value) = content_length {
-        let declared: usize = value
-            .parse()
-            .map_err(|_| HttpError::BadContentLength(truncate_for_display(&value)))?;
+    if let Some(declared) = content_length {
         if declared > MAX_BODY {
             return Err(HttpError::BodyTooLarge {
                 declared,
@@ -482,6 +489,26 @@ mod tests {
         let err = parse(bad).unwrap_err();
         assert!(matches!(err, HttpError::BadContentLength(_)));
         assert_eq!(err.status(), 400);
+    }
+
+    #[test]
+    fn ambiguous_content_lengths_are_invalid_framing() {
+        for raw in [
+            b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\nhiabcde".as_slice(),
+            b"POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi".as_slice(),
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert!(
+                matches!(err, HttpError::BadContentLength(_)),
+                "raw={raw:?} err={err:?}"
+            );
+            assert_eq!(err.status(), 400);
+        }
+        // Repeats of one value frame the body unambiguously.
+        let request = parse(b"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi")
+            .unwrap()
+            .unwrap();
+        assert_eq!(request.body, b"hi");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Job specifications and the job state machine.
 //!
 //! A job is one fleet simulation, described by the same knobs as the `fleet`
-//! CLI (`devices`, `seed`, `mix`, `threads`, `report_mode`, `profile_cache`)
-//! plus a `shards` count that sets the checkpoint granularity: the scheduler
+//! CLI (`devices`, `seed`, `mix`, `threads`, `report_mode`) plus a `shards`
+//! count that sets the checkpoint granularity: the scheduler
 //! splits the device range into that many [`fleet::ShardSpec`] ranges and
 //! spools each finished range as an ordinary shard artifact, so a restarted
 //! daemon re-runs only the missing ranges.
@@ -11,7 +11,9 @@
 //! derive has no `#[serde(default)]`): every field except `devices` is
 //! optional with the same defaults as the CLI, unknown fields are rejected by
 //! name, and serialization always writes the fully-resolved form — what
-//! lands in the spool's `spec.json` is self-contained provenance.
+//! lands in the spool's `spec.json` is self-contained provenance. The
+//! `profile_cache` field is still accepted and written but has no effect:
+//! a pooled mix always replays its pool slots.
 
 use fleet::{ReportMode, ScenarioMix, ShardSpec};
 use serde::{map_field, Deserialize, Serialize, Value};
@@ -43,8 +45,10 @@ pub struct JobSpec {
     pub shards: u32,
     /// Aggregation mode (default [`ReportMode::Exact`]).
     pub report_mode: ReportMode,
-    /// Whether shard runs memoize synthesized window streams (default
-    /// false); byte-invisible in the report either way.
+    /// No effect on the run: a pooled mix always replays its pool slots.
+    /// Kept because HTTP clients and spooled `spec.json` files carry it and
+    /// the frozen benchmark harness sets it (default false); delete with the
+    /// next change allowed to touch the benchmark.
     pub profile_cache: bool,
 }
 

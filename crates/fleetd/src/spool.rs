@@ -218,8 +218,10 @@ impl Spool {
 
     /// Enumerates every `job-<id>` entry in the spool, sorted by id,
     /// with its spec when `spec.json` parses and validates (`None` marks a
-    /// job that cannot be recovered but whose id stays taken). Anything
-    /// else under the root (temp siblings, foreign files) is ignored.
+    /// job that cannot be recovered but whose id stays taken). Only the
+    /// canonical decimal form names a job: anything else under the root
+    /// (temp siblings, foreign files, aliases such as `job-07` or `job-+7`
+    /// that `u64::from_str` would read as job 7) is ignored.
     ///
     /// # Errors
     ///
@@ -233,7 +235,7 @@ impl Spool {
             let Some(id) = name
                 .to_str()
                 .and_then(|name| name.strip_prefix("job-"))
-                .and_then(|id| id.parse::<u64>().ok())
+                .and_then(|id| id.parse::<u64>().ok().filter(|n| n.to_string() == id))
             else {
                 continue;
             };
@@ -328,11 +330,23 @@ mod tests {
         std::fs::create_dir_all(root.join("job-9")).unwrap();
         std::fs::create_dir_all(root.join("job-5")).unwrap();
         std::fs::write(root.join("job-5/spec.json"), r#"{"devices": 0}"#).unwrap();
+        // Non-canonical aliases of job 7 must not recover it a second time.
+        spool.persist_spec(7, &small).unwrap();
+        for alias in ["job-07", "job-+7"] {
+            std::fs::create_dir_all(root.join(alias)).unwrap();
+            std::fs::write(root.join(alias).join("spec.json"), small.to_json()).unwrap();
+        }
 
         let jobs = spool.scan().unwrap();
         assert_eq!(
             jobs,
-            vec![(1, Some(small)), (3, Some(big)), (5, None), (9, None)]
+            vec![
+                (1, Some(small.clone())),
+                (3, Some(big)),
+                (5, None),
+                (7, Some(small)),
+                (9, None)
+            ]
         );
         std::fs::remove_dir_all(&root).unwrap();
     }
