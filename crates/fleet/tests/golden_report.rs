@@ -14,8 +14,18 @@
 //! ```
 //!
 //! and call the change out in the PR description.
+//!
+//! A 5000-device cohort fleet in sketch mode is pinned the same way: at
+//! 5000 devices the capacity-256 sketches compact, so the fixture covers
+//! the compaction schedule, the keep offsets and the rank-error bound that
+//! the 64-device fixtures never reach. Its regeneration command is
+//!
+//! ```text
+//! cargo run --release -p bench --bin fleet -- --devices 5000 --seed 42 --mix cohort \
+//!     --report-mode sketch --json > crates/fleet/tests/fixtures/fleet-5000-cohort-seed42-sketch.json
+//! ```
 
-use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix};
+use fleet::{ExecutorOptions, FleetSimulation, ReportMode, ScenarioMix, SketchedReport};
 
 const GOLDEN: &str = include_str!("fixtures/fleet-64-balanced-seed42.json");
 
@@ -108,4 +118,65 @@ fn golden_fixture_parses_back_into_a_report() {
     let report: fleet::FleetReport = serde_json::from_str(GOLDEN.trim_end()).unwrap();
     assert_eq!(report.devices, 64);
     assert_eq!(report.offload_histogram.iter().sum::<usize>(), 64);
+}
+
+const SKETCH_GOLDEN: &str = include_str!("fixtures/fleet-5000-cohort-seed42-sketch.json");
+
+/// Renders a sketch-mode report the way `fleet --report-mode sketch --json`
+/// prints it: the pretty envelope plus a trailing newline.
+fn render_sketched(sketched: SketchedReport) -> String {
+    format!("{}\n", serde_json::to_string_pretty(&sketched).unwrap())
+}
+
+#[test]
+fn golden_5000_device_cohort_sketch_report_is_byte_stable() {
+    let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    let options = ExecutorOptions {
+        report_mode: ReportMode::Sketch,
+        ..ExecutorOptions::default()
+    };
+    let outcome = simulation.run_with_options(5000, &options, None).unwrap();
+    let fresh = render_sketched(SketchedReport {
+        sketch: outcome.sketch.expect("sketch-mode runs report sketch info"),
+        report: outcome.report,
+    });
+    assert_eq!(
+        fresh, SKETCH_GOLDEN,
+        "the 5000-device cohort sketch report drifted from its golden fixture; \
+         if this change is intentional, regenerate it with:\n  \
+         cargo run --release -p bench --bin fleet -- --devices 5000 --seed 42 --mix cohort \
+         --report-mode sketch --json > crates/fleet/tests/fixtures/fleet-5000-cohort-seed42-sketch.json"
+    );
+}
+
+#[test]
+fn sharded_sketch_pipeline_reproduces_the_5000_device_fixture() {
+    // Four shards of 1250 devices: no shard boundary is a multiple of the
+    // sketch capacity (256), so blocks straddle every artifact seam.
+    let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    let spec = fleet::ShardSpec::new(5000, 4).unwrap();
+    let options = ExecutorOptions {
+        threads: 2,
+        report_mode: ReportMode::Sketch,
+        ..ExecutorOptions::default()
+    };
+    let mut accumulator = fleet::MergeAccumulator::new();
+    for index in 0..4 {
+        let shard = simulation
+            .run_shard_with_options(&spec, index, &options, None)
+            .unwrap();
+        assert_ne!(
+            shard.meta.end % 256,
+            0,
+            "shard {index} ends on a block edge"
+        );
+        accumulator.push(&shard).unwrap();
+    }
+    let sketch = accumulator.sketch_info().unwrap();
+    let report = accumulator.finalize().unwrap();
+    assert_eq!(
+        render_sketched(SketchedReport { sketch, report }),
+        SKETCH_GOLDEN,
+        "the sharded sketch pipeline drifted from the 5000-device fixture"
+    );
 }
