@@ -132,7 +132,7 @@ pub const COMMON_USAGE: &str = "--devices N     number of simulated devices (def
        --seed N        master seed; fixes every device's scenario (default 42)\n\
        --mix NAME      scenario mix: balanced | harsh | connected | cohort (default balanced)\n\
        --report-mode NAME  aggregation mode: exact | sketch (default exact; sketch folds\n\
-                       percentiles through O(log devices) mergeable quantile sketches)\n\
+                       percentiles through O(log devices) quantile sketches)\n\
        --metrics-out PATH  write run telemetry as Prometheus text exposition to PATH\n\
        --metrics-json  print the telemetry snapshot as one JSON line to stderr";
 

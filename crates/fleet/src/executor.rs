@@ -145,7 +145,7 @@ pub struct ExecutorOptions {
     pub profile_cache: Option<usize>,
     /// How the run's device reports are aggregated:
     /// [`ReportMode::Exact`] keeps every per-device sample (O(devices)
-    /// memory), [`ReportMode::Sketch`] folds them into mergeable
+    /// memory), [`ReportMode::Sketch`] folds them into
     /// [`crate::QuantileSketch`]es with a surfaced worst-case rank-error
     /// bound (O(log devices) memory). The mode is stamped into
     /// [`crate::ShardMeta`], so artifact sets cannot silently mix modes.

@@ -39,6 +39,10 @@ use crate::FleetOutcome;
 /// artifact. [`MergeAccumulator::finalize`] proves the pushed ranges covered
 /// the whole fleet and returns the aggregate report — byte-identical to a
 /// single-process run over the same fleet.
+///
+/// The cursor check is also what makes sketch-mode reports independent of
+/// the tiling: sketches are pinned to fold position, and a gap-free
+/// ascending tiling from id 0 folds device `i` at position `i`.
 #[derive(Debug, Clone, Default)]
 pub struct MergeAccumulator {
     reference: Option<ShardMeta>,

@@ -23,8 +23,9 @@
 //!   [`crate::sketch::QuantileSketch`], so the accumulator retains
 //!   O(capacity · log devices) samples and the report's percentiles carry a
 //!   surfaced worst-case rank-error bound ([`SketchInfo`]). Sketch-mode
-//!   reports keep the same byte-identity guarantee: any tiling of the fleet
-//!   into shards, merged in any order, serializes identically.
+//!   reports keep the same byte-identity guarantee: the merge layer folds
+//!   any tiling of the fleet in id order from id 0, so the sketches see the
+//!   same sequence as a single-process run.
 
 use std::collections::BTreeMap;
 
@@ -51,7 +52,7 @@ pub enum ReportMode {
     /// device. The default.
     #[default]
     Exact,
-    /// Deterministic mergeable quantile sketches; O(log devices) retained
+    /// Deterministic quantile sketches; O(log devices) retained
     /// samples, percentiles within a surfaced worst-case rank-error bound.
     Sketch,
 }
@@ -259,12 +260,10 @@ fn offload_bin(fraction: f32) -> usize {
 /// each artifact is folded and dropped, and peak memory is one artifact plus
 /// the retained samples instead of every artifact at once.
 ///
-/// All floating-point reductions happen in push order, so feeding devices in
-/// id order reproduces the fixed reduction order the byte-identity guarantee
-/// of sharded execution rests on. Sketch mode is *additionally* invariant to
-/// how the id range was tiled: sketches are keyed to absolute device ids, so
-/// merged shard sketches canonicalize to the single-process state byte for
-/// byte (see [`crate::sketch`]).
+/// All floating-point reductions and sketch inserts happen in push order,
+/// so feeding devices in id order reproduces the fixed fold order the
+/// byte-identity guarantee of sharded execution rests on, in both modes
+/// (see [`crate::sketch`]).
 #[derive(Debug, Clone)]
 pub struct FleetAccumulator {
     samples: SampleStore,
@@ -275,8 +274,23 @@ pub struct FleetAccumulator {
     offloading_devices: usize,
     offload_histogram: Vec<usize>,
     constraint_violations: usize,
-    constraint_mix: BTreeMap<String, usize>,
-    accounting_mix: BTreeMap<String, usize>,
+    /// Devices per constraint kind, indexed like [`CONSTRAINT_KEYS`].
+    constraint_mix: [usize; CONSTRAINT_KEYS.len()],
+    /// Devices per accounting mode, indexed by [`EnergyAccounting`] variant.
+    accounting_mix: [usize; EnergyAccounting::ALL.len()],
+}
+
+/// Report keys of the constraint kinds, indexed like
+/// [`FleetAccumulator`]'s tally.
+const CONSTRAINT_KEYS: [&str; 2] = ["max_mae", "max_energy"];
+
+/// The report's map form of a fixed tally: one entry per non-zero count.
+fn tally_map<K: ToString>(keys: &[K], counts: &[usize]) -> BTreeMap<String, usize> {
+    keys.iter()
+        .zip(counts)
+        .filter(|&(_, &count)| count > 0)
+        .map(|(key, &count)| (key.to_string(), count))
+        .collect()
 }
 
 /// Per-quantity sample storage of one [`FleetAccumulator`], switched by
@@ -298,7 +312,7 @@ enum SampleStore {
 }
 
 impl SampleStore {
-    fn new(mode: ReportMode, sketch_capacity: usize) -> Self {
+    fn new(mode: ReportMode) -> Self {
         match mode {
             ReportMode::Exact => Self::Exact {
                 maes: Vec::new(),
@@ -306,9 +320,9 @@ impl SampleStore {
                 battery_lives: Vec::new(),
             },
             ReportMode::Sketch => Self::Sketch {
-                maes: QuantileSketch::with_capacity(sketch_capacity),
-                watch_energies: QuantileSketch::with_capacity(sketch_capacity),
-                battery_lives: QuantileSketch::with_capacity(sketch_capacity),
+                maes: QuantileSketch::new(),
+                watch_energies: QuantileSketch::new(),
+                battery_lives: QuantileSketch::new(),
             },
         }
     }
@@ -324,20 +338,8 @@ impl FleetAccumulator {
     /// Creates an empty accumulator in the given [`ReportMode`] (sketch mode
     /// at [`crate::sketch::DEFAULT_SKETCH_CAPACITY`]).
     pub fn with_mode(mode: ReportMode) -> Self {
-        Self::build(mode, crate::sketch::DEFAULT_SKETCH_CAPACITY)
-    }
-
-    /// Creates an empty sketch-mode accumulator with an explicit sketch
-    /// capacity — for tests and accuracy/memory tuning. All accumulators
-    /// whose outputs will ever be compared byte-for-byte must share one
-    /// capacity (the production paths always use the default).
-    pub fn sketch_with_capacity(capacity: usize) -> Self {
-        Self::build(ReportMode::Sketch, capacity)
-    }
-
-    fn build(mode: ReportMode, sketch_capacity: usize) -> Self {
         Self {
-            samples: SampleStore::new(mode, sketch_capacity),
+            samples: SampleStore::new(mode),
             total_windows: 0,
             offloaded_windows: 0.0,
             disconnected_windows: 0.0,
@@ -345,8 +347,8 @@ impl FleetAccumulator {
             offloading_devices: 0,
             offload_histogram: vec![0; OFFLOAD_HISTOGRAM_BINS],
             constraint_violations: 0,
-            constraint_mix: BTreeMap::new(),
-            accounting_mix: BTreeMap::new(),
+            constraint_mix: [0; CONSTRAINT_KEYS.len()],
+            accounting_mix: [0; EnergyAccounting::ALL.len()],
         }
     }
 
@@ -406,9 +408,7 @@ impl FleetAccumulator {
     }
 
     /// Folds one device into the aggregate. Callers must push devices in
-    /// id order to preserve the byte-identity of the finalized report (in
-    /// sketch mode each device id must additionally be pushed at most once —
-    /// ids are the sketches' dyadic coordinates).
+    /// id order to preserve the byte-identity of the finalized report.
     pub fn push(&mut self, device: &DeviceReport) {
         match &mut self.samples {
             SampleStore::Exact {
@@ -425,9 +425,9 @@ impl FleetAccumulator {
                 watch_energies,
                 battery_lives,
             } => {
-                maes.insert(device.device_id, f64::from(device.mae_bpm));
-                watch_energies.insert(device.device_id, device.avg_watch_energy.as_microjoules());
-                battery_lives.insert(device.device_id, device.battery_life_hours);
+                maes.insert(f64::from(device.mae_bpm));
+                watch_energies.insert(device.avg_watch_energy.as_microjoules());
+                battery_lives.insert(device.battery_life_hours);
             }
         }
         self.total_windows += device.windows;
@@ -442,24 +442,18 @@ impl FleetAccumulator {
         if device.constraint_violated {
             self.constraint_violations += 1;
         }
-        let constraint_key = match device.constraint {
-            UserConstraint::MaxMae(_) => "max_mae",
-            UserConstraint::MaxEnergy(_) => "max_energy",
+        let constraint_index = match device.constraint {
+            UserConstraint::MaxMae(_) => 0,
+            UserConstraint::MaxEnergy(_) => 1,
         };
-        *self
-            .constraint_mix
-            .entry(constraint_key.to_string())
-            .or_insert(0) += 1;
-        *self
-            .accounting_mix
-            .entry(format!("{:?}", device.accounting))
-            .or_insert(0) += 1;
+        self.constraint_mix[constraint_index] += 1;
+        self.accounting_mix[device.accounting as usize] += 1;
     }
 
     /// Finalizes the aggregate into the population report.
     ///
     /// In sketch mode the three [`DistributionSummary`] percentiles are
-    /// sketch estimates (exact `min`/`max`, canonical `mean`) within the
+    /// sketch estimates (exact `min`/`max`, push-ordered `mean`) within the
     /// rank-error bound surfaced by [`FleetAccumulator::sketch_info`], and
     /// the sketches' compaction/footprint telemetry is emitted to the active
     /// registry. Both modes time the aggregation into the shared
@@ -529,8 +523,11 @@ impl FleetAccumulator {
             disconnected_window_share: 0.0,
             avg_phone_energy_uj: 0.0,
             constraint_violations: self.constraint_violations,
-            constraint_mix: self.constraint_mix,
-            accounting_mix: self.accounting_mix,
+            constraint_mix: tally_map(&CONSTRAINT_KEYS, &self.constraint_mix),
+            accounting_mix: tally_map(
+                &EnergyAccounting::ALL.map(|accounting| format!("{accounting:?}")),
+                &self.accounting_mix,
+            ),
         };
         if report.total_windows > 0 {
             report.offloaded_window_share = self.offloaded_windows / report.total_windows as f64;
@@ -808,6 +805,38 @@ mod tests {
         assert_eq!(streamed.constraint_mix, exact.constraint_mix);
         assert_eq!(streamed.mae_bpm.min, exact.mae_bpm.min);
         assert_eq!(streamed.mae_bpm.max, exact.mae_bpm.max);
+    }
+
+    #[test]
+    fn mix_tallies_list_only_the_kinds_that_occur() {
+        let mut accumulator = FleetAccumulator::new();
+        for (i, accounting) in EnergyAccounting::ALL.into_iter().enumerate() {
+            let mut d = device(i as u64, 5.0, 300.0, 0.5, false);
+            d.accounting = accounting;
+            accumulator.push(&d);
+        }
+        let mut d = device(3, 5.0, 300.0, 0.5, false);
+        d.accounting = EnergyAccounting::BleWithSleep;
+        accumulator.push(&d);
+        let report = accumulator.finalize();
+        let accounting: Vec<(&str, usize)> = report
+            .accounting_mix
+            .iter()
+            .map(|(k, &v)| (k.as_str(), v))
+            .collect();
+        assert_eq!(
+            accounting,
+            [
+                ("BleOnly", 1),
+                ("BleWithSleep", 2),
+                ("IncrementalPayload", 1)
+            ]
+        );
+        // Every test device runs under `MaxMae`: no zero `max_energy` entry.
+        assert_eq!(
+            report.constraint_mix,
+            BTreeMap::from([("max_mae".to_string(), 4)])
+        );
     }
 
     #[test]

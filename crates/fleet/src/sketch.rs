@@ -1,4 +1,4 @@
-//! Deterministic, mergeable quantile sketches for fleet-scale aggregation.
+//! Deterministic quantile sketches for fleet-scale aggregation.
 //!
 //! [`QuantileSketch`] summarizes one per-device quantity (MAE, watch energy,
 //! battery life) in O(capacity · log(devices / capacity)) memory instead of
@@ -7,31 +7,30 @@
 //!
 //! ## Why not a textbook KLL compactor
 //!
-//! A classic KLL sketch compacts whenever a level buffer fills, so its
-//! internal state depends on *arrival order*: merging shard A into shard B
-//! and B into A yield different (equally valid) states, and the fleet's
-//! byte-identity guarantee — the same report for any shard tiling — dies.
+//! A classic KLL sketch draws its keep offsets from a random source, so two
+//! runs over the same values yield different (equally valid) states, and the
+//! fleet's byte-identity guarantee dies.
 //!
-//! This sketch instead pins the compactor hierarchy to the **absolute
-//! device-id space** (a Munro–Paterson-style dyadic merge tree):
+//! This sketch instead pins the compactor hierarchy to **fold position**
+//! (a Munro–Paterson-style dyadic merge tree): the i-th inserted value has
+//! position i, and
 //!
-//! * level-0 node = one complete id-aligned block of `capacity` values
-//!   (block `b` covers ids `[b·k, (b+1)·k)` for capacity `k`),
-//! * two sibling nodes at level `ℓ` (blocks `b` and `b + 2^ℓ` with
-//!   `b % 2^(ℓ+1) == 0`) always combine into one level-`ℓ+1` node: the two
-//!   sorted buffers are merged and every other element kept, starting at an
-//!   offset derived from a **fixed seed** and the node's absolute position
-//!   (a SplitMix64 hash) — never from arrival order or a random source,
-//! * values whose ids do not yet fill an aligned block are held raw (weight
-//!   1, zero error) in partial-block runs.
+//! * a level-0 node = one complete block of `capacity` values (block `b`
+//!   covers positions `[b·k, (b+1)·k)` for capacity `k`),
+//! * completed nodes sit on a stack of strictly decreasing level, like the
+//!   digits of a binary counter: a new block carries into the top node while
+//!   the two share a level. A combine merges the two sorted buffers and keeps
+//!   every other element, starting at an offset derived from a **fixed
+//!   seed** and the parent's absolute position (a SplitMix64 hash) — never
+//!   from a random source,
+//! * values of the unfinished block are held raw (weight 1, zero error).
 //!
-//! Combining is forced whenever both siblings exist and the combining order
-//! never changes the result (each combine is a pure function of the two
-//! child states and the node's absolute position, and distinct combinable
-//! pairs are disjoint), so the canonical state is a pure function of the
-//! *multiset* of `(id, value)` insertions. [`QuantileSketch::merge`] is
-//! therefore associative, commutative and merge-order invariant **by
-//! construction** — not just up to rank error, but byte for byte.
+//! The state is therefore a pure function of the inserted sequence. Every
+//! fleet aggregation path folds devices in id order from id 0 — a
+//! single-process run, `fleet-merge` and the daemon's merge all go through
+//! [`crate::merge::MergeAccumulator`], which accepts only a gap-free
+//! ascending tiling — so fold position equals device id, and every shard
+//! tiling of a fleet yields the same sketch byte for byte.
 //!
 //! ## Error accounting
 //!
@@ -40,12 +39,10 @@
 //! Each node tracks the total perturbation of the combines that built it;
 //! [`QuantileSketch::rank_error_bound`] is the sum over live nodes — a
 //! worst-case bound `E` such that the value returned for target rank `r` has
-//! true rank within `[r - E, r + E]`. For ids `0..n` the bound works out to
+//! true rank within `[r - E, r + E]`. For `n` values the bound works out to
 //! roughly `(n / 2) · log2(n / k) / k`-ish absolute ranks, i.e. an
 //! `≈ log2(n/k) / (2k)` rank *fraction* — capacity 256 summarizes a million
 //! devices in a few thousand retained samples at ~2 % worst-case rank error.
-
-use std::collections::BTreeMap;
 
 use crate::report::DistributionSummary;
 
@@ -70,7 +67,7 @@ pub const SKETCH_RETAINED_HELP: &str =
     "Samples retained across the fleet aggregation's quantile sketches";
 
 /// Fixed seed of the deterministic keep-offset choice. Never configurable:
-/// two sketches only canonicalize identically because they agree on it.
+/// reports are only reproducible because every run agrees on it.
 const COMPACTION_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 finalizer: a well-mixed pure function of its input, used to
@@ -84,7 +81,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// One compacted node of the dyadic hierarchy: a sorted, fixed-size summary
-/// of the `2^level` consecutive blocks starting at its key.
+/// of `2^level` consecutive blocks.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     /// Height in the merge tree; the node covers `2^level` blocks and each
@@ -92,53 +89,37 @@ struct Node {
     level: u32,
     /// Exactly `capacity` values, sorted by [`f64::total_cmp`].
     values: Vec<f64>,
-    /// Canonical sum of every raw value the node covers (level-0 sums are
-    /// taken in id order; a combine adds `left.sum + right.sum`).
+    /// Sum of every raw value the node covers (level-0 sums are taken in
+    /// insertion order; a combine adds `left.sum + right.sum`).
     sum: f64,
     /// Worst-case rank perturbation accumulated by the combines that built
     /// this node, in raw ranks.
     error: u64,
 }
 
-impl Node {
-    /// Raw values each retained value stands for.
-    fn weight(&self) -> u64 {
-        1u64 << self.level
-    }
-
-    /// Blocks the node covers.
-    fn span(&self) -> u64 {
-        1u64 << self.level
-    }
-}
-
-/// A deterministic, mergeable quantile sketch over `(device id, value)`
-/// insertions (see the [module docs](self) for the construction).
+/// A deterministic, append-only quantile sketch (see the [module
+/// docs](self) for the construction).
 ///
-/// Two sketches built from the same multiset of insertions are equal —
-/// regardless of insertion order, of how the id range was tiled into
-/// sub-sketches, or of the order those sub-sketches were [merged]. Exact
-/// `min`/`max` and a canonical `mean` are tracked alongside the compacted
-/// rank structure.
-///
-/// [merged]: QuantileSketch::merge
+/// Two sketches fed the same values in the same order are equal. Exact
+/// `min`/`max` and a position-ordered `mean` are tracked alongside the
+/// compacted rank structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// Block size `k` of the dyadic hierarchy, in device ids.
-    block: u64,
+    /// Block size `k` of the dyadic hierarchy, in values.
+    block: usize,
     /// Total values inserted.
     count: u64,
     /// Exact smallest value (`total_cmp` order); meaningless when empty.
     min: f64,
     /// Exact largest value (`total_cmp` order); meaningless when empty.
     max: f64,
-    /// Total combines performed over the sketch's history (merge-order
-    /// invariant: the canonical forest fixes how many combines build it).
+    /// Total combines performed over the sketch's history.
     compactions: u64,
-    /// Partial-block raw values: start id → values in id order (weight 1).
-    runs: BTreeMap<u64, Vec<f64>>,
-    /// Compacted nodes: start *block index* → node.
-    nodes: BTreeMap<u64, Node>,
+    /// Raw values of the unfinished block, in insertion order (weight 1).
+    partial: Vec<f64>,
+    /// Completed blocks, compacted: strictly decreasing levels, in position
+    /// order.
+    nodes: Vec<Node>,
 }
 
 impl QuantileSketch {
@@ -150,8 +131,7 @@ impl QuantileSketch {
     /// Creates an empty sketch with block size / node capacity `capacity`.
     ///
     /// Larger capacities retain more samples and tighten the rank-error
-    /// bound (`≈ log2(n/k) / (2k)` of the population). All sketches that
-    /// will ever be merged must share one capacity.
+    /// bound (`≈ log2(n/k) / (2k)` of the population).
     ///
     /// # Panics
     ///
@@ -159,19 +139,14 @@ impl QuantileSketch {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 2, "sketch capacity must be at least 2");
         Self {
-            block: capacity as u64,
+            block: capacity,
             count: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             compactions: 0,
-            runs: BTreeMap::new(),
-            nodes: BTreeMap::new(),
+            partial: Vec::with_capacity(capacity),
+            nodes: Vec::new(),
         }
-    }
-
-    /// The block size / node capacity the sketch was created with.
-    pub fn capacity(&self) -> usize {
-        self.block as usize
     }
 
     /// Total values inserted.
@@ -184,16 +159,14 @@ impl QuantileSketch {
         self.count == 0
     }
 
-    /// Values currently retained (raw runs plus compacted node buffers) —
-    /// the sketch's memory footprint in samples. For ids `0..n` this is
-    /// O(capacity · log(n / capacity)), not O(n).
+    /// Values currently retained (the raw partial block plus compacted node
+    /// buffers) — the sketch's memory footprint in samples. For `n` values
+    /// this is O(capacity · log(n / capacity)), not O(n).
     pub fn retained(&self) -> usize {
-        self.runs.values().map(Vec::len).sum::<usize>()
-            + self.nodes.values().map(|n| n.values.len()).sum::<usize>()
+        self.partial.len() + self.nodes.iter().map(|n| n.values.len()).sum::<usize>()
     }
 
-    /// Total combines performed over the sketch's history (including the
-    /// history of sketches merged into it).
+    /// Total combines performed over the sketch's history.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -202,7 +175,7 @@ impl QuantileSketch {
     /// by [`QuantileSketch::percentile`] for target rank `r` is guaranteed
     /// to have true (`total_cmp`) rank within `[r - E, r + E]`.
     pub fn rank_error_bound(&self) -> u64 {
-        self.nodes.values().map(|n| n.error).sum()
+        self.nodes.iter().map(|n| n.error).sum()
     }
 
     /// [`QuantileSketch::rank_error_bound`] as a fraction of the inserted
@@ -225,22 +198,17 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Canonical mean: per-node sums folded in ascending id order, divided
-    /// by the count. Deterministic for a given multiset of insertions (the
-    /// fold order is the canonical decomposition, not the arrival order).
+    /// Mean: per-node sums folded in position order, then the partial
+    /// block's sum, divided by the count. Deterministic for a given
+    /// insertion sequence.
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
-        let mut parts: Vec<(u64, f64)> = Vec::with_capacity(self.runs.len() + self.nodes.len());
-        for (&start, values) in &self.runs {
-            parts.push((start, values.iter().sum::<f64>()));
+        let mut total = self.nodes.iter().fold(0.0, |acc, node| acc + node.sum);
+        if !self.partial.is_empty() {
+            total += self.partial.iter().sum::<f64>();
         }
-        for (&base, node) in &self.nodes {
-            parts.push((base * self.block, node.sum));
-        }
-        parts.sort_unstable_by_key(|&(start, _)| start);
-        let total = parts.iter().fold(0.0, |acc, &(_, sum)| acc + sum);
         Some(total / self.count as f64)
     }
 
@@ -259,11 +227,9 @@ impl QuantileSketch {
             .div_ceil(100)
             .max(1);
         let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
-        for values in self.runs.values() {
-            items.extend(values.iter().map(|&v| (v, 1)));
-        }
-        for node in self.nodes.values() {
-            let weight = node.weight();
+        items.extend(self.partial.iter().map(|&v| (v, 1)));
+        for node in &self.nodes {
+            let weight = 1u64 << node.level;
             items.extend(node.values.iter().map(|&v| (v, weight)));
         }
         items.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -278,8 +244,8 @@ impl QuantileSketch {
     }
 
     /// The [`DistributionSummary`] of the sketched population: exact
-    /// `min`/`max`, canonical `mean`, and sketched p50/p90/p99. `None` when
-    /// empty.
+    /// `min`/`max`, position-ordered `mean`, and sketched p50/p90/p99.
+    /// `None` when empty.
     pub fn summary(&self) -> Option<DistributionSummary> {
         Some(DistributionSummary {
             min: self.min()?,
@@ -291,13 +257,8 @@ impl QuantileSketch {
         })
     }
 
-    /// Inserts one `(device id, value)` observation.
-    ///
-    /// Each id must be inserted at most once across the sketch (and across
-    /// every sketch later merged with it) — ids are the coordinates of the
-    /// dyadic hierarchy. Insertion order is free; ascending order (the order
-    /// every aggregation path already uses) is the cheapest.
-    pub fn insert(&mut self, id: u64, value: f64) {
+    /// Appends one value at the next position.
+    pub fn insert(&mut self, value: f64) {
         if self.count == 0 {
             self.min = value;
             self.max = value;
@@ -310,187 +271,51 @@ impl QuantileSketch {
             }
         }
         self.count += 1;
-        match self.runs.range_mut(..=id).next_back() {
-            Some((&start, run)) if start + run.len() as u64 == id => run.push(value),
-            _ => {
-                self.runs.insert(id, vec![value]);
-            }
-        }
-        self.normalize();
-    }
-
-    /// Folds `other` into `self`.
-    ///
-    /// Associative, commutative and merge-order invariant: any merge order
-    /// over any tiling of the id space yields a byte-identical sketch,
-    /// because both sides re-canonicalize onto the same id-pinned hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the capacities differ or the two sketches cover
-    /// overlapping device ids (each id may be inserted once, period).
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.block, other.block,
-            "cannot merge sketches of different capacities"
-        );
-        assert!(
-            !self.overlaps(other),
-            "cannot merge sketches covering overlapping device ids"
-        );
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        if other.min.total_cmp(&self.min).is_lt() {
-            self.min = other.min;
-        }
-        if other.max.total_cmp(&self.max).is_gt() {
-            self.max = other.max;
-        }
-        self.count += other.count;
-        self.compactions += other.compactions;
-        for (&start, values) in &other.runs {
-            self.runs.insert(start, values.clone());
-        }
-        for (&base, node) in &other.nodes {
-            self.nodes.insert(base, node.clone());
-        }
-        self.normalize();
-    }
-
-    /// The id intervals `[start, end)` the sketch covers, sorted.
-    fn covered(&self) -> Vec<(u64, u64)> {
-        let mut spans: Vec<(u64, u64)> = self
-            .runs
-            .iter()
-            .map(|(&start, values)| (start, start + values.len() as u64))
-            .chain(
-                self.nodes
-                    .iter()
-                    .map(|(&base, node)| (base * self.block, (base + node.span()) * self.block)),
-            )
-            .collect();
-        spans.sort_unstable();
-        spans
-    }
-
-    /// Whether any id is covered by both sketches.
-    fn overlaps(&self, other: &Self) -> bool {
-        let mut spans = self.covered();
-        spans.extend(other.covered());
-        spans.sort_unstable();
-        spans.windows(2).any(|pair| pair[1].0 < pair[0].1)
-    }
-
-    /// Restores the canonical form: join adjacent runs, materialize every
-    /// complete id-aligned block as a level-0 node, combine siblings to a
-    /// fixpoint. Idempotent, and confluent because each combine is a pure
-    /// function of the two child states and the node's absolute position.
-    fn normalize(&mut self) {
-        self.coalesce_runs();
-        self.extract_blocks();
-        self.combine_siblings();
-    }
-
-    /// Joins raw runs that have become id-adjacent (after a merge brought in
-    /// a neighbouring shard's partial block).
-    fn coalesce_runs(&mut self) {
-        let mut rebuilt: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for (start, values) in std::mem::take(&mut self.runs) {
-            if let Some((&last_start, last)) = rebuilt.range_mut(..=start).next_back() {
-                let last_end = last_start + last.len() as u64;
-                debug_assert!(last_end <= start, "raw runs overlap");
-                if last_end == start {
-                    last.extend(values);
-                    continue;
-                }
-            }
-            rebuilt.insert(start, values);
-        }
-        self.runs = rebuilt;
-    }
-
-    /// Cuts every complete id-aligned block out of the raw runs into a
-    /// level-0 node; partial prefixes/suffixes stay raw.
-    fn extract_blocks(&mut self) {
-        let block = self.block;
-        let mut rebuilt: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        for (start, values) in std::mem::take(&mut self.runs) {
-            let end = start + values.len() as u64;
-            let first_block = start.div_ceil(block);
-            let block_end = end / block;
-            if first_block >= block_end {
-                rebuilt.insert(start, values);
-                continue;
-            }
-            let prefix_len = (first_block * block - start) as usize;
-            if prefix_len > 0 {
-                rebuilt.insert(start, values[..prefix_len].to_vec());
-            }
-            for b in first_block..block_end {
-                let offset = (b * block - start) as usize;
-                let raw = &values[offset..offset + block as usize];
-                // The canonical sum is taken in id order *before* sorting.
-                let sum = raw.iter().sum::<f64>();
-                let mut sorted = raw.to_vec();
-                sorted.sort_by(f64::total_cmp);
-                let previous = self.nodes.insert(
-                    b,
-                    Node {
-                        level: 0,
-                        values: sorted,
-                        sum,
-                        error: 0,
-                    },
-                );
-                debug_assert!(previous.is_none(), "block {b} materialized twice");
-            }
-            let suffix_offset = (block_end * block - start) as usize;
-            if suffix_offset < values.len() {
-                rebuilt.insert(block_end * block, values[suffix_offset..].to_vec());
-            }
-        }
-        for (start, values) in rebuilt {
-            self.runs.insert(start, values);
+        self.partial.push(value);
+        if self.partial.len() == self.block {
+            self.complete_block();
         }
     }
 
-    /// Combines aligned same-level siblings until none remain.
-    fn combine_siblings(&mut self) {
-        while let Some((base, level)) = self.nodes.iter().find_map(|(&base, node)| {
-            let span = node.span();
-            if base % (span * 2) != 0 {
-                return None;
-            }
-            let sibling = self.nodes.get(&(base + span))?;
-            (sibling.level == node.level).then_some((base, node.level))
-        }) {
-            let span = 1u64 << level;
-            let left = self.nodes.remove(&base).expect("sibling pair located");
-            let right = self
-                .nodes
-                .remove(&(base + span))
-                .expect("sibling pair located");
-            let combined = self.combine(base, left, right);
-            self.nodes.insert(base, combined);
+    /// Turns the full partial block into a level-0 node and carries it into
+    /// the stack while the top node shares its level.
+    fn complete_block(&mut self) {
+        let mut values = std::mem::replace(&mut self.partial, Vec::with_capacity(self.block));
+        // The block's sum is taken in insertion order *before* sorting.
+        let sum = values.iter().sum::<f64>();
+        values.sort_by(f64::total_cmp);
+        let mut node = Node {
+            level: 0,
+            values,
+            sum,
+            error: 0,
+        };
+        // Index of the first block the carried node covers.
+        let mut base = self.count / self.block as u64 - 1;
+        while self.nodes.last().is_some_and(|top| top.level == node.level) {
+            let left = self.nodes.pop().expect("top node checked above");
+            base -= 1u64 << left.level;
+            node = self.combine(base, left, node);
         }
+        self.nodes.push(node);
     }
 
-    /// Combines two level-`ℓ` siblings into their level-`ℓ+1` parent: merge
-    /// the sorted buffers, keep every other element starting at the
-    /// fixed-seed offset derived from the parent's absolute position.
+    /// Combines two adjacent level-`ℓ` nodes into their level-`ℓ+1` parent
+    /// starting at block `base`: merge the sorted buffers, keep every other
+    /// element starting at the fixed-seed offset derived from the parent's
+    /// absolute position.
     fn combine(&mut self, base: u64, left: Node, right: Node) -> Node {
         debug_assert_eq!(left.level, right.level, "siblings must share a level");
         let child_level = left.level;
         let level = child_level + 1;
-        let merged = merge_sorted(&left.values, &right.values);
+        // Stable sort of two sorted runs is a linear merge; ties under
+        // `total_cmp` are bit-identical, so the order among them is moot.
+        let mut merged = left.values;
+        merged.extend_from_slice(&right.values);
+        merged.sort_by(f64::total_cmp);
         let offset = (splitmix64(COMPACTION_SEED ^ (u64::from(level) << 56) ^ base) & 1) as usize;
         let values: Vec<f64> = merged.iter().skip(offset).step_by(2).copied().collect();
-        debug_assert_eq!(values.len(), self.block as usize);
+        debug_assert_eq!(values.len(), self.block);
         self.compactions += 1;
         Node {
             level,
@@ -509,24 +334,6 @@ impl Default for QuantileSketch {
     }
 }
 
-/// Merges two `total_cmp`-sorted slices into one sorted vector.
-fn merge_sorted(left: &[f64], right: &[f64]) -> Vec<f64> {
-    let mut merged = Vec::with_capacity(left.len() + right.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        if left[i].total_cmp(&right[j]).is_le() {
-            merged.push(left[i]);
-            i += 1;
-        } else {
-            merged.push(right[j]);
-            j += 1;
-        }
-    }
-    merged.extend_from_slice(&left[i..]);
-    merged.extend_from_slice(&right[j..]);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +346,7 @@ mod tests {
     fn sequential(capacity: usize, n: u64) -> QuantileSketch {
         let mut sketch = QuantileSketch::with_capacity(capacity);
         for id in 0..n {
-            sketch.insert(id, value_for(id));
+            sketch.insert(value_for(id));
         }
         sketch
     }
@@ -559,9 +366,8 @@ mod tests {
     #[test]
     fn under_one_block_the_sketch_is_exact() {
         let mut sketch = QuantileSketch::with_capacity(256);
-        let values = [5.0, 1.0, 9.0, 3.0, 7.0];
-        for (id, &v) in values.iter().enumerate() {
-            sketch.insert(id as u64, v);
+        for v in [5.0, 1.0, 9.0, 3.0, 7.0] {
+            sketch.insert(v);
         }
         assert_eq!(sketch.rank_error_bound(), 0);
         assert_eq!(sketch.compactions(), 0);
@@ -577,7 +383,7 @@ mod tests {
         let sketch = sequential(4, 1024);
         // 256 blocks collapse into one level-8 node.
         assert_eq!(sketch.nodes.len(), 1);
-        assert_eq!(sketch.nodes[&0].level, 8);
+        assert_eq!(sketch.nodes[0].level, 8);
         assert_eq!(sketch.retained(), 4);
         assert_eq!(sketch.compactions(), 255);
         // A full binary tree over 256 blocks accumulates 128 combines per
@@ -588,52 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn split_streams_merge_to_the_sequential_sketch_byte_for_byte() {
-        for cut in [1u64, 3, 8, 17, 100, 255] {
-            let whole = sequential(8, 256);
-            let mut left = QuantileSketch::with_capacity(8);
-            for id in 0..cut {
-                left.insert(id, value_for(id));
-            }
-            let mut right = QuantileSketch::with_capacity(8);
-            for id in cut..256 {
-                right.insert(id, value_for(id));
-            }
-            // Either merge direction reproduces the sequential state.
-            let mut forward = left.clone();
-            forward.merge(&right);
-            assert_eq!(forward, whole, "forward merge at cut {cut}");
-            let mut backward = right;
-            backward.merge(&left);
-            assert_eq!(backward, whole, "backward merge at cut {cut}");
-        }
-    }
-
-    #[test]
-    fn insertion_order_does_not_matter() {
-        let ascending = sequential(4, 64);
-        let mut descending = QuantileSketch::with_capacity(4);
-        for id in (0..64).rev() {
-            descending.insert(id, value_for(id));
-        }
-        assert_eq!(ascending, descending);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping device ids")]
-    fn overlapping_merges_are_rejected() {
-        let a = sequential(4, 16);
-        let mut b = QuantileSketch::with_capacity(4);
-        b.insert(15, 1.0);
-        b.merge(&a);
-    }
-
-    #[test]
-    #[should_panic(expected = "different capacities")]
-    fn capacity_mismatch_is_rejected() {
-        let a = sequential(4, 4);
-        let mut b = QuantileSketch::with_capacity(8);
-        b.merge(&a);
+    fn node_levels_are_the_binary_digits_of_the_block_count() {
+        // 45 values at capacity 4: 11 = 0b1011 complete blocks plus one raw
+        // value. Each set bit is one node, highest level at the bottom.
+        let sketch = sequential(4, 45);
+        let levels: Vec<u32> = sketch.nodes.iter().map(|n| n.level).collect();
+        assert_eq!(levels, [3, 1, 0]);
+        assert_eq!(sketch.partial.len(), 1);
+        assert_eq!(sketch.retained(), 3 * 4 + 1);
+        // Each combine removes one node: 11 blocks - 3 nodes.
+        assert_eq!(sketch.compactions(), 8);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Conformance suite for the deterministic quantile sketch behind
-//! `ReportMode::Sketch`: merge-order invariance over arbitrary tilings of
-//! the device-id space (byte identity, not just statistical equivalence),
+//! `ReportMode::Sketch`: byte identity of sketch-mode reports over arbitrary
+//! shard tilings of the device-id space (the sketch is pinned to fold
+//! position, and the merge layer folds every tiling in id order from id 0),
 //! the proven worst-case rank-error bound against exact order statistics,
 //! and the O(log devices) retained-sample footprint that unblocks
 //! fleet sizes an exact accumulator cannot hold.
@@ -9,7 +10,7 @@ use chris_core::config::EnergyAccounting;
 use chris_core::decision::UserConstraint;
 use fleet::{
     merge, FleetAccumulator, FleetReport, MergeAccumulator, QuantileSketch, ReportMode,
-    ScenarioMix, ShardMeta, ShardReport, DEFAULT_SKETCH_CAPACITY,
+    ScenarioMix, ShardMeta, ShardReport, SketchedReport, DEFAULT_SKETCH_CAPACITY,
 };
 use hw_sim::units::Energy;
 use proptest::prelude::*;
@@ -23,11 +24,11 @@ fn value_for(id: u64) -> f64 {
     ((z ^ (z >> 31)) % 1_000_000) as f64 / 100.0
 }
 
-/// Builds the sketch of ids `[start, end)` at `capacity`.
-fn sketch_range(capacity: usize, start: u64, end: u64) -> QuantileSketch {
+/// Builds the sketch of the values of ids `0..n` at `capacity`.
+fn sketch_of(capacity: usize, n: u64) -> QuantileSketch {
     let mut sketch = QuantileSketch::with_capacity(capacity);
-    for id in start..end {
-        sketch.insert(id, value_for(id));
+    for id in 0..n {
+        sketch.insert(value_for(id));
     }
     sketch
 }
@@ -54,21 +55,52 @@ fn device(id: u64) -> fleet::DeviceReport {
     }
 }
 
+/// A sketch-mode shard artifact holding the synthetic devices
+/// `[start, end)` of a `fleet_devices`-device fleet cut into `shard_count`.
+fn shard(fleet_devices: u64, shard_count: u64, index: u64, start: u64, end: u64) -> ShardReport {
+    ShardReport {
+        meta: ShardMeta {
+            engine_version: fleet::ENGINE_VERSION.to_string(),
+            master_seed: 42,
+            mix: ScenarioMix::balanced(),
+            report_mode: ReportMode::Sketch,
+            fleet_devices,
+            shard_count: shard_count as u32,
+            shard_index: index as u32,
+            start,
+            end,
+        },
+        devices: (start..end).map(device).collect(),
+        telemetry: telemetry::MetricsSnapshot::default(),
+    }
+}
+
+/// The bytes a sketch-mode report prints as: the envelope with the sketch
+/// annotation.
+fn sketched_json(sketch: fleet::SketchInfo, report: FleetReport) -> String {
+    serde_json::to_string_pretty(&SketchedReport { sketch, report }).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Byte-level merge-order invariance: cut the id range into arbitrary
-    /// tiles, sketch each independently, merge the tiles in an arbitrary
-    /// order — the result equals the sequential sketch exactly.
+    /// Byte identity over tilings: cut devices `0..n` into arbitrary
+    /// shards (cuts land mid-block as often as not), then merge them with
+    /// `merge::merge` in shuffled order and with a `MergeAccumulator` in
+    /// range order — both print exactly what one `FleetAccumulator` fold
+    /// over the whole fleet prints, sketch annotation included.
     #[test]
     fn any_tiling_merged_in_any_order_is_byte_identical(
-        n in 1u64..1500,
-        capacity_idx in 0usize..3,
-        raw_cuts in prop::collection::vec(0u64..1500, 0..6),
+        n in 1u64..3000,
+        raw_cuts in prop::collection::vec(0u64..3000, 0..6),
         shuffle_seed in 0u64..u64::MAX,
     ) {
-        let capacity = [2usize, 8, 64][capacity_idx];
-        let sequential = sketch_range(capacity, 0, n);
+        let mut single = FleetAccumulator::with_mode(ReportMode::Sketch);
+        for id in 0..n {
+            single.push(&device(id));
+        }
+        let single_info = single.sketch_info().unwrap();
+        let expected = sketched_json(single_info, single.finalize());
 
         // Tile [0, n) at the sampled cut points.
         let mut cuts: Vec<u64> = raw_cuts.into_iter().map(|c| c % (n + 1)).collect();
@@ -76,28 +108,33 @@ proptest! {
         cuts.push(n);
         cuts.sort_unstable();
         cuts.dedup();
-        let mut tiles: Vec<QuantileSketch> = cuts
+        let count = (cuts.len() - 1) as u64;
+        let shards: Vec<ShardReport> = cuts
             .windows(2)
-            .map(|w| sketch_range(capacity, w[0], w[1]))
+            .enumerate()
+            .map(|(index, w)| shard(n, count, index as u64, w[0], w[1]))
             .collect();
 
+        let mut accumulator = MergeAccumulator::new();
+        for tile in &shards {
+            accumulator.push(tile).unwrap();
+        }
+        let info = accumulator.sketch_info().unwrap();
+        let streamed = sketched_json(info, accumulator.finalize().unwrap());
+        prop_assert_eq!(&streamed, &expected);
+
         // Deterministic Fisher–Yates driven by the sampled seed.
+        let mut shuffled = shards;
         let mut state = shuffle_seed;
-        for i in (1..tiles.len()).rev() {
+        for i in (1..shuffled.len()).rev() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            tiles.swap(i, (state >> 33) as usize % (i + 1));
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
         }
-
-        let mut merged = QuantileSketch::with_capacity(capacity);
-        for tile in &tiles {
-            merged.merge(tile);
-        }
-        prop_assert_eq!(&merged, &sequential);
-        prop_assert_eq!(merged.summary(), sequential.summary());
-        prop_assert_eq!(merged.compactions(), sequential.compactions());
-        prop_assert_eq!(merged.rank_error_bound(), sequential.rank_error_bound());
+        let outcome = merge(shuffled).unwrap();
+        let batch = sketched_json(outcome.sketch.unwrap(), outcome.report);
+        prop_assert_eq!(&batch, &expected);
     }
 }
 
@@ -115,8 +152,8 @@ proptest! {
     ) {
         let capacity = [2usize, 16, 128][capacity_idx];
         let mut sketch = QuantileSketch::with_capacity(capacity);
-        for (id, &v) in values.iter().enumerate() {
-            sketch.insert(id as u64, v);
+        for &v in &values {
+            sketch.insert(v);
         }
         let bound = sketch.rank_error_bound();
         let n = values.len() as u128;
@@ -157,9 +194,9 @@ proptest! {
     /// percentile in a sketch-mode `FleetReport` is within the reported
     /// rank-error bound of the exact per-device MAE sample.
     #[test]
-    fn sketch_report_percentiles_respect_the_bound(n in 1u64..800) {
+    fn sketch_report_percentiles_respect_the_bound(n in 1u64..3000) {
         let devices: Vec<fleet::DeviceReport> = (0..n).map(device).collect();
-        let mut accumulator = FleetAccumulator::sketch_with_capacity(32);
+        let mut accumulator = FleetAccumulator::with_mode(ReportMode::Sketch);
         for d in &devices {
             accumulator.push(d);
         }
@@ -193,7 +230,7 @@ proptest! {
 #[test]
 fn retained_samples_grow_logarithmically_not_linearly() {
     const N: u64 = 100_000;
-    let sketch = sketch_range(DEFAULT_SKETCH_CAPACITY, 0, N);
+    let sketch = sketch_of(DEFAULT_SKETCH_CAPACITY, N);
     assert_eq!(sketch.count(), N);
     // At most one node per level of the dyadic forest (the binary digits of
     // the block count), each holding `capacity` values, plus one partial run
@@ -241,25 +278,12 @@ fn retained_samples_grow_logarithmically_not_linearly() {
 fn synthetic_shard_merge_matches_the_single_process_sketch_fold() {
     const DEVICES: u64 = 2000;
     const SHARDS: u64 = 7;
-    let make_shard = |index: u64, start: u64, end: u64| ShardReport {
-        meta: ShardMeta {
-            engine_version: fleet::ENGINE_VERSION.to_string(),
-            master_seed: 42,
-            mix: ScenarioMix::balanced(),
-            report_mode: ReportMode::Sketch,
-            fleet_devices: DEVICES,
-            shard_count: SHARDS as u32,
-            shard_index: index as u32,
-            start,
-            end,
-        },
-        devices: (start..end).map(device).collect(),
-        telemetry: telemetry::MetricsSnapshot::default(),
-    };
     let per_shard = DEVICES.div_ceil(SHARDS);
     let shards: Vec<ShardReport> = (0..SHARDS)
         .map(|i| {
-            make_shard(
+            shard(
+                DEVICES,
+                SHARDS,
                 i,
                 (i * per_shard).min(DEVICES),
                 ((i + 1) * per_shard).min(DEVICES),
