@@ -88,8 +88,8 @@ fn main() -> ExitCode {
     };
 
     // Root telemetry registry for the whole invocation: profiling and the
-    // shard run record under this scope, and the process-global series are
-    // folded in at emission time.
+    // shard run record under this scope, and its snapshot is what the
+    // metrics flags emit.
     let telemetry_root = telemetry::Registry::new();
     let _telemetry_scope = telemetry::scoped(&telemetry_root);
 
@@ -151,7 +151,7 @@ fn main() -> ExitCode {
         None => println!("{json}"),
     }
     if args.common.metrics.enabled() {
-        let snapshot = fleet_cli::process_snapshot(&telemetry_root);
+        let snapshot = telemetry_root.snapshot();
         if let Err(message) = fleet_cli::emit_metrics(&args.common.metrics, &snapshot) {
             eprintln!("{message}");
             return ExitCode::FAILURE;

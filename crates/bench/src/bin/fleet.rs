@@ -75,8 +75,8 @@ fn main() -> ExitCode {
     };
 
     // Root telemetry registry for the whole invocation: profiling and the
-    // fleet run record under this scope, and the process-global series are
-    // folded in at emission time.
+    // fleet run record under this scope, and its snapshot is what the
+    // metrics flags emit.
     let telemetry_root = telemetry::Registry::new();
     let _telemetry_scope = telemetry::scoped(&telemetry_root);
 
@@ -146,7 +146,7 @@ fn main() -> ExitCode {
         );
     }
     if args.common.metrics.enabled() {
-        let snapshot = fleet_cli::process_snapshot(&telemetry_root);
+        let snapshot = telemetry_root.snapshot();
         if let Err(message) = fleet_cli::emit_metrics(&args.common.metrics, &snapshot) {
             eprintln!("{message}");
             return ExitCode::FAILURE;

@@ -116,15 +116,6 @@ pub fn emit_metrics(
     Ok(())
 }
 
-/// The whole process's telemetry: the binary's root registry (everything the
-/// run recorded under its scope) plus the process-global registry's series
-/// (eager-collect counter, scenario gauges), folded for emission.
-pub fn process_snapshot(root: &telemetry::Registry) -> telemetry::MetricsSnapshot {
-    root.absorb(&telemetry::global().snapshot())
-        .expect("global series never conflict with run series");
-    root.snapshot()
-}
-
 /// Usage lines of the flags [`parse_common`] understands, for embedding in
 /// each binary's `--help` text.
 pub const COMMON_USAGE: &str = "--devices N     number of simulated devices (default 1000)\n\

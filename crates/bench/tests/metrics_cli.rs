@@ -7,10 +7,12 @@
 //! * a pooled `fleet --progress` run reports its pool-slot replays on
 //!   stderr while stdout stays the committed golden report,
 //! * `--metrics-out` writes exposition that parses and carries the
-//!   workload-deterministic counters,
+//!   workload-deterministic counters, and exactly the families the run
+//!   recorded — nothing process-global,
 //! * `fleet-merge --metrics-out` over shard artifacts emits the same stable
 //!   counters as the single-process run.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -198,6 +200,55 @@ fn fleet_metrics_exposition_carries_the_run_counters() {
         DEVICES.parse::<f64>().unwrap(),
         "one observation per device"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fleet_exposition_holds_exactly_the_run_families() {
+    let dir = temp_dir("families");
+    for mix in ["balanced", "cohort"] {
+        for mode in ["exact", "sketch"] {
+            let path = dir.join(format!("{mix}-{mode}.prom"));
+            run_ok(
+                env!("CARGO_BIN_EXE_fleet"),
+                &[
+                    "--devices",
+                    "64",
+                    "--seed",
+                    SEED,
+                    "--mix",
+                    mix,
+                    "--report-mode",
+                    mode,
+                    "--json",
+                    "--metrics-out",
+                    path.to_str().unwrap(),
+                ],
+            );
+            let text = std::fs::read_to_string(&path).unwrap();
+            let families: BTreeSet<&str> = text
+                .lines()
+                .filter_map(|line| line.strip_prefix("# TYPE "))
+                .filter_map(|rest| rest.split(' ').next())
+                .collect();
+            let mut expected = BTreeSet::from([
+                "chris_model_invocations_total",
+                "chris_offload_decisions_total",
+                "chris_stage_duration_ns",
+                "chris_windows_total",
+            ]);
+            if mix == "cohort" {
+                expected.insert("chris_profile_cache_events_total");
+            }
+            if mode == "sketch" {
+                expected.extend([
+                    "chris_sketch_compactions_total",
+                    "chris_sketch_retained_samples",
+                ]);
+            }
+            assert_eq!(families, expected, "--mix {mix} --report-mode {mode}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,17 +3,18 @@
 //! Devices are distributed through a shared atomic cursor over fixed-size
 //! chunks — a minimal work-stealing queue: fast workers simply claim more
 //! chunks. One thread runs the same worker body, inline on the calling
-//! thread, so there is a single executor path. Every device simulation is a pure function of its scenario and
-//! the shared (read-only) zoo + decision engine, and results are merged in
-//! device order afterwards, so the output is byte-identical for any thread
-//! count and any scheduling interleaving.
+//! thread, so there is a single executor path. Every device simulation is a
+//! pure function of its scenario and the shared (read-only) zoo + decision
+//! engine, and results are merged in device order afterwards, so the output
+//! is byte-identical for any thread count and any scheduling interleaving.
 //!
 //! Workers are *scenario-free*: [`run_fleet_range`] hands each worker only a
 //! [`FleetSimulation`] and a device-id range, and the worker derives each
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
-//! worker, never a materialized `Vec<DeviceScenario>` (asserted by
-//! [`metrics::peak_live_scenarios`] in `tests/scenario_free.rs`). A
-//! billion-device shard therefore costs O(threads) scenario memory.
+//! worker, never a materialized `Vec<DeviceScenario>`, and nothing a device
+//! allocates outlives it (checked with a counting allocator in
+//! `tests/scenario_free.rs`). A billion-device shard therefore costs
+//! O(threads) scenario memory.
 //!
 //! The executor is the per-process layer of the scale-out story: both the
 //! single-process path ([`crate::FleetSimulation::run_with_options`]) and
@@ -39,87 +40,6 @@ use crate::progress::ProgressSink;
 use crate::report::{DeviceReport, ReportMode};
 use crate::scenario::{DeviceScenario, ScenarioMix};
 use crate::FleetSimulation;
-
-/// Instrumentation gauges for scenario materialization.
-///
-/// A facade over the process-global [`telemetry`] registry (the gauges keep
-/// their original process-wide semantics, independent of any worker scope) —
-/// the `scenario_free` integration test uses them to prove that the
-/// generator-backed execution path keeps at most one generated
-/// [`DeviceScenario`] alive per worker thread, instead of materializing the
-/// whole range up front.
-pub mod metrics {
-    use std::sync::OnceLock;
-    use telemetry::{Gauge, Stability};
-
-    /// Series name of the currently-alive generated-scenario gauge.
-    pub const LIVE_SCENARIOS_SERIES: &str = "chris_live_generated_scenarios";
-
-    /// Series name of the generated-scenario high-water-mark gauge.
-    pub const PEAK_SCENARIOS_SERIES: &str = "chris_peak_live_scenarios";
-
-    fn live() -> &'static Gauge {
-        static LIVE: OnceLock<Gauge> = OnceLock::new();
-        LIVE.get_or_init(|| {
-            telemetry::global()
-                .gauge(
-                    LIVE_SCENARIOS_SERIES,
-                    &[],
-                    "Generated scenarios currently alive inside executor workers",
-                    Stability::Observational,
-                )
-                .expect("scenario gauge registration cannot fail")
-        })
-    }
-
-    fn peak() -> &'static Gauge {
-        static PEAK: OnceLock<Gauge> = OnceLock::new();
-        PEAK.get_or_init(|| {
-            telemetry::global()
-                .gauge(
-                    PEAK_SCENARIOS_SERIES,
-                    &[],
-                    "High-water mark of live generated scenarios since the last reset",
-                    Stability::Observational,
-                )
-                .expect("scenario gauge registration cannot fail")
-        })
-    }
-
-    /// Generated scenarios currently alive inside executor workers.
-    pub fn live_generated_scenarios() -> usize {
-        usize::try_from(live().value()).unwrap_or(0)
-    }
-
-    /// High-water mark of [`live_generated_scenarios`] since the last
-    /// [`reset_peak`].
-    pub fn peak_live_scenarios() -> usize {
-        usize::try_from(peak().value()).unwrap_or(0)
-    }
-
-    /// Resets the peak gauge (the live gauge is self-balancing).
-    pub fn reset_peak() {
-        peak().set(live().value());
-    }
-
-    /// RAII guard accounting one generated scenario's lifetime.
-    pub(crate) struct GeneratedScenario;
-
-    impl GeneratedScenario {
-        pub(crate) fn track() -> Self {
-            let gauge = live();
-            gauge.add(1);
-            peak().set_max(gauge.value());
-            Self
-        }
-    }
-
-    impl Drop for GeneratedScenario {
-        fn drop(&mut self) {
-            live().sub(1);
-        }
-    }
-}
 
 /// Upper bound on the projected battery life, in hours (≈11 years). Keeps
 /// the distribution finite for pathological near-zero average power.
@@ -173,11 +93,10 @@ impl ExecutorOptions {
 /// runtime pulls windows one at a time from
 /// [`DeviceScenario::window_stream`], so peak per-device memory is one
 /// activity segment of labels plus one window instead of the whole session
-/// vector (asserted by the `streaming` integration test via
-/// [`ppg_data::stream::metrics`]). The windows are labels-only; the report
-/// equals one computed from full-signal windows of the same session,
-/// because the runtime's oracle classifier and calibrated estimators read
-/// only labels.
+/// vector (checked with a counting allocator in `tests/no_eager_alloc.rs`).
+/// The windows are labels-only; the report equals one computed from
+/// full-signal windows of the same session, because the runtime's oracle
+/// classifier and calibrated estimators read only labels.
 ///
 /// # Errors
 ///
@@ -396,9 +315,9 @@ pub fn run_fleet_range(
 }
 
 /// Derives and simulates device `device_id` of `simulation` for the
-/// executor, tracking the generated scenario's lifetime so tests can assert
-/// the scenario-free memory bound. The device replays its pool slot's
-/// session when it has one, counting the lookup in `events`.
+/// executor; the scenario is dropped when the device completes. The device
+/// replays its pool slot's session when it has one, counting the lookup in
+/// `events`.
 fn simulate_in(
     simulation: &FleetSimulation,
     device_id: u64,
@@ -406,7 +325,6 @@ fn simulate_in(
     events: &mut CacheEvents,
 ) -> Result<DeviceReport, FleetError> {
     let scenario = simulation.generator().scenario(device_id);
-    let _live = metrics::GeneratedScenario::track();
     let pool = simulation.generator().mix().subject_pool;
     let session = simulation.sessions.session(pool, &scenario, events);
     let (zoo, engine) = (simulation.zoo(), simulation.engine());

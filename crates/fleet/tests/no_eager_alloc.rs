@@ -1,43 +1,30 @@
-//! The streaming executor never materializes a full per-device window
-//! vector: every eager collect in `ppg-data` bumps a process-global counter
-//! (`ppg_data::stream::metrics`), and a fleet run must leave it untouched.
-//!
-//! This lives in its own integration binary on purpose — other test
-//! binaries legitimately call eager `windows()` helpers concurrently, which
-//! would race the counter.
+//! The streaming executor never materializes a device's session: a run over
+//! devices that each perform nine activities peaks within one
+//! `LabeledWindow` of a run over devices that perform one, so a device's
+//! footprint does not grow with its session. Checked with the counting
+//! allocator of `tests/run_memory`, with and without a subject pool.
 
-use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix};
-use ppg_data::stream::metrics;
+mod run_memory;
+
+use ppg_data::LabeledWindow;
 
 #[test]
 fn fleet_execution_never_collects_a_window_vector() {
-    // Setup (profiling) is allowed to buffer its windows once; measure only
-    // the execution phase.
-    let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
-    let cohort = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    for pool in [0, 4] {
+        let [nine, one] = [9, 1].map(|activities| {
+            let simulation = run_memory::simulation(activities, pool);
+            // Warm-up: registers the telemetry series, caches the thread's
+            // handles and fills the pool slots, all of which outlive a run.
+            run_memory::run(&simulation, 0..16, None);
+            simulation
+        });
 
-    let before = metrics::eager_collects();
-    let plain = ExecutorOptions {
-        threads: 2,
-        ..ExecutorOptions::default()
-    };
-    let outcome = simulation.run_with_options(8, &plain, None).unwrap();
-    assert_eq!(outcome.report.devices, 8);
-    assert!(outcome.report.total_windows > 0);
-    assert_eq!(
-        metrics::eager_collects(),
-        before,
-        "the streaming executor materialized a full per-device window vector"
-    );
-
-    // A pooled mix materializes one session per pool slot — a deliberate,
-    // pool-bounded memoization that must not register as an eager-collect
-    // regression on the executor path.
-    let pooled = cohort.run_with_options(40, &plain, None).unwrap();
-    assert_eq!(pooled.report.devices, 40);
-    assert_eq!(
-        metrics::eager_collects(),
-        before,
-        "the pool-slot replay path tripped the eager-collect counter"
-    );
+        let (_, long) = run_memory::run(&nine, 0..16, None);
+        let (_, short) = run_memory::run(&one, 0..16, None);
+        assert!(
+            long.abs_diff(short) < std::mem::size_of::<LabeledWindow>(),
+            "pool {pool}: nine-activity devices peaked at {long} bytes, \
+             one-activity devices at {short}"
+        );
+    }
 }

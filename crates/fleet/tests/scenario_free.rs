@@ -1,66 +1,77 @@
 //! The scenario-free execution path never materializes a
 //! `Vec<DeviceScenario>`: workers derive scenarios on demand from
 //! `(generator, device id)`, so at most one generated scenario is alive per
-//! worker thread — asserted here through the executor's live-scenario gauge
-//! (`fleet::executor::metrics`).
-//!
-//! This lives in its own integration binary on purpose: the gauge is
-//! process-global, and other test binaries legitimately run fleets
-//! concurrently, which would race the peak measurement.
+//! worker thread. Checked with the counting allocator of `tests/run_memory`,
+//! which counts per thread, so the two tests of this binary may run
+//! concurrently.
+
+mod run_memory;
 
 use std::sync::Mutex;
 
-use fleet::executor::metrics;
-use fleet::{ExecutorOptions, FleetSimulation, ScenarioMix, ShardSpec};
+use fleet::{ExecutorOptions, FleetSimulation, ProgressSink, ScenarioMix, ShardSpec};
 
-const THREADS: usize = 4;
+/// Devices of the run whose live levels are sampled.
+const SAMPLED_DEVICES: usize = 64;
 
-/// One 8-device executor chunk per worker, so every worker claims work and
-/// the peak can actually reach `THREADS`.
-const DEVICES: u64 = 8 * THREADS as u64;
+/// Progress sink recording the live byte level at each device completion.
+/// Its buffer is reserved up front, so recording never allocates.
+struct LiveLevels(Mutex<Vec<isize>>);
 
-/// Serializes the tests of this binary: both drive the scenario-free path,
-/// and the gauge they observe is process-global.
-static GAUGE_LOCK: Mutex<()> = Mutex::new(());
+impl ProgressSink for LiveLevels {
+    fn device_completed(&self, _device_id: u64, _windows: usize) {
+        let mut levels = self.0.lock().unwrap();
+        assert!(levels.len() < levels.capacity(), "recording would allocate");
+        levels.push(run_memory::live());
+    }
+}
 
 #[test]
 fn generated_scenarios_stay_bounded_by_the_worker_count() {
-    let _guard = GAUGE_LOCK.lock().unwrap();
-    let simulation = FleetSimulation::new(42, ScenarioMix::balanced()).unwrap();
+    // At one worker, nothing a device allocates (its scenario included)
+    // may outlive it: sampled as each device completes, the live level
+    // changes only when the worker's result vector grows.
+    for pool in [0, 4] {
+        for activities in [9, 1] {
+            let simulation = run_memory::simulation(activities, pool);
+            // Warm-up: registers the telemetry series, caches the thread's
+            // handles and fills the pool slots, all of which outlive a run.
+            run_memory::run(&simulation, 0..16, None);
 
-    let options = ExecutorOptions {
-        threads: THREADS,
-        ..ExecutorOptions::default()
-    };
+            let sink = LiveLevels(Mutex::new(Vec::with_capacity(SAMPLED_DEVICES)));
+            let (reports, _) = run_memory::run(&simulation, 0..SAMPLED_DEVICES as u64, Some(&sink));
+            let mut levels = sink.0.into_inner().unwrap();
+            assert_eq!(levels.len(), SAMPLED_DEVICES);
+            levels.sort_unstable();
+            levels.dedup();
+            // One level before the first result, then one per growth of
+            // the worker's result vector (capacity 4, 8, ..., 64), plus one
+            // spare.
+            assert!(
+                levels.len() <= 7,
+                "pool {pool}, {activities} activities: live bytes took {} \
+                 distinct levels over {SAMPLED_DEVICES} devices: {levels:?}",
+                levels.len()
+            );
 
-    // The scenario-free path: per-device reports, O(threads) scenario memory.
-    metrics::reset_peak();
-    assert_eq!(metrics::live_generated_scenarios(), 0);
-    let scenario_free = fleet::run_fleet_range(&simulation, 0..DEVICES, &options, None).unwrap();
-    assert_eq!(
-        metrics::live_generated_scenarios(),
-        0,
-        "every generated scenario must be dropped when its device completes"
-    );
-    let peak = metrics::peak_live_scenarios();
-    assert!(
-        (1..=THREADS).contains(&peak),
-        "peak live scenarios was {peak}; the scenario-free path must keep at \
-         most one generated scenario alive per worker (threads = {THREADS})"
-    );
-
-    // Equivalence half: the same reports as simulating each device alone.
-    for (id, report) in scenario_free.iter().enumerate() {
-        let scenario = simulation.generator().scenario(id as u64);
-        let alone =
-            fleet::simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap();
-        assert_eq!(*report, alone);
+            // Equivalence half: the same reports as simulating each device
+            // alone.
+            for (id, report) in reports.iter().enumerate() {
+                let scenario = simulation.generator().scenario(id as u64);
+                let alone =
+                    fleet::simulate_device(&scenario, simulation.zoo(), simulation.engine())
+                        .unwrap();
+                assert_eq!(
+                    *report, alone,
+                    "pool {pool}, {activities} activities, device {id}"
+                );
+            }
+        }
     }
 }
 
 #[test]
 fn sharded_run_uses_the_scenario_free_path() {
-    let _guard = GAUGE_LOCK.lock().unwrap();
     let simulation = FleetSimulation::new(7, ScenarioMix::connected()).unwrap();
     let spec = ShardSpec::new(12, 3).unwrap();
 

@@ -4,11 +4,12 @@
 //! there is no hyper/axum to lean on — and the daemon's needs are tiny: parse
 //! one request per connection from a [`std::net::TcpStream`], route it, write
 //! one response, close. This module implements exactly that subset:
-//! `Connection: close` semantics, `Content-Length` bodies only (no chunked
-//! transfer coding), and hard limits on every dimension an untrusted peer
-//! controls (request-line length, header count and size, body size), each
-//! violation mapping to a typed [`HttpError`] and a 4xx status — never a
-//! panic (locked in by the `http_malformed` integration test).
+//! `Connection: close` semantics, `Content-Length` bodies only (any
+//! `Transfer-Encoding` is refused with 501), and hard limits on every
+//! dimension an untrusted peer controls (request-line length, header count
+//! and size, body size), each violation mapping to a typed [`HttpError`] and
+//! a 4xx status — never a panic (locked in by the `http_malformed`
+//! integration test).
 
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -75,6 +76,10 @@ pub enum HttpError {
     /// A `Content-Length` value was not all ASCII digits, or repeated
     /// `Content-Length` headers disagree (RFC 9112 §6.3: invalid framing).
     BadContentLength(String),
+    /// The request carries a `Transfer-Encoding` header. Bodies are framed
+    /// by `Content-Length` only, so a transfer-coded body cannot be read
+    /// (RFC 9112 §6.1: respond 501).
+    UnsupportedTransferCoding(String),
     /// The declared body length exceeds [`MAX_BODY`].
     BodyTooLarge {
         /// The declared `Content-Length`.
@@ -93,6 +98,7 @@ impl HttpError {
             HttpError::LineTooLong { .. } | HttpError::TooManyHeaders { .. } => 431,
             HttpError::BodyTooLarge { .. } => 413,
             HttpError::UnsupportedVersion(_) => 505,
+            HttpError::UnsupportedTransferCoding(_) => 501,
             HttpError::UnexpectedEof
             | HttpError::MalformedRequestLine(_)
             | HttpError::MalformedHeader(_)
@@ -121,6 +127,9 @@ impl fmt::Display for HttpError {
             HttpError::MalformedHeader(line) => write!(f, "malformed header `{line}`"),
             HttpError::BadContentLength(value) => {
                 write!(f, "invalid Content-Length `{value}`")
+            }
+            HttpError::UnsupportedTransferCoding(coding) => {
+                write!(f, "unsupported Transfer-Encoding `{coding}`")
             }
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(
@@ -213,6 +222,13 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
+    // Checked before any body byte is read: a transfer-coded body is not
+    // framed by Content-Length, whatever that header says.
+    if let Some((_, coding)) = headers.iter().find(|(name, _)| name == "transfer-encoding") {
+        return Err(HttpError::UnsupportedTransferCoding(truncate_for_display(
+            coding,
+        )));
+    }
     let bad = |value: &str| HttpError::BadContentLength(truncate_for_display(value));
     let mut content_length: Option<usize> = None;
     for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
@@ -382,6 +398,7 @@ pub fn reason(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
@@ -509,6 +526,25 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(request.body, b"hi");
+    }
+
+    #[test]
+    fn transfer_codings_are_not_implemented() {
+        for raw in [
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                .as_slice(),
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\nhello"
+                .as_slice(),
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert_eq!(
+                err,
+                HttpError::UnsupportedTransferCoding("chunked".to_string()),
+                "raw={raw:?}"
+            );
+            assert_eq!(err.status(), 501);
+            assert_eq!(reason(err.status()), "Not Implemented");
+        }
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! `job-<id>` directory in the spool, including ones whose spec no longer
 //! parses.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -457,7 +459,7 @@ impl Scheduler {
                 Arc::clone(&record.sim),
             )
         };
-        let outcome = (|| -> Result<(), ShardFail> {
+        let run = || -> Result<(), ShardFail> {
             let sim =
                 Self::simulation(&sim_cell, &spec).map_err(|e| ShardFail::Other(e.to_string()))?;
             let shard_spec = spec
@@ -481,7 +483,15 @@ impl Scheduler {
             self.spool
                 .write_shard(job, &shard)
                 .map_err(ShardFail::Other)
-        })();
+        };
+        // A panicking shard fails its job instead of killing the worker
+        // with the job left `running` and its queue slot taken.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+            Err(ShardFail::Other(format!(
+                "shard {index} panicked: {}",
+                panic_message(payload.as_ref())
+            )))
+        });
         let mut state = self.state.lock().expect("scheduler lock");
         let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
         match outcome {
@@ -545,6 +555,16 @@ fn counter(name: &str, event: &str) {
     ) {
         c.inc();
     }
+}
+
+/// The text of a panic payload: the `&str` or `String` that `panic!` and
+/// `expect` carry, or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// How a claimed shard run ended, short of success: cancelled cooperatively

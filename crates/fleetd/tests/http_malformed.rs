@@ -1,7 +1,7 @@
 //! Adversarial HTTP-layer tests against a live daemon: malformed request
 //! lines, oversized inputs, bad specs. Every case must produce a typed 4xx
-//! (or 5xx for unsupported versions) JSON error — never a panic, never a
-//! hung connection, and never a leaked job slot.
+//! (or 5xx for unsupported versions and transfer codings) JSON error —
+//! never a panic, never a hung connection, and never a leaked job slot.
 
 mod common;
 
@@ -46,6 +46,11 @@ fn malformed_requests_get_typed_errors_and_the_daemon_survives() {
             "unparseable content length",
             b"POST /jobs HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_vec(),
             400,
+        ),
+        (
+            "chunked body",
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+            501,
         ),
         (
             "oversized declared body",

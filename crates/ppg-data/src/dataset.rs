@@ -210,7 +210,6 @@ impl Dataset {
 fn extract_windows<'a>(
     recordings: impl Iterator<Item = &'a SessionRecording>,
 ) -> Vec<LabeledWindow> {
-    stream::metrics::record_eager_collect();
     recordings
         .flat_map(|r| r.window_stream().iter().filter_map(Result::ok))
         .collect()

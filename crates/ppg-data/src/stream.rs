@@ -162,62 +162,21 @@ impl<S: WindowSource> Iterator for WindowSourceIter<S> {
 /// Eagerly drains a source into a `Vec`, stopping at the first error.
 ///
 /// The bridge back from the streaming world for call sites that genuinely
-/// need random access (multi-pass profiling, tests). Each call is recorded in
-/// [`metrics::eager_collects`] so tests can assert that hot paths — the fleet
-/// executor in particular — never materialize a full window vector.
+/// need random access (multi-pass profiling, tests), and the fill of a
+/// memoized session ([`drain_shared`](crate::drain_shared)). Fleet devices
+/// stream instead: `fleet`'s `tests/no_eager_alloc.rs` checks with a
+/// counting allocator that no device materializes its session.
 ///
 /// # Errors
 ///
 /// Propagates the first [`DataError`] the source yields.
 pub fn collect_windows<S: IntoWindowSource>(source: S) -> Result<Vec<LabeledWindow>, DataError> {
-    metrics::record_eager_collect();
     let mut source = source.into_window_source();
     let mut out = Vec::with_capacity(source.size_hint().0);
     while let Some(item) = source.next_window() {
         out.push(item?);
     }
     Ok(out)
-}
-
-/// Instrumentation counters for the streaming migration.
-///
-/// A facade over the process-global [`telemetry`] registry: the counter is
-/// the `chris_eager_collects_total` series on [`telemetry::global`], so it
-/// shows up in metrics expositions while keeping the original process-wide
-/// watchdog semantics that integration tests (and debug assertions in
-/// downstream crates) rely on to verify that streaming hot paths never fall
-/// back to eager `Vec<LabeledWindow>` materialization.
-pub mod metrics {
-    use std::sync::OnceLock;
-    use telemetry::{Counter, Stability};
-
-    /// Series name of the eager-materialization watchdog counter.
-    pub const EAGER_COLLECTS_SERIES: &str = "chris_eager_collects_total";
-
-    fn counter() -> &'static Counter {
-        static EAGER_COLLECTS: OnceLock<Counter> = OnceLock::new();
-        EAGER_COLLECTS.get_or_init(|| {
-            telemetry::global()
-                .counter(
-                    EAGER_COLLECTS_SERIES,
-                    &[],
-                    "Full window-vector materializations since process start",
-                    Stability::Observational,
-                )
-                .expect("eager-collect series registration cannot fail")
-        })
-    }
-
-    /// Number of full window-vector materializations since process start
-    /// (every [`super::collect_windows`] call, which all eager `windows()`
-    /// methods delegate to).
-    pub fn eager_collects() -> usize {
-        usize::try_from(counter().value()).unwrap_or(usize::MAX)
-    }
-
-    pub(crate) fn record_eager_collect() {
-        counter().inc();
-    }
 }
 
 /// [`WindowSource`] cursor over an in-memory window buffer: a borrowed slice
@@ -530,14 +489,6 @@ mod tests {
             Some(Err(DataError::RecordingTooShort { samples: 100, .. }))
         ));
         assert!(stream.next_window().is_none());
-    }
-
-    #[test]
-    fn collect_windows_bumps_the_eager_counter() {
-        let before = metrics::eager_collects();
-        let windows = collect_windows(small_builder().window_stream().unwrap()).unwrap();
-        assert!(!windows.is_empty());
-        assert!(metrics::eager_collects() > before);
     }
 
     #[test]

@@ -137,19 +137,13 @@ impl WindowCache {
     }
 }
 
-/// Drains `source` into a shared buffer, the fill of a memoized session. Not
-/// [`collect_windows`](crate::collect_windows): a fill is bounded by one
-/// session, so it must not trip the eager-collect watchdog.
+/// Drains `source` into a shared buffer, the fill of a memoized session.
 ///
 /// # Errors
 ///
 /// Propagates the first [`DataError`] the stream yields.
-pub fn drain_shared<S: WindowSource>(mut source: S) -> Result<Arc<[LabeledWindow]>, DataError> {
-    let mut out = Vec::with_capacity(source.size_hint().0);
-    while let Some(item) = source.next_window() {
-        out.push(item?);
-    }
-    Ok(out.into())
+pub fn drain_shared<S: WindowSource>(source: S) -> Result<Arc<[LabeledWindow]>, DataError> {
+    crate::collect_windows(source).map(Arc::from)
 }
 
 /// [`WindowSource`] replaying a shared, memoized window buffer (see

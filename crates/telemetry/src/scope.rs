@@ -13,8 +13,9 @@ thread_local! {
 }
 
 /// The process-global registry. Used as the fallback when no scope is
-/// installed on the current thread, and as the home of process-lifetime
-/// series (liveness gauges, watchdog counters).
+/// installed on the current thread, and as the home of a long-running
+/// process's own series (the daemon's job and request counters). Library
+/// code records into [`active`], never here directly.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
