@@ -106,8 +106,8 @@ fn main() -> ExitCode {
     };
     let run_time = run_start.elapsed();
     if args.progress {
-        // The run's cache totals come from the registry it recorded into.
-        if let Some(line) = fleet_cli::cache_line(&telemetry_root.snapshot()) {
+        // The run's pool totals come from the registry it recorded into.
+        for line in fleet_cli::pool_lines(&telemetry_root.snapshot()) {
             eprintln!("{line}");
         }
     }

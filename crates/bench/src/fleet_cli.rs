@@ -207,17 +207,25 @@ impl StderrProgress {
     }
 }
 
-/// The `--progress` line of a finished run's profile-cache totals, read from
-/// the snapshot of the registry the run recorded into; `None` when the mix
-/// has no pool (the run recorded no cache series).
-pub fn cache_line(snapshot: &telemetry::MetricsSnapshot) -> Option<String> {
-    let event =
-        |result| snapshot.counter_value(fleet::PROFILE_CACHE_EVENTS_SERIES, &[("result", result)]);
-    Some(format!(
-        "progress: profile-cache hits {} misses {}",
-        event("hit")?,
-        event("miss")?
-    ))
+/// The `--progress` lines of a finished run's pool totals, read from the
+/// snapshot of the registry the run recorded into: the profile-cache line,
+/// then the run-memo line. Empty when the mix has no pool (the run recorded
+/// neither series).
+pub fn pool_lines(snapshot: &telemetry::MetricsSnapshot) -> Vec<String> {
+    [
+        ("profile-cache", fleet::PROFILE_CACHE_EVENTS_SERIES),
+        ("run-memo", fleet::RUN_MEMO_EVENTS_SERIES),
+    ]
+    .into_iter()
+    .filter_map(|(name, series)| {
+        let event = |result| snapshot.counter_value(series, &[("result", result)]);
+        Some(format!(
+            "progress: {name} hits {} misses {}",
+            event("hit")?,
+            event("miss")?
+        ))
+    })
+    .collect()
 }
 
 impl ProgressSink for StderrProgress {
@@ -489,24 +497,29 @@ mod tests {
     }
 
     #[test]
-    fn cache_line_reports_the_registry_counters() {
+    fn pool_lines_report_the_registry_counters() {
         let registry = telemetry::Registry::new();
-        assert_eq!(cache_line(&registry.snapshot()), None);
-        let event = |result| {
+        assert!(pool_lines(&registry.snapshot()).is_empty());
+        let event = |series, result| {
             registry
                 .counter(
-                    fleet::PROFILE_CACHE_EVENTS_SERIES,
+                    series,
                     &[("result", result)],
-                    "Cache lookups",
+                    "Pool lookups",
                     telemetry::Stability::Observational,
                 )
                 .unwrap()
         };
-        event("hit").add(5);
-        event("miss").add(3);
+        event(fleet::PROFILE_CACHE_EVENTS_SERIES, "hit").add(5);
+        event(fleet::PROFILE_CACHE_EVENTS_SERIES, "miss").add(3);
+        event(fleet::RUN_MEMO_EVENTS_SERIES, "hit").add(2);
+        event(fleet::RUN_MEMO_EVENTS_SERIES, "miss").add(6);
         assert_eq!(
-            cache_line(&registry.snapshot()).as_deref(),
-            Some("progress: profile-cache hits 5 misses 3")
+            pool_lines(&registry.snapshot()),
+            [
+                "progress: profile-cache hits 5 misses 3",
+                "progress: run-memo hits 2 misses 6",
+            ]
         );
     }
 

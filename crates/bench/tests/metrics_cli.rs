@@ -107,6 +107,13 @@ fn pooled_fleet_progress_reports_slot_replays_without_a_flag() {
             .any(|line| line == "progress: profile-cache hits 48 misses 16"),
         "cache line missing:\n{stderr}"
     );
+    // 54 distinct run keys among the 64 devices: the other 10 reuse a run.
+    assert!(
+        stderr
+            .lines()
+            .any(|line| line == "progress: run-memo hits 10 misses 54"),
+        "run-memo line missing:\n{stderr}"
+    );
     assert_eq!(
         String::from_utf8_lossy(&output.stdout),
         include_str!("../../fleet/tests/fixtures/fleet-64-cohort-seed42.json"),
@@ -186,7 +193,8 @@ fn fleet_metrics_exposition_carries_the_run_counters() {
     .expect("offload counter present");
     assert_eq!(phone + wearable, windows);
 
-    // The runtime loop is timed once per device run. The DSP stages
+    // The runtime loop is timed once per run, and a balanced fleet has no
+    // subject pool, so no device reuses another's run. The DSP stages
     // (`band_pass`/`fft`/`features`) are *not* expected here: the fleet hot
     // path runs the oracle activity classifier and calibrated surrogate
     // estimators, so the raw signal path never executes — those timers are
@@ -238,7 +246,10 @@ fn fleet_exposition_holds_exactly_the_run_families() {
                 "chris_windows_total",
             ]);
             if mix == "cohort" {
-                expected.insert("chris_profile_cache_events_total");
+                expected.extend([
+                    "chris_profile_cache_events_total",
+                    "chris_run_memo_events_total",
+                ]);
             }
             if mode == "sketch" {
                 expected.extend([

@@ -51,7 +51,7 @@ impl std::fmt::Display for ExecutionTarget {
 /// BLE row, the "22 % less than always offloading" claim and the 179 µJ
 /// operating point imply three slightly different accountings), so the
 /// reproduction makes the choice explicit and sweepable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub enum EnergyAccounting {
     /// Offloaded window costs the BLE transmission energy only (0.52 mJ with
     /// the calibrated link). This matches the paper's Fig. 3/Fig. 4 baselines
@@ -125,7 +125,7 @@ impl std::fmt::Display for DifficultyThreshold {
 
 /// One CHRIS configuration: the model pair, the difficulty threshold and the
 /// execution target of the complex model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Configuration {
     /// The cheap model, always executed on the smartwatch.
     pub simple: ModelKind,

@@ -91,13 +91,27 @@ pub(crate) fn add_invocations(model: ModelKind, count: u64) {
     });
 }
 
+/// Publishes a finished run's Stable counts into the thread's active
+/// registry: `windows` processed, `offloaded` of them to the phone, and the
+/// predictions per model, indexed by [`ModelKind::index`].
+///
+/// [`ChrisRuntime::run_totals`](crate::runtime::ChrisRuntime::run_totals)
+/// publishes through this after its loop. A caller that reuses an earlier
+/// run's [`RunTotals`](crate::RunTotals) instead of running the loop again
+/// calls it with the totals' `windows`, `offloaded` and `invocations`, so
+/// the Stable series read as if the run had repeated. The runtime stage is
+/// not observed: it times runs of the loop only.
+pub fn record_run(windows: usize, offloaded: usize, invocations: [u64; ModelKind::ALL.len()]) {
+    RunInstruments::with_active(|instruments| instruments.record(windows, offloaded, invocations));
+}
+
 /// Telemetry handles for the runtime, resolved once per registry per thread.
 ///
 /// All seven series are registered eagerly, when a thread's first run under
 /// a registry resolves them — a run that never offloads still exposes a
 /// zero-valued `backend="phone"` counter, so every shard reports an
 /// identical series set. Counts are published once per run, by
-/// [`RunInstruments::record`].
+/// [`record_run`].
 #[derive(Debug)]
 pub(crate) struct RunInstruments {
     windows: Counter,

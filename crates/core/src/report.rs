@@ -8,6 +8,7 @@ use hw_sim::power_state::PowerState;
 use hw_sim::units::{Energy, Power};
 use ppg_data::Activity;
 use ppg_dsp::stats::ErrorAccumulator;
+use ppg_models::zoo::ModelKind;
 
 use crate::config::Configuration;
 
@@ -49,6 +50,12 @@ pub struct RunTotals {
     /// 1 disconnected) and the windows it handled; `None` for a status no
     /// window had.
     pub selections: [Option<(Configuration, usize)>; 2],
+    /// Windows offloaded to the phone.
+    pub offloaded: usize,
+    /// Predictions per model, indexed by [`ModelKind::index`]: with
+    /// `windows` and `offloaded`, the counts the run published (see
+    /// [`crate::metrics::record_run`]).
+    pub invocations: [u64; ModelKind::ALL.len()],
 }
 
 impl RunTotals {
@@ -59,8 +66,11 @@ impl RunTotals {
     }
 }
 
-/// Average power of `avg_energy` spent every 2-second prediction period.
-fn watch_power(avg_energy: Energy) -> Power {
+/// Average smartwatch power of `avg_energy` spent every 2-second prediction
+/// period: what [`RunTotals::avg_watch_power`] and
+/// [`RunReport::avg_watch_power`] compute, for callers that keep only the
+/// average energy of a run.
+pub fn watch_power(avg_energy: Energy) -> Power {
     Power::from_milliwatts(avg_energy.as_millijoules() / hw_sim::PREDICTION_PERIOD_S)
 }
 

@@ -272,7 +272,7 @@ impl ChrisRuntime {
         if n == 0 {
             return Err(ChrisError::EmptyWorkload);
         }
-        RunInstruments::with_active(|instruments| instruments.record(n, offloaded, invocations));
+        crate::metrics::record_run(n, offloaded, invocations);
         Ok(RunTotals {
             windows: n,
             mae_bpm: errors.mae().unwrap_or(0.0),
@@ -287,6 +287,8 @@ impl ChrisRuntime {
             watch_energy_by_state: watch.by_state,
             per_activity,
             selections,
+            offloaded,
+            invocations,
         })
     }
 }

@@ -12,9 +12,10 @@
 //! [`FleetSimulation`] and a device-id range, and the worker derives each
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
 //! worker, never a materialized `Vec<DeviceScenario>`, and nothing a device
-//! allocates outlives it (checked with a counting allocator in
-//! `tests/scenario_free.rs`). A billion-device shard therefore costs
-//! O(threads) scenario memory.
+//! allocates outlives it, except a pooled device's entry in the call's run
+//! memo, which is freed when [`run_fleet_range`] returns (both checked with
+//! a counting allocator in `tests/scenario_free.rs`). A billion-device shard
+//! therefore costs O(threads) scenario memory.
 //!
 //! The executor is the per-process layer of the scale-out story: both the
 //! single-process path ([`crate::FleetSimulation::run_with_options`]) and
@@ -23,16 +24,22 @@
 //! identical per-device work — only the partitioning and the final
 //! [`crate::merge::merge`] differ.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
+use chris_core::report::watch_power;
 use chris_core::runtime::{ChrisRuntime, RuntimeOptions};
-use chris_core::DecisionEngine;
+use chris_core::{
+    ChrisError, Configuration, ConnectionStatus, DecisionEngine, EnergyAccounting, RunTotals,
+};
 use hw_sim::battery::{Battery, HWATCH_BATTERY_VOLTAGE, HWATCH_CONVERTER_EFFICIENCY};
+use hw_sim::ble::ConnectionSchedule;
+use hw_sim::units::Energy;
 use ppg_data::{drain_shared, BufferWindows, DataError, LabeledWindow, WindowCache, WindowSource};
-use ppg_models::zoo::ModelZoo;
+use ppg_models::zoo::{ModelKind, ModelZoo};
 use telemetry::Stability;
 
 use crate::error::FleetError;
@@ -89,7 +96,9 @@ impl ExecutorOptions {
 ///
 /// Each call owns a fresh [`ChrisRuntime`] built from clones of the shared
 /// zoo and engine, which is what lets workers run devices concurrently
-/// without sharing mutable state. The session is never materialized: the
+/// without sharing mutable state. The executor's pooled devices may instead
+/// reuse an earlier device's run (see [`run_fleet_range`]); their reports
+/// equal this function's. The session is never materialized: the
 /// runtime pulls windows one at a time from
 /// [`DeviceScenario::window_stream`], so peak per-device memory is one
 /// activity segment of labels plus one window instead of the whole session
@@ -130,8 +139,8 @@ pub fn simulate_device_cached(
 }
 
 /// The device-simulation core behind [`simulate_device`],
-/// [`simulate_device_cached`] and the executor's workers, on the device's
-/// opened session `stream`.
+/// [`simulate_device_cached`] and the executor's streaming devices, on the
+/// device's opened session `stream`.
 fn simulate<S: WindowSource>(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
@@ -141,17 +150,41 @@ fn simulate<S: WindowSource>(
 ) -> Result<DeviceReport, FleetError> {
     let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
     let stream = stream.map_err(|e| for_device(e.into()))?;
+    let run = run_device(scenario, zoo, engine, stream).map_err(|e| for_device(e.into()))?;
+    finish(scenario, sink, &run)
+}
+
+/// Runs CHRIS over `windows` under `scenario`'s constraint, schedule and
+/// accounting, with estimators seeded by its dataset seed.
+///
+/// Each call owns a fresh [`ChrisRuntime`] built from clones of the shared
+/// zoo and engine, so workers run devices concurrently without sharing
+/// mutable state.
+fn run_device<S: WindowSource>(
+    scenario: &DeviceScenario,
+    zoo: &ModelZoo,
+    engine: &DecisionEngine,
+    windows: S,
+) -> Result<DeviceRun, ChrisError> {
     let options = RuntimeOptions {
         accounting: scenario.accounting,
         seed: scenario.dataset_seed,
         ..RuntimeOptions::default()
     };
     let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
-    // The device report reads only scalars: the totals skip the run
-    // report's label-keyed maps.
-    let run = runtime
-        .run_totals(stream, &scenario.constraint, &scenario.schedule)
-        .map_err(|e| for_device(e.into()))?;
+    runtime
+        .run_totals(windows, &scenario.constraint, &scenario.schedule)
+        .map(|totals| DeviceRun::from(&totals))
+}
+
+/// Builds `scenario`'s report from its `run`: reports the device to `sink`,
+/// projects battery life and checks the constraint. Shared by every path,
+/// so a memoized run and a fresh one give the same report.
+fn finish(
+    scenario: &DeviceScenario,
+    sink: Option<&dyn ProgressSink>,
+    run: &DeviceRun,
+) -> Result<DeviceReport, FleetError> {
     if let Some(sink) = sink {
         sink.device_completed(scenario.device_id, run.windows);
     }
@@ -161,9 +194,12 @@ fn simulate<S: WindowSource>(
         HWATCH_BATTERY_VOLTAGE,
         HWATCH_CONVERTER_EFFICIENCY,
     )
-    .map_err(|e| for_device(e.into()))?;
-    let battery_life_hours =
-        (battery.lifetime(run.avg_watch_power()).as_seconds() / 3600.0).min(BATTERY_LIFE_CAP_HOURS);
+    .map_err(|e| FleetError::for_device(scenario.device_id, e.into()))?;
+    let battery_life_hours = (battery
+        .lifetime(watch_power(run.avg_watch_energy))
+        .as_seconds()
+        / 3600.0)
+        .min(BATTERY_LIFE_CAP_HOURS);
 
     let constraint_violated = match scenario.constraint {
         chris_core::UserConstraint::MaxMae(target) => run.mae_bpm > target,
@@ -184,6 +220,38 @@ fn simulate<S: WindowSource>(
         accounting: scenario.accounting,
         constraint_violated,
     })
+}
+
+/// What a device report reads of a run, plus the counts the run published:
+/// the memo's value, 72 bytes where a [`RunTotals`] takes about 500.
+#[derive(Debug, Clone, Copy)]
+struct DeviceRun {
+    windows: usize,
+    offloaded: usize,
+    avg_watch_energy: Energy,
+    avg_phone_energy: Energy,
+    /// Predictions per model, indexed by [`ModelKind::index`].
+    invocations: [u64; ModelKind::ALL.len()],
+    mae_bpm: f32,
+    offload_fraction: f32,
+    simple_fraction: f32,
+    disconnected_fraction: f32,
+}
+
+impl From<&RunTotals> for DeviceRun {
+    fn from(totals: &RunTotals) -> Self {
+        Self {
+            windows: totals.windows,
+            offloaded: totals.offloaded,
+            avg_watch_energy: totals.avg_watch_energy,
+            avg_phone_energy: totals.avg_phone_energy,
+            invocations: totals.invocations,
+            mae_bpm: totals.mae_bpm,
+            offload_fraction: totals.offload_fraction,
+            simple_fraction: totals.simple_fraction,
+            disconnected_fraction: totals.disconnected_fraction,
+        }
+    }
 }
 
 /// Runs the devices of a contiguous id range and returns their reports in
@@ -216,6 +284,23 @@ fn simulate<S: WindowSource>(
 /// misses count the slots filled plus the devices of higher slots (they
 /// stream directly); a pool-less mix streams and records no cache series.
 ///
+/// A replaying device's run is also memoized, for the duration of this call:
+/// the first device with a given run key — pool slot, link schedule, energy
+/// accounting and the configuration selected for each link status the
+/// schedule reaches within the slot's windows — runs the window loop, and
+/// every later device with that key, in any worker, rebuilds its report
+/// from the stored result and republishes the run's Stable counts. Reports,
+/// Stable telemetry and returned errors are those of running every device;
+/// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only. A
+/// device whose reachable selection fails runs unmemoized, so the runtime
+/// raises the error itself. The memo holds one entry per distinct key, a
+/// count the mix bounds (slots, schedules, accounting modes and the
+/// engine's configurations are all finite) whatever the device count, and
+/// is dropped when the call returns.
+/// Such a run publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that
+/// ran the loop (those of higher slots included), a hit per reuse, so a
+/// successful run counts the same at any thread count.
+///
 /// # Errors
 ///
 /// Returns [`FleetError::EmptyFleet`] for an empty (or inverted) range and
@@ -241,16 +326,16 @@ pub fn run_fleet_range(
     if pooled {
         // Eager registration: a run whose slots never hit still exposes
         // zero-valued hit/miss series.
-        cache_event_counter(&active, "hit");
-        cache_event_counter(&active, "miss");
+        PoolEvents::default().publish(&active);
     }
     let cursor = AtomicU64::new(0);
+    let memo = RunMemo::default();
     let worker = || {
-        // One registry and one set of cache counts per worker: counters
+        // One registry and one set of pool counts per worker: counters
         // merge once at worker exit.
         let registry = telemetry::Registry::new();
         let _scope = telemetry::scoped(&registry);
-        let mut events = CacheEvents::default();
+        let mut events = PoolEvents::default();
         let mut local = Vec::new();
         // Compare-exchange claims instead of `fetch_add`: the cursor never
         // moves past `count`, so id ranges near `u64::MAX` cannot overflow
@@ -262,7 +347,7 @@ pub fn run_fleet_range(
                 if sink.is_some_and(ProgressSink::should_cancel) {
                     break 'claims;
                 }
-                let result = simulate_in(simulation, range.start + index, sink, &mut events);
+                let result = simulate_in(simulation, range.start + index, sink, &memo, &mut events);
                 let failed = result.is_err();
                 local.push((index, result));
                 if failed {
@@ -271,8 +356,7 @@ pub fn run_fleet_range(
             }
         }
         if pooled {
-            cache_event_counter(&registry, "hit").add(events.hits);
-            cache_event_counter(&registry, "miss").add(events.misses);
+            events.publish(&registry);
         }
         active
             .absorb(&registry.snapshot())
@@ -315,50 +399,191 @@ pub fn run_fleet_range(
 }
 
 /// Derives and simulates device `device_id` of `simulation` for the
-/// executor; the scenario is dropped when the device completes. The device
-/// replays its pool slot's session when it has one, counting the lookup in
-/// `events`.
+/// executor; the scenario is dropped when the device completes. A device
+/// with a pool slot replays the slot's session through `memo`; every other
+/// device streams, a memo miss. Pool lookups are counted in `events`.
 fn simulate_in(
     simulation: &FleetSimulation,
     device_id: u64,
     sink: Option<&dyn ProgressSink>,
-    events: &mut CacheEvents,
+    memo: &RunMemo,
+    events: &mut PoolEvents,
 ) -> Result<DeviceReport, FleetError> {
     let scenario = simulation.generator().scenario(device_id);
     let pool = simulation.generator().mix().subject_pool;
-    let session = simulation.sessions.session(pool, &scenario, events);
     let (zoo, engine) = (simulation.zoo(), simulation.engine());
-    match session {
-        Some(s) => simulate(&scenario, zoo, engine, sink, Ok(BufferWindows::new(s))),
-        None => simulate(&scenario, zoo, engine, sink, scenario.window_stream()),
-    }
+    let Some((slot, session)) = simulation
+        .sessions
+        .session(pool, &scenario, &mut events.cache)
+    else {
+        events.memo.misses += 1;
+        return simulate(&scenario, zoo, engine, sink, scenario.window_stream());
+    };
+    let key = RunKey::new(slot, &scenario, engine, session.len());
+    let run = memo.run(key, &mut events.memo, || {
+        run_device(&scenario, zoo, engine, BufferWindows::new(session))
+    });
+    let run = run.map_err(|e| FleetError::for_device(device_id, e.into()))?;
+    finish(&scenario, sink, &run)
 }
 
 /// Series name of the profiling-window cache event counter (labelled by
 /// `result`: `"hit"` or `"miss"`).
 pub const PROFILE_CACHE_EVENTS_SERIES: &str = "chris_profile_cache_events_total";
 
-/// Resolves (registering if needed) one cache-event counter on `registry`.
-///
-/// Which shard run fills a pool slot depends on scheduling, so the series is
-/// [`Observational`](Stability::Observational): visible in exposition,
-/// never embedded in byte-stable shard artifacts.
-fn cache_event_counter(registry: &telemetry::Registry, result: &str) -> telemetry::Counter {
-    registry
-        .counter(
-            PROFILE_CACHE_EVENTS_SERIES,
-            &[("result", result)],
-            "Profiling-window cache lookups, by result (hit replays a memoized stream)",
-            Stability::Observational,
-        )
-        .expect("cache counter registration cannot fail")
-}
+/// Series name of the run-memo event counter (labelled by `result`:
+/// `"hit"` for a pooled device that reused a memoized run, `"miss"` for one
+/// that ran the window loop).
+pub const RUN_MEMO_EVENTS_SERIES: &str = "chris_run_memo_events_total";
 
-/// One worker's profile-cache lookups, published once when it exits.
+/// Hit and miss counts of one kind of lookup.
 #[derive(Default)]
-struct CacheEvents {
+struct Events {
     hits: u64,
     misses: u64,
+}
+
+/// One worker's pool-slot and run-memo lookups, published once when it
+/// exits.
+#[derive(Default)]
+struct PoolEvents {
+    cache: Events,
+    memo: Events,
+}
+
+impl PoolEvents {
+    /// Adds the counts to `registry`'s event counters, registering them if
+    /// needed.
+    ///
+    /// Which worker or shard run fills a slot depends on scheduling, so the
+    /// series are [`Observational`](Stability::Observational): visible in
+    /// exposition, never embedded in byte-stable shard artifacts.
+    fn publish(&self, registry: &telemetry::Registry) {
+        let series = [
+            (
+                PROFILE_CACHE_EVENTS_SERIES,
+                "Profiling-window cache lookups, by result (hit replays a memoized stream)",
+                &self.cache,
+            ),
+            (
+                RUN_MEMO_EVENTS_SERIES,
+                "Pooled device runs, by result (hit reuses a memoized run of the window loop)",
+                &self.memo,
+            ),
+        ];
+        for (name, help, events) in series {
+            for (result, count) in [("hit", events.hits), ("miss", events.misses)] {
+                registry
+                    .counter(name, &[("result", result)], help, Stability::Observational)
+                    .expect("event counter registration cannot fail")
+                    .add(count);
+            }
+        }
+    }
+}
+
+/// Everything a pooled device's run depends on besides the simulation's
+/// zoo and engine: the slot fixes the session and the estimator seed, and
+/// the constraint matters only through the configurations it selects.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct RunKey {
+    slot: u64,
+    schedule: ConnectionSchedule,
+    accounting: EnergyAccounting,
+    /// The configuration selected for each link status (index 0 connected,
+    /// 1 disconnected) the schedule reaches; `None` for a status it never
+    /// reaches.
+    selections: [Option<Configuration>; 2],
+}
+
+impl RunKey {
+    /// The key of `scenario`'s run over its slot's `windows`-window session,
+    /// selecting as the runtime does. `None` when the constraint is invalid
+    /// or a reachable selection fails: such a device runs unmemoized, so
+    /// the runtime reports the error in its own order.
+    fn new(
+        slot: u64,
+        scenario: &DeviceScenario,
+        engine: &DecisionEngine,
+        windows: usize,
+    ) -> Option<Self> {
+        scenario.constraint.validate().ok()?;
+        let mut reached = [false; 2];
+        for index in 0..windows {
+            reached[usize::from(!scenario.schedule.is_connected(index))] = true;
+            if reached == [true; 2] {
+                break;
+            }
+        }
+        let statuses = [ConnectionStatus::Connected, ConnectionStatus::Disconnected];
+        let mut selections = [None; 2];
+        for ((selection, reached), status) in selections.iter_mut().zip(reached).zip(statuses) {
+            if reached {
+                let profile = engine
+                    .select_or_closest(&scenario.constraint, status)
+                    .ok()?;
+                *selection = Some(profile.configuration);
+            }
+        }
+        Some(Self {
+            slot,
+            schedule: scenario.schedule.clone(),
+            accounting: scenario.accounting,
+            selections,
+        })
+    }
+}
+
+/// One memoized run: filled once by the first device with its key, then
+/// read by every later one. An error is stored as the runtime returned it
+/// and tagged with each reading device's id.
+type MemoCell = OnceLock<Result<DeviceRun, ChrisError>>;
+
+/// The run memo of one [`run_fleet_range`] call, shared by its workers.
+///
+/// The lock is held only to get or insert a key's cell; the run fills the
+/// cell outside it, so a worker waits only on a run of its own key.
+#[derive(Default)]
+struct RunMemo {
+    cells: Mutex<BTreeMap<RunKey, Arc<MemoCell>>>,
+}
+
+impl RunMemo {
+    /// The result of the run keyed `key`: computed by `run` for the first
+    /// device with the key (and for every device without one), otherwise
+    /// reused with its Stable counts republished. Counted in `events`.
+    fn run(
+        &self,
+        key: Option<RunKey>,
+        events: &mut Events,
+        run: impl FnOnce() -> Result<DeviceRun, ChrisError>,
+    ) -> Result<DeviceRun, ChrisError> {
+        let Some(key) = key else {
+            events.misses += 1;
+            return run();
+        };
+        let cell = Arc::clone(
+            self.cells
+                .lock()
+                .expect("the memo lock is held only to insert a cell, which cannot panic")
+                .entry(key)
+                .or_default(),
+        );
+        let mut ran = false;
+        let result = cell.get_or_init(|| {
+            ran = true;
+            run()
+        });
+        if ran {
+            events.misses += 1;
+        } else {
+            events.hits += 1;
+            if let Ok(run) = result {
+                chris_core::metrics::record_run(run.windows, run.offloaded, run.invocations);
+            }
+        }
+        result.clone()
+    }
 }
 
 /// One simulation's labels-only pool sessions: device `id` of a pooled mix
@@ -380,23 +605,22 @@ impl PoolSessions {
         Self { slots }
     }
 
-    /// The session of `scenario`'s slot in a `pool`-slot mix, filled on
-    /// first use, lookup counted in `events`. `None` (a miss) when the
-    /// device has no slot or the fill failed: it then streams directly,
-    /// reporting any synthesis error exactly as [`simulate_device`] does.
+    /// The slot of `scenario` in a `pool`-slot mix and the slot's session,
+    /// filled on first use, lookup counted in `events`. `None` (a miss)
+    /// when the device has no slot or the fill failed: it then streams
+    /// directly, reporting any synthesis error exactly as
+    /// [`simulate_device`] does.
     fn session(
         &self,
         pool: u64,
         scenario: &DeviceScenario,
-        events: &mut CacheEvents,
-    ) -> Option<Arc<[LabeledWindow]>> {
-        let slot = scenario
-            .device_id
-            .checked_rem(pool)
-            .and_then(|slot| self.slots.get(usize::try_from(slot).ok()?));
+        events: &mut Events,
+    ) -> Option<(u64, Arc<[LabeledWindow]>)> {
+        let slot = scenario.device_id.checked_rem(pool);
+        let cell = slot.and_then(|slot| self.slots.get(usize::try_from(slot).ok()?));
         let mut filled = false;
-        let session = slot.and_then(|slot| {
-            slot.get_or_init(|| {
+        let session = cell.and_then(|cell| {
+            cell.get_or_init(|| {
                 filled = true;
                 scenario.window_stream().and_then(drain_shared).ok()
             })
@@ -407,7 +631,7 @@ impl PoolSessions {
         } else {
             events.misses += 1;
         }
-        session
+        Some((slot?, session?))
     }
 }
 
@@ -618,6 +842,106 @@ mod tests {
             "expected a device-tagged error, got {err:?}"
         );
         assert!(err.to_string().contains("device 41"));
+    }
+
+    /// Every device's own result, through one memo shared in id order.
+    fn memoized(
+        simulation: &FleetSimulation,
+        range: Range<u64>,
+    ) -> (Vec<Result<DeviceReport, FleetError>>, PoolEvents) {
+        let memo = RunMemo::default();
+        let mut events = PoolEvents::default();
+        let results = range
+            .map(|id| simulate_in(simulation, id, None, &memo, &mut events))
+            .collect();
+        (results, events)
+    }
+
+    #[test]
+    fn an_empty_engine_fails_every_pooled_device_under_its_own_id() {
+        let mut simulation = simulation(9, ScenarioMix::cohort());
+        simulation.engine = DecisionEngine::new(Vec::new());
+        let range = 5..5 + 4 * CHUNK_SIZE;
+        let expected =
+            |id| FleetError::for_device(id, FleetError::from(ChrisError::EmptyProfileTable));
+        // No selection succeeds, so no device has a run key: each runs the
+        // loop, which fails.
+        let (results, events) = memoized(&simulation, range.clone());
+        for (id, result) in range.clone().zip(results) {
+            assert_eq!(result, Err(expected(id)));
+        }
+        assert_eq!((events.memo.hits, events.memo.misses), (0, 4 * CHUNK_SIZE));
+        // At any thread count, the lowest failing id wins.
+        for threads in [1usize, 4] {
+            let options = ExecutorOptions {
+                threads,
+                ..ExecutorOptions::default()
+            };
+            assert_eq!(
+                run_fleet_range(&simulation, range.clone(), &options, None),
+                Err(expected(5)),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_memoized_run_error_is_tagged_with_each_device_id() {
+        // A zoo whose link is down fails every run that offloads, after
+        // selection succeeded: the failed run is memoized.
+        let mut simulation = simulation(9, ScenarioMix::cohort());
+        let zoo = simulation.zoo();
+        let mut ble = zoo.ble().clone();
+        ble.connected = false;
+        simulation.zoo = ModelZoo::new(zoo.watch().clone(), zoo.phone().clone(), ble);
+        let range = 0..4 * CHUNK_SIZE;
+        let alone = |id| {
+            let scenario = simulation.generator().scenario(id);
+            simulate_device(&scenario, simulation.zoo(), simulation.engine())
+        };
+        let (results, events) = memoized(&simulation, range.clone());
+        let mut failed = 0;
+        for (id, result) in range.clone().zip(results) {
+            let expected = alone(id);
+            failed += u64::from(expected.is_err());
+            assert_eq!(result, expected, "device {id}");
+        }
+        assert!(failed > 0, "some device offloads");
+        assert!(events.memo.hits > 0, "some run key repeats");
+        let lowest = range.clone().find_map(|id| alone(id).err()).unwrap();
+        for threads in [1usize, 4] {
+            let options = ExecutorOptions {
+                threads,
+                ..ExecutorOptions::default()
+            };
+            assert_eq!(
+                run_fleet_range(&simulation, range.clone(), &options, None),
+                Err(lowest.clone()),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn run_keys_hold_only_the_selections_a_schedule_reaches() {
+        let simulation = simulation(9, ScenarioMix::cohort());
+        let mut scenario = simulation.generator().scenario(0);
+        let engine = simulation.engine();
+        let mut key = |schedule: ConnectionSchedule, windows| {
+            scenario.schedule = schedule;
+            RunKey::new(0, &scenario, engine, windows)
+                .unwrap()
+                .selections
+                .map(|selection| selection.is_some())
+        };
+        assert_eq!(key(ConnectionSchedule::AlwaysConnected, 9), [true, false]);
+        assert_eq!(key(ConnectionSchedule::NeverConnected, 9), [false, true]);
+        let duty = ConnectionSchedule::DutyCycle { up: 3, down: 2 };
+        assert_eq!(key(duty.clone(), 3), [true, false]);
+        assert_eq!(key(duty, 4), [true, true]);
+        // An invalid constraint gets no key: the runtime rejects it itself.
+        scenario.constraint = chris_core::UserConstraint::MaxMae(f32::NAN);
+        assert!(RunKey::new(0, &scenario, engine, 9).is_none());
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub mod sync;
 pub use error::{FleetError, MergeError};
 pub use executor::{
     run_fleet_range, simulate_device, simulate_device_cached, ExecutorOptions,
-    PROFILE_CACHE_EVENTS_SERIES,
+    PROFILE_CACHE_EVENTS_SERIES, RUN_MEMO_EVENTS_SERIES,
 };
 pub use merge::{merge, MergeAccumulator};
 pub use progress::ProgressSink;

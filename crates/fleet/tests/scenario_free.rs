@@ -3,7 +3,8 @@
 //! `(generator, device id)`, so at most one generated scenario is alive per
 //! worker thread. Checked with the counting allocator of `tests/run_memory`,
 //! which counts per thread, so the two tests of this binary may run
-//! concurrently.
+//! concurrently. A pooled run's memo holds one entry per distinct run and
+//! is freed when the run returns.
 
 mod run_memory;
 
@@ -30,7 +31,8 @@ impl ProgressSink for LiveLevels {
 fn generated_scenarios_stay_bounded_by_the_worker_count() {
     // At one worker, nothing a device allocates (its scenario included)
     // may outlive it: sampled as each device completes, the live level
-    // changes only when the worker's result vector grows.
+    // changes only when the worker's result vector grows, or, in a pooled
+    // mix, when a device stores a new run in the run's memo.
     for pool in [0, 4] {
         for activities in [9, 1] {
             let simulation = run_memory::simulation(activities, pool);
@@ -38,19 +40,44 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
             // handles and fills the pool slots, all of which outlive a run.
             run_memory::run(&simulation, 0..16, None);
 
+            // Nothing of a run outlives it, the memo included: once its
+            // reports are dropped, the live level is back where it was.
+            let before = run_memory::live();
+            drop(run_memory::run(
+                &simulation,
+                0..SAMPLED_DEVICES as u64,
+                None,
+            ));
+            assert_eq!(
+                run_memory::live(),
+                before,
+                "pool {pool}, {activities} activities: a run left bytes behind"
+            );
+
+            // The sampled run records into a registry of its own, which
+            // reads back its memo misses.
+            let registry = telemetry::Registry::new();
+            let _scope = telemetry::scoped(&registry);
             let sink = LiveLevels(Mutex::new(Vec::with_capacity(SAMPLED_DEVICES)));
             let (reports, _) = run_memory::run(&simulation, 0..SAMPLED_DEVICES as u64, Some(&sink));
+            let misses = registry
+                .snapshot()
+                .counter_value(fleet::RUN_MEMO_EVENTS_SERIES, &[("result", "miss")])
+                .unwrap_or(0);
+            assert_eq!(misses > 0, pool > 0, "pool {pool}: {misses} memo misses");
             let mut levels = sink.0.into_inner().unwrap();
             assert_eq!(levels.len(), SAMPLED_DEVICES);
             levels.sort_unstable();
             levels.dedup();
             // One level before the first result, then one per growth of
             // the worker's result vector (capacity 4, 8, ..., 64), plus one
-            // spare.
+            // spare, plus one per memo entry.
+            let bound = 7 + usize::try_from(misses).unwrap();
             assert!(
-                levels.len() <= 7,
+                levels.len() <= bound,
                 "pool {pool}, {activities} activities: live bytes took {} \
-                 distinct levels over {SAMPLED_DEVICES} devices: {levels:?}",
+                 distinct levels over {SAMPLED_DEVICES} devices, more than \
+                 {bound}: {levels:?}",
                 levels.len()
             );
 

@@ -92,6 +92,16 @@ struct JobCounters {
     windows_done: AtomicU64,
 }
 
+impl JobCounters {
+    /// Counters that start at the given progress.
+    fn at(devices_done: u64, windows_done: u64) -> Arc<Self> {
+        Arc::new(Self {
+            devices_done: AtomicU64::new(devices_done),
+            windows_done: AtomicU64::new(windows_done),
+        })
+    }
+}
+
 /// [`ProgressSink`] adapter wiring executor callbacks into a job's live
 /// counters and the scheduler's abort flag.
 struct JobProgress<'a> {
@@ -170,6 +180,10 @@ impl JobRecord {
     /// Ends the job — the one place a terminal state is set: records the
     /// outcome, counts it on `chris_fleetd_jobs_total` and releases the
     /// simulation, so a long-running daemon keeps none per finished job.
+    ///
+    /// A failed job's progress stops where it failed: shards still in
+    /// flight count into counters nobody reads, so the status stays the one
+    /// [`JobRecord::settle`] persists.
     fn finish(&mut self, outcome: Result<(), String>) {
         self.pending.clear();
         self.sim = Arc::default();
@@ -181,10 +195,39 @@ impl JobRecord {
             Err(error) => {
                 self.state = JobState::Failed;
                 self.error = Some(error);
+                // relaxed: a snapshot under the scheduler lock; later
+                // device completions are deliberately not seen.
+                let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+                self.counters = JobCounters::at(
+                    load(&self.counters.devices_done),
+                    load(&self.counters.windows_done),
+                );
                 "failed"
             }
         };
         counter("chris_fleetd_jobs_total", event);
+    }
+
+    /// Finishes job `id` with `outcome` and persists a failure next to its
+    /// spec, so a restarted daemon serves the failed status instead of
+    /// running the job again. Drains and aborts never get here: their
+    /// shards stay pending.
+    fn settle(&mut self, spool: &Spool, id: u64, outcome: Result<(), String>) {
+        let failed = outcome.is_err();
+        self.finish(outcome);
+        if failed {
+            // Best effort: if the write fails, a restart re-runs the job,
+            // which is all a daemon without the file could do.
+            let _ = spool.write_failure(id, &self.status(id));
+        }
+    }
+
+    /// Restores a job that failed before a restart, from its persisted
+    /// final status.
+    fn restore_failure(&mut self, failed: JobStatus) {
+        self.shards_done = failed.shards_done;
+        self.counters = JobCounters::at(failed.devices_done, failed.windows_done);
+        self.finish(Err(failed.error.unwrap_or_default()));
     }
 }
 
@@ -213,8 +256,9 @@ pub struct Scheduler {
 impl Scheduler {
     /// Creates a scheduler over `spool`, recovering every job already
     /// persisted there: jobs with a `report.json` come back as done (the body
-    /// stays on disk), others re-admit their provenance-valid shard artifacts
-    /// and re-queue only the missing ranges. A job with every shard
+    /// stays on disk), jobs with a `failed.json` come back failed with the
+    /// status they had, and others re-admit their provenance-valid shard
+    /// artifacts and re-queue only the missing ranges. A job with every shard
     /// checkpointed is merged here and comes back done (or failed). Each job
     /// recovered as done or failed counts once on `chris_fleetd_jobs_total`.
     /// New ids start past every `job-<id>` directory, parseable or not.
@@ -233,6 +277,8 @@ impl Scheduler {
             if spool.has_report(id) {
                 record.shards_done = record.spec.shards;
                 record.finish(Ok(()));
+            } else if let Some(failed) = spool.read_failure(id) {
+                record.restore_failure(failed);
             } else {
                 // Only shards without a valid checkpoint stay pending.
                 record.pending.retain(|&index| {
@@ -249,7 +295,8 @@ impl Scheduler {
                     false
                 });
                 if record.pending.is_empty() {
-                    record.finish(merge_job(&spool, id, &record.spec));
+                    let merged = merge_job(&spool, id, &record.spec);
+                    record.settle(&spool, id, merged);
                 } else {
                     queue.push_back(id);
                 }
@@ -495,19 +542,21 @@ impl Scheduler {
         let mut state = self.state.lock().expect("scheduler lock");
         let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
         match outcome {
+            // A failed job's status stays as it failed.
+            Ok(()) if record.error.is_some() => counter("chris_fleetd_shards_total", "completed"),
             Ok(()) => {
                 record.shards_done += 1;
                 counter("chris_fleetd_shards_total", "completed");
                 // Each shard index counts once and a failed shard never
                 // counts, so exactly one worker gets here with the job whole.
-                if record.shards_done == record.spec.shards && record.error.is_none() {
+                if record.shards_done == record.spec.shards {
                     let spec = record.spec.clone();
                     drop(state);
                     // The merge reads the spool and runs outside the lock.
                     let merged = merge_job(&self.spool, job, &spec);
                     let mut state = self.state.lock().expect("scheduler lock");
                     let record = state.jobs.get_mut(&job).expect("claimed jobs persist");
-                    record.finish(merged);
+                    record.settle(&self.spool, job, merged);
                 }
             }
             Err(ShardFail::Cancelled) => {
@@ -520,7 +569,9 @@ impl Scheduler {
                 }
             }
             // The first failure ends the job; later ones find it ended.
-            Err(ShardFail::Other(error)) if record.error.is_none() => record.finish(Err(error)),
+            Err(ShardFail::Other(error)) if record.error.is_none() => {
+                record.settle(&self.spool, job, Err(error));
+            }
             Err(ShardFail::Other(_)) => {}
         }
     }
@@ -783,6 +834,52 @@ mod tests {
             panic!("report not ready");
         };
         assert_eq!(body, render_report_body(&outcome.report, outcome.sketch));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn a_failed_job_stays_failed_across_a_restart() {
+        let spool = temp_spool("failed");
+        let root = spool.root().to_path_buf();
+        let scheduler = Arc::new(Scheduler::new(spool, 4).unwrap());
+        let mut spec = JobSpec::new(4);
+        spec.shards = 2;
+        let id = scheduler.submit(spec).unwrap().id;
+        // A directory where shard 0's artifact goes makes its checkpoint
+        // fail after its devices ran.
+        let job_dir = scheduler.spool().job_dir(id);
+        std::fs::create_dir(job_dir.join("shard-00000.json")).unwrap();
+        let workers = scheduler.spawn_workers(1);
+        let failed = wait_done(&scheduler, id);
+        assert_eq!(failed.state, "failed");
+        assert!(failed.devices_done > 0, "{failed:?}");
+        let ReportOutcome::Failed(error) = scheduler.report(id) else {
+            panic!("the report of a failed job is its error");
+        };
+        assert!(error.contains("shard-00000.json"), "{error}");
+        scheduler.begin_shutdown(false);
+        for handle in workers {
+            handle.join().unwrap();
+        }
+        let served = serde_json::to_string(&failed).unwrap();
+
+        // A restart serves the same status and error, and runs nothing of
+        // the job: the next job is the only one the worker claims.
+        let restarted = Arc::new(Scheduler::new(Spool::new(&root).unwrap(), 4).unwrap());
+        let recovered = restarted.status(id).expect("recovered job");
+        assert_eq!(serde_json::to_string(&recovered).unwrap(), served);
+        assert!(matches!(restarted.report(id), ReportOutcome::Failed(e) if e == error));
+        let workers = restarted.spawn_workers(1);
+        let next = restarted.submit(JobSpec::new(1)).unwrap().id;
+        assert_eq!(wait_done(&restarted, next).state, "done");
+        assert_eq!(restarted.status(id), Some(recovered));
+        restarted.begin_shutdown(false);
+        for handle in workers {
+            handle.join().unwrap();
+        }
+        assert!(job_dir.join("shard-00000.json").is_dir());
+        assert!(!job_dir.join("shard-00001.json").exists());
+        assert!(!job_dir.join("report.json").exists());
         std::fs::remove_dir_all(root).unwrap();
     }
 

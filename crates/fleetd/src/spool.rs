@@ -6,12 +6,14 @@
 //! <spool>/job-<id>/spec.json        fully-resolved JobSpec (provenance)
 //! <spool>/job-<id>/shard-NNNNN.json ordinary fleet ShardReport artifacts
 //! <spool>/job-<id>/report.json      final body, byte-identical to `fleet --json`
+//! <spool>/job-<id>/failed.json      final status of a failed job, error included
 //! ```
 //!
 //! Every file is written via [`write_atomic`] (temp sibling + rename), so a
 //! daemon killed mid-write leaves either the old content or the new — never
 //! a truncated file. On restart the daemon rescans the spool: a job with a
-//! `report.json` is already done; otherwise each shard artifact is admitted
+//! `report.json` is already done and a job with a `failed.json` already
+//! failed, so neither runs again; otherwise each shard artifact is admitted
 //! only if its embedded [`ShardMeta`] matches what the job's spec *must*
 //! produce ([`expected_meta`]) — the same provenance gate `fleet-merge`
 //! applies — and only the missing ranges are re-run. An artifact that fails
@@ -25,7 +27,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 
 use fleet::{FleetReport, ShardMeta, ShardReport, SketchInfo, SketchedReport, ENGINE_VERSION};
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, JobStatus};
 
 /// Writes `contents` to `path` crash-safely: the bytes go to a unique temp
 /// sibling in the same directory (same filesystem, so the rename is atomic)
@@ -127,6 +129,10 @@ impl Spool {
         self.job_dir(id).join("report.json")
     }
 
+    fn failure_path(&self, id: u64) -> PathBuf {
+        self.job_dir(id).join("failed.json")
+    }
+
     /// Persists a job's fully-resolved spec (creating its directory); the
     /// first write of every accepted job, so a restart can always re-derive
     /// the work.
@@ -160,6 +166,28 @@ impl Spool {
     pub fn write_report(&self, id: u64, body: &[u8]) -> Result<(), String> {
         let path = self.report_path(id);
         write_atomic(&path, body).map_err(|e| format!("writing {} failed: {e}", path.display()))
+    }
+
+    /// Persists the final status of failed job `id`: its error and its
+    /// progress when it failed, which is what a restarted daemon serves.
+    ///
+    /// # Errors
+    ///
+    /// Returns a daemon-log-worthy message naming the path.
+    pub fn write_failure(&self, id: u64, status: &JobStatus) -> Result<(), String> {
+        let path = self.failure_path(id);
+        let json = serde_json::to_string(status)
+            .map_err(|e| format!("serializing the failed status failed: {e}"))?;
+        write_atomic(&path, json.as_bytes())
+            .map_err(|e| format!("writing {} failed: {e}", path.display()))
+    }
+
+    /// The persisted final status of job `id`, if it failed. A missing or
+    /// unparseable file reads as `None`: the job is then recovered from
+    /// its checkpoints like any unfinished one.
+    pub fn read_failure(&self, id: u64) -> Option<JobStatus> {
+        let text = std::fs::read_to_string(self.failure_path(id)).ok()?;
+        serde_json::from_str(&text).ok()
     }
 
     /// Whether job `id`'s final report body was persisted.

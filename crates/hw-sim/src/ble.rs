@@ -103,7 +103,7 @@ impl BleLink {
 }
 
 /// Availability of the BLE connection over a sequence of analysis windows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ConnectionSchedule {
     /// The link is up for every window.
     AlwaysConnected,
