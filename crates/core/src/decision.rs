@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use hw_sim::units::Energy;
 
-use crate::config::ExecutionTarget;
+use crate::config::{Configuration, ExecutionTarget};
 use crate::error::ChrisError;
 use crate::pareto::pareto_front;
 use crate::profiling::ConfigurationProfile;
@@ -36,6 +36,16 @@ pub enum ConnectionStatus {
 }
 
 impl ConnectionStatus {
+    /// Both statuses, in [`ConnectionStatus::index`] order.
+    pub const ALL: [ConnectionStatus; 2] =
+        [ConnectionStatus::Connected, ConnectionStatus::Disconnected];
+
+    /// The status's position in per-status arrays: 0 connected, 1
+    /// disconnected.
+    pub fn index(self) -> usize {
+        usize::from(self == ConnectionStatus::Disconnected)
+    }
+
     /// Builds the status from a boolean (`true` = connected).
     pub fn from_connected(connected: bool) -> Self {
         if connected {
@@ -259,6 +269,28 @@ impl DecisionEngine {
         })
     }
 
+    /// Decides a run's configurations under `constraint`: the
+    /// [`DecisionEngine::select_or_closest`] result for each link status.
+    ///
+    /// The constraint is fixed for a run and CHRIS keeps a selection while
+    /// the link status holds, so these two selections are every one the
+    /// run makes. A status whose selection fails keeps its error: a run
+    /// raises it only if one of its windows has that status.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChrisError::InvalidConstraint`] for a NaN, infinite or
+    /// negative constraint bound.
+    pub fn plan(&self, constraint: &UserConstraint) -> Result<LinkPlan, ChrisError> {
+        constraint.validate()?;
+        Ok(LinkPlan {
+            selections: ConnectionStatus::ALL.map(|status| {
+                self.select_or_closest(constraint, status)
+                    .map(|profile| profile.configuration)
+            }),
+        })
+    }
+
     /// The Pareto-optimal configurations (minimizing MAE and smartwatch
     /// energy) among those feasible under the given connection status.
     pub fn pareto(&self, status: ConnectionStatus) -> Vec<&ConfigurationProfile> {
@@ -267,6 +299,42 @@ impl DecisionEngine {
             (p.watch_energy.as_microjoules(), f64::from(p.mae_bpm))
         });
         front.into_iter().map(|i| feasible[i]).collect()
+    }
+}
+
+/// The configurations of one run, decided by [`DecisionEngine::plan`]: for
+/// each link status, the configuration to switch to, or the error its
+/// selection returned.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinkPlan {
+    /// Indexed by [`ConnectionStatus::index`].
+    selections: [Result<Configuration, ChrisError>; 2],
+}
+
+impl LinkPlan {
+    /// The configuration for `status`, or the error selecting it returned.
+    pub fn selection(&self, status: ConnectionStatus) -> Result<Configuration, &ChrisError> {
+        self.selections[status.index()].as_ref().copied()
+    }
+
+    /// The configurations for the statuses `reached` marks (index 0
+    /// connected, 1 disconnected, as [`ConnectionSchedule::reaches`]
+    /// returns them), `None` for the others.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the first reached status whose selection
+    /// failed.
+    ///
+    /// [`ConnectionSchedule::reaches`]: hw_sim::ble::ConnectionSchedule::reaches
+    pub fn masked(&self, reached: [bool; 2]) -> Result<[Option<Configuration>; 2], &ChrisError> {
+        let mut masked = [None; 2];
+        for status in ConnectionStatus::ALL {
+            if reached[status.index()] {
+                masked[status.index()] = Some(self.selection(status)?);
+            }
+        }
+        Ok(masked)
     }
 }
 
@@ -433,6 +501,58 @@ mod tests {
             .unwrap();
         // Fallback is the cheapest configuration.
         assert!((fallback.watch_energy.as_millijoules() - 0.23).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_plan_holds_each_status_selection_or_its_error() {
+        let engine = DecisionEngine::new(sample_table());
+        for constraint in [
+            UserConstraint::MaxMae(5.6),
+            UserConstraint::MaxMae(1.0),
+            UserConstraint::MaxEnergy(Energy::from_millijoules(0.45)),
+            UserConstraint::MaxEnergy(Energy::from_microjoules(1.0)),
+        ] {
+            let plan = engine.plan(&constraint).unwrap();
+            for status in ConnectionStatus::ALL {
+                let selected = engine.select_or_closest(&constraint, status).unwrap();
+                assert_eq!(plan.selection(status), Ok(selected.configuration));
+            }
+            let connected = plan.selection(ConnectionStatus::Connected).ok();
+            let disconnected = plan.selection(ConnectionStatus::Disconnected).ok();
+            assert_eq!(plan.masked([true, false]), Ok([connected, None]));
+            assert_eq!(plan.masked([false, true]), Ok([None, disconnected]));
+            assert_eq!(plan.masked([false; 2]), Ok([None; 2]));
+        }
+
+        // A status whose selection fails keeps its error; masking it out
+        // drops the error.
+        let hybrid_only = DecisionEngine::new(
+            sample_table()
+                .into_iter()
+                .filter(|p| p.configuration.target == ExecutionTarget::Hybrid)
+                .collect(),
+        );
+        let constraint = UserConstraint::MaxMae(5.6);
+        let plan = hybrid_only.plan(&constraint).unwrap();
+        let error = hybrid_only
+            .select_or_closest(&constraint, ConnectionStatus::Disconnected)
+            .unwrap_err();
+        assert_eq!(plan.selection(ConnectionStatus::Disconnected), Err(&error));
+        assert_eq!(plan.masked([true, true]), Err(&error));
+        assert!(plan.masked([true, false]).is_ok());
+
+        let empty = DecisionEngine::new(Vec::new()).plan(&constraint).unwrap();
+        for status in ConnectionStatus::ALL {
+            assert_eq!(empty.selection(status), Err(&ChrisError::EmptyProfileTable));
+        }
+
+        // An invalid constraint fails the plan itself, whatever the table.
+        for engine in [&engine, &DecisionEngine::new(Vec::new())] {
+            assert!(matches!(
+                engine.plan(&UserConstraint::MaxMae(f32::NAN)),
+                Err(ChrisError::InvalidConstraint { .. })
+            ));
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod report;
 pub mod runtime;
 
 pub use config::{Configuration, DifficultyThreshold, EnergyAccounting, ExecutionTarget};
-pub use decision::{ConnectionStatus, DecisionEngine, UserConstraint};
+pub use decision::{ConnectionStatus, DecisionEngine, LinkPlan, UserConstraint};
 pub use error::ChrisError;
 pub use profiling::{ConfigurationProfile, Profiler, ProfilingOptions};
 pub use report::{RunReport, RunTotals};
@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::config::{
         Configuration, DifficultyThreshold, EnergyAccounting, ExecutionTarget,
     };
-    pub use crate::decision::{ConnectionStatus, DecisionEngine, UserConstraint};
+    pub use crate::decision::{ConnectionStatus, DecisionEngine, LinkPlan, UserConstraint};
     pub use crate::error::ChrisError;
     pub use crate::pareto::pareto_front;
     pub use crate::profiling::{ConfigurationProfile, Profiler, ProfilingOptions};

@@ -3,10 +3,10 @@
 //! The runtime ties everything together. For every incoming window it:
 //!
 //! 1. reads the BLE connection status from the [`ConnectionSchedule`],
-//! 2. switches to the configuration the [`DecisionEngine`] selects for that
-//!    status, which is how CHRIS reacts to link drops (the constraint is
-//!    fixed for a run, so the table is searched once per status, on the
-//!    first window with that status),
+//! 2. switches to the configuration its [`LinkPlan`] holds for that status,
+//!    which is how CHRIS reacts to link drops (the constraint is fixed for a
+//!    run, so [`DecisionEngine::plan`] searches the table once per status,
+//!    before the first window),
 //! 3. runs the activity classifier (on the IMU's ML core in the real system,
 //!    so at zero MCU energy cost by default) to estimate the window
 //!    difficulty,
@@ -28,8 +28,8 @@ use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifi
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{Configuration, EnergyAccounting};
-use crate::decision::{ConnectionStatus, DecisionEngine, UserConstraint};
+use crate::config::EnergyAccounting;
+use crate::decision::{ConnectionStatus, DecisionEngine, LinkPlan, UserConstraint};
 use crate::error::ChrisError;
 use crate::metrics::RunInstruments;
 use crate::profiling::Profiler;
@@ -133,29 +133,37 @@ impl ChrisRuntime {
     /// Runs CHRIS over a sequence of windows under a user constraint and a
     /// BLE connection schedule, returning the aggregated report.
     ///
-    /// The report is [`RunReport::from`] the run's [`RunTotals`]: see
-    /// [`ChrisRuntime::run_totals`] for the sources accepted, the telemetry
-    /// published and the errors. Callers that read only the scalars can call
-    /// `run_totals` directly and skip building the report's label-keyed
-    /// maps.
+    /// Plans the run with the runtime's engine ([`DecisionEngine::plan`]),
+    /// then runs the plan: the report is [`RunReport::from`] the
+    /// [`RunTotals`] of [`ChrisRuntime::run_totals`], which documents the
+    /// sources accepted, the telemetry published and the errors. Callers
+    /// that read only the scalars can call `run_totals` directly and skip
+    /// building the report's label-keyed maps.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ChrisRuntime::run_totals`].
+    /// Returns [`ChrisError::InvalidConstraint`] for a NaN or negative
+    /// constraint bound (rejected before any window is pulled), otherwise
+    /// the errors of [`ChrisRuntime::run_totals`].
     pub fn run<S: IntoWindowSource>(
         &mut self,
         windows: S,
         constraint: &UserConstraint,
         schedule: &ConnectionSchedule,
     ) -> Result<RunReport, ChrisError> {
-        self.run_totals(windows, constraint, schedule)
+        let plan = self.engine.plan(constraint)?;
+        self.run_totals(windows, &plan, schedule)
             .map(RunReport::from)
     }
 
-    /// Runs CHRIS over a sequence of windows under a user constraint and a
-    /// BLE connection schedule, returning the run's totals: a fixed-size
-    /// value that, once the thread's telemetry handles are cached, the run
-    /// builds without touching the heap.
+    /// Runs a [`LinkPlan`] over a sequence of windows and a BLE connection
+    /// schedule, returning the run's totals: a fixed-size value that, once
+    /// the thread's telemetry handles are cached, the run builds without
+    /// touching the heap.
+    ///
+    /// Each window runs the plan's configuration for its link status; the
+    /// totals' [`selections`](RunTotals::selections) are the plan's, for the
+    /// statuses the windows had.
     ///
     /// `windows` is anything convertible into a
     /// [`WindowSource`]: an eager buffer
@@ -174,30 +182,29 @@ impl ChrisRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`ChrisError::InvalidConstraint`] for a NaN or negative
-    /// constraint bound (rejected before any window is pulled),
+    /// Returns the plan's selection error for a link status —
+    /// [`ChrisError::EmptyProfileTable`] when the decision engine had no
+    /// configurations, [`ChrisError::NoFeasibleConfiguration`] when it had
+    /// none for that status — on the first window with that status,
     /// [`ChrisError::EmptyWorkload`] when `windows` yields nothing,
-    /// [`ChrisError::EmptyProfileTable`] when the decision engine has no
-    /// configurations, [`ChrisError::Data`] when a streaming source fails
-    /// mid-synthesis, and propagates model errors.
+    /// [`ChrisError::Data`] when a streaming source fails mid-synthesis, and
+    /// propagates model errors.
     pub fn run_totals<S: IntoWindowSource>(
         &mut self,
         windows: S,
-        constraint: &UserConstraint,
+        plan: &LinkPlan,
         schedule: &ConnectionSchedule,
     ) -> Result<RunTotals, ChrisError> {
-        constraint.validate()?;
         let mut source = windows.into_window_source();
         let profiler = Profiler::new(&self.zoo);
         let period = TimeSpan::from_seconds(hw_sim::PREDICTION_PERIOD_S);
 
         let mut errors = ErrorAccumulator::new();
-        // Per-window bookkeeping without per-window allocation. The
-        // configuration selected for each link status (index 0 connected,
-        // 1 disconnected) and the windows it handled, one error accumulator
-        // per activity that folds its windows in order, and the watch energy
-        // per power state.
-        let mut selections: [Option<(Configuration, usize)>; 2] = [None; 2];
+        // Per-window bookkeeping without per-window allocation. The windows
+        // of each link status (index 0 connected, 1 disconnected), one error
+        // accumulator per activity that folds its windows in order, and the
+        // watch energy per power state.
+        let mut per_status = [0usize; 2];
         let mut per_activity: [ErrorAccumulator; Activity::COUNT] =
             std::array::from_fn(|_| ErrorAccumulator::new());
         let mut watch = WatchEnergy::default();
@@ -205,7 +212,6 @@ impl ChrisRuntime {
         let mut offloaded = 0usize;
         let mut simple = 0usize;
         let mut invocations = [0u64; ModelKind::ALL.len()];
-        let mut disconnected = 0usize;
 
         let mut index = 0usize;
         // Resolves the series, registering them, on this thread's first run
@@ -215,20 +221,10 @@ impl ChrisRuntime {
         // By-reference internal iteration: buffer-backed sources visit their
         // windows without cloning, lazy sources materialize one at a time.
         let n = source.try_for_each_window(|window| -> Result<(), ChrisError> {
-            let connected = schedule.is_connected(index);
-            if !connected {
-                disconnected += 1;
-            }
-            let (configuration, count) = match &mut selections[usize::from(!connected)] {
-                Some(selection) => selection,
-                slot @ None => {
-                    let status = ConnectionStatus::from_connected(connected);
-                    let profile = self.engine.select_or_closest(constraint, status)?;
-                    slot.insert((profile.configuration, 0))
-                }
-            };
-            *count += 1;
-            let configuration = *configuration;
+            let status = ConnectionStatus::from_connected(schedule.is_connected(index));
+            let configuration = plan.selection(status).map_err(ChrisError::clone)?;
+            per_status[status.index()] += 1;
+            let connected = status == ConnectionStatus::Connected;
 
             let predicted_activity = self.classifier.classify(window)?;
             let difficulty = predicted_activity.difficulty();
@@ -283,10 +279,14 @@ impl ChrisRuntime {
             avg_phone_energy: phone_energy / n as f64,
             offload_fraction: offloaded as f32 / n as f32,
             simple_fraction: simple as f32 / n as f32,
-            disconnected_fraction: disconnected as f32 / n as f32,
+            disconnected_fraction: per_status[1] as f32 / n as f32,
             watch_energy_by_state: watch.by_state,
             per_activity,
-            selections,
+            selections: ConnectionStatus::ALL.map(|status| {
+                let count = per_status[status.index()];
+                let configuration = plan.selection(status).ok()?;
+                (count > 0).then_some((configuration, count))
+            }),
             offloaded,
             invocations,
         })
@@ -502,6 +502,70 @@ mod tests {
         assert_eq!(
             run(ConnectionSchedule::NeverConnected).unwrap_err(),
             expected
+        );
+    }
+
+    #[test]
+    fn runs_use_the_plan_masked_by_the_statuses_their_schedule_reaches() {
+        let windows = dataset_windows(1, 49);
+        let full = engine_for(&windows);
+        let hybrid_only = DecisionEngine::new(
+            full.profiles()
+                .iter()
+                .filter(|p| p.configuration.target == ExecutionTarget::Hybrid)
+                .cloned()
+                .collect(),
+        );
+        // Met and unmet bounds of both kinds: selection and its fallback.
+        let constraints = [
+            UserConstraint::MaxMae(5.6),
+            UserConstraint::MaxMae(0.1),
+            UserConstraint::MaxEnergy(Energy::from_millijoules(0.30)),
+            UserConstraint::MaxEnergy(Energy::from_microjoules(0.001)),
+        ];
+        let all = windows.len();
+        let schedules = [
+            ConnectionSchedule::AlwaysConnected,
+            ConnectionSchedule::NeverConnected,
+            ConnectionSchedule::DutyCycle { up: 3, down: 2 },
+            ConnectionSchedule::DutyCycle { up: 0, down: 2 },
+            ConnectionSchedule::DutyCycle { up: 2, down: 0 },
+            ConnectionSchedule::DutyCycle { up: 0, down: 0 },
+            ConnectionSchedule::Outages(Vec::new()),
+            ConnectionSchedule::Outages(vec![(0, 4), (2, 3)]),
+            ConnectionSchedule::Outages(vec![(all, all + 5)]),
+        ];
+        let mut failed = 0;
+        for engine in [&full, &hybrid_only, &DecisionEngine::new(Vec::new())] {
+            for constraint in &constraints {
+                let plan = engine.plan(constraint).unwrap();
+                for schedule in &schedules {
+                    for n in [1, 4, all] {
+                        let result = ChrisRuntime::new(
+                            ModelZoo::paper_setup(),
+                            engine.clone(),
+                            RuntimeOptions::default(),
+                        )
+                        .run_totals(&windows[..n], &plan, schedule);
+                        let case = format!("{constraint} {schedule:?} over {n} windows");
+                        match plan.masked(schedule.reaches(n)) {
+                            Ok(expected) => {
+                                let totals = result.unwrap_or_else(|e| panic!("{case}: {e}"));
+                                let used = totals.selections.map(|s| s.map(|(c, _)| c));
+                                assert_eq!(used, expected, "{case}");
+                            }
+                            Err(expected) => {
+                                failed += 1;
+                                assert_eq!(result.as_ref().err(), Some(expected), "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            failed > 0,
+            "the hybrid-only and empty engines fail some runs"
         );
     }
 

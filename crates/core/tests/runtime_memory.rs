@@ -145,12 +145,9 @@ fn run_memory_does_not_grow_with_the_window_count() {
         short.allocations
     );
 
-    let mut totals = |ws: &[LabeledWindow]| {
-        runtime
-            .run_totals(ws, &constraint, &schedule)
-            .unwrap()
-            .windows
-    };
+    let plan = engine.plan(&constraint).unwrap();
+    let mut totals =
+        |ws: &[LabeledWindow]| runtime.run_totals(ws, &plan, &schedule).unwrap().windows;
     let none = Footprint {
         allocations: 0,
         peak_bytes: 0,

@@ -33,7 +33,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use chris_core::report::watch_power;
 use chris_core::runtime::{ChrisRuntime, RuntimeOptions};
 use chris_core::{
-    ChrisError, Configuration, ConnectionStatus, DecisionEngine, EnergyAccounting, RunTotals,
+    ChrisError, Configuration, DecisionEngine, EnergyAccounting, LinkPlan, RunTotals,
 };
 use hw_sim::battery::{Battery, HWATCH_BATTERY_VOLTAGE, HWATCH_CONVERTER_EFFICIENCY};
 use hw_sim::ble::ConnectionSchedule;
@@ -140,7 +140,9 @@ pub fn simulate_device_cached(
 
 /// The device-simulation core behind [`simulate_device`],
 /// [`simulate_device_cached`] and the executor's streaming devices, on the
-/// device's opened session `stream`.
+/// device's opened session `stream`: plans the device's constraint, then
+/// runs the plan. A stream that failed to open wins over an invalid
+/// constraint.
 fn simulate<S: WindowSource>(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
@@ -150,12 +152,15 @@ fn simulate<S: WindowSource>(
 ) -> Result<DeviceReport, FleetError> {
     let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
     let stream = stream.map_err(|e| for_device(e.into()))?;
-    let run = run_device(scenario, zoo, engine, stream).map_err(|e| for_device(e.into()))?;
+    let run = engine
+        .plan(&scenario.constraint)
+        .and_then(|plan| run_device(scenario, zoo, engine, &plan, stream))
+        .map_err(|e| for_device(e.into()))?;
     finish(scenario, sink, &run)
 }
 
-/// Runs CHRIS over `windows` under `scenario`'s constraint, schedule and
-/// accounting, with estimators seeded by its dataset seed.
+/// Runs `plan` over `windows` under `scenario`'s schedule and accounting,
+/// with estimators seeded by its dataset seed.
 ///
 /// Each call owns a fresh [`ChrisRuntime`] built from clones of the shared
 /// zoo and engine, so workers run devices concurrently without sharing
@@ -164,6 +169,7 @@ fn run_device<S: WindowSource>(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
+    plan: &LinkPlan,
     windows: S,
 ) -> Result<DeviceRun, ChrisError> {
     let options = RuntimeOptions {
@@ -173,7 +179,7 @@ fn run_device<S: WindowSource>(
     };
     let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
     runtime
-        .run_totals(windows, &scenario.constraint, &scenario.schedule)
+        .run_totals(windows, plan, &scenario.schedule)
         .map(|totals| DeviceRun::from(&totals))
 }
 
@@ -285,16 +291,19 @@ impl From<&RunTotals> for DeviceRun {
 /// stream directly); a pool-less mix streams and records no cache series.
 ///
 /// A replaying device's run is also memoized, for the duration of this call:
-/// the first device with a given run key — pool slot, link schedule, energy
-/// accounting and the configuration selected for each link status the
-/// schedule reaches within the slot's windows — runs the window loop, and
-/// every later device with that key, in any worker, rebuilds its report
+/// each device is planned once ([`DecisionEngine::plan`]), and the first
+/// device with a given run key — pool slot, link schedule, energy
+/// accounting and its plan's configurations masked to the link statuses
+/// the schedule reaches within the slot's windows
+/// ([`ConnectionSchedule::reaches`]) — runs the window loop on that plan,
+/// and every later device with that key, in any worker, rebuilds its report
 /// from the stored result and republishes the run's Stable counts. Reports,
 /// Stable telemetry and returned errors are those of running every device;
 /// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only. A
-/// device whose reachable selection fails runs unmemoized, so the runtime
-/// raises the error itself. The memo holds one entry per distinct key, a
-/// count the mix bounds (slots, schedules, accounting modes and the
+/// device whose plan fails, or whose plan failed for a reachable status,
+/// counts as a miss and gets no key: the latter runs unmemoized, so the
+/// runtime raises the error itself. The memo holds one entry per distinct
+/// key, a count the mix bounds (slots, schedules, accounting modes and the
 /// engine's configurations are all finite) whatever the device count, and
 /// is dropped when the call returns.
 /// Such a run publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that
@@ -419,10 +428,18 @@ fn simulate_in(
         events.memo.misses += 1;
         return simulate(&scenario, zoo, engine, sink, scenario.window_stream());
     };
-    let key = RunKey::new(slot, &scenario, engine, session.len());
-    let run = memo.run(key, &mut events.memo, || {
-        run_device(&scenario, zoo, engine, BufferWindows::new(session))
-    });
+    let run = match engine.plan(&scenario.constraint) {
+        Ok(plan) => {
+            let key = RunKey::new(slot, &scenario, &plan, session.len());
+            memo.run(key, &mut events.memo, || {
+                run_device(&scenario, zoo, engine, &plan, BufferWindows::new(session))
+            })
+        }
+        Err(e) => {
+            events.memo.misses += 1;
+            Err(e)
+        }
+    };
     let run = run.map_err(|e| FleetError::for_device(device_id, e.into()))?;
     finish(&scenario, sink, &run)
 }
@@ -490,41 +507,20 @@ struct RunKey {
     slot: u64,
     schedule: ConnectionSchedule,
     accounting: EnergyAccounting,
-    /// The configuration selected for each link status (index 0 connected,
-    /// 1 disconnected) the schedule reaches; `None` for a status it never
-    /// reaches.
+    /// The device's [`LinkPlan`] masked by [`ConnectionSchedule::reaches`]:
+    /// the configuration for each link status (index 0 connected, 1
+    /// disconnected) the schedule reaches; `None` for a status it never
+    /// reaches, so devices that differ only there share a run.
     selections: [Option<Configuration>; 2],
 }
 
 impl RunKey {
-    /// The key of `scenario`'s run over its slot's `windows`-window session,
-    /// selecting as the runtime does. `None` when the constraint is invalid
-    /// or a reachable selection fails: such a device runs unmemoized, so
-    /// the runtime reports the error in its own order.
-    fn new(
-        slot: u64,
-        scenario: &DeviceScenario,
-        engine: &DecisionEngine,
-        windows: usize,
-    ) -> Option<Self> {
-        scenario.constraint.validate().ok()?;
-        let mut reached = [false; 2];
-        for index in 0..windows {
-            reached[usize::from(!scenario.schedule.is_connected(index))] = true;
-            if reached == [true; 2] {
-                break;
-            }
-        }
-        let statuses = [ConnectionStatus::Connected, ConnectionStatus::Disconnected];
-        let mut selections = [None; 2];
-        for ((selection, reached), status) in selections.iter_mut().zip(reached).zip(statuses) {
-            if reached {
-                let profile = engine
-                    .select_or_closest(&scenario.constraint, status)
-                    .ok()?;
-                *selection = Some(profile.configuration);
-            }
-        }
+    /// The key of `scenario`'s run of `plan` over its slot's
+    /// `windows`-window session. `None` when a reachable status's selection
+    /// failed: such a device runs unmemoized, so the runtime reports the
+    /// error in its own order.
+    fn new(slot: u64, scenario: &DeviceScenario, plan: &LinkPlan, windows: usize) -> Option<Self> {
+        let selections = plan.masked(scenario.schedule.reaches(windows)).ok()?;
         Some(Self {
             slot,
             schedule: scenario.schedule.clone(),
@@ -920,28 +916,6 @@ mod tests {
                 "{threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn run_keys_hold_only_the_selections_a_schedule_reaches() {
-        let simulation = simulation(9, ScenarioMix::cohort());
-        let mut scenario = simulation.generator().scenario(0);
-        let engine = simulation.engine();
-        let mut key = |schedule: ConnectionSchedule, windows| {
-            scenario.schedule = schedule;
-            RunKey::new(0, &scenario, engine, windows)
-                .unwrap()
-                .selections
-                .map(|selection| selection.is_some())
-        };
-        assert_eq!(key(ConnectionSchedule::AlwaysConnected, 9), [true, false]);
-        assert_eq!(key(ConnectionSchedule::NeverConnected, 9), [false, true]);
-        let duty = ConnectionSchedule::DutyCycle { up: 3, down: 2 };
-        assert_eq!(key(duty.clone(), 3), [true, false]);
-        assert_eq!(key(duty, 4), [true, true]);
-        // An invalid constraint gets no key: the runtime rejects it itself.
-        scenario.constraint = chris_core::UserConstraint::MaxMae(f32::NAN);
-        assert!(RunKey::new(0, &scenario, engine, 9).is_none());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! Merging is *streaming*: [`MergeAccumulator`] consumes one artifact at a
 //! time — validate, fold its devices, drop it — so a consumer reading shard
 //! artifacts off disk (the `fleet-merge` binary) holds one artifact plus
-//! the per-device scalar samples, never the whole artifact set. [`merge`] is the batch wrapper: it validates every artifact's
-//! provenance up front, sorts by range, and feeds the same accumulator.
+//! the per-device scalar samples, never the whole artifact set. [`merge`] is
+//! the batch wrapper: it sorts the artifacts by range and pushes each into
+//! the same accumulator, so a batch merge and a streaming one reject a bad
+//! set with the same error.
 //!
 //! Before any numbers are trusted, the artifact set must prove it is
 //! coherent: same engine version, master seed, scenario mix, fleet size and
@@ -197,14 +199,17 @@ impl MergeAccumulator {
 
 /// Merges shard reports into the exact single-process [`FleetOutcome`].
 ///
-/// Shards may be supplied in any order; they are sorted by range start before
-/// folding. Empty shards (from a [`crate::ShardSpec`] with more shards than
-/// devices) are valid and contribute nothing.
+/// Shards may be supplied in any order; they are sorted by range and pushed
+/// into a [`MergeAccumulator`], which takes the lowest-range shard as the
+/// provenance reference, as `fleet-merge` does. Empty shards (from a
+/// [`crate::ShardSpec`] with more shards than devices) are valid and
+/// contribute nothing.
 ///
 /// # Errors
 ///
-/// Returns the [`MergeError`] naming the first incompatibility found:
-/// [`MergeError::NoShards`], a provenance mismatch
+/// Returns the [`MergeError`] the accumulator raises at the first
+/// incompatibility in range order: [`MergeError::NoShards`], a provenance
+/// mismatch
 /// ([`MergeError::VersionMismatch`], [`MergeError::SeedMismatch`],
 /// [`MergeError::MixMismatch`], [`MergeError::FleetSizeMismatch`],
 /// [`MergeError::ShardCountMismatch`],
@@ -212,20 +217,6 @@ impl MergeAccumulator {
 /// ([`MergeError::CorruptShard`]) or bad coverage
 /// ([`MergeError::OverlappingShards`], [`MergeError::MissingDevices`]).
 pub fn merge(mut shards: Vec<ShardReport>) -> Result<FleetOutcome, MergeError> {
-    let Some(first) = shards.first() else {
-        return Err(MergeError::NoShards);
-    };
-    let reference = &first.meta;
-
-    // Validate every artifact's provenance before any reordering or folding,
-    // so a mismatch anywhere in the set is reported ahead of coverage
-    // problems elsewhere (the accumulator re-checks incrementally, but only
-    // sees shards up to the first tiling error).
-    for shard in &shards {
-        check_provenance(reference, &shard.meta)?;
-        validate_shard_devices(shard)?;
-    }
-
     shards.sort_by_key(|s| (s.meta.start, s.meta.end));
 
     // Range-sorted shards feed the accumulator in device-id order — the

@@ -150,7 +150,7 @@ fn mismatched_shard_count_is_rejected() {
 
 #[test]
 fn mismatched_report_mode_is_rejected() {
-    // Batch merge: the upfront provenance sweep catches the mixed mode.
+    // Batch merge: pushing the range-sorted shards catches the mixed mode.
     let mut shards = artifacts();
     shards[2].meta.report_mode = ReportMode::Sketch;
     assert_eq!(
@@ -233,6 +233,20 @@ fn streaming_merge_rejects_gaps_where_batch_merge_does() {
     let stream_err = push_all(&shards).unwrap_err();
     assert_eq!(batch_err, MergeError::MissingDevices { start: 2, end: 4 });
     assert_eq!(stream_err, batch_err);
+}
+
+#[test]
+fn batch_merge_reports_the_streaming_merge_error() {
+    // A gap before a seed mismatch: the streaming merge stops at the gap,
+    // and the batch merge, in any argument order, must agree.
+    let mut shards = artifacts();
+    shards.remove(1); // devices [2, 4) uncovered
+    shards.last_mut().unwrap().meta.master_seed = 43;
+    let stream_err = push_all(&shards).unwrap_err();
+    assert_eq!(stream_err, MergeError::MissingDevices { start: 2, end: 4 });
+    assert_eq!(merge(shards.clone()).unwrap_err(), stream_err);
+    shards.reverse();
+    assert_eq!(merge(shards).unwrap_err(), stream_err);
 }
 
 #[test]

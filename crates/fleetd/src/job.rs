@@ -183,12 +183,17 @@ impl Deserialize for JobSpec {
             "report_mode",
             "profile_cache",
         ];
-        for (key, _) in entries {
+        for (index, (key, _)) in entries.iter().enumerate() {
             if !KNOWN.contains(&key.as_str()) {
                 return Err(serde::Error::custom(format!(
                     "unknown field `{key}`; expected one of {}",
                     KNOWN.join(", ")
                 )));
+            }
+            // Reading the first of a repeated key would silently drop the
+            // others, valid or not.
+            if entries[..index].iter().any(|(earlier, _)| earlier == key) {
+                return Err(serde::Error::custom(format!("repeated field `{key}`")));
             }
         }
         let field = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
@@ -367,6 +372,25 @@ mod tests {
             .contains("UTF-8"));
         let at_bound = format!(r#"{{"devices": 8, "threads": {MAX_THREADS}}}"#);
         assert!(JobSpec::from_json(at_bound.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn repeated_fields_are_rejected_by_name() {
+        for (body, field) in [
+            (
+                &br#"{"devices": 4, "mix": "cohort", "mix": "nope"}"#[..],
+                "mix",
+            ),
+            (br#"{"devices": 4, "devices": 8}"#, "devices"),
+            (br#"{"seed": 1, "devices": 4, "seed": 1}"#, "seed"),
+        ] {
+            let err = JobSpec::from_json(body).unwrap_err();
+            assert!(
+                err.contains(&format!("repeated field `{field}`")),
+                "body={:?} err={err}",
+                String::from_utf8_lossy(body)
+            );
+        }
     }
 
     #[test]

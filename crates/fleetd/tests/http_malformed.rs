@@ -125,6 +125,12 @@ fn malformed_requests_get_typed_errors_and_the_daemon_survives() {
             spec_request(r#"{"devices": 4, "tur\"bo\\": true}"#),
             400,
         ),
+        // A repeated key is rejected, not resolved to its first value.
+        (
+            "repeated spec field",
+            spec_request(r#"{"devices": 4, "mix": "cohort", "mix": "nope"}"#),
+            400,
+        ),
         (
             "unknown mix",
             spec_request(r#"{"devices": 4, "mix": "chaotic"}"#),

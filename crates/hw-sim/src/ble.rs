@@ -140,6 +140,34 @@ impl ConnectionSchedule {
         }
     }
 
+    /// Which link statuses the first `n` windows reach: `[connected,
+    /// disconnected]`, each `true` iff [`ConnectionSchedule::is_connected`]
+    /// takes that value on some window below `n`.
+    ///
+    /// Constant time for every variant but [`ConnectionSchedule::Outages`]
+    /// and the zero-period duty cycle, which walk the windows until both
+    /// statuses are seen.
+    pub fn reaches(&self, n: usize) -> [bool; 2] {
+        match *self {
+            _ if n == 0 => [false; 2],
+            ConnectionSchedule::AlwaysConnected => [true, false],
+            ConnectionSchedule::NeverConnected => [false, true],
+            ConnectionSchedule::DutyCycle { up, down } if up > 0 || down > 0 => {
+                [up > 0, down > 0 && n > up]
+            }
+            _ => {
+                let mut reached = [false; 2];
+                for index in 0..n {
+                    reached[usize::from(!self.is_connected(index))] = true;
+                    if reached == [true; 2] {
+                        break;
+                    }
+                }
+                reached
+            }
+        }
+    }
+
     /// Fraction of the first `n` windows during which the link is up.
     pub fn availability(&self, n: usize) -> f64 {
         if n == 0 {
@@ -231,5 +259,35 @@ mod tests {
         assert!(ConnectionSchedule::DutyCycle { up: 0, down: 0 }.is_connected(5));
         // Empty horizon is fully available by convention.
         assert_eq!(s.availability(0), 1.0);
+    }
+
+    #[test]
+    fn reaches_marks_the_statuses_of_the_first_windows() {
+        assert_eq!(
+            ConnectionSchedule::AlwaysConnected.reaches(9),
+            [true, false]
+        );
+        assert_eq!(ConnectionSchedule::NeverConnected.reaches(9), [false, true]);
+        let duty = ConnectionSchedule::DutyCycle { up: 3, down: 2 };
+        assert_eq!(duty.reaches(3), [true, false]);
+        assert_eq!(duty.reaches(4), [true, true]);
+        assert_eq!(
+            ConnectionSchedule::DutyCycle { up: 0, down: 2 }.reaches(1),
+            [false, true]
+        );
+        assert_eq!(
+            ConnectionSchedule::DutyCycle { up: 2, down: 0 }.reaches(9),
+            [true, false]
+        );
+        assert_eq!(
+            ConnectionSchedule::DutyCycle { up: 0, down: 0 }.reaches(9),
+            [true, false]
+        );
+        let outages = ConnectionSchedule::Outages(vec![(0, 4), (2, 3), (7, 7)]);
+        assert_eq!(outages.reaches(4), [false, true]);
+        assert_eq!(outages.reaches(5), [true, true]);
+        for schedule in [ConnectionSchedule::AlwaysConnected, duty, outages] {
+            assert_eq!(schedule.reaches(0), [false, false]);
+        }
     }
 }

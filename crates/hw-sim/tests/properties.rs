@@ -113,3 +113,30 @@ proptest! {
         prop_assert!((ratio - 9.375).abs() < 1e-6);
     }
 }
+
+/// Every schedule variant, degenerate ones included: duty cycles with `up`
+/// or `down` at zero, and outage lists with empty, overlapping and
+/// out-of-range ranges.
+fn schedules() -> impl Strategy<Value = ConnectionSchedule> {
+    (
+        0u8..4,
+        (0usize..6, 0usize..6),
+        prop::collection::vec((0usize..40, 0usize..40), 0..4),
+    )
+        .prop_map(|(variant, (up, down), outages)| match variant {
+            0 => ConnectionSchedule::AlwaysConnected,
+            1 => ConnectionSchedule::NeverConnected,
+            2 => ConnectionSchedule::DutyCycle { up, down },
+            _ => ConnectionSchedule::Outages(outages),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn reaches_matches_the_window_walk(schedule in schedules(), n in 0usize..48) {
+        let walked = [true, false].map(|connected| (0..n).any(|i| schedule.is_connected(i) == connected));
+        prop_assert_eq!(schedule.reaches(n), walked, "{:?} over {} windows", schedule, n);
+    }
+}
