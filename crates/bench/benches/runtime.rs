@@ -9,6 +9,7 @@ use chris_bench::{bench_windows, build_engine};
 use chris_core::config::{Configuration, DifficultyThreshold};
 use chris_core::prelude::*;
 use hw_sim::ble::ConnectionSchedule;
+use hw_sim::units::Energy;
 
 fn bench_runtime(c: &mut Criterion) {
     let windows = bench_windows();
@@ -53,6 +54,22 @@ fn bench_runtime(c: &mut Criterion) {
                 .unwrap()
         })
     });
+
+    // One run's decision: a selection per link status, for each kind of
+    // constraint.
+    let mut group = c.benchmark_group("chris/decision_engine_plan");
+    for (kind, constraint) in [
+        ("max_mae", UserConstraint::MaxMae(5.6)),
+        (
+            "max_energy",
+            UserConstraint::MaxEnergy(Energy::from_millijoules(0.45)),
+        ),
+    ] {
+        group.bench_function(kind, |b| {
+            b.iter(|| engine.plan(black_box(&constraint)).unwrap())
+        });
+    }
+    group.finish();
 
     c.bench_function("chris/pareto_front_extraction", |b| {
         b.iter(|| engine.pareto(ConnectionStatus::Connected))

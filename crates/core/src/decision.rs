@@ -12,12 +12,16 @@
 //!   configuration whose profiled smartwatch energy does not exceed the
 //!   threshold.
 //!
-//! Because the table is stored sorted by energy, both lookups are a single
-//! linear pass, as the paper points out.
+//! The table is stored sorted by energy, so the paper's observation that
+//! both lookups are a single pass over it holds. The engine goes one step
+//! further: it indexes each link status's feasible rows once, when it is
+//! built, so a lookup is a binary search — the cheapest row of the
+//! record-low MAE staircase within a `MaxMae` bound, or the most accurate
+//! row of the energy prefix a `MaxEnergy` budget admits.
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use hw_sim::units::Energy;
 
@@ -145,18 +149,135 @@ impl std::fmt::Display for UserConstraint {
 /// logic of the paper's Fig. 2.
 ///
 /// The table is shared: cloning an engine (once per simulated device in the
-/// fleet) bumps a reference count instead of copying the profiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// fleet) bumps a reference count instead of copying the profiles or their
+/// selection index. Equality, `Debug` and the serialized form
+/// (`{"profiles":[...]}`) cover the profiles only; the index is rebuilt
+/// from them, so a deserialized engine is [`DecisionEngine::new`] of its
+/// profiles.
+#[derive(Clone)]
 pub struct DecisionEngine {
-    profiles: Arc<Vec<ConfigurationProfile>>,
+    table: Arc<Table>,
+}
+
+/// The energy-sorted profiles and, for each link status, the index that
+/// answers selections on them.
+struct Table {
+    profiles: Vec<ConfigurationProfile>,
+    /// Indexed by [`ConnectionStatus::index`].
+    index: [SelectionIndex; 2],
+}
+
+/// One link status's selections, precomputed from the energy-sorted table
+/// so that each lookup is a binary search. Rows are table positions.
+///
+/// The lookups answer exactly what a scan of the feasible rows in table
+/// order would: the first row minimizing energy (`MaxMae`) or MAE
+/// (`MaxEnergy`) under `total_cmp`, among the rows whose MAE or energy is
+/// `<=` the bound.
+#[derive(Default)]
+struct SelectionIndex {
+    /// `MaxMae`: the feasible rows whose MAE is below that of every earlier
+    /// feasible row, as (MAE, row). A NaN MAE meets no bound and is never
+    /// a record. The MAEs strictly decrease, so the first record within a
+    /// bound is the first feasible row within it: the cheapest.
+    mae_records: Vec<(f32, usize)>,
+    /// `MaxEnergy`: the energies of the feasible rows with a non-NaN
+    /// energy, in table order, so increasing: a budget admits a prefix.
+    energies: Vec<f64>,
+    /// `MaxEnergy`: (position in `energies`, row) wherever the most
+    /// accurate row of a prefix of `energies` changes, that is, at each row
+    /// whose MAE is `total_cmp`-lower than every earlier one's (ties keep
+    /// the earlier row).
+    most_accurate_prefix: Vec<(usize, usize)>,
+    /// The `MaxMae` fallback: the first feasible row with the lowest MAE
+    /// under `total_cmp`.
+    most_accurate: Option<usize>,
+    /// The `MaxEnergy` fallback: the first feasible row, the cheapest.
+    cheapest: Option<usize>,
+}
+
+/// Whether `profile` can run while the link has `status`: hybrid
+/// configurations need the phone.
+fn is_feasible(profile: &ConfigurationProfile, status: ConnectionStatus) -> bool {
+    match status {
+        ConnectionStatus::Connected => true,
+        ConnectionStatus::Disconnected => profile.configuration.target == ExecutionTarget::Local,
+    }
+}
+
+impl SelectionIndex {
+    /// Indexes the rows of the energy-sorted `profiles` feasible under
+    /// `status`.
+    fn new(profiles: &[ConfigurationProfile], status: ConnectionStatus) -> Self {
+        let lower_mae = |row: usize, than: usize| {
+            profiles[row]
+                .mae_bpm
+                .total_cmp(&profiles[than].mae_bpm)
+                .is_lt()
+        };
+        let mut index = Self::default();
+        for (row, profile) in profiles.iter().enumerate() {
+            if !is_feasible(profile, status) {
+                continue;
+            }
+            index.cheapest.get_or_insert(row);
+            if index.most_accurate.is_none_or(|best| lower_mae(row, best)) {
+                index.most_accurate = Some(row);
+            }
+            let mae = profile.mae_bpm;
+            if !mae.is_nan()
+                && index
+                    .mae_records
+                    .last()
+                    .is_none_or(|&(record, _)| mae < record)
+            {
+                index.mae_records.push((mae, row));
+            }
+            let energy = profile.watch_energy.as_microjoules();
+            if !energy.is_nan() {
+                if index
+                    .most_accurate_prefix
+                    .last()
+                    .is_none_or(|&(_, best)| lower_mae(row, best))
+                {
+                    index.most_accurate_prefix.push((index.energies.len(), row));
+                }
+                index.energies.push(energy);
+            }
+        }
+        index
+    }
+
+    /// The cheapest row whose MAE is `<=` `max_mae`.
+    fn cheapest_within(&self, max_mae: f32) -> Option<usize> {
+        // Records are never NaN, so only a NaN bound is incomparable, and
+        // it admits nothing.
+        let first = self.mae_records.partition_point(|&(mae, _)| {
+            mae.partial_cmp(&max_mae)
+                .is_none_or(std::cmp::Ordering::is_gt)
+        });
+        self.mae_records.get(first).map(|&(_, row)| row)
+    }
+
+    /// The most accurate row whose energy is `<=` `budget`.
+    fn most_accurate_within(&self, budget: Energy) -> Option<usize> {
+        let budget = budget.as_microjoules();
+        let admitted = self.energies.partition_point(|&energy| energy <= budget);
+        let changes = self
+            .most_accurate_prefix
+            .partition_point(|&(position, _)| position < admitted);
+        self.most_accurate_prefix[..changes]
+            .last()
+            .map(|&(_, row)| row)
+    }
 }
 
 impl DecisionEngine {
     /// Creates the engine from a profiled table. The table is (re)sorted by
-    /// smartwatch energy so selections are single-pass.
+    /// smartwatch energy and indexed, so every selection is a binary search.
     ///
     /// Ordering uses `total_cmp`, so a NaN in a profiled MAE or energy (a
-    /// corrupted table entry) sorts deterministically to the end of the table
+    /// corrupted table entry) sorts deterministically to an end of the table
     /// instead of silently scrambling it.
     pub fn new(mut profiles: Vec<ConfigurationProfile>) -> Self {
         profiles.sort_by(|a, b| {
@@ -165,24 +286,25 @@ impl DecisionEngine {
                 .total_cmp(&b.watch_energy.as_microjoules())
                 .then(a.mae_bpm.total_cmp(&b.mae_bpm))
         });
+        let index = ConnectionStatus::ALL.map(|status| SelectionIndex::new(&profiles, status));
         Self {
-            profiles: Arc::new(profiles),
+            table: Arc::new(Table { profiles, index }),
         }
     }
 
     /// The stored profiles, sorted by increasing smartwatch energy.
     pub fn profiles(&self) -> &[ConfigurationProfile] {
-        &self.profiles
+        &self.table.profiles
     }
 
     /// Number of stored configurations.
     pub fn len(&self) -> usize {
-        self.profiles.len()
+        self.table.profiles.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
+        self.table.profiles.is_empty()
     }
 
     /// The configurations feasible under the given connection status.
@@ -190,10 +312,9 @@ impl DecisionEngine {
         &self,
         status: ConnectionStatus,
     ) -> impl Iterator<Item = &ConfigurationProfile> {
-        self.profiles.iter().filter(move |p| match status {
-            ConnectionStatus::Connected => true,
-            ConnectionStatus::Disconnected => p.configuration.target == ExecutionTarget::Local,
-        })
+        self.profiles()
+            .iter()
+            .filter(move |p| is_feasible(p, status))
     }
 
     /// Selects the configuration satisfying the constraint, or `None` when no
@@ -212,20 +333,12 @@ impl DecisionEngine {
         constraint: &UserConstraint,
         status: ConnectionStatus,
     ) -> Option<&ConfigurationProfile> {
-        match *constraint {
-            UserConstraint::MaxMae(max_mae) => self
-                .feasible(status)
-                .filter(|p| p.mae_bpm <= max_mae)
-                .min_by(|a, b| {
-                    a.watch_energy
-                        .as_microjoules()
-                        .total_cmp(&b.watch_energy.as_microjoules())
-                }),
-            UserConstraint::MaxEnergy(max_energy) => self
-                .feasible(status)
-                .filter(|p| p.watch_energy <= max_energy)
-                .min_by(|a, b| a.mae_bpm.total_cmp(&b.mae_bpm)),
-        }
+        let index = &self.table.index[status.index()];
+        let row = match *constraint {
+            UserConstraint::MaxMae(max_mae) => index.cheapest_within(max_mae),
+            UserConstraint::MaxEnergy(budget) => index.most_accurate_within(budget),
+        }?;
+        Some(&self.table.profiles[row])
     }
 
     /// Selects the configuration satisfying the constraint, falling back to
@@ -248,24 +361,31 @@ impl DecisionEngine {
         status: ConnectionStatus,
     ) -> Result<&ConfigurationProfile, ChrisError> {
         constraint.validate()?;
-        if self.profiles.is_empty() {
+        self.select_or_closest_valid(constraint, status)
+    }
+
+    /// [`DecisionEngine::select_or_closest`] for a validated constraint.
+    fn select_or_closest_valid(
+        &self,
+        constraint: &UserConstraint,
+        status: ConnectionStatus,
+    ) -> Result<&ConfigurationProfile, ChrisError> {
+        if self.is_empty() {
             return Err(ChrisError::EmptyProfileTable);
         }
-        if let Some(found) = self.select(constraint, status) {
-            return Ok(found);
-        }
-        let fallback = match *constraint {
-            UserConstraint::MaxMae(_) => self
-                .feasible(status)
-                .min_by(|a, b| a.mae_bpm.total_cmp(&b.mae_bpm)),
-            UserConstraint::MaxEnergy(_) => self.feasible(status).min_by(|a, b| {
-                a.watch_energy
-                    .as_microjoules()
-                    .total_cmp(&b.watch_energy.as_microjoules())
-            }),
+        let index = &self.table.index[status.index()];
+        let row = match *constraint {
+            UserConstraint::MaxMae(max_mae) => {
+                index.cheapest_within(max_mae).or(index.most_accurate)
+            }
+            UserConstraint::MaxEnergy(budget) => {
+                index.most_accurate_within(budget).or(index.cheapest)
+            }
         };
-        fallback.ok_or_else(|| ChrisError::NoFeasibleConfiguration {
-            request: format!("{constraint} with {status:?} link"),
+        row.map(|row| &self.table.profiles[row]).ok_or_else(|| {
+            ChrisError::NoFeasibleConfiguration {
+                request: format!("{constraint} with {status:?} link"),
+            }
         })
     }
 
@@ -285,7 +405,7 @@ impl DecisionEngine {
         constraint.validate()?;
         Ok(LinkPlan {
             selections: ConnectionStatus::ALL.map(|status| {
-                self.select_or_closest(constraint, status)
+                self.select_or_closest_valid(constraint, status)
                     .map(|profile| profile.configuration)
             }),
         })
@@ -299,6 +419,38 @@ impl DecisionEngine {
             (p.watch_energy.as_microjoules(), f64::from(p.mae_bpm))
         });
         front.into_iter().map(|i| feasible[i]).collect()
+    }
+}
+
+impl PartialEq for DecisionEngine {
+    fn eq(&self, other: &Self) -> bool {
+        self.profiles() == other.profiles()
+    }
+}
+
+impl std::fmt::Debug for DecisionEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DecisionEngine")
+            .field("profiles", &self.profiles())
+            .finish()
+    }
+}
+
+impl Serialize for DecisionEngine {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("profiles".to_string(), self.profiles().to_value())])
+    }
+}
+
+/// Goes through [`DecisionEngine::new`], so a table stored in any order
+/// loads sorted and indexed.
+impl Deserialize for DecisionEngine {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let map = value
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct `DecisionEngine`"))?;
+        let profiles = Vec::from_value(serde::map_field(map, "profiles")?)?;
+        Ok(Self::new(profiles))
     }
 }
 

@@ -96,11 +96,14 @@ pub(crate) fn add_invocations(model: ModelKind, count: u64) {
 /// predictions per model, indexed by [`ModelKind::index`].
 ///
 /// [`ChrisRuntime::run_totals`](crate::runtime::ChrisRuntime::run_totals)
-/// publishes through this after its loop. A caller that reuses an earlier
-/// run's [`RunTotals`](crate::RunTotals) instead of running the loop again
-/// calls it with the totals' `windows`, `offloaded` and `invocations`, so
-/// the Stable series read as if the run had repeated. The runtime stage is
-/// not observed: it times runs of the loop only.
+/// publishes through this after its loop. A caller that reuses earlier
+/// runs' [`RunTotals`](crate::RunTotals) instead of running the loop again
+/// calls it with the `windows`, `offloaded` and `invocations` of those
+/// runs, summed, so the Stable series read as if each run had repeated:
+/// the counters only add, so one call with the sums equals one call per
+/// run. The fleet executor calls it once per worker, at the worker's exit,
+/// for every run the worker reused. The runtime stage is not observed: it
+/// times runs of the loop only.
 pub fn record_run(windows: usize, offloaded: usize, invocations: [u64; ModelKind::ALL.len()]) {
     RunInstruments::with_active(|instruments| instruments.record(windows, offloaded, invocations));
 }

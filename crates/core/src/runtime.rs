@@ -5,15 +5,16 @@
 //! 1. reads the BLE connection status from the [`ConnectionSchedule`],
 //! 2. switches to the configuration its [`LinkPlan`] holds for that status,
 //!    which is how CHRIS reacts to link drops (the constraint is fixed for a
-//!    run, so [`DecisionEngine::plan`] searches the table once per status,
-//!    before the first window),
+//!    run, so [`DecisionEngine::plan`] looks each status up in the engine's
+//!    selection index once, before the first window),
 //! 3. runs the activity classifier (on the IMU's ML core in the real system,
 //!    so at zero MCU energy cost by default) to estimate the window
 //!    difficulty,
 //! 4. routes the window to the simple or the complex model of the pair and
 //!    executes it locally or offloads it over BLE,
 //! 5. charges the smartwatch (and, for offloaded windows, the phone) with the
-//!    corresponding energy and records the error.
+//!    corresponding energy, computed once per model before the first
+//!    window, and records the error.
 //!
 //! The loop keeps every tally in locals — windows, offloads, predictions per
 //! model — and touches no telemetry handle; the run's counters are published
@@ -213,6 +214,26 @@ impl ChrisRuntime {
         let mut simple = 0usize;
         let mut invocations = [0u64; ModelKind::ALL.len()];
 
+        // Each window's energy depends only on its model and whether it is
+        // offloaded, so it is computed once per model here. The loop charges
+        // these same values in the same order as computing them per window
+        // would, so every sum is bit-identical to that.
+        let accounting = self.options.accounting;
+        let offload_watch =
+            ModelKind::ALL.map(|model| profiler.window_watch_energy(model, true, accounting));
+        let offload_phone = ModelKind::ALL.map(|model| profiler.window_phone_energy(model));
+        let watch_platform = self.zoo.watch();
+        let local = ModelKind::ALL.map(|model| {
+            let workload = model.workload_watch();
+            let sleep_time = (period - watch_platform.execution_time(&workload)).max_zero();
+            (
+                watch_platform.compute_energy(&workload),
+                watch_platform.sleep_power * sleep_time,
+            )
+        });
+        // A zoo whose link is down rejects every offload.
+        let link = self.zoo.ble().offload_window().map(drop);
+
         let mut index = 0usize;
         // Resolves the series, registering them, on this thread's first run
         // under the active registry; the loop below counts into locals and
@@ -246,19 +267,13 @@ impl ChrisRuntime {
             }
             if offload {
                 offloaded += 1;
-                // A zoo whose link is down rejects the offload.
-                self.zoo.ble().offload_window()?;
-                watch.charge(
-                    PowerState::RadioTx,
-                    profiler.window_watch_energy(model, true, self.options.accounting),
-                );
-                phone_energy += profiler.window_phone_energy(model);
+                link.clone()?;
+                watch.charge(PowerState::RadioTx, offload_watch[model.index()]);
+                phone_energy += offload_phone[model.index()];
             } else {
-                let compute_time = self.zoo.watch().execution_time(&model.workload_watch());
-                let compute_energy = self.zoo.watch().compute_energy(&model.workload_watch());
-                watch.charge(PowerState::Compute, compute_energy);
-                let sleep_time = (period - compute_time).max_zero();
-                watch.charge(PowerState::Sleep, self.zoo.watch().sleep_power * sleep_time);
+                let (compute, sleep) = local[model.index()];
+                watch.charge(PowerState::Compute, compute);
+                watch.charge(PowerState::Sleep, sleep);
             }
             index += 1;
             Ok(())

@@ -4,6 +4,7 @@
 
 use chris_core::prelude::*;
 use hw_sim::ble::ConnectionSchedule;
+use hw_sim::units::Energy;
 use ppg_data::DatasetBuilder;
 
 fn engine() -> (ModelZoo, DecisionEngine) {
@@ -51,6 +52,54 @@ fn decision_engine_round_trips_through_json() {
     assert_eq!(
         restored.pareto(ConnectionStatus::Disconnected).len(),
         engine.pareto(ConnectionStatus::Disconnected).len()
+    );
+}
+
+#[test]
+fn a_table_stored_in_any_order_loads_as_new_would_build_it() {
+    let (_, engine) = engine();
+    // The stored shape is the profile list under one key.
+    let json = serde_json::to_string(&engine).unwrap();
+    let profiles_json = serde_json::to_string(engine.profiles()).unwrap();
+    assert_eq!(json, format!("{{\"profiles\":{profiles_json}}}"));
+
+    // A table edited or written by hand in another order.
+    let mut shuffled = engine.profiles().to_vec();
+    shuffled.reverse();
+    shuffled.rotate_left(7);
+    let stored = format!(
+        "{{\"profiles\":{}}}",
+        serde_json::to_string(&shuffled).unwrap()
+    );
+    let restored: DecisionEngine = serde_json::from_str(&stored).unwrap();
+    let built = DecisionEngine::new(shuffled);
+    // Rows tied on energy and MAE keep their stored order, so the engine
+    // equals one built from the same list, not necessarily `engine`.
+    assert_eq!(restored, built);
+    for pair in restored.profiles().windows(2) {
+        assert!(pair[0].watch_energy <= pair[1].watch_energy);
+    }
+    let constraints = [5.0f32, 5.6, 7.2, 12.0]
+        .map(UserConstraint::MaxMae)
+        .into_iter()
+        .chain(
+            [0.2, 0.35, 0.6, 5.0].map(|mj| UserConstraint::MaxEnergy(Energy::from_millijoules(mj))),
+        );
+    for constraint in constraints {
+        for status in ConnectionStatus::ALL {
+            let pick = |engine: &DecisionEngine| {
+                engine
+                    .select_or_closest(&constraint, status)
+                    .map(|p| p.configuration)
+            };
+            assert_eq!(pick(&restored), pick(&built), "{constraint} {status:?}");
+        }
+        assert_eq!(restored.plan(&constraint), built.plan(&constraint));
+    }
+    // Saving the loaded engine writes the sorted table.
+    assert_eq!(
+        serde_json::to_string(&restored).unwrap(),
+        serde_json::to_string(&built).unwrap()
     );
 }
 

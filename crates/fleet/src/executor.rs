@@ -297,15 +297,18 @@ impl From<&RunTotals> for DeviceRun {
 /// the schedule reaches within the slot's windows
 /// ([`ConnectionSchedule::reaches`]) — runs the window loop on that plan,
 /// and every later device with that key, in any worker, rebuilds its report
-/// from the stored result and republishes the run's Stable counts. Reports,
-/// Stable telemetry and returned errors are those of running every device;
+/// from the stored result. The worker adds each reused run's Stable counts
+/// to a tally that it publishes once, when it exits, through
+/// [`chris_core::metrics::record_run`]. Reports, Stable telemetry and
+/// returned errors are those of running every device;
 /// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only. A
 /// device whose plan fails, or whose plan failed for a reachable status,
 /// counts as a miss and gets no key: the latter runs unmemoized, so the
-/// runtime raises the error itself. The memo holds one entry per distinct
-/// key, a count the mix bounds (slots, schedules, accounting modes and the
-/// engine's configurations are all finite) whatever the device count, and
-/// is dropped when the call returns.
+/// runtime raises the error itself. The memo keeps one map per pool slot,
+/// so a lookup searches and locks only its slot's keys. It holds one entry
+/// per distinct key, a count the mix bounds (slots, schedules, accounting
+/// modes and the engine's configurations are all finite) whatever the
+/// device count, and is dropped when the call returns.
 /// Such a run publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that
 /// ran the loop (those of higher slots included), a hit per reuse, so a
 /// successful run counts the same at any thread count.
@@ -338,7 +341,7 @@ pub fn run_fleet_range(
         PoolEvents::default().publish(&active);
     }
     let cursor = AtomicU64::new(0);
-    let memo = RunMemo::default();
+    let memo = RunMemo::new(simulation.sessions.len());
     let worker = || {
         // One registry and one set of pool counts per worker: counters
         // merge once at worker exit.
@@ -365,6 +368,7 @@ pub fn run_fleet_range(
             }
         }
         if pooled {
+            events.reused.publish();
             events.publish(&registry);
         }
         active
@@ -430,8 +434,8 @@ fn simulate_in(
     };
     let run = match engine.plan(&scenario.constraint) {
         Ok(plan) => {
-            let key = RunKey::new(slot, &scenario, &plan, session.len());
-            memo.run(key, &mut events.memo, || {
+            let key = RunKey::new(&scenario, &plan, session.len());
+            memo.run(slot, key, events, || {
                 run_device(&scenario, zoo, engine, &plan, BufferWindows::new(session))
             })
         }
@@ -460,12 +464,43 @@ struct Events {
     misses: u64,
 }
 
-/// One worker's pool-slot and run-memo lookups, published once when it
-/// exits.
+/// One worker's pool-slot and run-memo lookups and the runs it reused,
+/// published once when it exits.
 #[derive(Default)]
 struct PoolEvents {
     cache: Events,
     memo: Events,
+    reused: ReusedRuns,
+}
+
+/// The Stable counts of the memoized runs one worker reused, summed.
+#[derive(Default)]
+struct ReusedRuns {
+    windows: usize,
+    offloaded: usize,
+    /// Indexed by [`ModelKind::index`].
+    invocations: [u64; ModelKind::ALL.len()],
+}
+
+impl ReusedRuns {
+    fn add(&mut self, run: &DeviceRun) {
+        self.windows += run.windows;
+        self.offloaded += run.offloaded;
+        for (sum, count) in self.invocations.iter_mut().zip(run.invocations) {
+            *sum += count;
+        }
+    }
+
+    /// Publishes the sums into the thread's active registry in one
+    /// [`chris_core::metrics::record_run`], so the Stable series read as if
+    /// each reused run had repeated. A worker that reused no run publishes
+    /// nothing, as a worker that ran no loop registers no run series (a
+    /// successful run has at least one window).
+    fn publish(&self) {
+        if self.windows > 0 {
+            chris_core::metrics::record_run(self.windows, self.offloaded, self.invocations);
+        }
+    }
 }
 
 impl PoolEvents {
@@ -500,11 +535,11 @@ impl PoolEvents {
 }
 
 /// Everything a pooled device's run depends on besides the simulation's
-/// zoo and engine: the slot fixes the session and the estimator seed, and
-/// the constraint matters only through the configurations it selects.
+/// zoo and engine and its pool slot (which fixes the session and the
+/// estimator seed, and picks the memo's map): the constraint matters only
+/// through the configurations it selects.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct RunKey {
-    slot: u64,
     schedule: ConnectionSchedule,
     accounting: EnergyAccounting,
     /// The device's [`LinkPlan`] masked by [`ConnectionSchedule::reaches`]:
@@ -519,10 +554,9 @@ impl RunKey {
     /// `windows`-window session. `None` when a reachable status's selection
     /// failed: such a device runs unmemoized, so the runtime reports the
     /// error in its own order.
-    fn new(slot: u64, scenario: &DeviceScenario, plan: &LinkPlan, windows: usize) -> Option<Self> {
+    fn new(scenario: &DeviceScenario, plan: &LinkPlan, windows: usize) -> Option<Self> {
         let selections = plan.masked(scenario.schedule.reaches(windows)).ok()?;
         Some(Self {
-            slot,
             schedule: scenario.schedule.clone(),
             accounting: scenario.accounting,
             selections,
@@ -535,31 +569,45 @@ impl RunKey {
 /// and tagged with each reading device's id.
 type MemoCell = OnceLock<Result<DeviceRun, ChrisError>>;
 
-/// The run memo of one [`run_fleet_range`] call, shared by its workers.
+/// One pool slot's memoized runs, by key.
+type SlotMemo = Mutex<BTreeMap<RunKey, Arc<MemoCell>>>;
+
+/// The run memo of one [`run_fleet_range`] call, shared by its workers:
+/// one map per pool slot, each behind its own lock.
 ///
-/// The lock is held only to get or insert a key's cell; the run fills the
-/// cell outside it, so a worker waits only on a run of its own key.
-#[derive(Default)]
+/// A lock is held only to get or insert a key's cell; the run fills the
+/// cell outside it, so a worker waits only on a run of its own key, and
+/// workers on different slots never contend.
 struct RunMemo {
-    cells: Mutex<BTreeMap<RunKey, Arc<MemoCell>>>,
+    /// Indexed by pool slot.
+    slots: Box<[SlotMemo]>,
 }
 
 impl RunMemo {
-    /// The result of the run keyed `key`: computed by `run` for the first
-    /// device with the key (and for every device without one), otherwise
-    /// reused with its Stable counts republished. Counted in `events`.
+    /// An empty memo for `slots` pool slots.
+    fn new(slots: usize) -> Self {
+        Self {
+            slots: (0..slots).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// The result of the run keyed `key` in pool slot `slot`: computed by
+    /// `run` for the first device with the key (and for every device
+    /// without one), otherwise reused, its Stable counts added to
+    /// `events.reused`. Counted in `events.memo`.
     fn run(
         &self,
+        slot: usize,
         key: Option<RunKey>,
-        events: &mut Events,
+        events: &mut PoolEvents,
         run: impl FnOnce() -> Result<DeviceRun, ChrisError>,
     ) -> Result<DeviceRun, ChrisError> {
         let Some(key) = key else {
-            events.misses += 1;
+            events.memo.misses += 1;
             return run();
         };
         let cell = Arc::clone(
-            self.cells
+            self.slots[slot]
                 .lock()
                 .expect("the memo lock is held only to insert a cell, which cannot panic")
                 .entry(key)
@@ -571,11 +619,11 @@ impl RunMemo {
             run()
         });
         if ran {
-            events.misses += 1;
+            events.memo.misses += 1;
         } else {
-            events.hits += 1;
+            events.memo.hits += 1;
             if let Ok(run) = result {
-                chris_core::metrics::record_run(run.windows, run.offloaded, run.invocations);
+                events.reused.add(run);
             }
         }
         result.clone()
@@ -601,6 +649,11 @@ impl PoolSessions {
         Self { slots }
     }
 
+    /// The number of slots held.
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
     /// The slot of `scenario` in a `pool`-slot mix and the slot's session,
     /// filled on first use, lookup counted in `events`. `None` (a miss)
     /// when the device has no slot or the fill failed: it then streams
@@ -611,9 +664,12 @@ impl PoolSessions {
         pool: u64,
         scenario: &DeviceScenario,
         events: &mut Events,
-    ) -> Option<(u64, Arc<[LabeledWindow]>)> {
-        let slot = scenario.device_id.checked_rem(pool);
-        let cell = slot.and_then(|slot| self.slots.get(usize::try_from(slot).ok()?));
+    ) -> Option<(usize, Arc<[LabeledWindow]>)> {
+        let slot = scenario
+            .device_id
+            .checked_rem(pool)
+            .and_then(|slot| usize::try_from(slot).ok());
+        let cell = slot.and_then(|slot| self.slots.get(slot));
         let mut filled = false;
         let session = cell.and_then(|cell| {
             cell.get_or_init(|| {
@@ -845,7 +901,7 @@ mod tests {
         simulation: &FleetSimulation,
         range: Range<u64>,
     ) -> (Vec<Result<DeviceReport, FleetError>>, PoolEvents) {
-        let memo = RunMemo::default();
+        let memo = RunMemo::new(simulation.sessions.len());
         let mut events = PoolEvents::default();
         let results = range
             .map(|id| simulate_in(simulation, id, None, &memo, &mut events))

@@ -296,14 +296,14 @@ fn synthesis_profile(rng: &mut StdRng, mix: &ScenarioMix) -> (f32, Vec<Activity>
     };
     // Partial Fisher-Yates: pick `count` distinct activities, then keep
     // them in difficulty order so HR trajectories chain canonically.
-    let mut pool: Vec<usize> = (0..Activity::ALL.len()).collect();
+    let mut pool: [usize; Activity::COUNT] = std::array::from_fn(|i| i);
     for i in 0..count {
         let j = rng.random_range(i..pool.len());
         pool.swap(i, j);
     }
-    let mut chosen = pool[..count].to_vec();
+    let chosen = &mut pool[..count];
     chosen.sort_unstable();
-    let activities: Vec<Activity> = chosen.into_iter().map(|i| Activity::ALL[i]).collect();
+    let activities: Vec<Activity> = chosen.iter().map(|&i| Activity::ALL[i]).collect();
 
     let dataset_seed: u64 = rng.random();
     (seconds_per_activity, activities, dataset_seed)
