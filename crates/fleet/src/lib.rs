@@ -42,9 +42,9 @@
 //!   projected battery-life distributions, an offload-fraction histogram and
 //!   constraint-violation counts, all serializable via serde. Aggregation is
 //!   incremental — [`FleetAccumulator`] folds device reports one at a time,
-//!   and [`FleetReport::from_devices`] is that fold over a slice. Sketch
-//!   mode folds into append-only [`QuantileSketch`]es pinned to fold
-//!   position,
+//!   and [`FleetReport::from_devices`] is that fold over a slice. Both
+//!   report modes fold into append-only [`QuantileSketch`]es pinned to fold
+//!   position; exact mode's are unbounded and never compact,
 //! * [`shard`] / [`merge`](mod@merge) — scale-out: a [`ShardSpec`] cuts the
 //!   device-id range into contiguous shards that can run on any process or
 //!   host, each producing a serializable [`ShardReport`] artifact;

@@ -13,14 +13,18 @@
 //! id-ordered shard artifacts through the same accumulator, no matter how
 //! many *processes or hosts* produced them either.
 //!
-//! Aggregation runs in one of two [`ReportMode`]s:
+//! Each quantity streams into a deterministic
+//! [`crate::sketch::QuantileSketch`]; the [`ReportMode`] only picks its
+//! capacity:
 //!
-//! * [`ReportMode::Exact`] (the default): percentiles are exact nearest-rank
-//!   order statistics with the rank computed in integer arithmetic
-//!   ([`DistributionSummary::nearest_rank_index`]), at the cost of three
-//!   `f64` samples retained per device — O(devices) memory,
-//! * [`ReportMode::Sketch`]: each quantity streams into a deterministic
-//!   [`crate::sketch::QuantileSketch`], so the accumulator retains
+//! * [`ReportMode::Exact`] (the default): a sketch of unbounded capacity,
+//!   which never compacts, so percentiles are exact nearest-rank order
+//!   statistics with the rank computed in integer arithmetic
+//!   ([`DistributionSummary::nearest_rank_index`]), at the cost of three raw
+//!   `f64` values retained per device — O(devices) memory. There is no
+//!   separate sample vector,
+//! * [`ReportMode::Sketch`]: a sketch of
+//!   [`crate::sketch::DEFAULT_SKETCH_CAPACITY`], so the accumulator retains
 //!   O(capacity · log devices) samples and the report's percentiles carry a
 //!   surfaced worst-case rank-error bound ([`SketchInfo`]). Sketch-mode
 //!   reports keep the same byte-identity guarantee: the merge layer folds
@@ -36,8 +40,8 @@ use serde::{Deserialize, Serialize};
 use telemetry::Stability;
 
 use crate::sketch::{
-    QuantileSketch, SKETCH_COMPACTIONS_HELP, SKETCH_COMPACTIONS_SERIES, SKETCH_RETAINED_HELP,
-    SKETCH_RETAINED_SERIES,
+    QuantileSketch, DEFAULT_SKETCH_CAPACITY, SKETCH_COMPACTIONS_HELP, SKETCH_COMPACTIONS_SERIES,
+    SKETCH_RETAINED_HELP, SKETCH_RETAINED_SERIES,
 };
 
 /// Number of bins of the offload-fraction histogram (equal width over
@@ -48,8 +52,9 @@ pub const OFFLOAD_HISTOGRAM_BINS: usize = 10;
 /// docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReportMode {
-    /// Exact nearest-rank order statistics; three `f64` samples retained per
-    /// device. The default.
+    /// Exact nearest-rank order statistics: a [`QuantileSketch`] of
+    /// unbounded capacity, which never compacts and keeps three raw `f64`
+    /// values per device (no separate sample vector). The default.
     #[default]
     Exact,
     /// Deterministic quantile sketches; O(log devices) retained
@@ -170,7 +175,9 @@ pub struct DistributionSummary {
 
 impl DistributionSummary {
     /// Zero-based index of the nearest-rank `p`th percentile in a sorted
-    /// sample of `n` values, computed exactly: `ceil(p * n / 100) - 1`.
+    /// sample of `n` values, computed exactly: `ceil(p * n / 100) - 1`. The
+    /// one rank formula: [`QuantileSketch`] percentiles use it in both
+    /// report modes.
     ///
     /// The arithmetic is pure integer math (`div_ceil`), never floating
     /// point. The previous `(p / 100.0 * n as f64).ceil()` formulation is an
@@ -190,24 +197,6 @@ impl DistributionSummary {
         usize::try_from(rank - 1)
             .unwrap_or(usize::MAX)
             .min(n.saturating_sub(1))
-    }
-
-    /// Summarizes a non-empty sample; `None` for an empty one.
-    pub fn from_values(values: &[f64]) -> Option<Self> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = |p: u32| sorted[Self::nearest_rank_index(p, sorted.len())];
-        Some(Self {
-            min: sorted[0],
-            mean: values.iter().sum::<f64>() / values.len() as f64,
-            p50: rank(50),
-            p90: rank(90),
-            p99: rank(99),
-            max: sorted[sorted.len() - 1],
-        })
     }
 }
 
@@ -251,10 +240,10 @@ fn offload_bin(fraction: f32) -> usize {
 /// to [`FleetReport::from_devices`] over the same sequence (which is itself
 /// implemented as a fold through this type, so the two can never drift).
 ///
-/// The accumulator keeps only what the final report needs — in
-/// [`ReportMode::Exact`] three `f64` order-statistic samples per device
-/// (MAE, watch energy, battery life), in [`ReportMode::Sketch`] three
-/// O(log devices) [`QuantileSketch`]es — plus fixed-size running reductions,
+/// The accumulator keeps only what the final report needs — three
+/// [`QuantileSketch`]es (MAE, watch energy, battery life), holding every raw
+/// value in [`ReportMode::Exact`] and O(log devices) samples in
+/// [`ReportMode::Sketch`] — plus fixed-size running reductions,
 /// never the `DeviceReport`s themselves. That is what lets
 /// [`crate::merge`](mod@crate::merge) consume shard artifacts incrementally:
 /// each artifact is folded and dropped, and peak memory is one artifact plus
@@ -266,7 +255,10 @@ fn offload_bin(fraction: f32) -> usize {
 /// (see [`crate::sketch`]).
 #[derive(Debug, Clone)]
 pub struct FleetAccumulator {
-    samples: SampleStore,
+    mode: ReportMode,
+    maes: QuantileSketch,
+    watch_energies: QuantileSketch,
+    battery_lives: QuantileSketch,
     total_windows: usize,
     offloaded_windows: f64,
     disconnected_windows: f64,
@@ -293,41 +285,6 @@ fn tally_map<K: ToString>(keys: &[K], counts: &[usize]) -> BTreeMap<String, usiz
         .collect()
 }
 
-/// Per-quantity sample storage of one [`FleetAccumulator`], switched by
-/// [`ReportMode`].
-#[derive(Debug, Clone)]
-enum SampleStore {
-    /// Full order-statistic samples: O(devices) memory, exact percentiles.
-    Exact {
-        maes: Vec<f64>,
-        watch_energies: Vec<f64>,
-        battery_lives: Vec<f64>,
-    },
-    /// Quantile sketches: O(log devices) memory, bounded rank error.
-    Sketch {
-        maes: QuantileSketch,
-        watch_energies: QuantileSketch,
-        battery_lives: QuantileSketch,
-    },
-}
-
-impl SampleStore {
-    fn new(mode: ReportMode) -> Self {
-        match mode {
-            ReportMode::Exact => Self::Exact {
-                maes: Vec::new(),
-                watch_energies: Vec::new(),
-                battery_lives: Vec::new(),
-            },
-            ReportMode::Sketch => Self::Sketch {
-                maes: QuantileSketch::new(),
-                watch_energies: QuantileSketch::new(),
-                battery_lives: QuantileSketch::new(),
-            },
-        }
-    }
-}
-
 impl FleetAccumulator {
     /// Creates an empty exact-mode accumulator; finalizing it immediately
     /// yields the same all-zero report as `FleetReport::from_devices(&[])`.
@@ -335,11 +292,19 @@ impl FleetAccumulator {
         Self::with_mode(ReportMode::Exact)
     }
 
-    /// Creates an empty accumulator in the given [`ReportMode`] (sketch mode
-    /// at [`crate::sketch::DEFAULT_SKETCH_CAPACITY`]).
+    /// Creates an empty accumulator in the given [`ReportMode`]: sketches
+    /// of unbounded capacity in exact mode, of [`DEFAULT_SKETCH_CAPACITY`]
+    /// in sketch mode.
     pub fn with_mode(mode: ReportMode) -> Self {
+        let capacity = match mode {
+            ReportMode::Exact => usize::MAX,
+            ReportMode::Sketch => DEFAULT_SKETCH_CAPACITY,
+        };
         Self {
-            samples: SampleStore::new(mode),
+            mode,
+            maes: QuantileSketch::with_capacity(capacity),
+            watch_energies: QuantileSketch::with_capacity(capacity),
+            battery_lives: QuantileSketch::with_capacity(capacity),
             total_windows: 0,
             offloaded_windows: 0.0,
             disconnected_windows: 0.0,
@@ -354,52 +319,35 @@ impl FleetAccumulator {
 
     /// The aggregation mode the accumulator was created in.
     pub fn mode(&self) -> ReportMode {
-        match &self.samples {
-            SampleStore::Exact { .. } => ReportMode::Exact,
-            SampleStore::Sketch { .. } => ReportMode::Sketch,
-        }
+        self.mode
     }
 
     /// The sketch annotation of the devices folded so far; `None` in exact
     /// mode. Read it before [`FleetAccumulator::finalize`], which consumes
     /// the accumulator.
     pub fn sketch_info(&self) -> Option<SketchInfo> {
-        match &self.samples {
-            SampleStore::Exact { .. } => None,
-            SampleStore::Sketch {
-                maes,
-                watch_energies,
-                battery_lives,
-            } => {
-                let max_rank_error = maes
-                    .rank_error_bound()
-                    .max(watch_energies.rank_error_bound())
-                    .max(battery_lives.rank_error_bound());
-                let count = maes.count();
-                Some(SketchInfo {
-                    max_rank_error,
-                    rank_error_fraction: if count == 0 {
-                        0.0
-                    } else {
-                        max_rank_error as f64 / count as f64
-                    },
-                    retained_samples: maes.retained()
-                        + watch_energies.retained()
-                        + battery_lives.retained(),
-                    compactions: maes.compactions()
-                        + watch_energies.compactions()
-                        + battery_lives.compactions(),
-                })
-            }
+        if self.mode == ReportMode::Exact {
+            return None;
         }
+        let sketches = [&self.maes, &self.watch_energies, &self.battery_lives];
+        let max_rank_error = sketches.iter().map(|s| s.rank_error_bound()).max();
+        let max_rank_error = max_rank_error.unwrap_or(0);
+        let count = self.maes.count();
+        Some(SketchInfo {
+            max_rank_error,
+            rank_error_fraction: if count == 0 {
+                0.0
+            } else {
+                max_rank_error as f64 / count as f64
+            },
+            retained_samples: sketches.iter().map(|s| s.retained()).sum(),
+            compactions: sketches.iter().map(|s| s.compactions()).sum(),
+        })
     }
 
     /// Number of devices folded so far.
     pub fn devices(&self) -> usize {
-        match &self.samples {
-            SampleStore::Exact { maes, .. } => maes.len(),
-            SampleStore::Sketch { maes, .. } => usize::try_from(maes.count()).unwrap_or(usize::MAX),
-        }
+        usize::try_from(self.maes.count()).unwrap_or(usize::MAX)
     }
 
     /// Total windows across the devices folded so far.
@@ -410,26 +358,10 @@ impl FleetAccumulator {
     /// Folds one device into the aggregate. Callers must push devices in
     /// id order to preserve the byte-identity of the finalized report.
     pub fn push(&mut self, device: &DeviceReport) {
-        match &mut self.samples {
-            SampleStore::Exact {
-                maes,
-                watch_energies,
-                battery_lives,
-            } => {
-                maes.push(f64::from(device.mae_bpm));
-                watch_energies.push(device.avg_watch_energy.as_microjoules());
-                battery_lives.push(device.battery_life_hours);
-            }
-            SampleStore::Sketch {
-                maes,
-                watch_energies,
-                battery_lives,
-            } => {
-                maes.insert(f64::from(device.mae_bpm));
-                watch_energies.insert(device.avg_watch_energy.as_microjoules());
-                battery_lives.insert(device.battery_life_hours);
-            }
-        }
+        self.maes.insert(f64::from(device.mae_bpm));
+        self.watch_energies
+            .insert(device.avg_watch_energy.as_microjoules());
+        self.battery_lives.insert(device.battery_life_hours);
         self.total_windows += device.windows;
         self.offloaded_windows += f64::from(device.offload_fraction) * device.windows as f64;
         self.disconnected_windows +=
@@ -491,33 +423,13 @@ impl FleetAccumulator {
                 .expect("sketch gauge registration cannot fail")
                 .set_max(i64::try_from(info.retained_samples).unwrap_or(i64::MAX));
         }
-        let devices = self.devices();
-        let (mae_bpm, watch_energy_uj, battery_life_hours) = match &self.samples {
-            SampleStore::Exact {
-                maes,
-                watch_energies,
-                battery_lives,
-            } => (
-                DistributionSummary::from_values(maes),
-                DistributionSummary::from_values(watch_energies),
-                DistributionSummary::from_values(battery_lives),
-            ),
-            SampleStore::Sketch {
-                maes,
-                watch_energies,
-                battery_lives,
-            } => (
-                maes.summary(),
-                watch_energies.summary(),
-                battery_lives.summary(),
-            ),
-        };
+        let summary = |sketch: &QuantileSketch| sketch.summary().unwrap_or(EMPTY_SUMMARY);
         let mut report = FleetReport {
-            devices,
+            devices: self.devices(),
             total_windows: self.total_windows,
-            mae_bpm: mae_bpm.unwrap_or(EMPTY_SUMMARY),
-            watch_energy_uj: watch_energy_uj.unwrap_or(EMPTY_SUMMARY),
-            battery_life_hours: battery_life_hours.unwrap_or(EMPTY_SUMMARY),
+            mae_bpm: summary(&self.maes),
+            watch_energy_uj: summary(&self.watch_energies),
+            battery_life_hours: summary(&self.battery_lives),
             offload_histogram: self.offload_histogram,
             offloaded_window_share: 0.0,
             disconnected_window_share: 0.0,
@@ -663,17 +575,24 @@ mod tests {
         }
     }
 
+    /// The exact-mode summary of `values`: an unbounded sketch's.
+    fn exact_summary(values: &[f64]) -> Option<DistributionSummary> {
+        let mut sketch = QuantileSketch::with_capacity(usize::MAX);
+        values.iter().for_each(|&v| sketch.insert(v));
+        sketch.summary()
+    }
+
     #[test]
     fn distribution_summary_orders_percentiles() {
         let values: Vec<f64> = (1..=100).map(f64::from).collect();
-        let d = DistributionSummary::from_values(&values).unwrap();
+        let d = exact_summary(&values).unwrap();
         assert_eq!(d.min, 1.0);
         assert_eq!(d.max, 100.0);
         assert_eq!(d.p50, 50.0);
         assert_eq!(d.p90, 90.0);
         assert_eq!(d.p99, 99.0);
         assert!((d.mean - 50.5).abs() < 1e-12);
-        assert!(DistributionSummary::from_values(&[]).is_none());
+        assert!(exact_summary(&[]).is_none());
     }
 
     #[test]
@@ -682,12 +601,12 @@ mod tests {
         // value, never the max. A float formulation that rounds the product
         // up by one epsilon would return 10.0 (n=10) / 20.0 (n=20) here.
         let values: Vec<f64> = (1..=10).map(f64::from).collect();
-        let d = DistributionSummary::from_values(&values).unwrap();
+        let d = exact_summary(&values).unwrap();
         assert_eq!(d.p90, 9.0);
         assert_eq!(d.p50, 5.0);
         assert_eq!(d.p99, 10.0);
         let values: Vec<f64> = (1..=20).map(f64::from).collect();
-        let d = DistributionSummary::from_values(&values).unwrap();
+        let d = exact_summary(&values).unwrap();
         assert_eq!(d.p90, 18.0);
         assert_eq!(d.p50, 10.0);
         assert_eq!(d.p99, 20.0);

@@ -260,9 +260,10 @@ impl DeviceScenario {
     }
 }
 
-/// SplitMix64 finalizer: decorrelates consecutive inputs into independent
-/// 64-bit streams.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a well-mixed pure function of its input. It
+/// decorrelates consecutive device ids into independent scenario streams and
+/// derives each sketch combine's keep offset from its position.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

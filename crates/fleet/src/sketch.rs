@@ -2,8 +2,15 @@
 //!
 //! [`QuantileSketch`] summarizes one per-device quantity (MAE, watch energy,
 //! battery life) in O(capacity · log(devices / capacity)) memory instead of
-//! the O(devices) sample vector exact aggregation keeps, with a *surfaced*
-//! worst-case rank-error bound ([`QuantileSketch::rank_error_bound`]).
+//! O(devices) raw values, with a *surfaced* worst-case rank-error bound
+//! ([`QuantileSketch::rank_error_bound`]).
+//!
+//! It is also the exact summary. A sketch whose first block never fills
+//! compacts nothing: every value stays raw at weight 1, the bound is zero and
+//! each percentile is the exact nearest-rank order statistic
+//! ([`DistributionSummary::nearest_rank_index`]). [`crate::ReportMode::Exact`]
+//! is such a sketch, of capacity `usize::MAX`, so both report modes share one
+//! order-statistics path and exact mode keeps no separate sample vector.
 //!
 //! ## Why not a textbook KLL compactor
 //!
@@ -45,6 +52,7 @@
 //! devices in a few thousand retained samples at ~2 % worst-case rank error.
 
 use crate::report::DistributionSummary;
+use crate::scenario::splitmix64;
 
 /// Default per-quantity sketch capacity (`k`): the block size of the dyadic
 /// hierarchy and the number of values every compacted node retains.
@@ -69,16 +77,6 @@ pub const SKETCH_RETAINED_HELP: &str =
 /// Fixed seed of the deterministic keep-offset choice. Never configurable:
 /// reports are only reproducible because every run agrees on it.
 const COMPACTION_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: a well-mixed pure function of its input, used to
-/// derive each combine's keep-offset from the node's absolute position.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One compacted node of the dyadic hierarchy: a sorted, fixed-size summary
 /// of `2^level` consecutive blocks.
@@ -131,7 +129,9 @@ impl QuantileSketch {
     /// Creates an empty sketch with block size / node capacity `capacity`.
     ///
     /// Larger capacities retain more samples and tighten the rank-error
-    /// bound (`≈ log2(n/k) / (2k)` of the population).
+    /// bound (`≈ log2(n/k) / (2k)` of the population). At `usize::MAX` the
+    /// first block never fills, so the sketch is exact. The partial block
+    /// preallocates at most [`DEFAULT_SKETCH_CAPACITY`] values.
     ///
     /// # Panics
     ///
@@ -144,7 +144,7 @@ impl QuantileSketch {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             compactions: 0,
-            partial: Vec::with_capacity(capacity),
+            partial: Vec::with_capacity(capacity.min(DEFAULT_SKETCH_CAPACITY)),
             nodes: Vec::new(),
         }
     }
@@ -161,7 +161,8 @@ impl QuantileSketch {
 
     /// Values currently retained (the raw partial block plus compacted node
     /// buffers) — the sketch's memory footprint in samples. For `n` values
-    /// this is O(capacity · log(n / capacity)), not O(n).
+    /// this is O(capacity · log(n / capacity)), not O(n), once the first
+    /// block has filled.
     pub fn retained(&self) -> usize {
         self.partial.len() + self.nodes.iter().map(|n| n.values.len()).sum::<usize>()
     }
@@ -198,34 +199,45 @@ impl QuantileSketch {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Mean: per-node sums folded in position order, then the partial
-    /// block's sum, divided by the count. Deterministic for a given
-    /// insertion sequence.
+    /// Mean: per-node sums in position order plus the partial block's sum
+    /// in insertion order, divided by the count. Deterministic for a given
+    /// insertion sequence; with nothing compacted it is `Σ values / n`.
     pub fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
-        let mut total = self.nodes.iter().fold(0.0, |acc, node| acc + node.sum);
-        if !self.partial.is_empty() {
-            total += self.partial.iter().sum::<f64>();
-        }
+        // `Sum for f64` starts from −0.0, the additive identity: a leading
+        // `0.0 +` would turn the mean of an all-−0.0 sample into +0.0.
+        let nodes = self.nodes.iter().map(|node| node.sum).sum::<f64>();
+        let total = nodes + self.partial.iter().sum::<f64>();
         Some(total / self.count as f64)
     }
 
     /// Estimated nearest-rank `p`th percentile: the first retained value (in
-    /// `total_cmp` order) whose cumulative weight reaches the exact target
-    /// rank `ceil(p · count / 100)`. `None` when empty.
+    /// `total_cmp` order) whose cumulative weight passes the exact rank
+    /// [`DistributionSummary::nearest_rank_index`]. `None` when empty.
     ///
     /// The estimate's true rank is within [`QuantileSketch::rank_error_bound`]
     /// of the target.
     pub fn percentile(&self, p: u32) -> Option<f64> {
-        debug_assert!((1..=100).contains(&p), "percentile {p} outside 1..=100");
+        self.percentiles([p]).map(|[value]| value)
+    }
+
+    /// [`QuantileSketch::percentile`] for each of the ascending `ps`, from
+    /// one sort of the retained values.
+    fn percentiles<const N: usize>(&self, ps: [u32; N]) -> Option<[f64; N]> {
+        debug_assert!(ps.is_sorted(), "percentiles {ps:?} not ascending");
         if self.count == 0 {
             return None;
         }
-        let target = (u128::from(p) * u128::from(self.count))
-            .div_ceil(100)
-            .max(1);
+        let count = usize::try_from(self.count).unwrap_or(usize::MAX);
+        let ranks = ps.map(|p| DistributionSummary::nearest_rank_index(p, count));
+        if self.nodes.is_empty() {
+            // Every value is raw at weight 1: the rank indexes the sample.
+            let mut sorted = self.partial.clone();
+            sorted.sort_by(f64::total_cmp);
+            return Some(ranks.map(|rank| sorted[rank]));
+        }
         let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
         items.extend(self.partial.iter().map(|&v| (v, 1)));
         for node in &self.nodes {
@@ -233,26 +245,31 @@ impl QuantileSketch {
             items.extend(node.values.iter().map(|&v| (v, weight)));
         }
         items.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut cumulative = 0u128;
-        for &(value, weight) in &items {
-            cumulative += u128::from(weight);
-            if cumulative >= target {
-                return Some(value);
+        let mut walk = items.iter();
+        let (mut value, mut cumulative) = (f64::NAN, 0u64);
+        Some(ranks.map(|rank| {
+            while cumulative <= rank as u64 {
+                let Some(&(next, weight)) = walk.next() else {
+                    break;
+                };
+                value = next;
+                cumulative += weight;
             }
-        }
-        items.last().map(|&(value, _)| value)
+            value
+        }))
     }
 
     /// The [`DistributionSummary`] of the sketched population: exact
-    /// `min`/`max`, position-ordered `mean`, and sketched p50/p90/p99.
-    /// `None` when empty.
+    /// `min`/`max`, position-ordered `mean`, and sketched p50/p90/p99 (all
+    /// exact while nothing has compacted). `None` when empty.
     pub fn summary(&self) -> Option<DistributionSummary> {
+        let [p50, p90, p99] = self.percentiles([50, 90, 99])?;
         Some(DistributionSummary {
             min: self.min()?,
             mean: self.mean()?,
-            p50: self.percentile(50)?,
-            p90: self.percentile(90)?,
-            p99: self.percentile(99)?,
+            p50,
+            p90,
+            p99,
             max: self.max()?,
         })
     }
@@ -280,7 +297,8 @@ impl QuantileSketch {
     /// Turns the full partial block into a level-0 node and carries it into
     /// the stack while the top node shares its level.
     fn complete_block(&mut self) {
-        let mut values = std::mem::replace(&mut self.partial, Vec::with_capacity(self.block));
+        let next = Vec::with_capacity(self.block.min(DEFAULT_SKETCH_CAPACITY));
+        let mut values = std::mem::replace(&mut self.partial, next);
         // The block's sum is taken in insertion order *before* sorting.
         let sum = values.iter().sum::<f64>();
         values.sort_by(f64::total_cmp);

@@ -7,7 +7,7 @@
 
 use chris_core::config::EnergyAccounting;
 use chris_core::decision::UserConstraint;
-use fleet::{FleetAccumulator, FleetReport, ReportMode};
+use fleet::{DistributionSummary, FleetAccumulator, FleetReport, QuantileSketch, ReportMode};
 use hw_sim::units::Energy;
 use proptest::prelude::*;
 
@@ -116,6 +116,114 @@ proptest! {
         prop_assert_eq!(&sketch_streamed.offload_histogram, &batch.offload_histogram);
         prop_assert_eq!(sketch_streamed.constraint_violations, batch.constraint_violations);
     }
+}
+
+/// Values whose order statistics and means are easy to get wrong.
+const EDGE_VALUES: [f64; 6] = [
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Reference summary of `values`, independent of the crate: sort by
+/// `total_cmp`, index the integer nearest rank, and sum in insertion order.
+/// The six fields as bits, in declaration order.
+fn oracle_bits(values: &[f64]) -> [u64; 6] {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let rank = |p: usize| sorted[(p * n).div_ceil(100) - 1];
+    let total = values[1..].iter().fold(values[0], |acc, &v| acc + v);
+    let mean = total / n as f64;
+    [sorted[0], mean, rank(50), rank(90), rank(99), sorted[n - 1]].map(f64::to_bits)
+}
+
+/// The six fields of `summary` as bits, in declaration order.
+fn bits(summary: &DistributionSummary) -> [u64; 6] {
+    let DistributionSummary {
+        min,
+        mean,
+        p50,
+        p90,
+        p99,
+        max,
+    } = *summary;
+    [min, mean, p50, p90, p99, max].map(f64::to_bits)
+}
+
+/// Checks one sample against the oracle through an exact-mode
+/// `FleetAccumulator` (all three quantities) and an unbounded sketch.
+fn assert_exact_matches_the_oracle(values: &[f64]) {
+    let devices: Vec<fleet::DeviceReport> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| device(i as u64, 10, v as f32, v, 1.0, 0.5, v, true, 0, false))
+        .collect();
+    let mut accumulator = FleetAccumulator::with_mode(ReportMode::Exact);
+    for d in &devices {
+        accumulator.push(d);
+    }
+    assert_eq!(accumulator.sketch_info(), None);
+    let report = accumulator.finalize();
+    let maes: Vec<f64> = devices.iter().map(|d| f64::from(d.mae_bpm)).collect();
+    let summaries = [
+        &report.mae_bpm,
+        &report.watch_energy_uj,
+        &report.battery_life_hours,
+    ];
+    let expected = [oracle_bits(&maes), oracle_bits(values), oracle_bits(values)];
+    assert_eq!(summaries.map(bits), expected, "{values:?}");
+
+    let mut sketch = QuantileSketch::with_capacity(usize::MAX);
+    for &v in values {
+        sketch.insert(v);
+    }
+    assert_eq!(sketch.compactions(), 0);
+    assert_eq!(sketch.rank_error_bound(), 0);
+    assert_eq!(sketch.retained(), values.len());
+    assert_eq!(bits(&sketch.summary().unwrap()), oracle_bits(values));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Exact mode is exact: past the 256-value block a bounded sketch would
+    /// compact, with NaN of both signs, ±0, ±∞ and duplicates mixed in,
+    /// every field matches the oracle bit for bit.
+    #[test]
+    fn exact_mode_matches_an_independent_oracle_bit_for_bit(
+        finite in prop::collection::vec(
+            // Half small integers, so duplicates are common.
+            (prop::bool::ANY, -4i32..4, -1.0e6f64..1.0e6)
+                .prop_map(|(small, int, wide)| if small { f64::from(int) } else { wide }),
+            1..=600,
+        ),
+        edges in prop::collection::vec((0usize..=600, 0..EDGE_VALUES.len()), 0..8),
+    ) {
+        let mut values = finite;
+        for (at, edge) in edges {
+            values.insert(at % (values.len() + 1), EDGE_VALUES[edge]);
+        }
+        values.truncate(600);
+        assert_exact_matches_the_oracle(&values);
+    }
+}
+
+#[test]
+fn exact_mode_matches_the_oracle_on_degenerate_samples() {
+    let all_negative_zero = [-0.0; 300];
+    assert_exact_matches_the_oracle(&all_negative_zero);
+    assert!(QuantileSketch::with_capacity(usize::MAX)
+        .summary()
+        .is_none());
+    for edge in EDGE_VALUES {
+        assert_exact_matches_the_oracle(&[edge]);
+        assert_exact_matches_the_oracle(&[edge; 7]);
+    }
+    assert_exact_matches_the_oracle(&EDGE_VALUES);
 }
 
 proptest! {

@@ -157,8 +157,14 @@ fn huge_shard_specs_partition_without_overflow() {
 
 #[test]
 fn distribution_summary_degenerate_samples() {
-    assert!(DistributionSummary::from_values(&[]).is_none());
-    let single = DistributionSummary::from_values(&[3.5]).unwrap();
+    // Exact mode summarizes through a sketch that never compacts.
+    let exact = |values: &[f64]| {
+        let mut sketch = fleet::QuantileSketch::with_capacity(usize::MAX);
+        values.iter().for_each(|&v| sketch.insert(v));
+        sketch.summary()
+    };
+    assert!(exact(&[]).is_none());
+    let single = exact(&[3.5]).unwrap();
     assert_eq!(single.min, 3.5);
     assert_eq!(single.max, 3.5);
     assert_eq!(single.p50, 3.5);

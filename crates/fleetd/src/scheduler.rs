@@ -84,8 +84,9 @@ pub enum ReportOutcome {
 /// Live per-job progress, bumped by [`JobProgress`] sinks from worker
 /// threads as each device finishes: a device's windows are counted when it
 /// completes, not while it runs. Monotonic over a process lifetime;
-/// `devices_done` is primed from checkpointed shard ranges on resume,
-/// `windows_done` only counts devices finished live.
+/// `devices_done` is primed on resume from checkpointed shard ranges (every
+/// device of a job with a report), `windows_done` only counts devices
+/// finished live.
 #[derive(Debug, Default)]
 struct JobCounters {
     devices_done: AtomicU64,
@@ -255,10 +256,11 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler over `spool`, recovering every job already
-    /// persisted there: jobs with a `report.json` come back as done (the body
-    /// stays on disk), jobs with a `failed.json` come back failed with the
-    /// status they had, and others re-admit their provenance-valid shard
-    /// artifacts and re-queue only the missing ranges. A job with every shard
+    /// persisted there: jobs with a `report.json` come back as done with
+    /// every device counted (the body stays on disk), jobs with a
+    /// `failed.json` come back failed with the status they had, and others
+    /// re-admit their provenance-valid shard artifacts and re-queue only the
+    /// missing ranges. A job with every shard
     /// checkpointed is merged here and comes back done (or failed). Each job
     /// recovered as done or failed counts once on `chris_fleetd_jobs_total`.
     /// New ids start past every `job-<id>` directory, parseable or not.
@@ -276,6 +278,7 @@ impl Scheduler {
             let mut record = JobRecord::new(spec);
             if spool.has_report(id) {
                 record.shards_done = record.spec.shards;
+                record.counters = JobCounters::at(record.spec.devices, 0);
                 record.finish(Ok(()));
             } else if let Some(failed) = spool.read_failure(id) {
                 record.restore_failure(failed);
@@ -708,6 +711,8 @@ mod tests {
         let status = recovered.status(id).expect("recovered job");
         assert_eq!(status.state, "done");
         assert_eq!(status.shards_done, 2);
+        assert_eq!(status.devices_done, 3, "a done job finished every device");
+        assert_eq!(status.windows_done, 0, "windows count only live devices");
         let ReportOutcome::Ready(recovered_body) = recovered.report(id) else {
             panic!("recovered report not ready");
         };

@@ -109,6 +109,7 @@ fn restart_over_the_same_spool_recovers_finished_jobs() {
     let (status, body) = revived.request("GET", &format!("/jobs/{id}"), None);
     assert_eq!(status, 200);
     assert!(body.contains("\"state\":\"done\""), "recovered: {body}");
+    assert!(body.contains("\"devices_done\":3"), "recovered: {body}");
     let (status, second_report) = revived.request("GET", &format!("/jobs/{id}/report"), None);
     assert_eq!(status, 200);
     assert_eq!(second_report, first_report, "recovery byte identity");
