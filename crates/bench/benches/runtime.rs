@@ -10,6 +10,8 @@ use chris_core::config::{Configuration, DifficultyThreshold};
 use chris_core::prelude::*;
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::units::Energy;
+use ppg_data::{DatasetBuilder, Synthesis};
+use ppg_models::surrogate::NoiseTape;
 
 fn bench_runtime(c: &mut Criterion) {
     let windows = bench_windows();
@@ -88,6 +90,39 @@ fn bench_runtime(c: &mut Criterion) {
                 .unwrap()
         })
     });
+
+    // One fleet loop run: a fresh runtime over a 60-window labels-only
+    // session, its estimators drawing every error live (a streaming
+    // device) or replaying the session's noise tape (a pool slot's runs).
+    let session: Vec<_> = DatasetBuilder::new()
+        .subjects(1)
+        .seconds_per_activity(30.0)
+        .seed(7)
+        .synthesis(Synthesis::LabelsOnly)
+        .build()
+        .expect("bench session parameters are valid")
+        .windows()
+        .into_iter()
+        .take(60)
+        .collect();
+    assert_eq!(session.len(), 60);
+    let options = RuntimeOptions::default();
+    let plan = engine.plan(&UserConstraint::MaxMae(5.6)).unwrap();
+    let schedule = ConnectionSchedule::DutyCycle { up: 5, down: 2 };
+    let mut group = c.benchmark_group("chris/run_totals_60_windows");
+    for (name, tape) in [
+        ("live", NoiseTape::empty(options.seed)),
+        ("taped", NoiseTape::record(options.seed, session.len())),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ChrisRuntime::with_noise_tape(zoo.clone(), engine.clone(), options, &tape)
+                    .run_totals(black_box(&session), &plan, &schedule)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
 
     c.bench_function("chris/runtime_per_window_cost", |b| {
         let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), RuntimeOptions::default());

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 use hw_sim::units::Energy;
 use ppg_data::{IntoWindowSource, LabeledWindow, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
+use ppg_models::surrogate::{CalibratedEstimator, NoiseTape};
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 
@@ -23,7 +24,8 @@ use crate::metrics::add_invocations;
 pub struct ProfilingOptions {
     /// How offloaded windows are charged to the smartwatch.
     pub accounting: EnergyAccounting,
-    /// Seed of the calibrated estimators' error sequences.
+    /// Seed of the calibrated estimators' error sequences: a pass seeds the
+    /// simple model's estimator `seed` and the complex model's `seed + 1`.
     pub seed: u64,
 }
 
@@ -155,13 +157,33 @@ impl<'a> Profiler<'a> {
         classifier: &dyn ActivityClassifier,
         options: ProfilingOptions,
     ) -> Result<ConfigurationProfile, ChrisError> {
+        self.pass(configuration, windows, classifier, options, &[])
+    }
+
+    /// The pass behind [`Profiler::profile_with`]. Each estimator replays
+    /// the tape of its RNG seed in `tapes`, if there is one, and draws live
+    /// past it; the profile is the same with or without tapes.
+    fn pass<S: IntoWindowSource>(
+        &self,
+        configuration: Configuration,
+        windows: S,
+        classifier: &dyn ActivityClassifier,
+        options: ProfilingOptions,
+        tapes: &[NoiseTape],
+    ) -> Result<ConfigurationProfile, ChrisError> {
         let mut source = windows.into_window_source();
-        let mut simple_est = self
-            .zoo
-            .calibrated_estimator(configuration.simple, options.seed);
-        let mut complex_est = self
-            .zoo
-            .calibrated_estimator(configuration.complex, options.seed.wrapping_add(1));
+        let estimator = |kind, seed| {
+            let rng_seed = CalibratedEstimator::rng_seed(kind, seed);
+            let tape = tapes
+                .iter()
+                .find(|tape| tape.rng_seed() == rng_seed)
+                .cloned()
+                .unwrap_or_else(|| NoiseTape::empty(rng_seed));
+            CalibratedEstimator::with_tape(kind, seed, tape)
+        };
+        let (simple_seed, complex_seed) = pass_seeds(options);
+        let mut simple_est = estimator(configuration.simple, simple_seed);
+        let mut complex_est = estimator(configuration.complex, complex_seed);
 
         let mut errors = ErrorAccumulator::new();
         let mut watch_energy = Energy::ZERO;
@@ -176,7 +198,7 @@ impl<'a> Profiler<'a> {
             let model = configuration.model_for(difficulty);
             let offloaded = configuration.offloads(difficulty);
 
-            let estimator: &mut Box<dyn HrEstimator> = if model == configuration.simple {
+            let estimator = if model == configuration.simple {
                 simple_count += 1;
                 &mut simple_est
             } else {
@@ -217,7 +239,11 @@ impl<'a> Profiler<'a> {
     /// [`WindowSource`] streams. Profiling every configuration is inherently
     /// multi-pass, so a one-shot stream is drained into a buffer once up
     /// front — profiling is the offline, once-per-fleet step where that is
-    /// the right trade.
+    /// the right trade. For the same reason, the passes' error sequences are
+    /// drawn once: the 60 passes seed their estimators from at most six
+    /// distinct RNG seeds, so each seed's sequence is recorded once, as a
+    /// [`NoiseTape`] as long as the workload, and every pass replays it. The
+    /// table equals the one of 60 [`Profiler::profile`] calls.
     ///
     /// # Errors
     ///
@@ -240,15 +266,30 @@ impl<'a> Profiler<'a> {
 
     /// The multi-pass core of [`Profiler::profile_all`]: one
     /// [`Profiler::profile`] pass per configuration over a shared, borrowed
-    /// workload.
+    /// workload, replaying one noise tape per distinct estimator RNG seed.
     fn profile_each(
         &self,
         windows: &[LabeledWindow],
         options: ProfilingOptions,
     ) -> Result<Vec<ConfigurationProfile>, ChrisError> {
-        let mut table: Vec<ConfigurationProfile> = enumerate_configurations()
+        let configurations = enumerate_configurations();
+        let (simple_seed, complex_seed) = pass_seeds(options);
+        let mut tapes: Vec<NoiseTape> = Vec::new();
+        for configuration in &configurations {
+            for (kind, seed) in [
+                (configuration.simple, simple_seed),
+                (configuration.complex, complex_seed),
+            ] {
+                let rng_seed = CalibratedEstimator::rng_seed(kind, seed);
+                if tapes.iter().all(|tape| tape.rng_seed() != rng_seed) {
+                    tapes.push(NoiseTape::record(rng_seed, windows.len()));
+                }
+            }
+        }
+        let oracle = OracleActivityClassifier::new();
+        let mut table: Vec<ConfigurationProfile> = configurations
             .into_iter()
-            .map(|c| self.profile(c, windows, options))
+            .map(|c| self.pass(c, windows, &oracle, options, &tapes))
             .collect::<Result<_, _>>()?;
         // Same NaN-safe ordering as `DecisionEngine::new`, which re-sorts the
         // table it is given: keep the two in lockstep so direct consumers of
@@ -261,6 +302,11 @@ impl<'a> Profiler<'a> {
         });
         Ok(table)
     }
+}
+
+/// The seeds of a pass's simple-model and complex-model estimators.
+fn pass_seeds(options: ProfilingOptions) -> (u64, u64) {
+    (options.seed, options.seed.wrapping_add(1))
 }
 
 #[cfg(test)]
@@ -516,6 +562,40 @@ mod tests {
         let last = table.last().unwrap();
         assert_eq!(last.configuration.complex, ModelKind::TimePpgBig);
         assert_eq!(last.configuration.target, ExecutionTarget::Local);
+    }
+
+    #[test]
+    fn profile_all_replays_tapes_into_the_table_of_live_passes() {
+        let zoo = ModelZoo::paper_setup();
+        let profiler = Profiler::new(&zoo);
+        let ws = windows();
+        // An even and an odd seed: for an even seed, `seed + 1` XOR TimePPG-
+        // Small's index is the seed itself, so two estimators share a tape.
+        for seed in [0xC4215, 0xC4214] {
+            let options = ProfilingOptions {
+                seed,
+                ..ProfilingOptions::default()
+            };
+            let table = profiler.profile_all(&ws, options).unwrap();
+            let mut live: Vec<ConfigurationProfile> = enumerate_configurations()
+                .into_iter()
+                .map(|c| profiler.profile(c, &ws, options).unwrap())
+                .collect();
+            live.sort_by(|a, b| {
+                a.watch_energy
+                    .as_microjoules()
+                    .total_cmp(&b.watch_energy.as_microjoules())
+                    .then(a.mae_bpm.total_cmp(&b.mae_bpm))
+            });
+            let bits = |table: &[ConfigurationProfile]| -> Vec<(u32, u32)> {
+                table
+                    .iter()
+                    .map(|p| (p.mae_bpm.to_bits(), p.simple_fraction.to_bits()))
+                    .collect()
+            };
+            assert_eq!(table, live, "seed {seed:#x}");
+            assert_eq!(bits(&table), bits(&live), "seed {seed:#x}");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use hw_sim::power_state::PowerState;
 use hw_sim::units::{Energy, TimeSpan};
 use ppg_data::{Activity, IntoWindowSource, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
+use ppg_models::surrogate::{CalibratedEstimator, NoiseTape};
 use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use serde::{Deserialize, Serialize};
@@ -41,7 +42,10 @@ use crate::report::{RunReport, RunTotals};
 pub struct RuntimeOptions {
     /// How offloaded windows are charged to the smartwatch.
     pub accounting: EnergyAccounting,
-    /// Seed of the calibrated estimators' error sequences.
+    /// Seed of the calibrated estimators' error sequences. Each estimator is
+    /// seeded `seed ^ kind`, which [`CalibratedEstimator`] XORs with `kind`
+    /// again, so all three draw the sequence of RNG seed `seed` (see
+    /// [`ChrisRuntime::with_noise_tape`]).
     pub seed: u64,
     /// Energy charged to the MCU for running the activity classifier. Zero by
     /// default because the LSM6DSM ML core executes it in the real system.
@@ -62,13 +66,15 @@ impl Default for RuntimeOptions {
 ///
 /// A runtime is cheap to construct from clones of a shared [`ModelZoo`] and
 /// [`DecisionEngine`] and is `Send`, so fleet-scale simulators can build one
-/// per device inside worker threads (see the `fleet` crate).
+/// per device inside worker threads (see the `fleet` crate). Its estimators
+/// are calibrated surrogates, one per model; they keep their place in the
+/// error sequence from one run to the next.
 pub struct ChrisRuntime {
     zoo: ModelZoo,
     engine: DecisionEngine,
     classifier: Box<dyn ActivityClassifier>,
     /// Indexed by [`ModelKind::index`].
-    estimators: [Box<dyn HrEstimator>; ModelKind::ALL.len()],
+    estimators: [CalibratedEstimator; ModelKind::ALL.len()],
     options: RuntimeOptions,
 }
 
@@ -110,8 +116,47 @@ impl ChrisRuntime {
         classifier: Box<dyn ActivityClassifier>,
         options: RuntimeOptions,
     ) -> Self {
-        let estimators =
-            ModelKind::ALL.map(|kind| zoo.calibrated_estimator(kind, options.seed ^ kind as u64));
+        let tape = NoiseTape::empty(options.seed);
+        Self::build(zoo, engine, classifier, options, &tape)
+    }
+
+    /// [`ChrisRuntime::new`] whose estimators replay `tape`, a recording of
+    /// their error sequence, before they draw live. The runtime seeds each
+    /// estimator `options.seed ^ kind` and the estimator XORs `kind` in
+    /// again, so all three share the sequence of RNG seed `options.seed`:
+    /// one tape of that seed serves them all, each with its own cursor. The
+    /// runtime's results are bit-identical to [`ChrisRuntime::new`]'s at any
+    /// tape length; a tape as long as a session spares every run over it the
+    /// draws. The runtime never records a tape itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tape` records another seed than `options.seed`.
+    pub fn with_noise_tape(
+        zoo: ModelZoo,
+        engine: DecisionEngine,
+        options: RuntimeOptions,
+        tape: &NoiseTape,
+    ) -> Self {
+        Self::build(
+            zoo,
+            engine,
+            Box::new(OracleActivityClassifier::new()),
+            options,
+            tape,
+        )
+    }
+
+    fn build(
+        zoo: ModelZoo,
+        engine: DecisionEngine,
+        classifier: Box<dyn ActivityClassifier>,
+        options: RuntimeOptions,
+        tape: &NoiseTape,
+    ) -> Self {
+        let estimators = ModelKind::ALL.map(|kind| {
+            CalibratedEstimator::with_tape(kind, options.seed ^ kind as u64, tape.clone())
+        });
         Self {
             zoo,
             engine,

@@ -39,13 +39,14 @@ use hw_sim::battery::{Battery, HWATCH_BATTERY_VOLTAGE, HWATCH_CONVERTER_EFFICIEN
 use hw_sim::ble::ConnectionSchedule;
 use hw_sim::units::Energy;
 use ppg_data::{drain_shared, BufferWindows, DataError, LabeledWindow, WindowCache, WindowSource};
+use ppg_models::surrogate::NoiseTape;
 use ppg_models::zoo::{ModelKind, ModelZoo};
 use telemetry::Stability;
 
 use crate::error::FleetError;
 use crate::progress::ProgressSink;
 use crate::report::{DeviceReport, ReportMode};
-use crate::scenario::{DeviceScenario, ScenarioMix};
+use crate::scenario::{DeviceScenario, ScenarioGenerator, SynthesisProfile};
 use crate::FleetSimulation;
 
 /// Upper bound on the projected battery life, in hours (≈11 years). Keeps
@@ -105,7 +106,9 @@ impl ExecutorOptions {
 /// vector (checked with a counting allocator in `tests/no_eager_alloc.rs`).
 /// The windows are labels-only; the report equals one computed from
 /// full-signal windows of the same session, because the runtime's oracle
-/// classifier and calibrated estimators read only labels.
+/// classifier and calibrated estimators read only labels. The estimators
+/// draw every error live: a streaming device has an empty noise tape (see
+/// [`run_fleet_range`] for the pool slots' tapes).
 ///
 /// # Errors
 ///
@@ -152,32 +155,37 @@ fn simulate<S: WindowSource>(
 ) -> Result<DeviceReport, FleetError> {
     let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
     let stream = stream.map_err(|e| for_device(e.into()))?;
+    let tape = NoiseTape::empty(scenario.dataset_seed);
     let run = engine
         .plan(&scenario.constraint)
-        .and_then(|plan| run_device(scenario, zoo, engine, &plan, stream))
+        .and_then(|plan| run_device(scenario, zoo, engine, &plan, stream, &tape))
         .map_err(|e| for_device(e.into()))?;
     finish(scenario, sink, &run)
 }
 
 /// Runs `plan` over `windows` under `scenario`'s schedule and accounting,
-/// with estimators seeded by its dataset seed.
+/// with estimators seeded by its dataset seed that replay `tape`, a
+/// recording of that seed's error sequence (see
+/// [`ChrisRuntime::with_noise_tape`]): a pool slot's tape covers its whole
+/// session, and a streaming device's is empty, so it draws every error live.
 ///
 /// Each call owns a fresh [`ChrisRuntime`] built from clones of the shared
 /// zoo and engine, so workers run devices concurrently without sharing
-/// mutable state.
+/// mutable state; the tape is shared read-only.
 fn run_device<S: WindowSource>(
     scenario: &DeviceScenario,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
     plan: &LinkPlan,
     windows: S,
+    tape: &NoiseTape,
 ) -> Result<DeviceRun, ChrisError> {
     let options = RuntimeOptions {
         accounting: scenario.accounting,
         seed: scenario.dataset_seed,
         ..RuntimeOptions::default()
     };
-    let mut runtime = ChrisRuntime::new(zoo.clone(), engine.clone(), options);
+    let mut runtime = ChrisRuntime::with_noise_tape(zoo.clone(), engine.clone(), options, tape);
     runtime
         .run_totals(windows, plan, &scenario.schedule)
         .map(|totals| DeviceRun::from(&totals))
@@ -283,12 +291,18 @@ impl From<&RunTotals> for DeviceRun {
 /// exit. Counter/histogram merging is commutative, so the totals are
 /// identical for any interleaving.
 ///
-/// A pooled mix ([`ScenarioMix::subject_pool`] > 0) always replays: each of
-/// the first 256 pool slots of `simulation` is synthesized once over all its
-/// runs and replayed by the slot's other devices, byte-identical to
-/// streaming. Such a run publishes [`PROFILE_CACHE_EVENTS_SERIES`], whose
-/// misses count the slots filled plus the devices of higher slots (they
-/// stream directly); a pool-less mix streams and records no cache series.
+/// A pooled mix ([`crate::ScenarioMix::subject_pool`] > 0) always replays:
+/// each of the first 256 pool slots of `simulation` holds its devices'
+/// synthesis profile, drawn when the simulation was built, so a device's
+/// scenario derivation takes the profile from the slot instead of drawing
+/// it again. The slot's session is synthesized once over all its runs,
+/// together with a noise tape of the slot's dataset seed as long as the
+/// session, and the slot's devices replay both: the window loop's
+/// estimators read their errors off the tape instead of drawing them. All
+/// of it is byte-identical to streaming. Such a run publishes
+/// [`PROFILE_CACHE_EVENTS_SERIES`], whose misses count the slots filled
+/// plus the devices of higher slots (they derive and stream directly, with
+/// live errors); a pool-less mix streams and records no cache series.
 ///
 /// A replaying device's run is also memoized, for the duration of this call:
 /// each device is planned once ([`DecisionEngine::plan`]), and the first
@@ -413,8 +427,9 @@ pub fn run_fleet_range(
 
 /// Derives and simulates device `device_id` of `simulation` for the
 /// executor; the scenario is dropped when the device completes. A device
-/// with a pool slot replays the slot's session through `memo`; every other
-/// device streams, a memo miss. Pool lookups are counted in `events`.
+/// with a pool slot takes its synthesis profile from the slot and replays
+/// the slot's session and noise tape through `memo`; every other device
+/// streams, a memo miss. Pool lookups are counted in `events`.
 fn simulate_in(
     simulation: &FleetSimulation,
     device_id: u64,
@@ -422,21 +437,22 @@ fn simulate_in(
     memo: &RunMemo,
     events: &mut PoolEvents,
 ) -> Result<DeviceReport, FleetError> {
-    let scenario = simulation.generator().scenario(device_id);
-    let pool = simulation.generator().mix().subject_pool;
     let (zoo, engine) = (simulation.zoo(), simulation.engine());
-    let Some((slot, session)) = simulation
-        .sessions
-        .session(pool, &scenario, &mut events.cache)
-    else {
+    let (scenario, session) =
+        simulation
+            .sessions
+            .scenario(simulation.generator(), device_id, &mut events.cache);
+    let Some((slot, session)) = session else {
         events.memo.misses += 1;
         return simulate(&scenario, zoo, engine, sink, scenario.window_stream());
     };
     let run = match engine.plan(&scenario.constraint) {
         Ok(plan) => {
-            let key = RunKey::new(&scenario, &plan, session.len());
+            let windows = &*session.windows;
+            let key = RunKey::new(&scenario, &plan, windows.len());
             memo.run(slot, key, events, || {
-                run_device(&scenario, zoo, engine, &plan, BufferWindows::new(session))
+                let windows = BufferWindows::new(windows);
+                run_device(&scenario, zoo, engine, &plan, windows, &session.tape)
             })
         }
         Err(e) => {
@@ -630,22 +646,57 @@ impl RunMemo {
     }
 }
 
-/// One simulation's labels-only pool sessions: device `id` of a pooled mix
-/// has the [`DeviceScenario::window_cache_key`] of slot `id % subject_pool`,
-/// so the first worker to reach a slot fills it, and every other device of
-/// the slot, in any worker and shard run, replays it. Pool-less mixes get none.
+/// One simulation's pool slots. Device `id` of a pooled mix belongs to slot
+/// `id % subject_pool`. Each of the first 256 slots owns what its devices
+/// share: its synthesis profile, drawn when the simulation is built, and,
+/// once the first worker to reach the slot has filled it, its labels-only
+/// session and the noise tape of its dataset seed. Every other device of the
+/// slot, in any worker and shard run, derives its scenario from the slot's
+/// profile and replays the session and the tape. Pool-less mixes get no
+/// slots.
 #[derive(Debug, Clone)]
 pub(crate) struct PoolSessions {
     slots: Box<[PoolSlot]>,
 }
 
-/// One pool slot: its session once filled, `None` if the fill failed.
-type PoolSlot = OnceLock<Option<Arc<[LabeledWindow]>>>;
+/// One pool slot: its devices' synthesis profile and, once filled, their
+/// session.
+#[derive(Debug, Clone)]
+struct PoolSlot {
+    profile: SynthesisProfile,
+    /// The filled session, `None` if the fill failed.
+    session: OnceLock<Option<SlotSession>>,
+}
+
+/// A filled pool slot's labels-only session and the noise tape that its
+/// runs replay. The runtime's three estimators share one RNG seed, the
+/// slot's dataset seed, so one tape as long as the session covers every
+/// prediction of every run over it.
+#[derive(Debug, Clone)]
+struct SlotSession {
+    windows: Arc<[LabeledWindow]>,
+    tape: NoiseTape,
+}
+
+impl SlotSession {
+    /// Synthesizes `scenario`'s session and records its tape; `None` when
+    /// synthesis fails.
+    fn fill(scenario: &DeviceScenario) -> Option<Self> {
+        let windows = scenario.window_stream().and_then(drain_shared).ok()?;
+        let tape = NoiseTape::record(scenario.dataset_seed, windows.len());
+        Some(Self { windows, tape })
+    }
+}
 
 impl PoolSessions {
-    pub(crate) fn new(mix: &ScenarioMix) -> Self {
-        let count = mix.subject_pool.min(MAX_POOL_SLOTS);
-        let slots = (0..count).map(|_| OnceLock::new()).collect();
+    pub(crate) fn new(generator: &ScenarioGenerator) -> Self {
+        let count = generator.mix().subject_pool.min(MAX_POOL_SLOTS);
+        let slots = (0..count)
+            .map(|slot| PoolSlot {
+                profile: generator.slot_profile(slot),
+                session: OnceLock::new(),
+            })
+            .collect();
         Self { slots }
     }
 
@@ -654,36 +705,41 @@ impl PoolSessions {
         self.slots.len()
     }
 
-    /// The slot of `scenario` in a `pool`-slot mix and the slot's session,
-    /// filled on first use, lookup counted in `events`. `None` (a miss)
-    /// when the device has no slot or the fill failed: it then streams
-    /// directly, reporting any synthesis error exactly as
-    /// [`simulate_device`] does.
-    fn session(
+    /// Derives device `device_id`'s scenario, taking the synthesis profile
+    /// from its slot, and returns it with the slot's index and session,
+    /// filled on first use; the lookup is counted in `events`. The session
+    /// is `None` (a miss) when the device has no slot or the fill failed:
+    /// the device then streams directly, reporting any synthesis error
+    /// exactly as [`simulate_device`] does.
+    fn scenario(
         &self,
-        pool: u64,
-        scenario: &DeviceScenario,
+        generator: &ScenarioGenerator,
+        device_id: u64,
         events: &mut Events,
-    ) -> Option<(usize, Arc<[LabeledWindow]>)> {
-        let slot = scenario
-            .device_id
-            .checked_rem(pool)
-            .and_then(|slot| usize::try_from(slot).ok());
-        let cell = slot.and_then(|slot| self.slots.get(slot));
+    ) -> (DeviceScenario, Option<(usize, &SlotSession)>) {
+        let slot = device_id
+            .checked_rem(generator.mix().subject_pool)
+            .and_then(|slot| usize::try_from(slot).ok())
+            .and_then(|index| Some((index, self.slots.get(index)?)));
+        let Some((index, slot)) = slot else {
+            events.misses += 1;
+            return (generator.scenario(device_id), None);
+        };
+        let scenario = generator.scenario_in_slot(device_id, &slot.profile);
         let mut filled = false;
-        let session = cell.and_then(|cell| {
-            cell.get_or_init(|| {
+        let session = slot
+            .session
+            .get_or_init(|| {
                 filled = true;
-                scenario.window_stream().and_then(drain_shared).ok()
+                SlotSession::fill(&scenario)
             })
-            .clone()
-        });
+            .as_ref();
         if session.is_some() && !filled {
             events.hits += 1;
         } else {
             events.misses += 1;
         }
-        Some((slot?, session?))
+        (scenario, session.map(|session| (index, session)))
     }
 }
 
@@ -970,6 +1026,40 @@ mod tests {
                 run_fleet_range(&simulation, range.clone(), &options, None),
                 Err(lowest.clone()),
                 "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_derivation_equals_the_generators_scenario() {
+        // The cohort pool, and a custom 300-slot pool of short sessions
+        // whose slots from 256 up have no slot and derive their profile
+        // from the generator. Each range covers every slot twice: the first
+        // device fills it, the second replays it.
+        let short = ScenarioMix {
+            subject_pool: 300,
+            seconds_per_activity: (16.0, 16.0),
+            activity_count: (1, 2),
+            ..ScenarioMix::cohort()
+        };
+        for mix in [ScenarioMix::cohort(), short] {
+            let simulation = simulation(42, mix);
+            let (generator, pool) = (simulation.generator(), mix.subject_pool);
+            let mut events = Events::default();
+            for id in 0..2 * pool + 1 {
+                let (scenario, session) = simulation.sessions.scenario(generator, id, &mut events);
+                assert_eq!(scenario, generator.scenario(id), "pool {pool}, device {id}");
+                let slot = id % pool;
+                assert_eq!(
+                    session.map(|(index, _)| index as u64),
+                    (slot < MAX_POOL_SLOTS).then_some(slot)
+                );
+            }
+            let slots = pool.min(MAX_POOL_SLOTS);
+            assert_eq!(
+                (events.hits, events.misses),
+                (slots + 1, 2 * pool - slots),
+                "pool {pool}"
             );
         }
     }

@@ -165,11 +165,12 @@ impl FleetSimulation {
             .window_stream()?;
         let profiler = Profiler::new(&zoo);
         let table = profiler.profile_all(profiling_stream, ProfilingOptions::default())?;
+        let generator = ScenarioGenerator::new(master_seed, mix);
         Ok(Self {
-            generator: ScenarioGenerator::new(master_seed, mix),
+            sessions: executor::PoolSessions::new(&generator),
+            generator,
             zoo,
             engine: DecisionEngine::new(table),
-            sessions: executor::PoolSessions::new(&mix),
         })
     }
 

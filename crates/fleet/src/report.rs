@@ -423,13 +423,13 @@ impl FleetAccumulator {
                 .expect("sketch gauge registration cannot fail")
                 .set_max(i64::try_from(info.retained_samples).unwrap_or(i64::MAX));
         }
-        let summary = |sketch: &QuantileSketch| sketch.summary().unwrap_or(EMPTY_SUMMARY);
+        let summary = |sketch: QuantileSketch| sketch.into_summary().unwrap_or(EMPTY_SUMMARY);
         let mut report = FleetReport {
             devices: self.devices(),
             total_windows: self.total_windows,
-            mae_bpm: summary(&self.maes),
-            watch_energy_uj: summary(&self.watch_energies),
-            battery_life_hours: summary(&self.battery_lives),
+            mae_bpm: summary(self.maes),
+            watch_energy_uj: summary(self.watch_energies),
+            battery_life_hours: summary(self.battery_lives),
             offload_histogram: self.offload_histogram,
             offloaded_window_share: 0.0,
             disconnected_window_share: 0.0,

@@ -55,10 +55,14 @@ pub struct ScenarioMix {
     /// distinct". When positive, device `id` draws its synthesis profile
     /// from pool slot `id % subject_pool` — the cohort shape real fleets
     /// have (many devices per calibration profile). Devices in one slot
-    /// share a [`DeviceScenario::window_cache_key`], so the executor
-    /// synthesizes each slot once per simulation and the slot's other
-    /// devices replay it ([`crate::run_fleet_range`]). Constraints, links,
-    /// batteries and accounting stay per-device in either case.
+    /// share a [`DeviceScenario::window_cache_key`] and a dataset seed. A
+    /// simulation draws each of the first 256 slots' profiles once, when it
+    /// is built, and its executor takes a device's profile from the slot,
+    /// synthesizes each slot's session once, with a noise tape of the
+    /// slot's error sequence, and lets the slot's other devices replay both
+    /// ([`crate::run_fleet_range`]). [`ScenarioGenerator::scenario`] draws
+    /// the slot's profile itself and returns the same scenario. Constraints,
+    /// links, batteries and accounting stay per-device in either case.
     pub subject_pool: u64,
 }
 
@@ -281,10 +285,19 @@ pub fn device_stream_seed(master_seed: u64, device_id: u64) -> u64 {
 /// scenario stream of device id `s`.
 const SUBJECT_POOL_SALT: u64 = 0x5EED_C0DE_5A17_ED00;
 
-/// Draws one synthesis profile — recording length, activity schedule,
-/// dataset seed — from `rng`. The tail of every scenario derivation; for
-/// pooled mixes it runs on a slot-shared stream instead of the device's own.
-fn synthesis_profile(rng: &mut StdRng, mix: &ScenarioMix) -> (f32, Vec<Activity>, u64) {
+/// What a device's session is synthesized from: recording length, activity
+/// schedule and dataset seed. Every device of a pool slot has its slot's.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SynthesisProfile {
+    seconds_per_activity: f32,
+    activities: Vec<Activity>,
+    dataset_seed: u64,
+}
+
+/// Draws one synthesis profile from `rng`. The tail of every scenario
+/// derivation; for pooled mixes it runs on a slot-shared stream instead of
+/// the device's own.
+fn synthesis_profile(rng: &mut StdRng, mix: &ScenarioMix) -> SynthesisProfile {
     let seconds_per_activity = sample_f32(rng, mix.seconds_per_activity);
 
     let (lo, hi) = mix.activity_count;
@@ -307,7 +320,11 @@ fn synthesis_profile(rng: &mut StdRng, mix: &ScenarioMix) -> (f32, Vec<Activity>
     let activities: Vec<Activity> = chosen.iter().map(|&i| Activity::ALL[i]).collect();
 
     let dataset_seed: u64 = rng.random();
-    (seconds_per_activity, activities, dataset_seed)
+    SynthesisProfile {
+        seconds_per_activity,
+        activities,
+        dataset_seed,
+    }
 }
 
 /// Derives [`DeviceScenario`]s from a master seed and a [`ScenarioMix`].
@@ -351,6 +368,50 @@ impl ScenarioGenerator {
 
     /// Derives the scenario of one device.
     pub fn scenario(&self, device_id: u64) -> DeviceScenario {
+        let pool = self.mix.subject_pool;
+        self.derive(device_id, |rng| {
+            // Pooled mixes draw the synthesis profile from a slot-shared
+            // stream, so every device in a slot gets the same (seed,
+            // schedule, length) — and therefore the same window-cache key.
+            // Distinct mixes draw it from the device's own stream.
+            if pool > 0 {
+                self.slot_profile(device_id % pool)
+            } else {
+                synthesis_profile(rng, &self.mix)
+            }
+        })
+    }
+
+    /// The synthesis profile of pool slot `slot`, which every device of the
+    /// slot shares, drawn from the slot's own stream.
+    pub(crate) fn slot_profile(&self, slot: u64) -> SynthesisProfile {
+        let mut rng = StdRng::seed_from_u64(device_stream_seed(
+            self.master_seed ^ SUBJECT_POOL_SALT,
+            slot,
+        ));
+        synthesis_profile(&mut rng, &self.mix)
+    }
+
+    /// [`ScenarioGenerator::scenario`] of a pooled device whose slot's
+    /// profile, [`ScenarioGenerator::slot_profile`], is at hand: equal to
+    /// it, without drawing the profile again.
+    pub(crate) fn scenario_in_slot(
+        &self,
+        device_id: u64,
+        profile: &SynthesisProfile,
+    ) -> DeviceScenario {
+        debug_assert!(self.mix.subject_pool > 0, "only a pooled device has a slot");
+        self.derive(device_id, |_| profile.clone())
+    }
+
+    /// Derives device `device_id`'s own fields from its stream, then takes
+    /// its synthesis profile from `profile`, which gets the stream after
+    /// those draws.
+    fn derive(
+        &self,
+        device_id: u64,
+        profile: impl FnOnce(&mut StdRng) -> SynthesisProfile,
+    ) -> DeviceScenario {
         let mix = &self.mix;
         let mut rng = StdRng::seed_from_u64(device_stream_seed(self.master_seed, device_id));
 
@@ -390,20 +451,11 @@ impl ScenarioGenerator {
         };
 
         let battery_capacity_mah = sample_f64(&mut rng, mix.battery_capacity_mah);
-        // Pooled mixes draw the synthesis profile from a slot-shared stream,
-        // so every device in a slot gets the same (seed, schedule, length) —
-        // and therefore the same window-cache key. Distinct mixes draw it
-        // from the device's own stream, exactly as before.
-        let (seconds_per_activity, activities, dataset_seed) = if mix.subject_pool > 0 {
-            let slot = device_id % mix.subject_pool;
-            let mut pool_rng = StdRng::seed_from_u64(device_stream_seed(
-                self.master_seed ^ SUBJECT_POOL_SALT,
-                slot,
-            ));
-            synthesis_profile(&mut pool_rng, mix)
-        } else {
-            synthesis_profile(&mut rng, mix)
-        };
+        let SynthesisProfile {
+            seconds_per_activity,
+            activities,
+            dataset_seed,
+        } = profile(&mut rng);
 
         DeviceScenario {
             device_id,

@@ -230,14 +230,14 @@ impl QuantileSketch {
         if self.count == 0 {
             return None;
         }
-        let count = usize::try_from(self.count).unwrap_or(usize::MAX);
-        let ranks = ps.map(|p| DistributionSummary::nearest_rank_index(p, count));
         if self.nodes.is_empty() {
             // Every value is raw at weight 1: the rank indexes the sample.
             let mut sorted = self.partial.clone();
-            sorted.sort_by(f64::total_cmp);
-            return Some(ranks.map(|rank| sorted[rank]));
+            sorted.sort_unstable_by(f64::total_cmp);
+            return Some(raw_percentiles(&sorted, ps));
         }
+        let count = usize::try_from(self.count).unwrap_or(usize::MAX);
+        let ranks = ps.map(|p| DistributionSummary::nearest_rank_index(p, count));
         let mut items: Vec<(f64, u64)> = Vec::with_capacity(self.retained());
         items.extend(self.partial.iter().map(|&v| (v, 1)));
         for node in &self.nodes {
@@ -271,6 +271,28 @@ impl QuantileSketch {
             p90,
             p99,
             max: self.max()?,
+        })
+    }
+
+    /// [`QuantileSketch::summary`], consuming the sketch: with nothing
+    /// compacted it sorts the raw values in place instead of sorting a copy.
+    pub fn into_summary(mut self) -> Option<DistributionSummary> {
+        if !self.nodes.is_empty() {
+            return self.summary();
+        }
+        // The mean sums in insertion order, so it is taken before the sort.
+        // Values equal under `total_cmp` have equal bits, so an unstable
+        // sort, which needs no scratch buffer, orders them as a stable one.
+        let (min, mean, max) = (self.min()?, self.mean()?, self.max()?);
+        self.partial.sort_unstable_by(f64::total_cmp);
+        let [p50, p90, p99] = raw_percentiles(&self.partial, [50, 90, 99]);
+        Some(DistributionSummary {
+            min,
+            mean,
+            p50,
+            p90,
+            p99,
+            max,
         })
     }
 
@@ -346,6 +368,12 @@ impl QuantileSketch {
     }
 }
 
+/// The nearest-rank `ps` percentiles of `sorted`, a non-empty sample sorted
+/// by `total_cmp`.
+fn raw_percentiles<const N: usize>(sorted: &[f64], ps: [u32; N]) -> [f64; N] {
+    ps.map(|p| sorted[DistributionSummary::nearest_rank_index(p, sorted.len())])
+}
+
 impl Default for QuantileSketch {
     fn default() -> Self {
         Self::new()
@@ -379,6 +407,22 @@ mod tests {
         assert_eq!(sketch.summary(), None);
         assert_eq!(sketch.rank_error_bound(), 0);
         assert_eq!(sketch.retained(), 0);
+    }
+
+    #[test]
+    fn a_consumed_sketch_summarizes_as_a_borrowed_one() {
+        let bits =
+            |s: DistributionSummary| [s.min, s.mean, s.p50, s.p90, s.p99, s.max].map(f64::to_bits);
+        // Exact (raw values sorted in place), compacting, and empty.
+        for (capacity, n) in [(usize::MAX, 1000), (16, 1000), (16, 0)] {
+            let sketch = sequential(capacity, n);
+            let borrowed = sketch.summary();
+            assert_eq!(
+                sketch.into_summary().map(bits),
+                borrowed.map(bits),
+                "capacity {capacity}, {n} values"
+            );
+        }
     }
 
     #[test]

@@ -17,6 +17,18 @@
 //! errors are correlated across consecutive windows (AR(1) with ρ = 0.7) the
 //! way real tracker errors are: a model that locked onto a motion-artifact
 //! harmonic stays wrong for a few windows.
+//!
+//! The k-th prediction's error is its activity's calibrated sigma times a
+//! normalized noise value `noise[k]` that depends only on the estimator's RNG
+//! seed ([`CalibratedEstimator::rng_seed`]) and on k. A [`NoiseTape`] records
+//! the first values of that sequence once, so callers that run many
+//! estimators on one seed — the profiler's 60 passes, a fleet pool slot's
+//! runs — share one recording instead of drawing it again: an estimator
+//! built [`with_tape`](CalibratedEstimator::with_tape) replays the tape and
+//! then keeps drawing live from the generator state recorded after it. Its
+//! predictions are bit-identical to a live estimator's at any tape length.
+
+use std::sync::Arc;
 
 use hw_sim::profile::Workload;
 use ppg_data::LabeledWindow;
@@ -30,11 +42,90 @@ use crate::zoo::ModelKind;
 /// Correlation of the error between consecutive windows.
 const ERROR_CORRELATION: f32 = 0.7;
 
+/// Draws the next value of the AR(1) noise sequence after `previous`: a
+/// Box–Muller standard normal innovation, filtered.
+fn next_noise(rng: &mut StdRng, previous: f32) -> f32 {
+    let u1: f32 = 1.0 - rng.random::<f32>();
+    let u2: f32 = rng.random::<f32>();
+    let innovation = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+    ERROR_CORRELATION * previous + (1.0 - ERROR_CORRELATION * ERROR_CORRELATION).sqrt() * innovation
+}
+
+/// The first values of one RNG seed's normalized noise sequence, recorded
+/// once and shared (`Arc`) by every estimator that replays it.
+///
+/// Besides the values, a tape keeps the generator state and the last noise
+/// value after them, so an estimator that runs past the tape continues the
+/// sequence live exactly where the recording stopped. An empty tape costs no
+/// heap allocation and gives the live sequence from its first value.
+#[derive(Debug, Clone)]
+pub struct NoiseTape {
+    rng_seed: u64,
+    values: Arc<[f32]>,
+    /// Generator state after the recorded draws.
+    rng: StdRng,
+    /// The last recorded value (0 for an empty tape): the AR(1) state the
+    /// first live draw continues from.
+    last: f32,
+}
+
+impl NoiseTape {
+    /// Records the first `len` noise values of `rng_seed`'s sequence.
+    pub fn record(rng_seed: u64, len: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(rng_seed);
+        let mut last = 0.0;
+        let values = if len == 0 {
+            Arc::default()
+        } else {
+            (0..len)
+                .map(|_| {
+                    last = next_noise(&mut rng, last);
+                    last
+                })
+                .collect()
+        };
+        Self {
+            rng_seed,
+            values,
+            rng,
+            last,
+        }
+    }
+
+    /// An empty tape for `rng_seed`: an estimator replaying it draws every
+    /// value live.
+    pub fn empty(rng_seed: u64) -> Self {
+        Self::record(rng_seed, 0)
+    }
+
+    /// The RNG seed whose sequence the tape records.
+    pub fn rng_seed(&self) -> u64 {
+        self.rng_seed
+    }
+
+    /// Number of recorded values.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Whether the tape records nothing.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+}
+
 /// An HR estimator whose error statistics are calibrated to a [`ModelKind`].
+///
+/// It replays a [`NoiseTape`] of its RNG seed's noise sequence, then draws
+/// live; [`CalibratedEstimator::new`] starts from an empty tape, so it draws
+/// every value live.
 #[derive(Debug, Clone)]
 pub struct CalibratedEstimator {
     kind: ModelKind,
-    seed: u64,
+    tape: NoiseTape,
+    /// Index of the next tape value to replay; stays at the tape's length
+    /// once the estimator draws live.
+    cursor: usize,
     rng: StdRng,
     previous_noise: f32,
 }
@@ -43,12 +134,36 @@ impl CalibratedEstimator {
     /// Creates a calibrated estimator for the given model with a deterministic
     /// error sequence derived from `seed`.
     pub fn new(kind: ModelKind, seed: u64) -> Self {
+        Self::with_tape(kind, seed, NoiseTape::empty(Self::rng_seed(kind, seed)))
+    }
+
+    /// [`CalibratedEstimator::new`] replaying `tape`: the predictions are
+    /// bit-identical to `new(kind, seed)`'s, whatever the tape's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tape` records another sequence than this estimator's,
+    /// that is, when its RNG seed is not [`CalibratedEstimator::rng_seed`]
+    /// of `kind` and `seed`.
+    pub fn with_tape(kind: ModelKind, seed: u64, tape: NoiseTape) -> Self {
+        assert_eq!(
+            tape.rng_seed,
+            Self::rng_seed(kind, seed),
+            "a {kind} estimator seeded {seed} cannot replay this noise tape"
+        );
         Self {
             kind,
-            seed,
-            rng: StdRng::seed_from_u64(seed ^ kind as u64),
-            previous_noise: 0.0,
+            rng: tape.rng.clone(),
+            previous_noise: tape.last,
+            tape,
+            cursor: 0,
         }
+    }
+
+    /// The RNG seed of the noise sequence of a `kind` estimator seeded
+    /// `seed`: the seed with the model's index XORed in.
+    pub fn rng_seed(kind: ModelKind, seed: u64) -> u64 {
+        seed ^ kind as u64
     }
 
     /// The model this surrogate is calibrated to.
@@ -56,10 +171,15 @@ impl CalibratedEstimator {
         self.kind
     }
 
-    fn sample_standard_normal(&mut self) -> f32 {
-        let u1: f32 = 1.0 - self.rng.random::<f32>();
-        let u2: f32 = self.rng.random::<f32>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+    /// The next normalized noise value: replayed while the tape lasts, then
+    /// drawn live from the generator state recorded after it.
+    fn next_noise(&mut self) -> f32 {
+        if let Some(&noise) = self.tape.values.get(self.cursor) {
+            self.cursor += 1;
+            return noise;
+        }
+        self.previous_noise = next_noise(&mut self.rng, self.previous_noise);
+        self.previous_noise
     }
 }
 
@@ -82,10 +202,7 @@ impl HrEstimator for CalibratedEstimator {
         // For a zero-mean Gaussian, E[|x|] = sigma * sqrt(2/pi); scale so the
         // absolute error averages to the calibrated MAE.
         let sigma = target_mae * (std::f32::consts::PI / 2.0).sqrt();
-        let innovation = self.sample_standard_normal();
-        let noise = ERROR_CORRELATION * self.previous_noise
-            + (1.0 - ERROR_CORRELATION * ERROR_CORRELATION).sqrt() * innovation;
-        self.previous_noise = noise;
+        let noise = self.next_noise();
         Ok(clamp_bpm(window.hr_bpm + sigma * noise))
     }
 
@@ -93,9 +210,12 @@ impl HrEstimator for CalibratedEstimator {
         self.kind.workload_watch()
     }
 
+    /// Rewinds to the start of the error sequence: to the tape's first value,
+    /// or, for an empty tape, to the freshly seeded generator.
     fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed ^ self.kind as u64);
-        self.previous_noise = 0.0;
+        self.cursor = 0;
+        self.rng = self.tape.rng.clone();
+        self.previous_noise = self.tape.last;
     }
 }
 

@@ -6,7 +6,7 @@ use ppg_models::adaptive_threshold::AdaptiveThreshold;
 use ppg_models::error::ModelError;
 use ppg_models::random_forest::{RandomForest, RandomForestConfig};
 use ppg_models::spectral::SpectralPeak;
-use ppg_models::surrogate::CalibratedEstimator;
+use ppg_models::surrogate::{CalibratedEstimator, NoiseTape};
 use ppg_models::timeppg::{TimePpg, TimePpgVariant};
 use ppg_models::traits::{ActivityClassifier, HrEstimator};
 use ppg_models::zoo::{ModelKind, ModelZoo};
@@ -100,6 +100,79 @@ proptest! {
             prop_assert!(pair[0].watch_cycles < pair[1].watch_cycles);
         }
     }
+}
+
+/// A labels-only window of `activity` at `hr_bpm`.
+fn labels_window(activity: Activity, hr_bpm: f32) -> LabeledWindow {
+    LabeledWindow {
+        subject: SubjectId(0),
+        activity,
+        hr_bpm,
+        ppg: Vec::new(),
+        accel_x: Vec::new(),
+        accel_y: Vec::new(),
+        accel_z: Vec::new(),
+        mean_motion_g: 0.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Estimators replaying a noise tape predict exactly what live ones do.
+    /// The three models share one tape the way the runtime's estimators do
+    /// (seeded `seed ^ kind`, so every one draws `seed`'s sequence), are
+    /// interleaved in an arbitrary order over arbitrary activities, and are
+    /// reset at arbitrary points. Every tape length from empty to longer
+    /// than the run is replayed, so each estimator's prediction count is
+    /// met by a shorter, an equal and a longer tape.
+    #[test]
+    fn taped_predictions_equal_live_ones_bit_for_bit(
+        seed in 0u64..u64::MAX,
+        steps in prop::collection::vec((0usize..9, 40.0f32..190.0, 0usize..3, 0u32..12), 1..60),
+        extra in 1usize..20,
+    ) {
+        let estimators = |tape: Option<&NoiseTape>| {
+            ModelKind::ALL.map(|kind| {
+                let estimator_seed = seed ^ kind as u64;
+                match tape {
+                    Some(tape) => CalibratedEstimator::with_tape(kind, estimator_seed, tape.clone()),
+                    None => CalibratedEstimator::new(kind, estimator_seed),
+                }
+            })
+        };
+        for len in 0..=steps.len() + extra {
+            let tape = NoiseTape::record(seed, len);
+            prop_assert_eq!(tape.len(), len);
+            let mut live = estimators(None);
+            let mut taped = estimators(Some(&tape));
+            for (index, &(activity, hr_bpm, model, reset)) in steps.iter().enumerate() {
+                if reset == 0 {
+                    live[model].reset();
+                    taped[model].reset();
+                }
+                let window = labels_window(Activity::ALL[activity], hr_bpm);
+                let expected = live[model].predict(&window).unwrap();
+                let actual = taped[model].predict(&window).unwrap();
+                prop_assert_eq!(
+                    actual.to_bits(),
+                    expected.to_bits(),
+                    "tape of {} values, step {}: {} vs {}",
+                    len,
+                    index,
+                    actual,
+                    expected
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "cannot replay this noise tape")]
+fn an_estimator_rejects_a_tape_of_another_seed() {
+    let tape = NoiseTape::record(7, 4);
+    CalibratedEstimator::with_tape(ModelKind::TimePpgBig, 7, tape);
 }
 
 #[test]
