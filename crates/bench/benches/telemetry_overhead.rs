@@ -2,12 +2,11 @@
 //!
 //! The instrumentation (nothing per window; per device run, one registry
 //! resolution, three counter adds and one runtime stage timer; per executor
-//! worker, one snapshot folded into the caller's registry; three stage
-//! timers in the DSP layer) must stay in the noise of the simulation itself
-//! — the README documents a <2% wall-clock target. Executor workers always
-//! record into a private live registry, so the caller's registry below only
-//! decides where those snapshots are folded. This bench runs the same fleet
-//! under three registries:
+//! worker, one snapshot folded into the caller's registry) must stay in the
+//! noise of the simulation itself — the README documents a <2% wall-clock
+//! target. Executor workers always record into a private live registry, so
+//! the caller's registry below only decides where those snapshots are
+//! folded. This bench runs the same fleet under three registries:
 //!
 //! * `enabled`   — a live [`telemetry::Registry`], the production path,
 //! * `disabled`  — [`telemetry::Registry::disabled`], whose instruments are

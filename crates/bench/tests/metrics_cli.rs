@@ -194,12 +194,7 @@ fn fleet_metrics_exposition_carries_the_run_counters() {
     assert_eq!(phone + wearable, windows);
 
     // The runtime loop is timed once per run, and a balanced fleet has no
-    // subject pool, so no device reuses another's run. The DSP stages
-    // (`band_pass`/`fft`/`features`) are *not* expected here: the fleet hot
-    // path runs the oracle activity classifier and calibrated surrogate
-    // estimators, so the raw signal path never executes — those timers are
-    // exercised by the ppg-dsp unit tests and the spectral / random-forest
-    // experiments instead.
+    // subject pool, so no device reuses another's run.
     let runs =
         telemetry::sample_value(&samples, "chris_stage_duration_ns_count{stage=\"runtime\"}")
             .expect("the runtime stage has a duration histogram");

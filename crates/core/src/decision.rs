@@ -19,6 +19,7 @@
 //! record-low MAE staircase within a `MaxMae` bound, or the most accurate
 //! row of the energy prefix a `MaxEnergy` budget admits.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
@@ -181,19 +182,27 @@ struct SelectionIndex {
     /// a record. The MAEs strictly decrease, so the first record within a
     /// bound is the first feasible row within it: the cheapest.
     mae_records: Vec<(f32, usize)>,
-    /// `MaxEnergy`: the energies of the feasible rows with a non-NaN
-    /// energy, in table order, so increasing: a budget admits a prefix.
-    energies: Vec<f64>,
-    /// `MaxEnergy`: (position in `energies`, row) wherever the most
-    /// accurate row of a prefix of `energies` changes, that is, at each row
-    /// whose MAE is `total_cmp`-lower than every earlier one's (ties keep
-    /// the earlier row).
-    most_accurate_prefix: Vec<(usize, usize)>,
+    /// `MaxEnergy`: the feasible rows with a non-NaN energy whose MAE is
+    /// `total_cmp`-lower than that of every earlier such row (ties keep the
+    /// earlier row), as (energy, row). The energies do not decrease, so the
+    /// last record within a budget is the most accurate row it admits.
+    energy_records: Vec<(f64, usize)>,
     /// The `MaxMae` fallback: the first feasible row with the lowest MAE
     /// under `total_cmp`.
     most_accurate: Option<usize>,
     /// The `MaxEnergy` fallback: the first feasible row, the cheapest.
     cheapest: Option<usize>,
+}
+
+/// The order of a profiled table: by smartwatch energy, then by MAE, both
+/// under `total_cmp`, so a NaN (a corrupted table entry) sorts
+/// deterministically to an end instead of scrambling the table. Sort with
+/// the stable `sort_by`: profiles equal in both keep their given order.
+pub(crate) fn table_order(a: &ConfigurationProfile, b: &ConfigurationProfile) -> Ordering {
+    a.watch_energy
+        .as_microjoules()
+        .total_cmp(&b.watch_energy.as_microjoules())
+        .then(a.mae_bpm.total_cmp(&b.mae_bpm))
 }
 
 /// Whether `profile` can run while the link has `status`: hybrid
@@ -234,15 +243,13 @@ impl SelectionIndex {
                 index.mae_records.push((mae, row));
             }
             let energy = profile.watch_energy.as_microjoules();
-            if !energy.is_nan() {
-                if index
-                    .most_accurate_prefix
+            if !energy.is_nan()
+                && index
+                    .energy_records
                     .last()
                     .is_none_or(|&(_, best)| lower_mae(row, best))
-                {
-                    index.most_accurate_prefix.push((index.energies.len(), row));
-                }
-                index.energies.push(energy);
+            {
+                index.energy_records.push((energy, row));
             }
         }
         index
@@ -262,30 +269,26 @@ impl SelectionIndex {
     /// The most accurate row whose energy is `<=` `budget`.
     fn most_accurate_within(&self, budget: Energy) -> Option<usize> {
         let budget = budget.as_microjoules();
-        let admitted = self.energies.partition_point(|&energy| energy <= budget);
-        let changes = self
-            .most_accurate_prefix
-            .partition_point(|&(position, _)| position < admitted);
-        self.most_accurate_prefix[..changes]
-            .last()
-            .map(|&(_, row)| row)
+        let admitted = self
+            .energy_records
+            .partition_point(|&(energy, _)| energy <= budget);
+        self.energy_records[..admitted].last().map(|&(_, row)| row)
     }
 }
 
 impl DecisionEngine {
     /// Creates the engine from a profiled table. The table is (re)sorted by
-    /// smartwatch energy and indexed, so every selection is a binary search.
+    /// smartwatch energy, then MAE, and indexed, so every selection is a
+    /// binary search.
     ///
     /// Ordering uses `total_cmp`, so a NaN in a profiled MAE or energy (a
     /// corrupted table entry) sorts deterministically to an end of the table
-    /// instead of silently scrambling it.
+    /// instead of silently scrambling it. [`Profiler::profile_all`]
+    /// returns its table in this order.
+    ///
+    /// [`Profiler::profile_all`]: crate::profiling::Profiler::profile_all
     pub fn new(mut profiles: Vec<ConfigurationProfile>) -> Self {
-        profiles.sort_by(|a, b| {
-            a.watch_energy
-                .as_microjoules()
-                .total_cmp(&b.watch_energy.as_microjoules())
-                .then(a.mae_bpm.total_cmp(&b.mae_bpm))
-        });
+        profiles.sort_by(table_order);
         let index = ConnectionStatus::ALL.map(|status| SelectionIndex::new(&profiles, status));
         Self {
             table: Arc::new(Table { profiles, index }),

@@ -10,10 +10,10 @@
 //! registry active when the run ends: the window loop counts into locals
 //! and touches no handle, the counts are added once after the loop, and the
 //! loop as a whole is timed once, into
-//! `chris_stage_duration_ns{stage="runtime"}`.
-//! [`Profiler::profile_with`](crate::profiling::Profiler::profile_with)
-//! likewise adds its per-model prediction counts once per profile, through
-//! a cache of its own holding only the invocation counters.
+//! `chris_stage_duration_ns{stage="runtime"}`. A
+//! [`Profiler`](crate::profiling::Profiler) pass likewise adds its per-model
+//! prediction counts once per profile, through a cache of its own holding
+//! only the invocation counters.
 //!
 //! Counter series (windows, offload decisions by backend, model invocations)
 //! are [`Stable`](telemetry::Stability::Stable): their values depend only on

@@ -12,10 +12,11 @@ use hw_sim::units::Energy;
 use ppg_data::{IntoWindowSource, LabeledWindow, WindowSource};
 use ppg_dsp::stats::ErrorAccumulator;
 use ppg_models::surrogate::{CalibratedEstimator, NoiseTape};
-use ppg_models::traits::{ActivityClassifier, HrEstimator, OracleActivityClassifier};
+use ppg_models::traits::HrEstimator;
 use ppg_models::zoo::{ModelKind, ModelZoo};
 
 use crate::config::{enumerate_configurations, Configuration, EnergyAccounting};
+use crate::decision::table_order;
 use crate::error::ChrisError;
 use crate::metrics::add_invocations;
 
@@ -111,12 +112,17 @@ impl<'a> Profiler<'a> {
         self.zoo.phone().compute_energy(&model.workload_phone())
     }
 
-    /// Profiles one configuration on the given windows with the oracle
-    /// activity classifier.
+    /// Profiles one configuration on the given windows, each routed by its
+    /// true activity label (the oracle classifier; a runtime built with
+    /// [`ChrisRuntime::with_classifier`](crate::runtime::ChrisRuntime::with_classifier)
+    /// carries classifier mispredictions into its run instead).
     ///
-    /// Like every profiling entry point, `windows` accepts both eager
-    /// buffers and lazy [`WindowSource`] streams (see
-    /// [`Profiler::profile_all`]).
+    /// A single pass: windows are pulled from the source one at a time, so
+    /// eager buffers and lazy [`WindowSource`] streams are both accepted and
+    /// a stream is profiled in O(1 window) memory. The predictions of each
+    /// model of the pair are added to its `chris_model_invocations_total`
+    /// counter on the thread's active telemetry registry once, after the
+    /// pass; a failed pass publishes nothing.
     ///
     /// # Errors
     ///
@@ -128,46 +134,16 @@ impl<'a> Profiler<'a> {
         windows: S,
         options: ProfilingOptions,
     ) -> Result<ConfigurationProfile, ChrisError> {
-        self.profile_with(
-            configuration,
-            windows,
-            &OracleActivityClassifier::new(),
-            options,
-        )
+        self.pass(configuration, windows, options, &[])
     }
 
-    /// Profiles one configuration using an explicit activity classifier, so
-    /// that classifier mispredictions are reflected in the profile (as in the
-    /// paper's evaluation).
-    ///
-    /// A single pass: windows are pulled from the source one at a time, so a
-    /// lazy stream is profiled in O(1 window) memory. The predictions of each
-    /// model of the pair are added to its `chris_model_invocations_total`
-    /// counter on the thread's active telemetry registry once, after the
-    /// pass; a failed pass publishes nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChrisError::EmptyWorkload`] when `windows` yields nothing
-    /// and propagates model errors.
-    pub fn profile_with<S: IntoWindowSource>(
-        &self,
-        configuration: Configuration,
-        windows: S,
-        classifier: &dyn ActivityClassifier,
-        options: ProfilingOptions,
-    ) -> Result<ConfigurationProfile, ChrisError> {
-        self.pass(configuration, windows, classifier, options, &[])
-    }
-
-    /// The pass behind [`Profiler::profile_with`]. Each estimator replays
-    /// the tape of its RNG seed in `tapes`, if there is one, and draws live
-    /// past it; the profile is the same with or without tapes.
+    /// The pass behind [`Profiler::profile`]. Each estimator replays the
+    /// tape of its RNG seed in `tapes`, if there is one, and draws live past
+    /// it; the profile is the same with or without tapes.
     fn pass<S: IntoWindowSource>(
         &self,
         configuration: Configuration,
         windows: S,
-        classifier: &dyn ActivityClassifier,
         options: ProfilingOptions,
         tapes: &[NoiseTape],
     ) -> Result<ConfigurationProfile, ChrisError> {
@@ -193,8 +169,7 @@ impl<'a> Profiler<'a> {
         // By-reference internal iteration: slices profile with zero copies,
         // lazy sources materialize one window at a time.
         let n = source.try_for_each_window(|window| -> Result<(), ChrisError> {
-            let predicted_activity = classifier.classify(window)?;
-            let difficulty = predicted_activity.difficulty();
+            let difficulty = window.activity.difficulty();
             let model = configuration.model_for(difficulty);
             let offloaded = configuration.offloads(difficulty);
 
@@ -286,20 +261,11 @@ impl<'a> Profiler<'a> {
                 }
             }
         }
-        let oracle = OracleActivityClassifier::new();
         let mut table: Vec<ConfigurationProfile> = configurations
             .into_iter()
-            .map(|c| self.pass(c, windows, &oracle, options, &tapes))
+            .map(|c| self.pass(c, windows, options, &tapes))
             .collect::<Result<_, _>>()?;
-        // Same NaN-safe ordering as `DecisionEngine::new`, which re-sorts the
-        // table it is given: keep the two in lockstep so direct consumers of
-        // this table see the same order the engine stores.
-        table.sort_by(|a, b| {
-            a.watch_energy
-                .as_microjoules()
-                .total_cmp(&b.watch_energy.as_microjoules())
-                .then(a.mae_bpm.total_cmp(&b.mae_bpm))
-        });
+        table.sort_by(table_order);
         Ok(table)
     }
 }
@@ -581,12 +547,7 @@ mod tests {
                 .into_iter()
                 .map(|c| profiler.profile(c, &ws, options).unwrap())
                 .collect();
-            live.sort_by(|a, b| {
-                a.watch_energy
-                    .as_microjoules()
-                    .total_cmp(&b.watch_energy.as_microjoules())
-                    .then(a.mae_bpm.total_cmp(&b.mae_bpm))
-            });
+            live.sort_by(table_order);
             let bits = |table: &[ConfigurationProfile]| -> Vec<(u32, u32)> {
                 table
                     .iter()

@@ -19,13 +19,6 @@ pub enum DataError {
         /// Number of samples required for one window.
         required: usize,
     },
-    /// A cross-validation fold index was out of range.
-    UnknownFold {
-        /// The requested fold index.
-        index: usize,
-        /// Number of folds available.
-        available: usize,
-    },
     /// A DSP routine failed while deriving labels or features.
     Dsp(ppg_dsp::DspError),
 }
@@ -41,9 +34,6 @@ impl fmt::Display for DataError {
                     f,
                     "recording too short: {samples} samples, {required} required"
                 )
-            }
-            DataError::UnknownFold { index, available } => {
-                write!(f, "unknown fold {index}, cross-validation has {available}")
             }
             DataError::Dsp(e) => write!(f, "dsp error: {e}"),
         }
@@ -81,11 +71,6 @@ mod tests {
             required: 256,
         };
         assert!(e.to_string().contains("256"));
-        let e = DataError::UnknownFold {
-            index: 9,
-            available: 5,
-        };
-        assert!(e.to_string().contains("9"));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   amount of motion artifacts (MAs) corrupting the PPG,
 //! * accelerometer signals whose statistical features separate the activities
 //!   (so a small random forest reaches > 90 % easy/hard accuracy, as reported),
-//! * 32 Hz sampling, 256-sample (8 s) windows with a 64-sample (2 s) stride,
-//! * subject-wise cross-validation folds (5 folds × 3 subjects).
+//! * 32 Hz sampling, 256-sample (8 s) windows with a 64-sample (2 s) stride.
 //!
 //! The generative model is intentionally simple and fully documented in
 //! [`ppg_synth`]: a pulse train driven by a smooth heart-rate trajectory, plus
@@ -57,7 +56,6 @@ pub mod accel_synth;
 pub mod activity;
 pub mod dataset;
 pub mod error;
-pub mod folds;
 pub mod hr_profile;
 pub mod noise;
 pub mod ppg_synth;
@@ -68,7 +66,6 @@ pub mod window;
 pub use activity::{Activity, DifficultyLevel};
 pub use dataset::{Dataset, DatasetBuilder, SessionRecording, Synthesis};
 pub use error::DataError;
-pub use folds::{CrossValidation, Fold};
 pub use stream::cache::{drain_shared, CachedWindows, WindowCache, WindowCacheKey};
 pub use stream::{
     collect_windows, BufferWindows, IntoWindowSource, RecordingWindows, SliceSource, SynthWindows,

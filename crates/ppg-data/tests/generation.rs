@@ -1,7 +1,7 @@
 //! Integration tests of the synthetic dataset generator: statistical
 //! properties that the downstream experiments rely on.
 
-use ppg_data::{Activity, CrossValidation, DatasetBuilder, SubjectId};
+use ppg_data::{Activity, DatasetBuilder, SubjectId};
 use ppg_dsp::features::AccelFeatures;
 use proptest::prelude::*;
 
@@ -111,18 +111,6 @@ fn subjects_differ_but_activities_are_balanced_per_subject() {
         .unwrap()
         .ppg;
     assert_ne!(a, b);
-}
-
-#[test]
-fn paper_cross_validation_covers_every_subject_exactly_once_as_test() {
-    let cv = CrossValidation::paper_protocol().unwrap();
-    assert_eq!(cv.len(), 15);
-    let mut tested = [0usize; 15];
-    for fold in cv.folds() {
-        assert!(fold.is_disjoint());
-        tested[fold.test[0].0] += 1;
-    }
-    assert!(tested.iter().all(|&t| t == 1));
 }
 
 proptest! {

@@ -91,7 +91,6 @@ impl AccelFeatures {
     /// Returns [`DspError::LengthMismatch`] if the axes differ in length and
     /// [`DspError::EmptyInput`] if they are empty.
     pub fn from_axes(x: &[f32], y: &[f32], z: &[f32]) -> Result<Self, DspError> {
-        let _timer = crate::metrics::stage_timer(crate::metrics::Stage::Features);
         if x.len() != y.len() || y.len() != z.len() {
             return Err(DspError::LengthMismatch {
                 op: "AccelFeatures::from_axes",

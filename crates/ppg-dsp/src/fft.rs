@@ -146,7 +146,6 @@ pub fn dominant_frequency(
     low_hz: f32,
     high_hz: f32,
 ) -> Result<(usize, f32, f32), DspError> {
-    let _timer = crate::metrics::stage_timer(crate::metrics::Stage::Fft);
     let n = signal.len();
     let ps = power_spectrum(signal)?;
     let mut best: Option<(usize, f32)> = None;

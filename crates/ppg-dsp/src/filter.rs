@@ -258,7 +258,6 @@ pub fn band_pass(
     high_hz: f32,
     sample_rate_hz: f32,
 ) -> Result<Vec<f32>, DspError> {
-    let _timer = crate::metrics::stage_timer(crate::metrics::Stage::BandPass);
     if signal.is_empty() {
         return Err(DspError::EmptyInput { op: "band_pass" });
     }

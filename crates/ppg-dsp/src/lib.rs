@@ -14,16 +14,12 @@
 //! * [`features`] — per-axis statistical features (mean, energy, standard
 //!   deviation, number of peaks) for the activity-recognition random forest,
 //! * [`stats`] — error metrics (MAE, RMSE, bias) and summary statistics used by
-//!   the evaluation harness,
-//! * [`metrics`] — per-stage duration instrumentation: the band-pass, FFT and
-//!   feature-extraction entry points time themselves into the thread's active
-//!   [`telemetry`] registry.
+//!   the evaluation harness.
 //!
-//! The crate has no external dependencies besides `serde` (for persisting
-//! feature vectors and metric reports) and the workspace-internal `telemetry`
-//! core, and is deliberately `f32`-centric: the
-//! deployed smartwatch pipeline of the paper operates on single-precision or
-//! quantized data.
+//! The crate has no dependencies besides `serde` (for persisting feature
+//! vectors and metric reports) and records no telemetry, and is deliberately
+//! `f32`-centric: the deployed smartwatch pipeline of the paper operates on
+//! single-precision or quantized data.
 //!
 //! ## Example
 //!
@@ -49,7 +45,6 @@ pub mod error;
 pub mod features;
 pub mod fft;
 pub mod filter;
-pub mod metrics;
 pub mod peaks;
 pub mod stats;
 pub mod window;

@@ -1,10 +1,10 @@
 //! Unit and conformance tests for the metrics core: registration
 //! validation, saturating arithmetic, exposition escaping and grammar,
-//! snapshot merging, and scope semantics.
+//! snapshot merging, scope semantics and the per-thread handle cache.
 
 use telemetry::{
-    parse_exposition, render_text, sample_value, HistogramSample, MetricsSnapshot, Registry,
-    Stability, TelemetryError, DURATION_NS_BOUNDS,
+    parse_exposition, render_text, sample_value, HandleCache, Histogram, HistogramSample,
+    MetricsSnapshot, Registry, Stability, TelemetryError, DURATION_NS_BOUNDS,
 };
 
 #[test]
@@ -406,4 +406,67 @@ fn registry_ids_are_shared_by_clones_and_never_reused() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 65);
+}
+
+/// Times one observation of `stage` through `cache`, which resolves the
+/// stage's duration histogram from the active registry.
+fn time_stage(cache: &HandleCache<Histogram>, stage: &str) {
+    cache.with(
+        |registry| {
+            registry
+                .histogram(
+                    telemetry::STAGE_DURATION_SERIES,
+                    &[("stage", stage)],
+                    telemetry::STAGE_DURATION_HELP,
+                    Stability::Observational,
+                    &DURATION_NS_BOUNDS,
+                )
+                .unwrap()
+        },
+        |histogram| drop(histogram.start_timer()),
+    );
+}
+
+#[test]
+fn handles_re_resolve_when_the_active_registry_changes() {
+    let cache = HandleCache::new();
+    let a = Registry::new();
+    let b = Registry::new();
+    for registry in [&a, &b] {
+        let _scope = telemetry::scoped(registry);
+        time_stage(&cache, "features");
+    }
+    for registry in [&a, &b] {
+        let snap = registry.snapshot();
+        let features = snap
+            .histograms
+            .iter()
+            .find(|h| h.labels == vec![("stage".to_string(), "features".to_string())])
+            .expect("features series registered");
+        assert_eq!(features.count, 1);
+    }
+}
+
+#[test]
+fn a_new_registry_is_never_served_a_dropped_ones_handles() {
+    // A registry dropped and replaced on the same thread: the new one
+    // often reuses the old one's allocation, so an address-keyed cache
+    // would keep timing into the dead registry.
+    let cache = HandleCache::new();
+    let a = Registry::new();
+    {
+        let _scope = telemetry::scoped(&a);
+        time_stage(&cache, "fft");
+    }
+    drop(a);
+    let b = Registry::new();
+    {
+        let _scope = telemetry::scoped(&b);
+        time_stage(&cache, "fft");
+    }
+    let exposition = b.exposition();
+    assert!(
+        exposition.contains("chris_stage_duration_ns_count{stage=\"fft\"} 1"),
+        "{exposition}"
+    );
 }

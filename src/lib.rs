@@ -7,7 +7,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`dsp`] | `ppg-dsp` | filters, FFT, peak detection, features, metrics |
+//! | [`dsp`] | `ppg-dsp` | filters, FFT, peak detection, features, error metrics |
 //! | [`data`] | `ppg-data` | synthetic PPGDalia-like dataset generator |
 //! | [`dl`] | `tinydl` | tiny deep-learning engine (TCNs, int8 quantization) |
 //! | [`hw`] | `hw-sim` | STM32WB55 / Raspberry Pi3 / BLE / battery models |
