@@ -12,10 +12,12 @@
 //! [`FleetSimulation`] and a device-id range, and the worker derives each
 //! [`DeviceScenario`] on demand as it claims ids — one scenario alive per
 //! worker, never a materialized `Vec<DeviceScenario>`, and nothing a device
-//! allocates outlives it, except a pooled device's entry in the call's run
-//! memo, which is freed when [`run_fleet_range`] returns (both checked with
-//! a counting allocator in `tests/scenario_free.rs`). A billion-device shard
-//! therefore costs O(threads) scenario memory.
+//! allocates outlives it, except a pooled device's first run of its key,
+//! which its pool slot's run memo keeps for the simulation's lifetime as one
+//! 72-byte entry (both checked with a counting allocator in
+//! `tests/scenario_free.rs`). A billion-device shard therefore costs
+//! O(threads) scenario memory, and a pooled simulation's memo is bounded by
+//! its distinct run keys.
 //!
 //! The executor is the per-process layer of the scale-out story: both the
 //! single-process path ([`crate::FleetSimulation::run_with_options`]) and
@@ -24,9 +26,8 @@
 //! identical per-device work — only the partitioning and the final
 //! [`crate::merge::merge`] differ.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,7 +47,7 @@ use telemetry::Stability;
 use crate::error::FleetError;
 use crate::progress::ProgressSink;
 use crate::report::{DeviceReport, ReportMode};
-use crate::scenario::{DeviceScenario, ScenarioGenerator, SynthesisProfile};
+use crate::scenario::{DeviceFields, DeviceScenario, ScenarioGenerator, SynthesisProfile};
 use crate::FleetSimulation;
 
 /// Upper bound on the projected battery life, in hours (≈11 years). Keeps
@@ -155,17 +156,18 @@ fn simulate<S: WindowSource>(
 ) -> Result<DeviceReport, FleetError> {
     let for_device = |e: FleetError| FleetError::for_device(scenario.device_id, e);
     let stream = stream.map_err(|e| for_device(e.into()))?;
+    let device = scenario.fields();
     let tape = NoiseTape::empty(scenario.dataset_seed);
     let run = engine
-        .plan(&scenario.constraint)
-        .and_then(|plan| run_device(scenario, zoo, engine, &plan, stream, &tape))
+        .plan(&device.constraint)
+        .and_then(|plan| run_device(&device, zoo, engine, &plan, stream, &tape))
         .map_err(|e| for_device(e.into()))?;
-    finish(scenario, sink, &run)
+    finish(&device, sink, &run)
 }
 
-/// Runs `plan` over `windows` under `scenario`'s schedule and accounting,
-/// with estimators seeded by its dataset seed that replay `tape`, a
-/// recording of that seed's error sequence (see
+/// Runs `plan` over `windows` under `device`'s schedule and accounting,
+/// with estimators seeded by the device's dataset seed that replay `tape`,
+/// a recording of that seed's error sequence (see
 /// [`ChrisRuntime::with_noise_tape`]): a pool slot's tape covers its whole
 /// session, and a streaming device's is empty, so it draws every error live.
 ///
@@ -173,7 +175,7 @@ fn simulate<S: WindowSource>(
 /// zoo and engine, so workers run devices concurrently without sharing
 /// mutable state; the tape is shared read-only.
 fn run_device<S: WindowSource>(
-    scenario: &DeviceScenario,
+    device: &DeviceFields,
     zoo: &ModelZoo,
     engine: &DecisionEngine,
     plan: &LinkPlan,
@@ -181,48 +183,48 @@ fn run_device<S: WindowSource>(
     tape: &NoiseTape,
 ) -> Result<DeviceRun, ChrisError> {
     let options = RuntimeOptions {
-        accounting: scenario.accounting,
-        seed: scenario.dataset_seed,
+        accounting: device.accounting,
+        seed: tape.rng_seed(),
         ..RuntimeOptions::default()
     };
     let mut runtime = ChrisRuntime::with_noise_tape(zoo.clone(), engine.clone(), options, tape);
     runtime
-        .run_totals(windows, plan, &scenario.schedule)
-        .map(|totals| DeviceRun::from(&totals))
+        .run_totals(windows, plan, &device.schedule)
+        .and_then(|totals| DeviceRun::try_from(&totals))
 }
 
-/// Builds `scenario`'s report from its `run`: reports the device to `sink`,
+/// Builds `device`'s report from its `run`: reports the device to `sink`,
 /// projects battery life and checks the constraint. Shared by every path,
 /// so a memoized run and a fresh one give the same report.
 fn finish(
-    scenario: &DeviceScenario,
+    device: &DeviceFields,
     sink: Option<&dyn ProgressSink>,
     run: &DeviceRun,
 ) -> Result<DeviceReport, FleetError> {
     if let Some(sink) = sink {
-        sink.device_completed(scenario.device_id, run.windows);
+        sink.device_completed(device.device_id, run.windows as usize);
     }
 
     let battery = Battery::new(
-        scenario.battery_capacity_mah,
+        device.battery_capacity_mah,
         HWATCH_BATTERY_VOLTAGE,
         HWATCH_CONVERTER_EFFICIENCY,
     )
-    .map_err(|e| FleetError::for_device(scenario.device_id, e.into()))?;
+    .map_err(|e| FleetError::for_device(device.device_id, e.into()))?;
     let battery_life_hours = (battery
         .lifetime(watch_power(run.avg_watch_energy))
         .as_seconds()
         / 3600.0)
         .min(BATTERY_LIFE_CAP_HOURS);
 
-    let constraint_violated = match scenario.constraint {
+    let constraint_violated = match device.constraint {
         chris_core::UserConstraint::MaxMae(target) => run.mae_bpm > target,
         chris_core::UserConstraint::MaxEnergy(budget) => run.avg_watch_energy > budget,
     };
 
     Ok(DeviceReport {
-        device_id: scenario.device_id,
-        windows: run.windows,
+        device_id: device.device_id,
+        windows: run.windows as usize,
         mae_bpm: run.mae_bpm,
         avg_watch_energy: run.avg_watch_energy,
         avg_phone_energy: run.avg_phone_energy,
@@ -230,41 +232,53 @@ fn finish(
         simple_fraction: run.simple_fraction,
         disconnected_fraction: run.disconnected_fraction,
         battery_life_hours,
-        constraint: scenario.constraint,
-        accounting: scenario.accounting,
+        constraint: device.constraint,
+        accounting: device.accounting,
         constraint_violated,
     })
 }
 
 /// What a device report reads of a run, plus the counts the run published:
-/// the memo's value, 72 bytes where a [`RunTotals`] takes about 500.
+/// the memo's value, 56 bytes where a [`RunTotals`] takes about 500. Its
+/// counts are `u32`s, which holds any run shorter than 2^32 windows (272
+/// years of recording).
 #[derive(Debug, Clone, Copy)]
 struct DeviceRun {
-    windows: usize,
-    offloaded: usize,
+    windows: u32,
+    offloaded: u32,
     avg_watch_energy: Energy,
     avg_phone_energy: Energy,
     /// Predictions per model, indexed by [`ModelKind::index`].
-    invocations: [u64; ModelKind::ALL.len()],
+    invocations: [u32; ModelKind::ALL.len()],
     mae_bpm: f32,
     offload_fraction: f32,
     simple_fraction: f32,
     disconnected_fraction: f32,
 }
 
-impl From<&RunTotals> for DeviceRun {
-    fn from(totals: &RunTotals) -> Self {
-        Self {
-            windows: totals.windows,
-            offloaded: totals.offloaded,
+impl TryFrom<&RunTotals> for DeviceRun {
+    type Error = ChrisError;
+
+    /// Fails for a run of 2^32 windows or more.
+    fn try_from(totals: &RunTotals) -> Result<Self, ChrisError> {
+        let count = |count: u64| {
+            u32::try_from(count).map_err(|_| ChrisError::InvalidParameter {
+                name: "windows",
+                requirement: "a device run has fewer than 2^32 windows",
+            })
+        };
+        let [at, small, big] = totals.invocations;
+        Ok(Self {
+            windows: count(totals.windows as u64)?,
+            offloaded: count(totals.offloaded as u64)?,
             avg_watch_energy: totals.avg_watch_energy,
             avg_phone_energy: totals.avg_phone_energy,
-            invocations: totals.invocations,
+            invocations: [count(at)?, count(small)?, count(big)?],
             mae_bpm: totals.mae_bpm,
             offload_fraction: totals.offload_fraction,
             simple_fraction: totals.simple_fraction,
             disconnected_fraction: totals.disconnected_fraction,
-        }
+        })
     }
 }
 
@@ -304,28 +318,33 @@ impl From<&RunTotals> for DeviceRun {
 /// plus the devices of higher slots (they derive and stream directly, with
 /// live errors); a pool-less mix streams and records no cache series.
 ///
-/// A replaying device's run is also memoized, for the duration of this call:
-/// each device is planned once ([`DecisionEngine::plan`]), and the first
-/// device with a given run key — pool slot, link schedule, energy
-/// accounting and its plan's configurations masked to the link statuses
-/// the schedule reaches within the slot's windows
-/// ([`ConnectionSchedule::reaches`]) — runs the window loop on that plan,
-/// and every later device with that key, in any worker, rebuilds its report
-/// from the stored result. The worker adds each reused run's Stable counts
-/// to a tally that it publishes once, when it exits, through
-/// [`chris_core::metrics::record_run`]. Reports, Stable telemetry and
-/// returned errors are those of running every device;
-/// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only. A
-/// device whose plan fails, or whose plan failed for a reachable status,
-/// counts as a miss and gets no key: the latter runs unmemoized, so the
-/// runtime raises the error itself. The memo keeps one map per pool slot,
-/// so a lookup searches and locks only its slot's keys. It holds one entry
-/// per distinct key, a count the mix bounds (slots, schedules, accounting
-/// modes and the engine's configurations are all finite) whatever the
-/// device count, and is dropped when the call returns.
-/// Such a run publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that
-/// ran the loop (those of higher slots included), a hit per reuse, so a
-/// successful run counts the same at any thread count.
+/// A replaying device's run is also memoized, in its pool slot, so the memo
+/// lives as long as `simulation` and every run and shard run of it, in any
+/// thread, reuses it: each device is planned once
+/// ([`DecisionEngine::plan`]), and the first device of the simulation with
+/// a given run key — link schedule, energy accounting and its plan's
+/// configurations masked to the link statuses the schedule reaches within
+/// the slot's windows ([`ConnectionSchedule::reaches`]) — runs the window
+/// loop on that plan, and every later device of its slot with that key
+/// rebuilds its report from the stored result. The worker adds each reused
+/// run's Stable counts to a tally that it publishes once, when it exits,
+/// through [`chris_core::metrics::record_run`]. Reports, Stable telemetry
+/// and returned errors are those of running every device;
+/// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only, so a
+/// repeated run of a range records none. A device whose plan fails, whose
+/// plan failed for a reachable status, or whose schedule has no key (an
+/// [`ConnectionSchedule::Outages`] list, which no generated mix draws)
+/// counts as a miss and runs unmemoized; after a failed reachable status
+/// the runtime raises the error itself. A slot holds one entry per
+/// distinct key, a count the mix bounds (schedules, accounting modes and
+/// the engine's configurations are all finite) whatever the device count,
+/// and runs each key's loop once per simulation: a device whose key another
+/// worker, run or shard run is running waits for that run. Such a run
+/// publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that ran the
+/// loop (those of higher slots included), a hit per reuse. Across the
+/// successful runs of a simulation, the counts therefore depend only on
+/// which devices ran, never on thread counts, shard cuts or which run came
+/// first, and a run over devices that earlier runs covered counts only hits.
 ///
 /// # Errors
 ///
@@ -355,7 +374,6 @@ pub fn run_fleet_range(
         PoolEvents::default().publish(&active);
     }
     let cursor = AtomicU64::new(0);
-    let memo = RunMemo::new(simulation.sessions.len());
     let worker = || {
         // One registry and one set of pool counts per worker: counters
         // merge once at worker exit.
@@ -373,7 +391,7 @@ pub fn run_fleet_range(
                 if sink.is_some_and(ProgressSink::should_cancel) {
                     break 'claims;
                 }
-                let result = simulate_in(simulation, range.start + index, sink, &memo, &mut events);
+                let result = simulate_in(simulation, range.start + index, sink, &mut events);
                 let failed = result.is_err();
                 local.push((index, result));
                 if failed {
@@ -427,32 +445,38 @@ pub fn run_fleet_range(
 
 /// Derives and simulates device `device_id` of `simulation` for the
 /// executor; the scenario is dropped when the device completes. A device
-/// with a pool slot takes its synthesis profile from the slot and replays
-/// the slot's session and noise tape through `memo`; every other device
-/// streams, a memo miss. Pool lookups are counted in `events`.
+/// with a filled pool slot takes its synthesis profile from the slot and
+/// replays the slot's session and noise tape through the slot's run memo;
+/// every other device streams, a memo miss. Pool lookups are counted in
+/// `events`.
 fn simulate_in(
     simulation: &FleetSimulation,
     device_id: u64,
     sink: Option<&dyn ProgressSink>,
-    memo: &RunMemo,
     events: &mut PoolEvents,
 ) -> Result<DeviceReport, FleetError> {
     let (zoo, engine) = (simulation.zoo(), simulation.engine());
-    let (scenario, session) =
-        simulation
-            .sessions
-            .scenario(simulation.generator(), device_id, &mut events.cache);
-    let Some((slot, session)) = session else {
-        events.memo.misses += 1;
-        return simulate(&scenario, zoo, engine, sink, scenario.window_stream());
+    let claimed = simulation
+        .sessions
+        .device(simulation.generator(), device_id, &mut events.cache);
+    let (device, slot, session) = match claimed {
+        Claimed::Pooled {
+            device,
+            slot,
+            session,
+        } => (device, slot, session),
+        Claimed::Streaming(scenario) => {
+            events.memo.misses += 1;
+            return simulate(&scenario, zoo, engine, sink, scenario.window_stream());
+        }
     };
-    let run = match engine.plan(&scenario.constraint) {
+    let run = match engine.plan(&device.constraint) {
         Ok(plan) => {
             let windows = &*session.windows;
-            let key = RunKey::new(&scenario, &plan, windows.len());
-            memo.run(slot, key, events, || {
+            let key = RunKey::new(&device, &plan, windows.len());
+            slot.memo.run(key, events, || {
                 let windows = BufferWindows::new(windows);
-                run_device(&scenario, zoo, engine, &plan, windows, &session.tape)
+                run_device(&device, zoo, engine, &plan, windows, &session.tape)
             })
         }
         Err(e) => {
@@ -461,7 +485,7 @@ fn simulate_in(
         }
     };
     let run = run.map_err(|e| FleetError::for_device(device_id, e.into()))?;
-    finish(&scenario, sink, &run)
+    finish(&device, sink, &run)
 }
 
 /// Series name of the profiling-window cache event counter (labelled by
@@ -500,10 +524,10 @@ struct ReusedRuns {
 
 impl ReusedRuns {
     fn add(&mut self, run: &DeviceRun) {
-        self.windows += run.windows;
-        self.offloaded += run.offloaded;
+        self.windows += run.windows as usize;
+        self.offloaded += run.offloaded as usize;
         for (sum, count) in self.invocations.iter_mut().zip(run.invocations) {
-            *sum += count;
+            *sum += u64::from(count);
         }
     }
 
@@ -552,68 +576,121 @@ impl PoolEvents {
 
 /// Everything a pooled device's run depends on besides the simulation's
 /// zoo and engine and its pool slot (which fixes the session and the
-/// estimator seed, and picks the memo's map): the constraint matters only
-/// through the configurations it selects.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct RunKey {
-    schedule: ConnectionSchedule,
-    accounting: EnergyAccounting,
-    /// The device's [`LinkPlan`] masked by [`ConnectionSchedule::reaches`]:
-    /// the configuration for each link status (index 0 connected, 1
-    /// disconnected) the schedule reaches; `None` for a status it never
-    /// reaches, so devices that differ only there share a run.
-    selections: [Option<Configuration>; 2],
-}
+/// estimator seed, and holds the memo): the link schedule, the energy
+/// accounting and the device's [`LinkPlan`] masked by
+/// [`ConnectionSchedule::reaches`] — the configuration for each link status
+/// the schedule reaches, none for a status it never reaches, so devices that
+/// differ only there share a run. The constraint matters only through the
+/// configurations it selects. Packed into 60 bits, low to high: the
+/// schedule (2 bits of variant, 18 of `up`, 18 of `down`), the accounting
+/// (2), then the connected and the disconnected selection (10 each).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RunKey(u64);
 
 impl RunKey {
-    /// The key of `scenario`'s run of `plan` over its slot's
+    /// The key of `device`'s run of `plan` over its slot's
     /// `windows`-window session. `None` when a reachable status's selection
-    /// failed: such a device runs unmemoized, so the runtime reports the
-    /// error in its own order.
-    fn new(scenario: &DeviceScenario, plan: &LinkPlan, windows: usize) -> Option<Self> {
-        let selections = plan.masked(scenario.schedule.reaches(windows)).ok()?;
-        Some(Self {
-            schedule: scenario.schedule.clone(),
-            accounting: scenario.accounting,
-            selections,
-        })
+    /// failed, so the runtime reports the error in its own order, or when
+    /// the key does not fit its bits: an [`ConnectionSchedule::Outages`]
+    /// list or a duty cycle of 2^18 windows or more.
+    fn new(device: &DeviceFields, plan: &LinkPlan, windows: usize) -> Option<Self> {
+        let selections = plan.masked(device.schedule.reaches(windows)).ok()?;
+        Self::of(&device.schedule, device.accounting, selections)
+    }
+
+    /// The key of a run under `schedule` and `accounting` of the masked
+    /// `[connected, disconnected]` selections.
+    fn of(
+        schedule: &ConnectionSchedule,
+        accounting: EnergyAccounting,
+        [connected, disconnected]: [Option<Configuration>; 2],
+    ) -> Option<Self> {
+        let (variant, up, down) = match *schedule {
+            ConnectionSchedule::AlwaysConnected => (0, 0, 0),
+            ConnectionSchedule::NeverConnected => (1, 0, 0),
+            ConnectionSchedule::DutyCycle { up, down } => (2, up as u64, down as u64),
+            ConnectionSchedule::Outages(..) => return None,
+        };
+        pack(&[
+            (selection_code(disconnected)?, 10),
+            (selection_code(connected)?, 10),
+            (accounting as u64, 2),
+            (down, 18),
+            (up, 18),
+            (variant, 2),
+        ])
+        .map(Self)
     }
 }
 
-/// One memoized run: filled once by the first device with its key, then
-/// read by every later one. An error is stored as the runtime returned it
-/// and tagged with each reading device's id.
-type MemoCell = OnceLock<Result<DeviceRun, ChrisError>>;
+/// A link status's selection in 10 bits: none is 0; a configuration sets
+/// the low bit and packs its target, both models and its threshold.
+/// `None` for a threshold of 16 or more, which only a hand-built engine
+/// can hold.
+fn selection_code(selection: Option<Configuration>) -> Option<u64> {
+    let Some(config) = selection else {
+        return Some(0);
+    };
+    pack(&[
+        (u64::from(config.threshold.value()), 4),
+        (config.complex.index() as u64, 2),
+        (config.simple.index() as u64, 2),
+        (config.target as u64, 1),
+        (1, 1),
+    ])
+}
 
-/// One pool slot's memoized runs, by key.
-type SlotMemo = Mutex<BTreeMap<RunKey, Arc<MemoCell>>>;
+/// Packs `(value, bits)` fields into one word, the first field highest;
+/// `None` when a value does not fit its bits.
+fn pack(fields: &[(u64, u32)]) -> Option<u64> {
+    debug_assert!(fields.iter().map(|&(_, bits)| bits).sum::<u32>() <= 64);
+    fields.iter().try_fold(0, |word: u64, &(value, bits)| {
+        (value >> bits == 0).then(|| word << bits | value)
+    })
+}
 
-/// The run memo of one [`run_fleet_range`] call, shared by its workers:
-/// one map per pool slot, each behind its own lock.
+/// A stored run: the run as the runtime returned it, an error boxed so the
+/// entry stays small. An error is tagged with each reading device's id.
+type MemoRun = Result<DeviceRun, Box<ChrisError>>;
+
+/// One pool slot's memoized runs, behind one lock.
 ///
-/// A lock is held only to get or insert a key's cell; the run fills the
-/// cell outside it, so a worker waits only on a run of its own key, and
-/// workers on different slots never contend.
+/// The lock is held only to search, claim or settle a key, never over a
+/// run, so workers wait on each other only for the same key: a device that
+/// finds its key pending waits on `settled` until the claimer stores the
+/// run, so a key's loop runs once per simulation across threads and
+/// concurrent runs. A claimer whose run panics withdraws its claim (see
+/// [`Claim`]), so the memo stays usable and a later device runs the key
+/// again. No code that can panic runs under the lock, and a poisoned lock
+/// is entered anyway.
+#[derive(Debug, Default)]
 struct RunMemo {
-    /// Indexed by pool slot.
-    slots: Box<[SlotMemo]>,
+    state: Mutex<MemoState>,
+    settled: Condvar,
+}
+
+/// What a [`RunMemo`]'s lock guards.
+#[derive(Debug, Default)]
+struct MemoState {
+    /// Sorted by key: each key's stored run, or `None` while the device
+    /// that claimed the key runs the loop. 72 bytes per key.
+    entries: Vec<(RunKey, Option<MemoRun>)>,
+    /// Devices waiting on `settled` for a pending key. A settling claimer
+    /// notifies only when there are some, since a notify is a system call.
+    waiting: usize,
 }
 
 impl RunMemo {
-    /// An empty memo for `slots` pool slots.
-    fn new(slots: usize) -> Self {
-        Self {
-            slots: (0..slots).map(|_| Mutex::default()).collect(),
-        }
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The result of the run keyed `key` in pool slot `slot`: computed by
-    /// `run` for the first device with the key (and for every device
-    /// without one), otherwise reused, its Stable counts added to
-    /// `events.reused`. Counted in `events.memo`.
+    /// The result of the run keyed `key`: computed by `run` for the first
+    /// device of the simulation with the key (and for every device without
+    /// one), otherwise reused, its Stable counts added to `events.reused`.
+    /// Counted in `events.memo`.
     fn run(
         &self,
-        slot: usize,
         key: Option<RunKey>,
         events: &mut PoolEvents,
         run: impl FnOnce() -> Result<DeviceRun, ChrisError>,
@@ -622,57 +699,107 @@ impl RunMemo {
             events.memo.misses += 1;
             return run();
         };
-        let cell = Arc::clone(
-            self.slots[slot]
-                .lock()
-                .expect("the memo lock is held only to insert a cell, which cannot panic")
-                .entry(key)
-                .or_default(),
-        );
-        let mut ran = false;
-        let result = cell.get_or_init(|| {
-            ran = true;
-            run()
-        });
-        if ran {
-            events.memo.misses += 1;
-        } else {
-            events.memo.hits += 1;
-            if let Ok(run) = result {
-                events.reused.add(run);
+        let mut state = self.state();
+        let at = loop {
+            match state.entries.binary_search_by_key(&key, |&(key, _)| key) {
+                Ok(at) => match &state.entries[at].1 {
+                    Some(stored) => {
+                        events.memo.hits += 1;
+                        return match stored {
+                            Ok(run) => {
+                                events.reused.add(run);
+                                Ok(*run)
+                            }
+                            Err(e) => Err(ChrisError::clone(e)),
+                        };
+                    }
+                    None => {
+                        state.waiting += 1;
+                        state = self
+                            .settled
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
+                        state.waiting -= 1;
+                    }
+                },
+                Err(at) => break at,
+            }
+        };
+        state.entries.insert(at, (key, None));
+        drop(state);
+        events.memo.misses += 1;
+        let mut claim = Claim {
+            memo: self,
+            key,
+            run: None,
+        };
+        let result = run();
+        claim.run = Some(result.clone().map_err(Box::new));
+        result
+    }
+}
+
+/// A device's claim on a pending key: dropping it settles the key, storing
+/// `run`, or, when the run unwound before one was set, removing the entry.
+/// Either way the waiters of the slot wake and search again.
+struct Claim<'a> {
+    memo: &'a RunMemo,
+    key: RunKey,
+    run: Option<MemoRun>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut state = self.memo.state();
+        // Only the claimer settles a pending entry, so it is still there.
+        if let Ok(at) = state
+            .entries
+            .binary_search_by_key(&self.key, |&(key, _)| key)
+        {
+            match self.run.take() {
+                Some(run) => state.entries[at].1 = Some(run),
+                None => {
+                    state.entries.remove(at);
+                }
             }
         }
-        result.clone()
+        let waiting = state.waiting > 0;
+        drop(state);
+        if waiting {
+            self.memo.settled.notify_all();
+        }
     }
 }
 
 /// One simulation's pool slots. Device `id` of a pooled mix belongs to slot
 /// `id % subject_pool`. Each of the first 256 slots owns what its devices
-/// share: its synthesis profile, drawn when the simulation is built, and,
-/// once the first worker to reach the slot has filled it, its labels-only
-/// session and the noise tape of its dataset seed. Every other device of the
-/// slot, in any worker and shard run, derives its scenario from the slot's
-/// profile and replays the session and the tape. Pool-less mixes get no
+/// share: its synthesis profile, drawn when the simulation is built; once
+/// the first worker to reach the slot has filled it, its labels-only
+/// session and the noise tape of its dataset seed; and its run memo. Every
+/// other device of the slot, in any worker and any run or shard run of the
+/// simulation, derives its scenario from the slot's profile, replays the
+/// session and the tape, and reuses the memo's runs. Pool-less mixes get no
 /// slots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PoolSessions {
     slots: Box<[PoolSlot]>,
 }
 
-/// One pool slot: its devices' synthesis profile and, once filled, their
-/// session.
-#[derive(Debug, Clone)]
+/// One pool slot: its devices' synthesis profile, once filled their
+/// session, and their memoized runs.
+#[derive(Debug)]
 struct PoolSlot {
     profile: SynthesisProfile,
     /// The filled session, `None` if the fill failed.
     session: OnceLock<Option<SlotSession>>,
+    memo: RunMemo,
 }
 
 /// A filled pool slot's labels-only session and the noise tape that its
 /// runs replay. The runtime's three estimators share one RNG seed, the
 /// slot's dataset seed, so one tape as long as the session covers every
 /// prediction of every run over it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SlotSession {
     windows: Arc<[LabeledWindow]>,
     tape: NoiseTape,
@@ -688,6 +815,20 @@ impl SlotSession {
     }
 }
 
+/// How the executor runs a claimed device.
+enum Claimed<'a> {
+    /// A device of a filled pool slot: its own fields, its slot and the
+    /// slot's session.
+    Pooled {
+        device: DeviceFields,
+        slot: &'a PoolSlot,
+        session: &'a SlotSession,
+    },
+    /// A device without a slot, or whose slot's fill failed: its whole
+    /// scenario, to stream.
+    Streaming(DeviceScenario),
+}
+
 impl PoolSessions {
     pub(crate) fn new(generator: &ScenarioGenerator) -> Self {
         let count = generator.mix().subject_pool.min(MAX_POOL_SLOTS);
@@ -695,51 +836,56 @@ impl PoolSessions {
             .map(|slot| PoolSlot {
                 profile: generator.slot_profile(slot),
                 session: OnceLock::new(),
+                memo: RunMemo::default(),
             })
             .collect();
         Self { slots }
     }
 
-    /// The number of slots held.
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Derives device `device_id`'s scenario, taking the synthesis profile
-    /// from its slot, and returns it with the slot's index and session,
-    /// filled on first use; the lookup is counted in `events`. The session
-    /// is `None` (a miss) when the device has no slot or the fill failed:
-    /// the device then streams directly, reporting any synthesis error
-    /// exactly as [`simulate_device`] does.
-    fn scenario(
+    /// Derives device `device_id`, taking the synthesis profile from its
+    /// slot, and returns it with the slot and its session, filled on first
+    /// use; the lookup is counted in `events`. Only a fill builds the
+    /// device's whole scenario. A device without a slot, or whose slot's
+    /// fill failed, misses and streams directly, reporting any synthesis
+    /// error exactly as [`simulate_device`] does.
+    fn device(
         &self,
         generator: &ScenarioGenerator,
         device_id: u64,
         events: &mut Events,
-    ) -> (DeviceScenario, Option<(usize, &SlotSession)>) {
+    ) -> Claimed<'_> {
         let slot = device_id
             .checked_rem(generator.mix().subject_pool)
             .and_then(|slot| usize::try_from(slot).ok())
-            .and_then(|index| Some((index, self.slots.get(index)?)));
-        let Some((index, slot)) = slot else {
+            .and_then(|index| self.slots.get(index));
+        let Some(slot) = slot else {
             events.misses += 1;
-            return (generator.scenario(device_id), None);
+            return Claimed::Streaming(generator.scenario(device_id));
         };
-        let scenario = generator.scenario_in_slot(device_id, &slot.profile);
+        let pooled = generator.scenario_in_slot(device_id, &slot.profile);
         let mut filled = false;
-        let session = slot
-            .session
-            .get_or_init(|| {
-                filled = true;
-                SlotSession::fill(&scenario)
-            })
-            .as_ref();
-        if session.is_some() && !filled {
-            events.hits += 1;
-        } else {
-            events.misses += 1;
+        let session = slot.session.get_or_init(|| {
+            filled = true;
+            SlotSession::fill(&pooled.to_scenario())
+        });
+        match session {
+            Some(session) => {
+                if filled {
+                    events.misses += 1;
+                } else {
+                    events.hits += 1;
+                }
+                Claimed::Pooled {
+                    device: pooled.device,
+                    slot,
+                    session,
+                }
+            }
+            None => {
+                events.misses += 1;
+                Claimed::Streaming(pooled.to_scenario())
+            }
         }
-        (scenario, session.map(|session| (index, session)))
     }
 }
 
@@ -952,15 +1098,15 @@ mod tests {
         assert!(err.to_string().contains("device 41"));
     }
 
-    /// Every device's own result, through one memo shared in id order.
+    /// Every device's own result, in id order, through the simulation's
+    /// memo.
     fn memoized(
         simulation: &FleetSimulation,
         range: Range<u64>,
     ) -> (Vec<Result<DeviceReport, FleetError>>, PoolEvents) {
-        let memo = RunMemo::new(simulation.sessions.len());
         let mut events = PoolEvents::default();
         let results = range
-            .map(|id| simulate_in(simulation, id, None, &memo, &mut events))
+            .map(|id| simulate_in(simulation, id, None, &mut events))
             .collect();
         (results, events)
     }
@@ -1047,13 +1193,21 @@ mod tests {
             let (generator, pool) = (simulation.generator(), mix.subject_pool);
             let mut events = Events::default();
             for id in 0..2 * pool + 1 {
-                let (scenario, session) = simulation.sessions.scenario(generator, id, &mut events);
+                let scenario = match simulation.sessions.device(generator, id, &mut events) {
+                    Claimed::Pooled { device, slot, .. } => {
+                        let slots = &simulation.sessions.slots;
+                        let index = slots.iter().position(|s| std::ptr::eq(s, slot));
+                        assert_eq!(index, Some((id % pool) as usize), "device {id}");
+                        let scenario = generator.scenario_in_slot(id, &slot.profile).to_scenario();
+                        assert_eq!(scenario.fields(), device, "device {id}");
+                        scenario
+                    }
+                    Claimed::Streaming(scenario) => {
+                        assert!(id % pool >= MAX_POOL_SLOTS, "device {id} has a slot");
+                        scenario
+                    }
+                };
                 assert_eq!(scenario, generator.scenario(id), "pool {pool}, device {id}");
-                let slot = id % pool;
-                assert_eq!(
-                    session.map(|(index, _)| index as u64),
-                    (slot < MAX_POOL_SLOTS).then_some(slot)
-                );
             }
             let slots = pool.min(MAX_POOL_SLOTS);
             assert_eq!(
@@ -1062,6 +1216,126 @@ mod tests {
                 "pool {pool}"
             );
         }
+    }
+
+    /// A run of `windows` windows, distinct per value.
+    fn device_run(windows: u32) -> DeviceRun {
+        DeviceRun {
+            windows,
+            offloaded: 0,
+            avg_watch_energy: Energy::from_millijoules(1.0),
+            avg_phone_energy: Energy::from_millijoules(0.0),
+            invocations: [windows, 0, 0],
+            mae_bpm: 1.0,
+            offload_fraction: 0.0,
+            simple_fraction: 1.0,
+            disconnected_fraction: 0.0,
+        }
+    }
+
+    #[test]
+    fn run_keys_are_distinct_for_distinct_runs() {
+        // Every generated schedule shape, every accounting mode and every
+        // pair of masked selections packs to its own key.
+        let mut schedules = vec![
+            ConnectionSchedule::AlwaysConnected,
+            ConnectionSchedule::NeverConnected,
+        ];
+        for up in 0..24 {
+            for down in 0..24 {
+                schedules.push(ConnectionSchedule::DutyCycle { up, down });
+            }
+        }
+        let selections: Vec<Option<Configuration>> = std::iter::once(None)
+            .chain(
+                chris_core::config::enumerate_configurations()
+                    .into_iter()
+                    .map(Some),
+            )
+            .collect();
+        assert_eq!(selections.len(), 61);
+        let mut keys = std::collections::BTreeSet::new();
+        let mut count = 0;
+        for schedule in &schedules {
+            for accounting in EnergyAccounting::ALL {
+                for (i, &first) in selections.iter().enumerate() {
+                    // Both halves over every selection would be 10M keys;
+                    // a rotation still pairs each with 8 others.
+                    for &second in selections.iter().cycle().skip(i).take(8) {
+                        let key = RunKey::of(schedule, accounting, [first, second]).unwrap();
+                        assert!(key.0 >> 60 == 0, "{key:?} exceeds 60 bits");
+                        keys.insert(key);
+                        count += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(keys.len(), count);
+        // What does not fit gets no key.
+        let long = ConnectionSchedule::DutyCycle {
+            up: 1 << 18,
+            down: 1,
+        };
+        let outages = ConnectionSchedule::Outages(vec![(0, 1)]);
+        for schedule in [long, outages] {
+            assert_eq!(
+                RunKey::of(&schedule, EnergyAccounting::BleOnly, [None; 2]),
+                None
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_runs_once_across_threads() {
+        let memo = RunMemo::default();
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let events: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut events = PoolEvents::default();
+                        let run = memo.run(Some(RunKey(7)), &mut events, || {
+                            // relaxed: read after the workers joined.
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            // The run ends only once the other three
+                            // workers found the key pending and wait.
+                            while memo.state().waiting < 3 {
+                                std::thread::yield_now();
+                            }
+                            Ok(device_run(3))
+                        });
+                        assert_eq!(run.map(|run| run.windows), Ok(3));
+                        (events.memo.hits, events.memo.misses)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // relaxed: the workers joined.
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let totals = events
+            .iter()
+            .fold((0, 0), |(h, m), &(hits, misses)| (h + hits, m + misses));
+        assert_eq!(totals, (3, 1));
+    }
+
+    #[test]
+    fn a_panicking_run_leaves_the_memo_usable() {
+        let memo = RunMemo::default();
+        let mut events = PoolEvents::default();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.run(Some(RunKey(7)), &mut events, || panic!("the loop failed"))
+        }));
+        assert!(panicked.is_err());
+        // The claim was withdrawn: the next device runs the key, and the
+        // one after reuses it.
+        assert!(memo.state().entries.is_empty());
+        for expected in [(0, 2), (1, 2)] {
+            let run = memo.run(Some(RunKey(7)), &mut events, || Ok(device_run(5)));
+            assert_eq!(run.map(|run| run.windows), Ok(5));
+            assert_eq!((events.memo.hits, events.memo.misses), expected);
+        }
+        assert_eq!(memo.state().entries.len(), 1);
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //!   ([`ScenarioMix::subject_pool`] > 0) always synthesizes each pool slot
 //!   once per [`FleetSimulation`]; the slot's other devices replay it in
 //!   every worker and shard run — byte-identical output, hit/miss counters
-//!   in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series,
+//!   in the [`PROFILE_CACHE_EVENTS_SERIES`] telemetry series — and the
+//!   slot memoizes their runs of the window loop for the simulation's
+//!   lifetime ([`RUN_MEMO_EVENTS_SERIES`]),
 //! * [`report`] — the aggregation layer: MAE percentiles (p50/p90/p99,
 //!   exact nearest-rank with integer-math ranks), per-device energy and
 //!   projected battery-life distributions, an offload-fraction histogram and
@@ -130,7 +132,7 @@ pub struct FleetOutcome {
 /// Profiles the 60 CHRIS configurations once on a profiling dataset derived
 /// from the master seed (the table every smartwatch ships with, as in the
 /// paper), then simulates any number of devices against that shared table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FleetSimulation {
     generator: ScenarioGenerator,
     zoo: ModelZoo,

@@ -294,6 +294,72 @@ pub(crate) struct SynthesisProfile {
     dataset_seed: u64,
 }
 
+/// What a device draws from its own stream: every field of its
+/// [`DeviceScenario`] except the synthesis profile, which a pooled device
+/// shares with its slot. It is all that a device's report and the run key
+/// of its pooled run read of the scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DeviceFields {
+    pub(crate) device_id: u64,
+    pub(crate) constraint: UserConstraint,
+    pub(crate) accounting: EnergyAccounting,
+    pub(crate) schedule: ConnectionSchedule,
+    pub(crate) battery_capacity_mah: f64,
+}
+
+impl DeviceFields {
+    /// The device's scenario with `profile` as its synthesis profile.
+    fn with_profile(self, profile: SynthesisProfile) -> DeviceScenario {
+        let SynthesisProfile {
+            seconds_per_activity,
+            activities,
+            dataset_seed,
+        } = profile;
+        DeviceScenario {
+            device_id: self.device_id,
+            dataset_seed,
+            activities,
+            seconds_per_activity,
+            constraint: self.constraint,
+            accounting: self.accounting,
+            schedule: self.schedule,
+            battery_capacity_mah: self.battery_capacity_mah,
+        }
+    }
+}
+
+impl DeviceScenario {
+    /// The scenario's [`DeviceFields`].
+    pub(crate) fn fields(&self) -> DeviceFields {
+        DeviceFields {
+            device_id: self.device_id,
+            constraint: self.constraint,
+            accounting: self.accounting,
+            schedule: self.schedule.clone(),
+            battery_capacity_mah: self.battery_capacity_mah,
+        }
+    }
+}
+
+/// A pooled device's scenario as [`ScenarioGenerator::scenario_in_slot`]
+/// derives it: the device's own fields and a borrow of its slot's synthesis
+/// profile. Building the whole [`DeviceScenario`] clones the profile's
+/// activity list, which only a slot fill or a device streaming after a
+/// failed fill needs.
+#[derive(Debug)]
+pub(crate) struct PooledScenario<'a> {
+    pub(crate) device: DeviceFields,
+    profile: &'a SynthesisProfile,
+}
+
+impl PooledScenario<'_> {
+    /// The whole scenario, equal to [`ScenarioGenerator::scenario`] of the
+    /// device.
+    pub(crate) fn to_scenario(&self) -> DeviceScenario {
+        self.device.clone().with_profile(self.profile.clone())
+    }
+}
+
 /// Draws one synthesis profile from `rng`. The tail of every scenario
 /// derivation; for pooled mixes it runs on a slot-shared stream instead of
 /// the device's own.
@@ -369,17 +435,17 @@ impl ScenarioGenerator {
     /// Derives the scenario of one device.
     pub fn scenario(&self, device_id: u64) -> DeviceScenario {
         let pool = self.mix.subject_pool;
-        self.derive(device_id, |rng| {
-            // Pooled mixes draw the synthesis profile from a slot-shared
-            // stream, so every device in a slot gets the same (seed,
-            // schedule, length) — and therefore the same window-cache key.
-            // Distinct mixes draw it from the device's own stream.
-            if pool > 0 {
-                self.slot_profile(device_id % pool)
-            } else {
-                synthesis_profile(rng, &self.mix)
-            }
-        })
+        let (device, mut rng) = self.device_fields(device_id);
+        // Pooled mixes draw the synthesis profile from a slot-shared
+        // stream, so every device in a slot gets the same (seed, schedule,
+        // length) — and therefore the same window-cache key. Distinct mixes
+        // draw it from the device's own stream, after its own fields.
+        let profile = if pool > 0 {
+            self.slot_profile(device_id % pool)
+        } else {
+            synthesis_profile(&mut rng, &self.mix)
+        };
+        device.with_profile(profile)
     }
 
     /// The synthesis profile of pool slot `slot`, which every device of the
@@ -393,25 +459,25 @@ impl ScenarioGenerator {
     }
 
     /// [`ScenarioGenerator::scenario`] of a pooled device whose slot's
-    /// profile, [`ScenarioGenerator::slot_profile`], is at hand: equal to
-    /// it, without drawing the profile again.
-    pub(crate) fn scenario_in_slot(
+    /// profile, [`ScenarioGenerator::slot_profile`], is at hand: the
+    /// device's own fields, with the profile borrowed instead of drawn
+    /// again or cloned.
+    pub(crate) fn scenario_in_slot<'a>(
         &self,
         device_id: u64,
-        profile: &SynthesisProfile,
-    ) -> DeviceScenario {
+        profile: &'a SynthesisProfile,
+    ) -> PooledScenario<'a> {
         debug_assert!(self.mix.subject_pool > 0, "only a pooled device has a slot");
-        self.derive(device_id, |_| profile.clone())
+        PooledScenario {
+            device: self.device_fields(device_id).0,
+            profile,
+        }
     }
 
-    /// Derives device `device_id`'s own fields from its stream, then takes
-    /// its synthesis profile from `profile`, which gets the stream after
-    /// those draws.
-    fn derive(
-        &self,
-        device_id: u64,
-        profile: impl FnOnce(&mut StdRng) -> SynthesisProfile,
-    ) -> DeviceScenario {
+    /// Draws device `device_id`'s own fields from its stream, and returns
+    /// them with the stream, from which a device without a pool slot draws
+    /// its synthesis profile next.
+    fn device_fields(&self, device_id: u64) -> (DeviceFields, StdRng) {
         let mix = &self.mix;
         let mut rng = StdRng::seed_from_u64(device_stream_seed(self.master_seed, device_id));
 
@@ -451,22 +517,14 @@ impl ScenarioGenerator {
         };
 
         let battery_capacity_mah = sample_f64(&mut rng, mix.battery_capacity_mah);
-        let SynthesisProfile {
-            seconds_per_activity,
-            activities,
-            dataset_seed,
-        } = profile(&mut rng);
-
-        DeviceScenario {
+        let device = DeviceFields {
             device_id,
-            dataset_seed,
-            activities,
-            seconds_per_activity,
             constraint,
             accounting,
             schedule,
             battery_capacity_mah,
-        }
+        };
+        (device, rng)
     }
 
     /// Derives the scenarios of devices `0..count`, lazily.

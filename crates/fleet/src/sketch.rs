@@ -323,7 +323,7 @@ impl QuantileSketch {
         let mut values = std::mem::replace(&mut self.partial, next);
         // The block's sum is taken in insertion order *before* sorting.
         let sum = values.iter().sum::<f64>();
-        values.sort_by(f64::total_cmp);
+        sort_total(&mut values);
         let mut node = Node {
             level: 0,
             values,
@@ -348,13 +348,26 @@ impl QuantileSketch {
         debug_assert_eq!(left.level, right.level, "siblings must share a level");
         let child_level = left.level;
         let level = child_level + 1;
-        // Stable sort of two sorted runs is a linear merge; ties under
-        // `total_cmp` are bit-identical, so the order among them is moot.
-        let mut merged = left.values;
-        merged.extend_from_slice(&right.values);
-        merged.sort_by(f64::total_cmp);
         let offset = (splitmix64(COMPACTION_SEED ^ (u64::from(level) << 56) ^ base) & 1) as usize;
-        let values: Vec<f64> = merged.iter().skip(offset).step_by(2).copied().collect();
+        // Merge the two sorted runs and keep the elements at merged
+        // positions `offset`, `offset + 2`, …. On a tie the left element
+        // comes first; tied values under `total_cmp` have equal bits, so
+        // that order is moot.
+        let (a, b) = (&left.values, &right.values);
+        let (mut i, mut j) = (0, 0);
+        let mut values = Vec::with_capacity(a.len());
+        for position in 0..a.len() + b.len() {
+            let value = if j == b.len() || (i < a.len() && a[i].total_cmp(&b[j]).is_le()) {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+            if position % 2 == offset {
+                values.push(value);
+            }
+        }
         debug_assert_eq!(values.len(), self.block);
         self.compactions += 1;
         Node {
@@ -365,6 +378,28 @@ impl QuantileSketch {
             // at most one such element.
             error: left.error + right.error + (1u64 << child_level),
         }
+    }
+}
+
+/// Sorts `values` by [`f64::total_cmp`]: as unsigned integer keys that
+/// compare as `total_cmp` does, unstably, since values with equal keys
+/// have equal bits.
+fn sort_total(values: &mut [f64]) {
+    const SIGN: u64 = 1 << 63;
+    // A value with the sign bit clear gets it set, so it orders above every
+    // negative value; a negative value gets all its bits flipped, so a
+    // larger magnitude orders lower. The second pass undoes the map: a key
+    // with the sign bit set came from a value without it.
+    for value in values.iter_mut() {
+        let bits = value.to_bits();
+        let key = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+        *value = f64::from_bits(key);
+    }
+    values.sort_unstable_by_key(|key| key.to_bits());
+    for value in values.iter_mut() {
+        let key = value.to_bits();
+        let bits = if key & SIGN == 0 { !key } else { key & !SIGN };
+        *value = f64::from_bits(bits);
     }
 }
 
@@ -466,6 +501,135 @@ mod tests {
         assert_eq!(sketch.retained(), 3 * 4 + 1);
         // Each combine removes one node: 11 blocks - 3 nodes.
         assert_eq!(sketch.compactions(), 8);
+    }
+
+    /// Reference implementation of [`QuantileSketch::insert`]: a stable
+    /// `total_cmp` sort per block, and a combine that concatenates both
+    /// nodes, sorts again and keeps every other element. The proptest below
+    /// holds the sketch to it bit for bit.
+    mod oracle {
+        use super::super::*;
+
+        pub fn insert(sketch: &mut QuantileSketch, value: f64) {
+            if sketch.count == 0 {
+                sketch.min = value;
+                sketch.max = value;
+            } else {
+                if value.total_cmp(&sketch.min).is_lt() {
+                    sketch.min = value;
+                }
+                if value.total_cmp(&sketch.max).is_gt() {
+                    sketch.max = value;
+                }
+            }
+            sketch.count += 1;
+            sketch.partial.push(value);
+            if sketch.partial.len() == sketch.block {
+                complete_block(sketch);
+            }
+        }
+
+        fn complete_block(sketch: &mut QuantileSketch) {
+            let next = Vec::with_capacity(sketch.block.min(DEFAULT_SKETCH_CAPACITY));
+            let mut values = std::mem::replace(&mut sketch.partial, next);
+            let sum = values.iter().sum::<f64>();
+            values.sort_by(f64::total_cmp);
+            let mut node = Node {
+                level: 0,
+                values,
+                sum,
+                error: 0,
+            };
+            let mut base = sketch.count / sketch.block as u64 - 1;
+            while sketch
+                .nodes
+                .last()
+                .is_some_and(|top| top.level == node.level)
+            {
+                let left = sketch.nodes.pop().unwrap();
+                base -= 1u64 << left.level;
+                node = combine(sketch, base, left, node);
+            }
+            sketch.nodes.push(node);
+        }
+
+        fn combine(sketch: &mut QuantileSketch, base: u64, left: Node, right: Node) -> Node {
+            let child_level = left.level;
+            let level = child_level + 1;
+            let mut merged = left.values;
+            merged.extend_from_slice(&right.values);
+            merged.sort_by(f64::total_cmp);
+            let offset =
+                (splitmix64(COMPACTION_SEED ^ (u64::from(level) << 56) ^ base) & 1) as usize;
+            let values: Vec<f64> = merged.iter().skip(offset).step_by(2).copied().collect();
+            sketch.compactions += 1;
+            Node {
+                level,
+                values,
+                sum: left.sum + right.sum,
+                error: left.error + right.error + (1u64 << child_level),
+            }
+        }
+    }
+
+    /// Every field of `sketch`, floats as bits.
+    #[allow(clippy::type_complexity)]
+    fn state_bits(sketch: &QuantileSketch) -> ([u64; 5], Vec<u64>, Vec<(u32, Vec<u64>, u64, u64)>) {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        (
+            [
+                sketch.block as u64,
+                sketch.count,
+                sketch.min.to_bits(),
+                sketch.max.to_bits(),
+                sketch.compactions,
+            ],
+            bits(&sketch.partial),
+            sketch
+                .nodes
+                .iter()
+                .map(|n| (n.level, bits(&n.values), n.sum.to_bits(), n.error))
+                .collect(),
+        )
+    }
+
+    /// A value drawn from `(selector, x)`: the IEEE special values,
+    /// repeats of a few values, or `x` itself.
+    fn special(selector: u8, x: f64) -> f64 {
+        match selector {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => f64::from_bits(0x7FF0_0000_0000_0001),
+            3 => f64::from_bits(0xFFF8_0000_0000_00FF),
+            4 => 0.0,
+            5 => -0.0,
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            8..=11 => x.round() / 64.0,
+            _ => x,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The merge-based combine and the key sort leave the whole state,
+        /// bit for bit, where the re-sorting algorithm left it.
+        #[test]
+        fn the_sketch_state_equals_the_resorting_oracle(
+            capacity_idx in 0usize..4,
+            draws in proptest::prop::collection::vec((0u8..24, -1e3f64..1e3), 0..1600),
+        ) {
+            let capacity = [2usize, 3, 4, 256][capacity_idx];
+            let mut sketch = QuantileSketch::with_capacity(capacity);
+            let mut expected = QuantileSketch::with_capacity(capacity);
+            for (selector, x) in draws {
+                let value = special(selector, x);
+                sketch.insert(value);
+                oracle::insert(&mut expected, value);
+            }
+            proptest::prop_assert_eq!(state_bits(&sketch), state_bits(&expected));
+        }
     }
 
     #[test]

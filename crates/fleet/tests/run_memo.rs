@@ -1,14 +1,15 @@
 //! Conformance suite for the run memo: a pooled device whose run key
-//! repeats an earlier device's reuses that run instead of running the
-//! window loop again. The memo must be **invisible in every output**: each
-//! report equals the per-device streaming path ([`fleet::simulate_device`]),
-//! and the run's Stable telemetry equals the sum of running every device on
-//! its own, for arbitrary pools, link schedules and accounting modes, at
-//! one thread and at four.
+//! repeats an earlier device's of the same simulation reuses that run
+//! instead of running the window loop again, in the same run or a later
+//! one. The memo must be **invisible in every output**: each report equals
+//! the per-device streaming path ([`fleet::simulate_device`]), and the
+//! run's Stable telemetry equals the sum of running every device on its
+//! own, for arbitrary pools, link schedules and accounting modes, at one
+//! thread and at four.
 
 use fleet::{
     run_fleet_range, simulate_device, DeviceReport, ExecutorOptions, FleetSimulation, ScenarioMix,
-    RUN_MEMO_EVENTS_SERIES,
+    ShardSpec, RUN_MEMO_EVENTS_SERIES,
 };
 use proptest::prelude::*;
 use telemetry::MetricsSnapshot;
@@ -80,19 +81,23 @@ proptest! {
         devices in 1u64..48,
     ) {
         let pool = [1u64, 3, 16, 300][pool_idx];
-        let simulation = FleetSimulation::new(master_seed, mix(pool)).unwrap();
+        // A fresh simulation per thread count, so each run starts with an
+        // empty memo.
+        let simulation = || FleetSimulation::new(master_seed, mix(pool)).unwrap();
+        let reference_simulation = simulation();
         let range = start..start + devices;
         let (reference, streamed) = recorded(|| {
             range
                 .clone()
                 .map(|id| {
-                    let scenario = simulation.generator().scenario(id);
-                    simulate_device(&scenario, simulation.zoo(), simulation.engine()).unwrap()
+                    let sim = &reference_simulation;
+                    simulate_device(&sim.generator().scenario(id), sim.zoo(), sim.engine()).unwrap()
                 })
                 .collect::<Vec<DeviceReport>>()
         });
         let mut counts = Vec::new();
         for threads in [1usize, 4] {
+            let simulation = simulation();
             let (reports, registry) = recorded(|| {
                 run_fleet_range(&simulation, range.clone(), &options(threads), None).unwrap()
             });
@@ -117,11 +122,12 @@ proptest! {
 }
 
 /// The 64-device seed-42 cohort fleet repeats 10 of its device runs: 54 runs
-/// of the window loop at any thread count, against 64 without the memo.
+/// of the window loop on a fresh simulation at any thread count, against 64
+/// without the memo.
 #[test]
 fn the_cohort_fixture_runs_the_loop_once_per_distinct_key() {
-    let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
     for threads in [1usize, 4] {
+        let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
         let (_, registry) =
             recorded(|| run_fleet_range(&simulation, 0..64, &options(threads), None).unwrap());
         let snapshot = registry.snapshot();
@@ -130,19 +136,64 @@ fn the_cohort_fixture_runs_the_loop_once_per_distinct_key() {
     }
 }
 
-/// The memo lives for one run: a second run of the same simulation runs
-/// every distinct key again, where the pool slots stay filled.
+/// The memo lives as long as the simulation: a second run over the same
+/// devices reuses every run and runs the loop not once, with the first
+/// run's reports and Stable telemetry.
 #[test]
-fn each_run_starts_with_an_empty_memo() {
+fn a_second_run_reuses_every_run() {
     let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
     let run = || recorded(|| run_fleet_range(&simulation, 0..64, &options(2), None).unwrap());
     let (first, first_registry) = run();
     let (again, again_registry) = run();
     assert_eq!(first, again);
     assert_eq!(
-        memo_events(&first_registry.snapshot()),
-        memo_events(&again_registry.snapshot())
+        first_registry.snapshot_stable(),
+        again_registry.snapshot_stable()
     );
+    let snapshot = again_registry.snapshot();
+    assert_eq!(memo_events(&snapshot), (64, 0));
+    assert_eq!(loop_runs(&snapshot), 0);
+}
+
+/// The shards of one simulation share its memo: the four 16-device shards
+/// of the seed-42 cohort fleet count the single-process run's hits and
+/// misses, whether they run one after another or two at a time.
+#[test]
+fn shards_of_one_simulation_share_its_memo() {
+    let spec = ShardSpec::new(64, 4).unwrap();
+    let shard = |simulation: &FleetSimulation, index| {
+        let (artifact, registry) = recorded(|| {
+            simulation
+                .run_shard_with_options(&spec, index, &options(1), None)
+                .unwrap()
+        });
+        (artifact, memo_events(&registry.snapshot()))
+    };
+    let total = |counts: Vec<(u64, u64)>| {
+        counts
+            .into_iter()
+            .fold((0, 0), |(h, m), (hits, misses)| (h + hits, m + misses))
+    };
+
+    let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    let (sequential, counts): (Vec<_>, Vec<_>) =
+        (0..4).map(|index| shard(&simulation, index)).unzip();
+    assert_eq!(total(counts), (10, 54));
+
+    let simulation = FleetSimulation::new(42, ScenarioMix::cohort()).unwrap();
+    let concurrent: Vec<_> = std::thread::scope(|scope| {
+        let pairs = [[0, 1], [2, 3]].map(|pair| {
+            let workers = pair.map(|index| {
+                let simulation = &simulation;
+                scope.spawn(move || shard(simulation, index))
+            });
+            workers.map(|worker| worker.join().unwrap())
+        });
+        pairs.into_iter().flatten().collect()
+    });
+    let (artifacts, counts): (Vec<_>, Vec<_>) = concurrent.into_iter().unzip();
+    assert_eq!(total(counts), (10, 54));
+    assert_eq!(artifacts, sequential);
 }
 
 /// A pool-less mix never memoizes and records no memo series.

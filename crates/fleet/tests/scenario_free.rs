@@ -2,9 +2,10 @@
 //! `Vec<DeviceScenario>`: workers derive scenarios on demand from
 //! `(generator, device id)`, so at most one generated scenario is alive per
 //! worker thread. Checked with the counting allocator of `tests/run_memory`,
-//! which counts per thread, so the two tests of this binary may run
-//! concurrently. A pooled run's memo holds one entry per distinct run and
-//! is freed when the run returns.
+//! which counts per thread, so the tests of this binary may run
+//! concurrently. A pooled simulation's memo keeps one 72-byte entry per
+//! distinct run in its pool slot, so a run over devices that an earlier run
+//! of the simulation covered leaves nothing behind.
 
 mod run_memory;
 
@@ -32,7 +33,7 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
     // At one worker, nothing a device allocates (its scenario included)
     // may outlive it: sampled as each device completes, the live level
     // changes only when the worker's result vector grows, or, in a pooled
-    // mix, when a device stores a new run in the run's memo.
+    // mix, when a device stores a new run in its slot's memo.
     for pool in [0, 4] {
         for activities in [9, 1] {
             let simulation = run_memory::simulation(activities, pool);
@@ -40,22 +41,8 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
             // handles and fills the pool slots, all of which outlive a run.
             run_memory::run(&simulation, 0..16, None);
 
-            // Nothing of a run outlives it, the memo included: once its
-            // reports are dropped, the live level is back where it was.
-            let before = run_memory::live();
-            drop(run_memory::run(
-                &simulation,
-                0..SAMPLED_DEVICES as u64,
-                None,
-            ));
-            assert_eq!(
-                run_memory::live(),
-                before,
-                "pool {pool}, {activities} activities: a run left bytes behind"
-            );
-
             // The sampled run records into a registry of its own, which
-            // reads back its memo misses.
+            // reads back its memo misses: the runs it stored.
             let registry = telemetry::Registry::new();
             let _scope = telemetry::scoped(&registry);
             let sink = LiveLevels(Mutex::new(Vec::with_capacity(SAMPLED_DEVICES)));
@@ -81,6 +68,20 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
                 levels.len()
             );
 
+            // A repeat run over the same devices stores nothing: once its
+            // reports are dropped, the live level is back where it was.
+            let before = run_memory::live();
+            drop(run_memory::run(
+                &simulation,
+                0..SAMPLED_DEVICES as u64,
+                None,
+            ));
+            assert_eq!(
+                run_memory::live(),
+                before,
+                "pool {pool}, {activities} activities: a repeat run left bytes behind"
+            );
+
             // Equivalence half: the same reports as simulating each device
             // alone.
             for (id, report) in reports.iter().enumerate() {
@@ -95,6 +96,49 @@ fn generated_scenarios_stay_bounded_by_the_worker_count() {
             }
         }
     }
+}
+
+/// A pool slot's memo keeps its runs in one key-sorted vector of 72-byte
+/// entries (a packed 8-byte key and the stored run, its counts narrowed to
+/// `u32`), grown as `Vec` grows: to 4 entries, then by doubling.
+#[test]
+fn a_memo_key_costs_one_72_byte_entry() {
+    const ENTRY_BYTES: isize = 72;
+    let capacity =
+        |keys: u64| ENTRY_BYTES * isize::try_from(keys.next_power_of_two().max(4)).unwrap();
+    // One slot, so every key lands in one vector. A twin simulation counts
+    // the keys: a fresh simulation's misses are its distinct keys, since
+    // every device of this mix gets one.
+    let keys = |devices| {
+        let twin = run_memory::simulation(9, 1);
+        let registry = telemetry::Registry::new();
+        let _scope = telemetry::scoped(&registry);
+        run_memory::run(&twin, devices, None);
+        registry
+            .snapshot()
+            .counter_value(fleet::RUN_MEMO_EVENTS_SERIES, &[("result", "miss")])
+            .unwrap()
+    };
+    let (first, all) = (keys(0..1), keys(0..SAMPLED_DEVICES as u64));
+    assert!(all > 4, "{all} keys leave the vector at its first capacity");
+
+    let simulation = run_memory::simulation(9, 1);
+    let registry = telemetry::Registry::new();
+    let _scope = telemetry::scoped(&registry);
+    // Warm-up: fills the slot, registers the series and stores the first
+    // device's run.
+    run_memory::run(&simulation, 0..1, None);
+    let before = run_memory::live();
+    drop(run_memory::run(
+        &simulation,
+        1..SAMPLED_DEVICES as u64,
+        None,
+    ));
+    assert_eq!(
+        run_memory::live() - before,
+        capacity(all) - capacity(first),
+        "{first} then {all} keys"
+    );
 }
 
 #[test]

@@ -89,6 +89,12 @@ pub trait WindowSource {
     /// (`chris_core::ChrisRuntime::run`, `chris_core::Profiler`) drive their
     /// loops through it, so [`BufferWindows`] overrides it to iterate without cloning a single window — eager call
     /// sites keep their pre-streaming cost.
+    ///
+    /// `#[inline]`, as the override is: rustc then instantiates it in the
+    /// caller's codegen unit, so the runtime's per-window visitor inlines
+    /// into its loop in whichever crate instantiates the loop, instead of
+    /// depending on how that crate's other code happens to be partitioned.
+    #[inline]
     fn try_for_each_window<E: From<DataError>>(
         &mut self,
         mut f: impl FnMut(&LabeledWindow) -> Result<(), E>,
@@ -221,6 +227,7 @@ impl<B: AsRef<[LabeledWindow]>> WindowSource for BufferWindows<B> {
     /// Zero-copy override: visits the buffered windows by reference. On a
     /// visitor error the cursor is positioned after the failing window,
     /// exactly like the default implementation.
+    #[inline]
     fn try_for_each_window<E: From<DataError>>(
         &mut self,
         mut f: impl FnMut(&LabeledWindow) -> Result<(), E>,
