@@ -1,16 +1,16 @@
 //! Overhead of the telemetry registry on the fleet hot path.
 //!
 //! The instrumentation (nothing per window; per device run, one registry
-//! resolution, three counter adds and one runtime stage timer; per executor
-//! worker, one snapshot folded into the caller's registry) must stay in the
-//! noise of the simulation itself — the README documents a <2% wall-clock
-//! target. Executor workers always record into a private live registry, so
-//! the caller's registry below only decides where those snapshots are
-//! folded. This bench runs the same fleet under three registries:
+//! resolution, three counter adds and one runtime stage timer) must stay in
+//! the noise of the simulation itself — the README documents a <2%
+//! wall-clock target. Executor workers record into the registry active when
+//! the run starts, so the caller's registry below is the one every
+//! instrument writes to. This bench runs the same fleet under three
+//! registries:
 //!
 //! * `enabled`   — a live [`telemetry::Registry`], the production path,
 //! * `disabled`  — [`telemetry::Registry::disabled`], whose instruments are
-//!   no-ops, so the worker snapshots fold into nothing,
+//!   no-ops: the uninstrumented baseline,
 //! * `global`    — no explicit scope, so recording lands on the process
 //!   global registry (the default for library users).
 //!

@@ -591,9 +591,6 @@ mod tests {
             ConnectionSchedule::DutyCycle { up: 0, down: 2 },
             ConnectionSchedule::DutyCycle { up: 2, down: 0 },
             ConnectionSchedule::DutyCycle { up: 0, down: 0 },
-            ConnectionSchedule::Outages(Vec::new()),
-            ConnectionSchedule::Outages(vec![(0, 4), (2, 3)]),
-            ConnectionSchedule::Outages(vec![(all, all + 5)]),
         ];
         let mut failed = 0;
         for engine in [&full, &hybrid_only, &DecisionEngine::new(Vec::new())] {

@@ -7,6 +7,9 @@
 //! pure function of its scenario and the shared (read-only) zoo + decision
 //! engine, and results are merged in device order afterwards, so the output
 //! is byte-identical for any thread count and any scheduling interleaving.
+//! Workers share nothing mutable but the cursor, the run's telemetry
+//! registry and, for a pooled mix, each pool slot's session cell and the
+//! one lock of its run memo.
 //!
 //! Workers are *scenario-free*: [`run_fleet_range`] hands each worker only a
 //! [`FleetSimulation`] and a device-id range, and the worker derives each
@@ -27,7 +30,7 @@
 //! [`crate::merge::merge`] differ.
 
 use std::ops::Range;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -299,11 +302,10 @@ impl TryFrom<&RunTotals> for DeviceRun {
 ///
 /// Every thread count runs the same worker body — at one thread inline on
 /// the calling thread, otherwise on scoped threads over a shared chunk
-/// cursor. Each worker records telemetry into its own private
-/// [`telemetry::Registry`] (lock-free, no cross-thread contention) and folds
-/// its snapshot into the registry that was active when the run started, at
-/// exit. Counter/histogram merging is commutative, so the totals are
-/// identical for any interleaving.
+/// cursor. Every worker records telemetry into the registry that was active
+/// when the run started; its instruments are atomics, and counter and
+/// histogram additions commute, so the totals are identical for any
+/// interleaving.
 ///
 /// A pooled mix ([`crate::ScenarioMix::subject_pool`] > 0) always replays:
 /// each of the first 256 pool slots of `simulation` holds its devices'
@@ -332,19 +334,20 @@ impl TryFrom<&RunTotals> for DeviceRun {
 /// and returned errors are those of running every device;
 /// `chris_stage_duration_ns{stage="runtime"}` counts loop runs only, so a
 /// repeated run of a range records none. A device whose plan fails, whose
-/// plan failed for a reachable status, or whose schedule has no key (an
-/// [`ConnectionSchedule::Outages`] list, which no generated mix draws)
-/// counts as a miss and runs unmemoized; after a failed reachable status
-/// the runtime raises the error itself. A slot holds one entry per
-/// distinct key, a count the mix bounds (schedules, accounting modes and
-/// the engine's configurations are all finite) whatever the device count,
-/// and runs each key's loop once per simulation: a device whose key another
-/// worker, run or shard run is running waits for that run. Such a run
-/// publishes [`RUN_MEMO_EVENTS_SERIES`]: a miss per device that ran the
-/// loop (those of higher slots included), a hit per reuse. Across the
-/// successful runs of a simulation, the counts therefore depend only on
-/// which devices ran, never on thread counts, shard cuts or which run came
-/// first, and a run over devices that earlier runs covered counts only hits.
+/// plan failed for a reachable status, or whose key does not fit its bits
+/// (which no generated mix draws) counts as a miss and runs unmemoized;
+/// after a failed reachable status the runtime raises the error itself. A
+/// slot holds one entry per distinct key, a count the mix bounds
+/// (schedules, accounting modes and the engine's configurations are all
+/// finite) whatever the device count, and runs each key's loop once per
+/// simulation while holding the slot's lock, so a device of the slot that
+/// arrives during another worker's, run's or shard run's loop waits for it.
+/// Such a run publishes [`RUN_MEMO_EVENTS_SERIES`] from every worker: a miss per
+/// device that ran the loop (those of higher slots included), a hit per
+/// reuse. Across the successful runs of a simulation, the counts therefore
+/// depend only on which devices ran, never on thread counts, shard cuts or
+/// which run came first, and a run over devices that earlier runs covered
+/// counts only hits.
 ///
 /// # Errors
 ///
@@ -368,17 +371,11 @@ pub fn run_fleet_range(
     let threads = options.effective_threads(usize::try_from(count).unwrap_or(usize::MAX));
     let active = telemetry::active();
     let pooled = simulation.generator().mix().subject_pool > 0;
-    if pooled {
-        // Eager registration: a run whose slots never hit still exposes
-        // zero-valued hit/miss series.
-        PoolEvents::default().publish(&active);
-    }
     let cursor = AtomicU64::new(0);
     let worker = || {
-        // One registry and one set of pool counts per worker: counters
-        // merge once at worker exit.
-        let registry = telemetry::Registry::new();
-        let _scope = telemetry::scoped(&registry);
+        // Every worker records into the run's registry; its pool counts are
+        // published once, at exit.
+        let _scope = telemetry::scoped(&active);
         let mut events = PoolEvents::default();
         let mut local = Vec::new();
         // Compare-exchange claims instead of `fetch_add`: the cursor never
@@ -401,11 +398,8 @@ pub fn run_fleet_range(
         }
         if pooled {
             events.reused.publish();
-            events.publish(&registry);
+            events.publish(&active);
         }
-        active
-            .absorb(&registry.snapshot())
-            .expect("worker series are self-consistent across registries");
         local
     };
     let locals: Vec<Vec<(u64, Result<DeviceReport, FleetError>)>> = if threads == 1 {
@@ -591,25 +585,23 @@ impl RunKey {
     /// The key of `device`'s run of `plan` over its slot's
     /// `windows`-window session. `None` when a reachable status's selection
     /// failed, so the runtime reports the error in its own order, or when
-    /// the key does not fit its bits: an [`ConnectionSchedule::Outages`]
-    /// list or a duty cycle of 2^18 windows or more.
+    /// the key does not fit its bits: a duty cycle of 2^18 windows or more.
     fn new(device: &DeviceFields, plan: &LinkPlan, windows: usize) -> Option<Self> {
         let selections = plan.masked(device.schedule.reaches(windows)).ok()?;
-        Self::of(&device.schedule, device.accounting, selections)
+        Self::of(device.schedule, device.accounting, selections)
     }
 
     /// The key of a run under `schedule` and `accounting` of the masked
     /// `[connected, disconnected]` selections.
     fn of(
-        schedule: &ConnectionSchedule,
+        schedule: ConnectionSchedule,
         accounting: EnergyAccounting,
         [connected, disconnected]: [Option<Configuration>; 2],
     ) -> Option<Self> {
-        let (variant, up, down) = match *schedule {
+        let (variant, up, down) = match schedule {
             ConnectionSchedule::AlwaysConnected => (0, 0, 0),
             ConnectionSchedule::NeverConnected => (1, 0, 0),
             ConnectionSchedule::DutyCycle { up, down } => (2, up as u64, down as u64),
-            ConnectionSchedule::Outages(..) => return None,
         };
         pack(&[
             (selection_code(disconnected)?, 10),
@@ -653,36 +645,20 @@ fn pack(fields: &[(u64, u32)]) -> Option<u64> {
 /// entry stays small. An error is tagged with each reading device's id.
 type MemoRun = Result<DeviceRun, Box<ChrisError>>;
 
-/// One pool slot's memoized runs, behind one lock.
+/// One pool slot's memoized runs, sorted by key, 72 bytes per key, behind
+/// one lock.
 ///
-/// The lock is held only to search, claim or settle a key, never over a
-/// run, so workers wait on each other only for the same key: a device that
-/// finds its key pending waits on `settled` until the claimer stores the
-/// run, so a key's loop runs once per simulation across threads and
-/// concurrent runs. A claimer whose run panics withdraws its claim (see
-/// [`Claim`]), so the memo stays usable and a later device runs the key
-/// again. No code that can panic runs under the lock, and a poisoned lock
-/// is entered anyway.
+/// A miss runs the loop while holding the lock, so a key's loop runs once
+/// per simulation across threads and concurrent runs, and a device of the
+/// slot that arrives meanwhile waits for that run. A run that panics stores
+/// nothing, and the lock it poisoned is entered anyway, so the memo stays
+/// usable and a later device runs the key again.
 #[derive(Debug, Default)]
-struct RunMemo {
-    state: Mutex<MemoState>,
-    settled: Condvar,
-}
-
-/// What a [`RunMemo`]'s lock guards.
-#[derive(Debug, Default)]
-struct MemoState {
-    /// Sorted by key: each key's stored run, or `None` while the device
-    /// that claimed the key runs the loop. 72 bytes per key.
-    entries: Vec<(RunKey, Option<MemoRun>)>,
-    /// Devices waiting on `settled` for a pending key. A settling claimer
-    /// notifies only when there are some, since a notify is a system call.
-    waiting: usize,
-}
+struct RunMemo(Mutex<Vec<(RunKey, MemoRun)>>);
 
 impl RunMemo {
-    fn state(&self) -> MutexGuard<'_, MemoState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn entries(&self) -> MutexGuard<'_, Vec<(RunKey, MemoRun)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The result of the run keyed `key`: computed by `run` for the first
@@ -699,74 +675,24 @@ impl RunMemo {
             events.memo.misses += 1;
             return run();
         };
-        let mut state = self.state();
-        let at = loop {
-            match state.entries.binary_search_by_key(&key, |&(key, _)| key) {
-                Ok(at) => match &state.entries[at].1 {
-                    Some(stored) => {
-                        events.memo.hits += 1;
-                        return match stored {
-                            Ok(run) => {
-                                events.reused.add(run);
-                                Ok(*run)
-                            }
-                            Err(e) => Err(ChrisError::clone(e)),
-                        };
+        let mut entries = self.entries();
+        match entries.binary_search_by_key(&key, |&(key, _)| key) {
+            Ok(at) => {
+                events.memo.hits += 1;
+                match &entries[at].1 {
+                    Ok(run) => {
+                        events.reused.add(run);
+                        Ok(*run)
                     }
-                    None => {
-                        state.waiting += 1;
-                        state = self
-                            .settled
-                            .wait(state)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        state.waiting -= 1;
-                    }
-                },
-                Err(at) => break at,
-            }
-        };
-        state.entries.insert(at, (key, None));
-        drop(state);
-        events.memo.misses += 1;
-        let mut claim = Claim {
-            memo: self,
-            key,
-            run: None,
-        };
-        let result = run();
-        claim.run = Some(result.clone().map_err(Box::new));
-        result
-    }
-}
-
-/// A device's claim on a pending key: dropping it settles the key, storing
-/// `run`, or, when the run unwound before one was set, removing the entry.
-/// Either way the waiters of the slot wake and search again.
-struct Claim<'a> {
-    memo: &'a RunMemo,
-    key: RunKey,
-    run: Option<MemoRun>,
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        let mut state = self.memo.state();
-        // Only the claimer settles a pending entry, so it is still there.
-        if let Ok(at) = state
-            .entries
-            .binary_search_by_key(&self.key, |&(key, _)| key)
-        {
-            match self.run.take() {
-                Some(run) => state.entries[at].1 = Some(run),
-                None => {
-                    state.entries.remove(at);
+                    Err(e) => Err(ChrisError::clone(e)),
                 }
             }
-        }
-        let waiting = state.waiting > 0;
-        drop(state);
-        if waiting {
-            self.memo.settled.notify_all();
+            Err(at) => {
+                events.memo.misses += 1;
+                let result = run();
+                entries.insert(at, (key, result.clone().map_err(Box::new)));
+                result
+            }
         }
     }
 }
@@ -1262,7 +1188,7 @@ mod tests {
                     // Both halves over every selection would be 10M keys;
                     // a rotation still pairs each with 8 others.
                     for &second in selections.iter().cycle().skip(i).take(8) {
-                        let key = RunKey::of(schedule, accounting, [first, second]).unwrap();
+                        let key = RunKey::of(*schedule, accounting, [first, second]).unwrap();
                         assert!(key.0 >> 60 == 0, "{key:?} exceeds 60 bits");
                         keys.insert(key);
                         count += 1;
@@ -1276,32 +1202,32 @@ mod tests {
             up: 1 << 18,
             down: 1,
         };
-        let outages = ConnectionSchedule::Outages(vec![(0, 1)]);
-        for schedule in [long, outages] {
-            assert_eq!(
-                RunKey::of(&schedule, EnergyAccounting::BleOnly, [None; 2]),
-                None
-            );
-        }
+        assert_eq!(RunKey::of(long, EnergyAccounting::BleOnly, [None; 2]), None);
     }
 
     #[test]
     fn a_key_runs_once_across_threads() {
         let memo = RunMemo::default();
         let runs = std::sync::atomic::AtomicUsize::new(0);
+        let arrived = std::sync::atomic::AtomicUsize::new(0);
         let events: Vec<(u64, u64)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         let mut events = PoolEvents::default();
+                        // relaxed: a spin count read by the running worker.
+                        arrived.fetch_add(1, Ordering::Relaxed);
                         let run = memo.run(Some(RunKey(7)), &mut events, || {
                             // relaxed: read after the workers joined.
                             runs.fetch_add(1, Ordering::Relaxed);
-                            // The run ends only once the other three
-                            // workers found the key pending and wait.
-                            while memo.state().waiting < 3 {
+                            // The run ends only once all four workers
+                            // arrived, and a while after, so the other
+                            // three reach the memo during the run.
+                            // relaxed: a spin on a count.
+                            while arrived.load(Ordering::Relaxed) < 4 {
                                 std::thread::yield_now();
                             }
+                            std::thread::sleep(std::time::Duration::from_millis(20));
                             Ok(device_run(3))
                         });
                         assert_eq!(run.map(|run| run.windows), Ok(3));
@@ -1327,15 +1253,15 @@ mod tests {
             memo.run(Some(RunKey(7)), &mut events, || panic!("the loop failed"))
         }));
         assert!(panicked.is_err());
-        // The claim was withdrawn: the next device runs the key, and the
-        // one after reuses it.
-        assert!(memo.state().entries.is_empty());
+        // Nothing was stored: the next device runs the key, and the one
+        // after reuses it.
+        assert!(memo.entries().is_empty());
         for expected in [(0, 2), (1, 2)] {
             let run = memo.run(Some(RunKey(7)), &mut events, || Ok(device_run(5)));
             assert_eq!(run.map(|run| run.windows), Ok(5));
             assert_eq!((events.memo.hits, events.memo.misses), expected);
         }
-        assert_eq!(memo.state().entries.len(), 1);
+        assert_eq!(memo.entries().len(), 1);
     }
 
     #[test]

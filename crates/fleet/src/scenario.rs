@@ -298,7 +298,7 @@ pub(crate) struct SynthesisProfile {
 /// [`DeviceScenario`] except the synthesis profile, which a pooled device
 /// shares with its slot. It is all that a device's report and the run key
 /// of its pooled run read of the scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DeviceFields {
     pub(crate) device_id: u64,
     pub(crate) constraint: UserConstraint,
@@ -335,7 +335,7 @@ impl DeviceScenario {
             device_id: self.device_id,
             constraint: self.constraint,
             accounting: self.accounting,
-            schedule: self.schedule.clone(),
+            schedule: self.schedule,
             battery_capacity_mah: self.battery_capacity_mah,
         }
     }
@@ -356,7 +356,7 @@ impl PooledScenario<'_> {
     /// The whole scenario, equal to [`ScenarioGenerator::scenario`] of the
     /// device.
     pub(crate) fn to_scenario(&self) -> DeviceScenario {
-        self.device.clone().with_profile(self.profile.clone())
+        self.device.with_profile(self.profile.clone())
     }
 }
 

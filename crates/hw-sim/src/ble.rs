@@ -103,14 +103,12 @@ impl BleLink {
 }
 
 /// Availability of the BLE connection over a sequence of analysis windows.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ConnectionSchedule {
     /// The link is up for every window.
     AlwaysConnected,
     /// The link is down for every window.
     NeverConnected,
-    /// The link is down for the listed half-open window-index ranges.
-    Outages(Vec<(usize, usize)>),
     /// The link alternates: up for `up` windows, then down for `down` windows.
     DutyCycle {
         /// Consecutive windows with the link up.
@@ -126,9 +124,6 @@ impl ConnectionSchedule {
         match self {
             ConnectionSchedule::AlwaysConnected => true,
             ConnectionSchedule::NeverConnected => false,
-            ConnectionSchedule::Outages(ranges) => !ranges
-                .iter()
-                .any(|&(start, end)| index >= start && index < end),
             ConnectionSchedule::DutyCycle { up, down } => {
                 let period = up + down;
                 if period == 0 {
@@ -142,29 +137,14 @@ impl ConnectionSchedule {
 
     /// Which link statuses the first `n` windows reach: `[connected,
     /// disconnected]`, each `true` iff [`ConnectionSchedule::is_connected`]
-    /// takes that value on some window below `n`.
-    ///
-    /// Constant time for every variant but [`ConnectionSchedule::Outages`]
-    /// and the zero-period duty cycle, which walk the windows until both
-    /// statuses are seen.
+    /// takes that value on some window below `n`. Constant time.
     pub fn reaches(&self, n: usize) -> [bool; 2] {
         match *self {
             _ if n == 0 => [false; 2],
             ConnectionSchedule::AlwaysConnected => [true, false],
             ConnectionSchedule::NeverConnected => [false, true],
-            ConnectionSchedule::DutyCycle { up, down } if up > 0 || down > 0 => {
-                [up > 0, down > 0 && n > up]
-            }
-            _ => {
-                let mut reached = [false; 2];
-                for index in 0..n {
-                    reached[usize::from(!self.is_connected(index))] = true;
-                    if reached == [true; 2] {
-                        break;
-                    }
-                }
-                reached
-            }
+            // A zero-period duty cycle is always connected.
+            ConnectionSchedule::DutyCycle { up, down } => [up > 0 || down == 0, down > 0 && n > up],
         }
     }
 
@@ -237,17 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_outages() {
-        let s = ConnectionSchedule::Outages(vec![(5, 10), (20, 22)]);
-        assert!(s.is_connected(4));
-        assert!(!s.is_connected(5));
-        assert!(!s.is_connected(9));
-        assert!(s.is_connected(10));
-        assert!(!s.is_connected(21));
-        assert!((s.availability(30) - 23.0 / 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn schedule_duty_cycle() {
         let s = ConnectionSchedule::DutyCycle { up: 3, down: 1 };
         assert!(s.is_connected(0));
@@ -283,10 +252,7 @@ mod tests {
             ConnectionSchedule::DutyCycle { up: 0, down: 0 }.reaches(9),
             [true, false]
         );
-        let outages = ConnectionSchedule::Outages(vec![(0, 4), (2, 3), (7, 7)]);
-        assert_eq!(outages.reaches(4), [false, true]);
-        assert_eq!(outages.reaches(5), [true, true]);
-        for schedule in [ConnectionSchedule::AlwaysConnected, duty, outages] {
+        for schedule in [ConnectionSchedule::AlwaysConnected, duty] {
             assert_eq!(schedule.reaches(0), [false, false]);
         }
     }

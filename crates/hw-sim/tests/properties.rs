@@ -55,26 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn outage_schedule_availability_is_between_zero_and_one(
-        ranges in prop::collection::vec((0usize..200, 1usize..50), 0..5),
-        horizon in 1usize..400
-    ) {
-        let outages: Vec<(usize, usize)> = ranges.iter().map(|&(s, len)| (s, s + len)).collect();
-        let schedule = ConnectionSchedule::Outages(outages.clone());
-        let availability = schedule.availability(horizon);
-        prop_assert!((0.0..=1.0).contains(&availability));
-        // Windows inside any outage range must be disconnected.
-        for &(start, end) in &outages {
-            if start < horizon {
-                prop_assert!(!schedule.is_connected(start));
-            }
-            if end > 0 && end - 1 < horizon {
-                prop_assert!(!schedule.is_connected(end - 1));
-            }
-        }
-    }
-
-    #[test]
     fn battery_drain_conserves_energy(
         capacity_mah in 10.0f64..1000.0,
         efficiency in 0.5f64..1.0,
@@ -115,20 +95,13 @@ proptest! {
 }
 
 /// Every schedule variant, degenerate ones included: duty cycles with `up`
-/// or `down` at zero, and outage lists with empty, overlapping and
-/// out-of-range ranges.
+/// or `down` at zero.
 fn schedules() -> impl Strategy<Value = ConnectionSchedule> {
-    (
-        0u8..4,
-        (0usize..6, 0usize..6),
-        prop::collection::vec((0usize..40, 0usize..40), 0..4),
-    )
-        .prop_map(|(variant, (up, down), outages)| match variant {
-            0 => ConnectionSchedule::AlwaysConnected,
-            1 => ConnectionSchedule::NeverConnected,
-            2 => ConnectionSchedule::DutyCycle { up, down },
-            _ => ConnectionSchedule::Outages(outages),
-        })
+    (0u8..3, (0usize..6, 0usize..6)).prop_map(|(variant, (up, down))| match variant {
+        0 => ConnectionSchedule::AlwaysConnected,
+        1 => ConnectionSchedule::NeverConnected,
+        _ => ConnectionSchedule::DutyCycle { up, down },
+    })
 }
 
 proptest! {

@@ -31,9 +31,10 @@
 use std::sync::Arc;
 
 use hw_sim::profile::Workload;
+use ppg_data::noise::standard_normal;
 use ppg_data::LabeledWindow;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::error::ModelError;
 use crate::traits::{clamp_bpm, HrEstimator};
@@ -43,11 +44,9 @@ use crate::zoo::ModelKind;
 const ERROR_CORRELATION: f32 = 0.7;
 
 /// Draws the next value of the AR(1) noise sequence after `previous`: a
-/// Box–Muller standard normal innovation, filtered.
+/// [`standard_normal`] innovation, filtered.
 fn next_noise(rng: &mut StdRng, previous: f32) -> f32 {
-    let u1: f32 = 1.0 - rng.random::<f32>();
-    let u2: f32 = rng.random::<f32>();
-    let innovation = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+    let innovation = standard_normal(rng);
     ERROR_CORRELATION * previous + (1.0 - ERROR_CORRELATION * ERROR_CORRELATION).sqrt() * innovation
 }
 
